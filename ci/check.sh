@@ -19,6 +19,14 @@ cargo build -q --examples
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> benchmark unit tests and smoke (every workload, digests checked)"
+# The benchmark is a package of its own (benchmark/Cargo.toml). --smoke
+# runs every workload for 2 s with the trace on and exits 1 on any wrong
+# output, including an outputs_digest that differs from
+# benchmark/expected.json on the default seed.
+cargo test -q --release --manifest-path benchmark/Cargo.toml
+cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- --smoke
+
 echo "==> bench_optimize smoke (release, running example + convoy, traced)"
 TRACE=target/BENCH_optimize_smoke.trace.jsonl
 cargo run --release -q -p etcs-bench --bin bench_optimize -- \

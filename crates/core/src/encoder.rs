@@ -437,6 +437,17 @@ struct Encoder<'a> {
     visited: Vec<Vec<Option<Lit>>>,
     done: Vec<Vec<Option<Lit>>>,
     active: Vec<Vec<Vec<EdgeId>>>,
+    /// `near[e]`: every `(f, dist(e, f))` within the top train speed,
+    /// ascending `f`. Distances are symmetric, so the list serves both
+    /// movement directions; filtering it by a cone yields exactly the
+    /// cone's edges in the order the all-pairs scans visited them.
+    near: Vec<Vec<(EdgeId, u32)>>,
+    /// `same_ttd[e]`: the edges of `e`'s TTD (including `e`), ascending —
+    /// the only partners the separation constraint can emit a clause for.
+    same_ttd: Vec<Vec<EdgeId>>,
+    /// `occupants[t][g]`: how many trains have an occupancy variable on
+    /// segment `g` at step `t` (the collision sweep's `contested` test).
+    occupants: Vec<Vec<u32>>,
     /// Memoised `paths(e, f, v)` results.
     path_cache: HashMap<(EdgeId, EdgeId, u32), Vec<EdgeId>>,
     /// Memoised `between(e, f)` border-literal lists; `None` = the pair is
@@ -464,6 +475,9 @@ impl<'a> Encoder<'a> {
             visited: Vec::new(),
             done: Vec::new(),
             active: Vec::new(),
+            near: Vec::new(),
+            same_ttd: Vec::new(),
+            occupants: Vec::new(),
             path_cache: HashMap::new(),
             between_cache: HashMap::new(),
             chain_cache: HashMap::new(),
@@ -473,6 +487,7 @@ impl<'a> Encoder<'a> {
     fn build(mut self) -> Encoding {
         self.alloc_border_vars();
         self.alloc_occupancy_vars();
+        self.index_neighbourhoods();
         let occupies_vars = self
             .occ
             .iter()
@@ -598,6 +613,50 @@ impl<'a> Encoder<'a> {
             self.occ.push(per_train);
             self.active.push(active_train);
         }
+    }
+
+    /// Builds the neighbour, same-TTD and occupant tables the constraint
+    /// loops iterate instead of testing every pair of active edges.
+    fn index_neighbourhoods(&mut self) {
+        let inst = self.inst;
+        let num_edges = inst.net.num_edges();
+        let top_speed = inst.trains.iter().map(|t| t.speed).max().unwrap_or(0);
+        let mut by_ttd: BTreeMap<_, Vec<EdgeId>> = BTreeMap::new();
+        self.near = (0..num_edges)
+            .map(|e| {
+                let e = EdgeId::from_index(e);
+                by_ttd.entry(inst.net.segment(e).ttd).or_default().push(e);
+                (0..num_edges)
+                    .map(EdgeId::from_index)
+                    .filter_map(|f| {
+                        let d = inst.dist(e, f)?;
+                        debug_assert_eq!(inst.dist(f, e), Some(d), "distances are symmetric");
+                        (d <= top_speed).then_some((f, d))
+                    })
+                    .collect()
+            })
+            .collect();
+        self.same_ttd = (0..num_edges)
+            .map(|e| by_ttd[&inst.net.segment(EdgeId::from_index(e)).ttd].clone())
+            .collect();
+        self.occupants = vec![vec![0; num_edges]; inst.t_max];
+        for per_train in &self.occ {
+            for (t, row) in per_train.iter().enumerate() {
+                for (g, var) in row.iter().enumerate() {
+                    self.occupants[t][g] += u32::from(var.is_some());
+                }
+            }
+        }
+    }
+
+    /// Occupancy literals of train `tr` at step `t` on the neighbours of
+    /// `e` within `speed` hops, ascending by edge.
+    fn reachable_lits(&self, e: EdgeId, tr: usize, t: usize, speed: u32) -> Vec<Lit> {
+        self.near[e.index()]
+            .iter()
+            .filter(|&&(_, d)| d <= speed)
+            .filter_map(|&(f, _)| self.occ_lit(tr, t, f))
+            .collect()
     }
 
     fn occ_lit(&self, tr: usize, t: usize, e: EdgeId) -> Option<Lit> {
@@ -781,14 +840,7 @@ impl<'a> Encoder<'a> {
             let next = self.active[tr][t + 1].clone();
             for &e in &current {
                 let occ_e = self.occ_lit(tr, t, e).expect("active");
-                let reach: Vec<Lit> = next
-                    .iter()
-                    .filter_map(|&f| {
-                        (self.inst.dist(e, f)? <= speed)
-                            .then(|| self.occ_lit(tr, t + 1, f))
-                            .flatten()
-                    })
-                    .collect();
+                let reach = self.reachable_lits(e, tr, t + 1, speed);
                 // When every next-step position is reachable from `e`, the
                 // presence clause at t+1 subsumes this one — skip it.
                 if single && reach.len() == next.len() {
@@ -804,14 +856,7 @@ impl<'a> Encoder<'a> {
             if self.config.symmetric_movement {
                 for &f in &next {
                     let occ_f = self.occ_lit(tr, t + 1, f).expect("active");
-                    let back: Vec<Lit> = current
-                        .iter()
-                        .filter_map(|&e| {
-                            (self.inst.dist(e, f)? <= speed)
-                                .then(|| self.occ_lit(tr, t, e))
-                                .flatten()
-                        })
-                        .collect();
+                    let back = self.reachable_lits(f, tr, t, speed);
                     // Same subsumption, against the presence clause at t —
                     // but only for Park trains: the Leave presence clause
                     // carries a `done` literal this clause does not.
@@ -839,13 +884,15 @@ impl<'a> Encoder<'a> {
         if !self.families.shared && !self.families.separation {
             return; // deferred to the lazy loop; the group stays declared
         }
+        // Only pairs inside one TTD (`e == f` included) can emit a clause,
+        // so each edge of `i` meets just its own TTD's edges of `j`.
         for t in 0..self.inst.t_max {
             for i in 0..num_trains {
                 for j in (i + 1)..num_trains {
-                    let ei: Vec<EdgeId> = self.active[i][t].clone();
-                    let ej: Vec<EdgeId> = self.active[j][t].clone();
-                    for &e in &ei {
-                        for &f in &ej {
+                    for k in 0..self.active[i][t].len() {
+                        let e = self.active[i][t][k];
+                        for n in 0..self.same_ttd[e.index()].len() {
+                            let f = self.same_ttd[e.index()][n];
                             self.encode_separation_pair(i, j, t, e, f);
                         }
                     }
@@ -927,18 +974,13 @@ impl<'a> Encoder<'a> {
                 // BTreeMap: the map is iterated below to emit clauses, and
                 // clause order must be deterministic for result caching.
                 let mut sweep: BTreeMap<EdgeId, Lit> = BTreeMap::new();
-                let current = self.active[mover][t].clone();
-                let next = self.active[mover][t + 1].clone();
-                for &e in &current {
-                    for &f in &next {
-                        if e == f {
-                            continue;
+                for k in 0..self.active[mover][t].len() {
+                    let e = self.active[mover][t][k];
+                    for n in 0..self.near[e.index()].len() {
+                        let (f, d) = self.near[e.index()][n];
+                        if d >= 1 && d <= speed && self.occ[mover][t + 1][f.index()].is_some() {
+                            self.encode_collision_move(mover, t, e, f, speed, &mut sweep);
                         }
-                        match self.inst.dist(e, f) {
-                            Some(d) if d >= 1 && d <= speed => {}
-                            _ => continue,
-                        }
-                        self.encode_collision_move(mover, t, e, f, speed, &mut sweep);
                     }
                 }
                 // Swept segments are exclusive against every other train.
@@ -977,17 +1019,15 @@ impl<'a> Encoder<'a> {
         }
         let occ_e = self.occ_lit(mover, t, e).expect("active");
         let occ_f = self.occ_lit(mover, t + 1, f).expect("active");
-        let path = self.path_cache[&key].clone();
-        for g in path {
+        for &g in &self.path_cache[&key] {
             // A sweep variable only earns its keep if some other train could
             // be on `g` around the move; otherwise the exclusivity side
             // would never materialise and the ternary clauses dangle.
-            let contested = (0..self.inst.trains.len()).any(|other| {
-                other != mover
-                    && (self.occ[other][t][g.index()].is_some()
-                        || self.occ[other][t + 1][g.index()].is_some())
-            });
-            if !contested {
+            let others = |step: usize| {
+                let own = u32::from(self.occ[mover][step][g.index()].is_some());
+                self.occupants[step][g.index()] > own
+            };
+            if !others(t) && !others(t + 1) {
                 continue;
             }
             let s = match sweep.get(&g) {
@@ -1014,9 +1054,9 @@ impl<'a> Encoder<'a> {
     /// the train can reach from it within `speed`.
     fn pinned_in_place(&self, tr: usize, t: usize, e: EdgeId, speed: u32) -> bool {
         self.occ_lit(tr, t + 1, e).is_some()
-            && self.active[tr][t + 1]
+            && self.near[e.index()]
                 .iter()
-                .all(|&f| f == e || !matches!(self.inst.dist(e, f), Some(d) if d <= speed))
+                .all(|&(f, d)| f == e || d > speed || self.occ[tr][t + 1][f.index()].is_none())
     }
 
     /// `true` if step `t` emits at least one Park freeze clause for `tr`.

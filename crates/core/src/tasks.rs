@@ -313,6 +313,7 @@ pub fn verify_cancellable(
         }
     };
     let search = *enc.solver.stats();
+    drop(enc); // inside the task span, so teardown is attributed to it
     obs.counter_add("conflicts", search.conflicts);
     task.close_with(&[
         ("feasible", outcome.is_feasible().into()),
@@ -393,6 +394,8 @@ pub fn generate_cancellable(
     }
     let stats = enc.stats;
     let (result, calls) = minimize_borders(&mut enc, &inst, &[], obs);
+    let search = *enc.solver.stats();
+    drop(enc); // inside the task span, so teardown is attributed to it
     let outcome = match result {
         Stage2::Solved(plan, cost) => DesignOutcome::Solved {
             plan,
@@ -418,7 +421,7 @@ pub fn generate_cancellable(
             stats,
             runtime: start.elapsed(),
             solver_calls: calls,
-            search: *enc.solver.stats(),
+            search,
         },
     ))
 }
@@ -561,6 +564,7 @@ pub fn optimize_cancellable(
     let (result, stage2_calls) = minimize_borders(&mut enc, &inst, &[], obs);
     calls += stage2_calls;
     search += enc.solver.stats();
+    drop(enc); // inside the task span, so teardown is attributed to it
     let (plan, border_cost) = match result {
         Stage2::Solved(plan, cost) => (plan, cost),
         Stage2::Unsat => unreachable!("the probed deadline was satisfiable"),
@@ -714,6 +718,7 @@ pub fn optimize_incremental_cancellable(
     }
     let Some(best_deadline) = best_deadline else {
         let search = *enc.solver.stats();
+        drop(enc); // inside the task span, so teardown is attributed to it
         task.close_with(&[("feasible", false.into()), ("probes", calls.into())]);
         return Ok((
             DesignOutcome::Infeasible,
@@ -746,6 +751,7 @@ pub fn optimize_incremental_cancellable(
         }
     };
     let search = *enc.solver.stats();
+    drop(enc); // inside the task span, so teardown is attributed to it
 
     task.close_with(&[
         ("feasible", true.into()),

@@ -172,6 +172,30 @@ fn malformed_frames_get_typed_errors_and_the_connection_survives() {
 }
 
 #[test]
+fn deeply_nested_frame_gets_a_typed_error_and_the_shard_survives() {
+    let server = spawn_shard("deep");
+    let mut raw = Raw::connect(server.addr());
+    raw.hello();
+
+    // A million nested arrays: a parser without a depth cap overflows its
+    // stack on this and aborts the whole shard process.
+    raw.send(&"[".repeat(1 << 20));
+    let reply = raw.recv();
+    assert!(reply.contains("\"type\": \"error\""), "got: {reply}");
+    assert!(reply.contains("nesting"), "got: {reply}");
+
+    // The same connection and a fresh one both still serve.
+    raw.send("{\"type\": \"stats\"}");
+    let reply = raw.recv();
+    assert!(reply.contains("\"type\": \"stats\""), "got: {reply}");
+    let mut client = ShardClient::connect(&server.addr().to_string()).expect("reconnect");
+    client.stats().expect("stats after the deep frame");
+
+    server.kill();
+    server.wait();
+}
+
+#[test]
 fn disconnect_mid_job_leaves_the_server_serving() {
     let server = spawn_shard("dc");
 

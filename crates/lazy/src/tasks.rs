@@ -261,6 +261,7 @@ pub fn verify_lazy_cancellable(
         bit_check(&inst, plan, true, config);
     }
     let search = *enc.solver.stats();
+    drop(enc); // inside the task span, so teardown is attributed to it
     obs.counter_add("conflicts", search.conflicts);
     task.close_with(&[
         ("feasible", outcome.is_feasible().into()),
@@ -399,6 +400,7 @@ pub fn generate_lazy_cancellable(
         bit_check(&inst, plan, true, config);
     }
     let search = *enc.solver.stats();
+    drop(enc); // inside the task span, so teardown is attributed to it
     match &outcome {
         DesignOutcome::Solved { costs, .. } => task.close_with(&[
             ("feasible", true.into()),
@@ -608,6 +610,7 @@ pub fn optimize_lazy_cancellable(
     }
     let Some(best_deadline) = upper else {
         let search = *enc.solver.stats();
+        drop(enc); // inside the task span, so teardown is attributed to it
         task.close_with(&[
             ("feasible", false.into()),
             ("rounds", state.rounds.into()),
@@ -686,6 +689,7 @@ pub fn optimize_lazy_cancellable(
 
     bit_check(&inst, &plan, false, config);
     let search = *enc.solver.stats();
+    drop(enc); // inside the task span, so teardown is attributed to it
     task.close_with(&[
         ("feasible", true.into()),
         ("deadline", best_deadline.into()),

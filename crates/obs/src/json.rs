@@ -4,7 +4,10 @@
 //!
 //! This is intentionally tiny (objects keep insertion order, numbers are
 //! `f64`) — it exists so the workspace can validate its own JSONL output
-//! without an external dependency, not as a general JSON library.
+//! without an external dependency, not as a general JSON library. It also
+//! decodes the shard wire protocol's frames, which arrive from the
+//! network, so nesting is capped at [`MAX_DEPTH`]: a frame of a million
+//! `[` gets a [`JsonError`] instead of overflowing the parser's stack.
 
 use std::fmt;
 
@@ -89,11 +92,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses one complete JSON value; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts. Every document the
+/// workspace writes nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one complete JSON value; trailing non-whitespace is an error, as
+/// is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -107,6 +116,8 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -147,8 +158,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -156,6 +167,20 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses a container one level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -326,6 +351,23 @@ mod tests {
         }
         let err = parse("nope").unwrap_err();
         assert!(err.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok(), "exactly MAX_DEPTH levels parse");
+        let deep = format!(
+            "{{\"a\": {}1{}}}",
+            "[".repeat(MAX_DEPTH),
+            "]".repeat(MAX_DEPTH)
+        );
+        let err = parse(&deep).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        // A million unclosed brackets must not recurse a million frames.
+        let err = parse(&"[".repeat(1 << 20)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
     }
 
     #[test]

@@ -152,10 +152,23 @@ struct WarmCore {
 }
 
 impl WarmCore {
-    fn build(scenario: &Scenario, config: &EncoderConfig, core: u128, obs: &Obs) -> Self {
+    /// Encodes the scenario cold, under an `encode` child of the tick's
+    /// span (fields `vars`, `clauses`, as on the task paths).
+    fn build(
+        scenario: &Scenario,
+        config: &EncoderConfig,
+        core: u128,
+        obs: &Obs,
+        tick: &Span,
+    ) -> Self {
         let open = scenario.without_arrivals();
         let inst = Instance::new(&open).expect("live scenario discretises (checked on apply)");
+        let enc_span = tick.child("encode");
         let mut enc = encode(&inst, config, &TaskKind::OptimizeIncremental);
+        enc_span.close_with(&[
+            ("vars", enc.stats.solver_vars.into()),
+            ("clauses", enc.stats.clauses.into()),
+        ]);
         enc.solver.set_obs(obs.clone());
         if config.preprocess {
             enc.preprocess(&PreprocessConfig::default());
@@ -395,6 +408,7 @@ impl ReplanSession {
                     &self.config.encoder,
                     fps.core,
                     &self.obs,
+                    span,
                 ),
                 false,
             ),

@@ -108,6 +108,11 @@ impl SatResult {
     }
 }
 
+/// One watch-list entry (8 bytes).
+///
+/// For a binary clause `cref` carries the binary flag and `blocker` is the
+/// clause's other literal, so propagation never loads the clause: the
+/// blocker alone says whether the clause is satisfied, unit or conflicting.
 #[derive(Clone, Copy, Debug)]
 struct Watcher {
     cref: ClauseRef,
@@ -199,6 +204,8 @@ pub struct Solver {
     /// walked in reverse by [`Solver::reconstructed_model`] — a stacked
     /// clause left unsatisfied flips its witness literal.
     reconstruction: Vec<(Lit, Vec<Lit>)>,
+    /// Reused buffer for normalising clauses in [`Solver::add_clause`].
+    add_buf: Vec<Lit>,
 }
 
 impl Default for Solver {
@@ -242,6 +249,7 @@ impl Solver {
             eliminated: Vec::new(),
             frozen: Vec::new(),
             reconstruction: Vec::new(),
+            add_buf: Vec::new(),
         }
     }
 
@@ -457,8 +465,18 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        let mut lits: Vec<Lit> = lits.into_iter().collect();
-        for &l in &lits {
+        let mut buf = std::mem::take(&mut self.add_buf);
+        buf.clear();
+        buf.extend(lits);
+        let added = self.add_normalised(&mut buf);
+        self.add_buf = buf;
+        added
+    }
+
+    /// [`Solver::add_clause`] on a collected literal buffer, which it
+    /// sorts and strips in place.
+    fn add_normalised(&mut self, lits: &mut Vec<Lit>) -> bool {
+        for &l in lits.iter() {
             debug_assert!(
                 l.var().index() < self.num_vars(),
                 "literal {l:?} uses an unallocated variable"
@@ -498,7 +516,7 @@ impl Solver {
         // so certify the stripped clause and retire the original — the
         // proof's active set must mirror the clause database.
         if let Some(orig) = original.filter(|o| o.len() != lits.len()) {
-            self.proof_add(&lits);
+            self.proof_add(lits);
             self.proof_delete(&orig);
         }
         match lits.len() {
@@ -698,12 +716,7 @@ impl Solver {
     /// After `solve` returned, the trail is rolled back to level 0, so this
     /// reports only facts fixed by the formula itself.
     pub fn lit_value(&self, l: Lit) -> LBool {
-        let v = self.assigns[l.var().index()];
-        if l.is_positive() {
-            v
-        } else {
-            v.negate()
-        }
+        value_of(&self.assigns, l)
     }
 
     /// `true` once the formula is known unsatisfiable at level 0.
@@ -721,10 +734,9 @@ impl Solver {
     }
 
     fn attach(&mut self, cref: ClauseRef) {
-        let (w0, w1) = {
-            let c = self.db.get(cref);
-            (c.lits()[0], c.lits()[1])
-        };
+        let lits = self.db.lits(cref);
+        let (w0, w1) = (lits[0], lits[1]);
+        let cref = if lits.len() == 2 { cref.binary() } else { cref };
         self.watches[(!w0).index()].push(Watcher { cref, blocker: w1 });
         self.watches[(!w1).index()].push(Watcher { cref, blocker: w0 });
     }
@@ -745,12 +757,33 @@ impl Solver {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
+            let false_lit = !p;
             let mut ws = std::mem::take(&mut self.watches[p.index()]);
             let mut i = 0;
             let mut conflict = None;
             'watchers: while i < ws.len() {
                 let w = ws[i];
-                if self.lit_value(w.blocker) == LBool::True {
+                let blocker = value_of(&self.assigns, w.blocker);
+                if blocker == LBool::True {
+                    i += 1;
+                    continue;
+                }
+                if w.cref.is_binary() {
+                    // The blocker is the other literal: unit or conflict
+                    // without loading the clause.
+                    let cref = w.cref.plain();
+                    if blocker == LBool::False {
+                        // Analysis reads the conflict clause in the
+                        // `[other, !p]` order a full visit would leave.
+                        let lits = self.db.lits_mut(cref);
+                        if lits[0] == false_lit {
+                            lits.swap(0, 1);
+                        }
+                        conflict = Some(cref);
+                        self.qhead = self.trail.len();
+                        break;
+                    }
+                    self.enqueue(w.blocker, Some(cref));
                     i += 1;
                     continue;
                 }
@@ -759,28 +792,23 @@ impl Solver {
                     continue;
                 }
                 // Ensure the falsified watched literal (!p) sits at slot 1.
-                let false_lit = !p;
-                {
-                    let c = self.db.get_mut(w.cref);
-                    let lits = c.lits_mut();
-                    if lits[0] == false_lit {
-                        lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(lits[1], false_lit);
+                let lits = self.db.lits_mut(w.cref);
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                let first = self.db.get(w.cref).lits()[0];
-                if self.lit_value(first) == LBool::True {
+                debug_assert_eq!(lits[1], false_lit);
+                let first = lits[0];
+                let first_value = value_of(&self.assigns, first);
+                if first_value == LBool::True {
                     ws[i].blocker = first;
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.db.get(w.cref).len();
-                for k in 2..len {
-                    let cand = self.db.get(w.cref).lits()[k];
-                    if self.lit_value(cand) != LBool::False {
-                        let c = self.db.get_mut(w.cref);
-                        c.lits_mut().swap(1, k);
+                for k in 2..lits.len() {
+                    let cand = lits[k];
+                    if value_of(&self.assigns, cand) != LBool::False {
+                        lits.swap(1, k);
                         self.watches[(!cand).index()].push(Watcher {
                             cref: w.cref,
                             blocker: first,
@@ -790,7 +818,7 @@ impl Solver {
                     }
                 }
                 // No replacement: unit or conflicting.
-                if self.lit_value(first) == LBool::False {
+                if first_value == LBool::False {
                     conflict = Some(w.cref);
                     self.qhead = self.trail.len();
                     break;
@@ -835,14 +863,20 @@ impl Solver {
         self.heap.update(v, &self.activity);
     }
 
+    /// Bumps a learnt clause's activity. Problem clauses carry no
+    /// activity: only learnt clauses are ranked by `reduce_learnt`, and a
+    /// bumped problem clause would cross the rescale limit again on every
+    /// later bump, rescaling `cla_inc` towards zero.
     fn bump_clause(&mut self, cref: ClauseRef) {
-        let inc = self.cla_inc;
-        let c = self.db.get_mut(cref);
-        c.activity += inc;
-        if c.activity > RESCALE_LIMIT {
-            let refs: Vec<ClauseRef> = self.db.learnt_refs();
-            for r in refs {
-                self.db.get_mut(r).activity *= 1e-100;
+        if !self.db.is_learnt(cref) {
+            return;
+        }
+        let activity = self.db.activity(cref) + self.cla_inc;
+        self.db.set_activity(cref, activity);
+        if activity > RESCALE_LIMIT {
+            for r in self.db.learnt_refs() {
+                let scaled = self.db.activity(r) * 1e-100;
+                self.db.set_activity(r, scaled);
             }
             self.cla_inc *= 1e-100;
         }
@@ -867,8 +901,8 @@ impl Solver {
 
         loop {
             self.bump_clause(cref);
-            let lits: Vec<Lit> = self.db.get(cref).lits().to_vec();
-            for q in lits {
+            for k in 0..self.db.len(cref) {
+                let q = self.db.lits(cref)[k];
                 // Skip the implied literal itself when traversing its reason.
                 if Some(q) == p {
                     continue;
@@ -952,7 +986,7 @@ impl Solver {
     fn literal_redundant(&self, l: Lit) -> bool {
         match self.reasons[l.var().index()] {
             None => false,
-            Some(r) => self.db.get(r).lits().iter().all(|&q| {
+            Some(r) => self.db.lits(r).iter().all(|&q| {
                 q.var() == l.var()
                     || self.seen[q.var().index()]
                     || self.levels[q.var().index()] == 0
@@ -984,8 +1018,7 @@ impl Solver {
                     core.push(q);
                 }
                 Some(r) => {
-                    let lits: Vec<Lit> = self.db.get(r).lits().to_vec();
-                    for x in lits {
+                    for &x in self.db.lits(r) {
                         if self.levels[x.var().index()] > 0 {
                             self.seen[x.var().index()] = true;
                         }
@@ -1056,7 +1089,7 @@ impl Solver {
                     self.enqueue(learnt[0], None);
                 } else {
                     let asserting = learnt[0];
-                    let cref = self.db.push(learnt, true, lbd);
+                    let cref = self.db.push(&learnt, true, lbd);
                     self.attach(cref);
                     self.enqueue(asserting, Some(cref));
                 }
@@ -1152,8 +1185,12 @@ impl Solver {
             changed = true;
         }
         if changed {
-            // Watches must be consistent before the recovered units are
-            // propagated, otherwise their implications would be lost.
+            // Every reason is `None` here (level 0, cleared above), so
+            // compaction may move clauses; the rebuild then re-derives
+            // every watcher from the new offsets. Watches must be
+            // consistent before the recovered units are propagated,
+            // otherwise their implications would be lost.
+            self.db.compact_if_wasteful();
             self.rebuild_watches();
         }
         for u in units {
@@ -1195,21 +1232,21 @@ impl Solver {
         let mut units: Vec<Lit> = Vec::new();
         for r in refs {
             let original = if self.proof.is_some() {
-                Some(self.db.get(r).lits().to_vec())
+                Some(self.db.lits(r).to_vec())
             } else {
                 None
             };
             let mut satisfied = false;
             let mut k = 0;
-            while k < self.db.get(r).len() {
-                let l = self.db.get(r).lits()[k];
+            while k < self.db.len(r) {
+                let l = self.db.lits(r)[k];
                 match self.lit_value(l) {
                     LBool::True => {
                         satisfied = true;
                         break;
                     }
                     LBool::False => {
-                        self.db.get_mut(r).swap_remove(k);
+                        self.db.swap_remove(r, k);
                     }
                     LBool::Undef => k += 1,
                 }
@@ -1226,18 +1263,18 @@ impl Solver {
             // original. For recovered units (and the empty clause) the
             // strengthened lemma stays in the proof's active set even though
             // the database slot is released.
-            if let Some(orig) = original.filter(|o| o.len() != self.db.get(r).len()) {
-                let now = self.db.get(r).lits().to_vec();
+            if let Some(orig) = original.filter(|o| o.len() != self.db.len(r)) {
+                let now = self.db.lits(r).to_vec();
                 self.proof_add(&now);
                 self.proof_delete(&orig);
             }
-            match self.db.get(r).len() {
+            match self.db.len(r) {
                 0 => {
                     self.ok = false;
                     return None;
                 }
                 1 => {
-                    units.push(self.db.get(r).lits()[0]);
+                    units.push(self.db.lits(r)[0]);
                     self.db.delete(r);
                 }
                 _ => {}
@@ -1251,22 +1288,21 @@ impl Solver {
     fn reduce_learnt(&mut self) {
         let deleted_before = self.stats.deleted_clauses;
         let mut learnt = self.db.learnt_refs();
+        let db = &self.db;
         learnt.sort_by(|&a, &b| {
-            let ca = self.db.get(a);
-            let cb = self.db.get(b);
-            ca.lbd.cmp(&cb.lbd).then(
-                cb.activity
-                    .partial_cmp(&ca.activity)
+            db.lbd(a).cmp(&db.lbd(b)).then(
+                db.activity(b)
+                    .partial_cmp(&db.activity(a))
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
         });
         let keep = learnt.len() / 2;
         for &r in learnt.iter().skip(keep) {
-            if self.db.get(r).lbd <= 2 {
+            if self.db.lbd(r) <= 2 {
                 continue;
             }
             if self.proof.is_some() {
-                let lits = self.db.get(r).lits().to_vec();
+                let lits = self.db.lits(r).to_vec();
                 self.proof_delete(&lits);
             }
             self.db.delete(r);
@@ -1290,9 +1326,21 @@ impl Solver {
         }
         let refs: Vec<ClauseRef> = self.db.iter_refs().collect();
         for r in refs {
-            debug_assert!(self.db.get(r).len() >= 2);
+            debug_assert!(self.db.len(r) >= 2);
             self.attach(r);
         }
+    }
+}
+
+/// [`Solver::lit_value`] on a borrowed assignment, so propagation can read
+/// values while it holds a clause's literals mutably.
+#[inline]
+fn value_of(assigns: &[LBool], l: Lit) -> LBool {
+    let v = assigns[l.var().index()];
+    if l.is_positive() {
+        v
+    } else {
+        v.negate()
     }
 }
 
@@ -1717,6 +1765,69 @@ mod tests {
         );
         let restarts = events.iter().filter(|e| e.name == "sat.restart").count();
         assert_eq!(restarts as u64, s.stats().restarts);
+    }
+
+    #[test]
+    fn clause_bumps_past_the_rescale_limit_keep_cla_inc_positive() {
+        let mut s = Solver::new();
+        let a = lit(&mut s);
+        let b = lit(&mut s);
+        let c = lit(&mut s);
+        s.add_clause([a, b, c]);
+        let problem = s.db.iter_refs().next().expect("one problem clause");
+        let learnt = s.db.push(&[!a, !b], true, 2);
+        s.cla_inc = 1e99;
+        // Problem clauses carry no activity: bumping one past the limit
+        // must not rescale anything, however often it happens.
+        for _ in 0..10 {
+            s.bump_clause(problem);
+        }
+        assert_eq!(s.cla_inc, 1e99);
+        // A learnt clause crossing the limit rescales once, then keeps
+        // accumulating from the rescaled increment.
+        for _ in 0..20 {
+            s.bump_clause(learnt);
+        }
+        assert!(s.cla_inc > 0.0 && s.cla_inc.is_finite(), "{}", s.cla_inc);
+        assert!(
+            s.cla_inc >= 1e-2,
+            "one rescale, not a cascade: {}",
+            s.cla_inc
+        );
+        let act = s.db.activity(learnt);
+        assert!(act > 0.0 && act <= RESCALE_LIMIT, "{act}");
+    }
+
+    #[test]
+    fn binary_conflict_leaves_the_other_literal_first() {
+        let mut s = Solver::new();
+        let a = lit(&mut s);
+        let b = lit(&mut s);
+        let x = lit(&mut s);
+        s.add_clause([a, b]);
+        s.add_clause([x, a, b]);
+        let binary = s.db.iter_refs().next().expect("binary clause");
+        assert_eq!(s.db.lits(binary), &[a, b], "stored sorted");
+        // Falsify both literals at one level; propagating `!a` visits the
+        // binary watcher first and finds the conflict from its blocker.
+        s.trail_lim.push(s.trail.len());
+        s.enqueue(!a, None);
+        s.enqueue(!b, None);
+        assert_eq!(s.propagate(), Some(binary));
+        assert_eq!(
+            s.db.lits(binary),
+            &[b, a],
+            "[other, !p] as analysis reads it"
+        );
+        s.cancel_until(0);
+        // Unit propagation through a binary watcher touches no clause
+        // memory and records the clause as the reason.
+        s.trail_lim.push(s.trail.len());
+        s.enqueue(!b, None);
+        assert_eq!(s.propagate(), None);
+        assert_eq!(s.lit_value(a), LBool::True);
+        assert_eq!(s.reasons[a.var().index()], Some(binary));
+        assert_eq!(s.db.lits(binary), &[b, a], "unit visits leave the order");
     }
 
     #[test]

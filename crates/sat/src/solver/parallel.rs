@@ -284,7 +284,7 @@ impl Solver {
                 }
                 _ => {
                     let lbd = entry.lbd.min(keep.len() as u32);
-                    let cref = self.db.push(keep, true, lbd);
+                    let cref = self.db.push(&keep, true, lbd);
                     self.attach(cref);
                     pool.kept.fetch_add(1, Ordering::Relaxed);
                 }
@@ -512,6 +512,7 @@ impl Solver {
             eliminated: self.eliminated.clone(),
             frozen: self.frozen.clone(),
             reconstruction: self.reconstruction.clone(),
+            add_buf: Vec::new(),
         }
     }
 }

@@ -172,7 +172,7 @@ impl Solver {
     pub fn clauses_snapshot(&self) -> Vec<Vec<Lit>> {
         self.db
             .iter_refs()
-            .map(|r| self.db.get(r).lits().to_vec())
+            .map(|r| self.db.lits(r).to_vec())
             .collect()
     }
 
@@ -273,7 +273,7 @@ impl Solver {
         let mut literals = 0usize;
         for r in self.db.iter_refs() {
             clauses += 1;
-            literals += self.db.get(r).len();
+            literals += self.db.len(r);
         }
         (clauses, literals)
     }
@@ -306,7 +306,7 @@ impl Solver {
         let mut seen: HashSet<Vec<Lit>> = HashSet::new();
         let refs: Vec<ClauseRef> = self.db.iter_refs().collect();
         for r in refs {
-            let original = self.db.get(r).lits().to_vec();
+            let original = self.db.lits(r).to_vec();
             let mut sorted = original.clone();
             sorted.sort_unstable();
             if sorted.windows(2).any(|w| w[1] == !w[0]) {
@@ -318,15 +318,15 @@ impl Solver {
             }
             let mut satisfied = false;
             let mut k = 0;
-            while k < self.db.get(r).len() {
-                let l = self.db.get(r).lits()[k];
+            while k < self.db.len(r) {
+                let l = self.db.lits(r)[k];
                 match self.lit_value(l) {
                     LBool::True => {
                         satisfied = true;
                         break;
                     }
                     LBool::False => {
-                        self.db.get_mut(r).swap_remove(k);
+                        self.db.swap_remove(r, k);
                     }
                     LBool::Undef => k += 1,
                 }
@@ -338,17 +338,17 @@ impl Solver {
                 changed = true;
                 continue;
             }
-            if original.len() != self.db.get(r).len() {
+            if original.len() != self.db.len(r) {
                 // Stripping strengthened the clause: certify the stripped
                 // version (RUP via the pinned root facts), retire the
                 // original.
-                let now = self.db.get(r).lits().to_vec();
+                let now = self.db.lits(r).to_vec();
                 self.proof_add(&now);
                 self.proof_delete(&original);
                 st.stripped_literals += original.len() - now.len();
                 changed = true;
             }
-            match self.db.get(r).len() {
+            match self.db.len(r) {
                 0 => {
                     // The empty clause was just emitted by the stripping
                     // branch above; the formula is refuted.
@@ -359,15 +359,15 @@ impl Solver {
                 1 => {
                     // The unit lemma stays in the proof's active set even
                     // though the database slot is released.
-                    units.push(self.db.get(r).lits()[0]);
+                    units.push(self.db.lits(r)[0]);
                     self.db.delete(r);
                     changed = true;
                 }
                 _ => {
-                    let mut key = self.db.get(r).lits().to_vec();
+                    let mut key = self.db.lits(r).to_vec();
                     key.sort_unstable();
                     if !seen.insert(key) {
-                        let now = self.db.get(r).lits().to_vec();
+                        let now = self.db.lits(r).to_vec();
                         self.proof_delete(&now);
                         self.db.delete(r);
                         st.duplicates_removed += 1;
@@ -411,7 +411,7 @@ impl Solver {
         let refs: Vec<ClauseRef> = self.db.iter_refs().collect();
         let mut lits: Vec<Vec<Lit>> = Vec::with_capacity(refs.len());
         for &r in &refs {
-            let mut c = self.db.get(r).lits().to_vec();
+            let mut c = self.db.lits(r).to_vec();
             c.sort_unstable();
             lits.push(c);
         }
@@ -452,7 +452,7 @@ impl Solver {
                         if !cfg.subsumption {
                             continue;
                         }
-                        let orig = self.db.get(refs[di]).lits().to_vec();
+                        let orig = self.db.lits(refs[di]).to_vec();
                         self.proof_delete(&orig);
                         self.db.delete(refs[di]);
                         alive[di] = false;
@@ -465,16 +465,15 @@ impl Solver {
                         }
                         // `D \ {¬flip}` is the resolvent of C and D on
                         // `flip`: emit it, retire the original D.
-                        let orig = self.db.get(refs[di]).lits().to_vec();
+                        let orig = self.db.lits(refs[di]).to_vec();
                         let pos = self
                             .db
-                            .get(refs[di])
-                            .lits()
+                            .lits(refs[di])
                             .iter()
                             .position(|&l| l == !flip)
                             .expect("strengthened literal is in the clause");
-                        self.db.get_mut(refs[di]).swap_remove(pos);
-                        let now = self.db.get(refs[di]).lits().to_vec();
+                        self.db.swap_remove(refs[di], pos);
+                        let now = self.db.lits(refs[di]).to_vec();
                         self.proof_add(&now);
                         self.proof_delete(&orig);
                         st.strengthened_literals += 1;
@@ -521,7 +520,7 @@ impl Solver {
         let nv = self.num_vars();
         let mut occurs = vec![false; 2 * nv];
         for r in self.db.iter_refs() {
-            for &l in self.db.get(r).lits() {
+            for &l in self.db.lits(r) {
                 occurs[l.index()] = true;
             }
         }
@@ -579,7 +578,7 @@ impl Solver {
         let mut occ: Vec<Vec<ClauseRef>> = vec![Vec::new(); 2 * nv];
         let refs: Vec<ClauseRef> = self.db.iter_refs().collect();
         for r in refs {
-            for &l in self.db.get(r).lits() {
+            for &l in self.db.lits(r) {
                 occ[l.index()].push(r);
             }
         }
@@ -644,7 +643,7 @@ impl Solver {
                         LBool::True => {}
                     },
                     _ => {
-                        let cref = self.db.push(rlits.clone(), false, 0);
+                        let cref = self.db.push(rlits, false, 0);
                         for &l in rlits {
                             occ[l.index()].push(cref);
                         }
@@ -665,12 +664,12 @@ impl Solver {
                 (&pos, v.positive(), v.negative())
             };
             for &r in stored.iter() {
-                let clause = self.db.get(r).lits().to_vec();
+                let clause = self.db.lits(r).to_vec();
                 self.reconstruction.push((witness, clause));
             }
             self.reconstruction.push((default_lit, vec![default_lit]));
             for &r in pos.iter().chain(neg.iter()) {
-                let clause = self.db.get(r).lits().to_vec();
+                let clause = self.db.lits(r).to_vec();
                 self.proof_delete(&clause);
                 self.db.delete(r);
                 st.eliminated_clauses += 1;
@@ -695,8 +694,8 @@ impl Solver {
     /// subsumed by a pinned unit lemma), root-falsified literals stripped
     /// (still RUP via the pinned units).
     fn resolve(&self, c: ClauseRef, d: ClauseRef, v: Var) -> Option<Vec<Lit>> {
-        let mut out: Vec<Lit> = Vec::with_capacity(self.db.get(c).len() + self.db.get(d).len() - 2);
-        for &l in self.db.get(c).lits().iter().chain(self.db.get(d).lits()) {
+        let mut out: Vec<Lit> = Vec::with_capacity(self.db.len(c) + self.db.len(d) - 2);
+        for &l in self.db.lits(c).iter().chain(self.db.lits(d)) {
             if l.var() == v {
                 continue;
             }

@@ -4,9 +4,15 @@
 //! under; every UNSAT answer must come with a proof the independent DRAT
 //! checker accepts. This closes the loop the plain differential test
 //! leaves open: an UNSAT verdict is never taken on the solver's word.
+//!
+//! The small instances never fill the learnt-clause database, so one pass
+//! first drives the same solver through a hard, selector-guarded random
+//! block: thousands of conflicts force learnt-clause reduction and arena
+//! compaction mid-search before the small instance is decided on the
+//! compacted database, under the same brute-force and DRAT checks.
 
 use etcs_sat::proof::{check_drat, DratProof};
-use etcs_sat::{CnfSink, Formula, PreprocessConfig, SatResult, Solver, Var};
+use etcs_sat::{CnfSink, Formula, Lit, PreprocessConfig, SatResult, Solver, Var};
 use etcs_testkit::{cases, Rng};
 use std::sync::{Arc, Mutex};
 
@@ -160,6 +166,85 @@ fn check_one_preprocessed(rng: &mut Rng, max_vars: usize) {
         }
         SatResult::Unknown => panic!("no budget was set"),
     }
+}
+
+/// Solves a small instance on a solver that has first searched hard
+/// random 3-SAT blocks, each guarded by its own selector `s` (every block
+/// clause carries `!s`), until the learnt database was reduced; a
+/// reduction frees enough of the clause arena to compact it. The small
+/// instance is then added and solved on the compacted database, with the
+/// blocks' learnt clauses still live. Its answer is checked like any
+/// other: SAT by evaluating the model against the full formula, UNSAT by
+/// the DRAT checker over every logged step, reductions' deletions
+/// included.
+fn check_one_after_reductions(rng: &mut Rng, max_vars: usize) {
+    let (nv, clauses) = random_cnf(rng, max_vars);
+    let expected = brute_force_sat(nv, &clauses);
+    let mut f = build_formula(nv, &clauses);
+    let small = f.clauses().len();
+    let proof = Arc::new(Mutex::new(DratProof::new()));
+    let mut s = Solver::new();
+    s.set_proof_sink(Box::new(Arc::clone(&proof)));
+    s.new_vars(f.num_vars());
+    for _ in 0..MAX_BLOCKS {
+        let first = f.clauses().len();
+        let selector = f.new_var().positive();
+        let block_vars: Vec<Var> = (0..BLOCK_VARS).map(|_| f.new_var()).collect();
+        for _ in 0..BLOCK_VARS * 43 / 10 {
+            let mut clause: Vec<Lit> = vec![!selector];
+            for _ in 0..3 {
+                let v = *rng.pick(&block_vars);
+                clause.push(v.lit(rng.bool()));
+            }
+            f.add_clause_from(&clause);
+        }
+        s.new_vars(f.num_vars() - s.num_vars());
+        s.add_clauses(f.clauses()[first..].iter().cloned());
+        if let SatResult::Sat(m) = s.solve_with(&[selector]) {
+            let loaded = &f.clauses()[small..];
+            assert!(
+                loaded.iter().all(|c| c.iter().any(|&l| m.lit_is_true(l))),
+                "guarded model violates a loaded clause"
+            );
+        }
+        if s.stats().deleted_clauses > 0 {
+            break;
+        }
+    }
+    assert!(
+        s.stats().deleted_clauses > 0,
+        "the guarded blocks must force a learnt-clause reduction ({} conflicts)",
+        s.stats().conflicts
+    );
+    s.add_clauses(f.clauses()[..small].iter().cloned());
+    let result = s.solve();
+    drop(s);
+    let proof = Arc::try_unwrap(proof)
+        .expect("solver handle dropped")
+        .into_inner()
+        .expect("proof lock");
+    match result {
+        SatResult::Sat(m) => {
+            assert!(expected, "solver said SAT on an UNSAT {nv}-var instance");
+            assert!(f.eval(&m), "returned model violates a clause");
+        }
+        SatResult::Unsat { .. } => {
+            assert!(!expected, "solver said UNSAT on a SAT {nv}-var instance");
+            check_drat(f.clauses(), &proof, &[])
+                .unwrap_or_else(|e| panic!("UNSAT proof after reductions rejected: {e}"));
+        }
+        SatResult::Unknown => panic!("no budget was set"),
+    }
+}
+
+/// Variables of each hard block in [`check_one_after_reductions`].
+const BLOCK_VARS: usize = 200;
+/// Blocks searched at most before a reduction must have happened.
+const MAX_BLOCKS: usize = 12;
+
+#[test]
+fn fuzz_after_forced_reductions_and_compaction_certified() {
+    cases(6, |rng| check_one_after_reductions(rng, 20));
 }
 
 #[test]

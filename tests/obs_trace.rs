@@ -325,6 +325,25 @@ fn replan_session_trace_agrees_with_its_stats() {
     assert!(!probes.is_empty());
     assert!(probes.iter().all(|e| tick_ids.contains(&e.parent)));
 
+    // Every cold tick rebuilds its encoding under exactly one `encode`
+    // child carrying the formula size; warm ticks encode nothing.
+    let cold_ids: std::collections::BTreeSet<_> = tick_closes
+        .iter()
+        .filter(|e| e.field("warm") == Some(&Value::Bool(false)))
+        .map(|e| e.span)
+        .collect();
+    let encodes: Vec<_> = events
+        .iter()
+        .filter(|e| e.kind == EventKind::SpanClose && e.name == "encode")
+        .collect();
+    assert_eq!(encodes.len() as u64, stats.cold_fallbacks);
+    let encode_parents: std::collections::BTreeSet<_> = encodes.iter().map(|e| e.parent).collect();
+    assert_eq!(encode_parents, cold_ids, "one encode span per cold tick");
+    for e in &encodes {
+        assert!(e.field_u64("vars").is_some_and(|v| v > 0), "{e:?}");
+        assert!(e.field_u64("clauses").is_some_and(|c| c > 0), "{e:?}");
+    }
+
     // Delta spans: one per apply() call, accepted mirroring the split.
     let delta_closes: Vec<_> = events
         .iter()
