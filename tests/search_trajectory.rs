@@ -9,9 +9,17 @@
 //! literal order, watch order or conflict analysis moves at least one of
 //! these counters. A deliberate change to the formula or the search
 //! updates this table in the same commit, with the reason.
+//!
+//! Two more tables pin the loops layered on the same encoder: the lazy
+//! CEGAR tasks (search counters plus refinement rounds and clauses added)
+//! on the same instances, and every `scenarios/replay/*.delta` exemplar
+//! replayed through a replanning session, eager and lazy (summed tick
+//! conflicts and solver calls, warm hits, cold fallbacks).
 
 use etcs::corpus::{Family, InstanceSpec, SizeClass};
+use etcs::lazy::{generate_lazy, optimize_lazy, verify_lazy, LazyConfig, LazyReport};
 use etcs::prelude::*;
+use etcs::replan::{parse_trace, ReplanConfig, ReplanSession, TraceOp};
 use etcs::sat::{Lit, Solver};
 
 /// `(instance, task, solver_vars, clauses, conflicts, propagations,
@@ -258,6 +266,222 @@ fn random_3sat_rows() -> Vec<Measured> {
         ));
     }
     rows
+}
+
+/// `(instance, task, conflicts, propagations, decisions, restarts,
+/// cegar_rounds, clauses_added)` of the lazy loops under `AllViolated`.
+type LazyRow = (&'static str, &'static str, u64, u64, u64, u64, usize, usize);
+
+const LAZY_PINNED: &[LazyRow] = &[
+    (
+        "running_example",
+        "verify_ttd",
+        301,
+        23530,
+        1434,
+        1,
+        6,
+        4600,
+    ),
+    ("running_example", "verify", 306, 28288, 2473, 1, 11, 6155),
+    (
+        "running_example",
+        "generate",
+        1204,
+        127804,
+        8125,
+        3,
+        14,
+        6150,
+    ),
+    (
+        "running_example",
+        "optimize",
+        1438,
+        150493,
+        10425,
+        5,
+        30,
+        8790,
+    ),
+    ("grid_ladder", "verify_ttd", 57, 75007, 14015, 0, 11, 32707),
+    ("grid_ladder", "verify", 34, 109803, 21338, 0, 16, 32653),
+    ("grid_ladder", "generate", 46, 169910, 28602, 0, 17, 30910),
+    ("grid_ladder", "optimize", 1780, 451267, 95015, 6, 41, 35964),
+    ("convoy_chain", "verify_ttd", 0, 2347, 346, 0, 1, 0),
+    ("convoy_chain", "verify", 0, 2347, 346, 0, 1, 0),
+    ("convoy_chain", "generate", 0, 25617, 2860, 0, 1, 0),
+    ("convoy_chain", "optimize", 0, 20100, 3064, 0, 2, 0),
+    ("branched_mesh", "verify_ttd", 0, 3102, 460, 0, 2, 373),
+    ("branched_mesh", "verify", 0, 3102, 460, 0, 2, 303),
+    ("branched_mesh", "generate", 0, 18426, 2017, 0, 2, 373),
+    ("branched_mesh", "optimize", 21, 24739, 4585, 0, 9, 574),
+    ("station_throat", "verify_ttd", 5, 9814, 2061, 0, 7, 1344),
+    ("station_throat", "verify", 3, 5347, 1077, 0, 4, 790),
+    ("station_throat", "generate", 7, 18461, 3342, 0, 7, 1063),
+    ("station_throat", "optimize", 21, 31371, 7415, 0, 20, 765),
+    ("moving_block", "verify_ttd", 0, 2738, 510, 0, 2, 574),
+    ("moving_block", "verify", 0, 4143, 768, 0, 3, 480),
+    ("moving_block", "generate", 1, 14871, 2024, 0, 2, 574),
+    ("moving_block", "optimize", 0, 14611, 3976, 0, 4, 1165),
+];
+
+fn measure_lazy() -> Vec<(String, &'static str, u64, u64, u64, u64, usize, usize)> {
+    let config = EncoderConfig::default();
+    let lazy = LazyConfig::default();
+    let mut rows = Vec::new();
+    for (name, scenario) in scenarios() {
+        let inst = Instance::new(&scenario).expect("valid scenario");
+        let full = VssLayout::full(&inst.net);
+        let reports: [(&'static str, LazyReport); 4] = [
+            (
+                "verify_ttd",
+                verify_lazy(&scenario, &VssLayout::pure_ttd(), &config, &lazy)
+                    .expect("well-formed")
+                    .1,
+            ),
+            (
+                "verify",
+                verify_lazy(&scenario, &full, &config, &lazy)
+                    .expect("well-formed")
+                    .1,
+            ),
+            (
+                "generate",
+                generate_lazy(&scenario, &config, &lazy)
+                    .expect("well-formed")
+                    .1,
+            ),
+            (
+                "optimize",
+                optimize_lazy(&scenario, &config, &lazy)
+                    .expect("well-formed")
+                    .1,
+            ),
+        ];
+        for (task, r) in reports {
+            let s = r.report.search;
+            rows.push((
+                name.clone(),
+                task,
+                s.conflicts,
+                s.propagations,
+                s.decisions,
+                s.restarts,
+                r.rounds,
+                r.clauses_added,
+            ));
+        }
+    }
+    rows
+}
+
+/// `(trace, mode, summed tick conflicts, summed tick solver calls, warm
+/// hits, cold fallbacks)` of a `scenarios/replay/*.delta` exemplar
+/// replayed through a [`ReplanSession`].
+type ReplanRow = (&'static str, &'static str, u64, usize, u64, u64);
+
+const REPLAN_PINNED: &[ReplanRow] = &[
+    ("corpus_grid_ladder", "eager", 4298, 22, 3, 1),
+    ("corpus_grid_ladder", "lazy", 7120, 204, 0, 4),
+    ("running_example", "eager", 4430, 71, 3, 5),
+    ("running_example", "lazy", 9963, 255, 0, 8),
+];
+
+fn measure_replan() -> Vec<(String, &'static str, u64, usize, u64, u64)> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/replay");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("scenarios/replay/ ships with the repo")
+        .map(|entry| entry.expect("readable directory entry").path())
+        .filter(|path| path.extension().is_some_and(|e| e == "delta"))
+        .collect();
+    paths.sort();
+    let mut rows = Vec::new();
+    for path in paths {
+        let stem = path
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .expect("utf-8 file name")
+            .to_owned();
+        let base = match stem.as_str() {
+            "running_example" => fixtures::running_example(),
+            "corpus_grid_ladder" => {
+                InstanceSpec::new(Family::GridLadder, SizeClass::Small, 0).build()
+            }
+            other => panic!("no base scenario registered for trace {other:?}"),
+        };
+        let text = std::fs::read_to_string(&path).expect("trace is readable");
+        let ops = parse_trace(&text).expect("shipped trace parses");
+        for (mode, lazy) in [("eager", false), ("lazy", true)] {
+            let config = ReplanConfig {
+                lazy,
+                ..ReplanConfig::default()
+            };
+            let mut session = ReplanSession::new(base.clone(), config).expect("valid base");
+            let (mut conflicts, mut calls) = (0u64, 0usize);
+            for op in &ops {
+                match op {
+                    TraceOp::Delta(d) => session.apply(d).expect("shipped trace applies"),
+                    TraceOp::Tick => {
+                        let r = session.tick();
+                        conflicts += r.conflicts;
+                        calls += r.solver_calls;
+                    }
+                }
+            }
+            let stats = session.stats();
+            rows.push((
+                stem.clone(),
+                mode,
+                conflicts,
+                calls,
+                stats.warm_hits,
+                stats.cold_fallbacks,
+            ));
+        }
+    }
+    rows
+}
+
+/// Compares measured rows against a pinned table, printing the measured
+/// table on any mismatch so a deliberate change can re-record it.
+fn assert_pinned<M: std::fmt::Debug, P: std::fmt::Debug>(
+    got: &[M],
+    pinned: &[P],
+    same: impl Fn(&M, &P) -> bool,
+) {
+    let rendered: Vec<String> = got.iter().map(|row| format!("{row:?},")).collect();
+    assert_eq!(
+        got.len(),
+        pinned.len(),
+        "pinned table is incomplete; measured rows:\n{}",
+        rendered.join("\n")
+    );
+    for (row, pin) in got.iter().zip(pinned) {
+        assert!(
+            same(row, pin),
+            "trajectory moved at {pin:?}; measured rows:\n{}",
+            rendered.join("\n")
+        );
+    }
+}
+
+#[test]
+fn lazy_search_counters_match_the_pinned_trajectory() {
+    assert_pinned(
+        &measure_lazy(),
+        LAZY_PINNED,
+        |(i, t, k, p, d, r, n, a), pin| (i.as_str(), *t, *k, *p, *d, *r, *n, *a) == *pin,
+    );
+}
+
+#[test]
+fn replan_replays_match_the_pinned_trajectory() {
+    assert_pinned(
+        &measure_replan(),
+        REPLAN_PINNED,
+        |(i, m, k, c, w, f), pin| (i.as_str(), *m, *k, *c, *w, *f) == *pin,
+    );
 }
 
 #[test]
