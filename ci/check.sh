@@ -19,6 +19,13 @@ cargo build -q --examples
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> benchmark crate graph is pinned (benchmark/Cargo.lock is not rewritten)"
+# The benchmark builds the repository's crates by path under its own lock
+# file. With --locked, cargo exits 101 instead of silently rewriting
+# benchmark/Cargo.lock when a dependency edge between repo crates changes.
+cargo metadata --offline --locked --format-version 1 \
+    --manifest-path benchmark/Cargo.toml >/dev/null
+
 echo "==> benchmark unit tests and smoke (every workload, digests checked)"
 # The benchmark is a package of its own (benchmark/Cargo.toml). --smoke
 # runs every workload for 2 s with the trace on and exits 1 on any wrong
@@ -33,13 +40,12 @@ cargo run --release -q -p etcs-bench --bin bench_optimize -- \
     --smoke --out target/BENCH_optimize_smoke.json --trace "$TRACE"
 
 echo "==> obs trace smoke (JSONL parses, span vocabulary is stable)"
-# The bench already cross-checked probe counts, conflict totals and the
-# portfolio winner against its own Stats; here we pin the *schema*: the
+# The bench already cross-checked probe counts and conflict totals
+# against its own Stats; here we pin the *schema*: the
 # documented span/event names must appear in the artifact. This doubles as
 # documentation of the event format (see DESIGN.md section 10).
 test -s "$TRACE" || { echo "missing trace artifact $TRACE"; exit 1; }
-for name in task.optimize task.optimize_incremental task.optimize_portfolio \
-        encode probe stage2 sat.solve race portfolio.outcome parallel.worker; do
+for name in task.optimize task.optimize_incremental encode probe stage2 sat.solve; do
     grep -q "\"name\":\"$name\"" "$TRACE" || {
         echo "trace $TRACE lacks expected span/event name '$name'"
         exit 1

@@ -25,10 +25,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use etcs_core::{generate, optimize_incremental, verify, DesignOutcome, EncoderConfig};
-use etcs_lazy::{
-    generate_lazy, optimize_lazy, optimize_lazy_obs, verify_lazy, LazyConfig, SelectionStrategy,
+use etcs_core::{
+    generate, optimize_incremental, verify, DesignOutcome, EncoderConfig, Run, TaskKind,
 };
+use etcs_lazy::SelectionStrategy;
 use etcs_network::generator::{branched_line, single_track_line, BranchConfig, LineConfig};
 use etcs_network::{fixtures, parse_scenario, Scenario, Schedule, VssLayout};
 use etcs_obs::{json, Obs};
@@ -53,14 +53,25 @@ fn costs_of(outcome: &DesignOutcome) -> (Option<u64>, Option<u64>) {
     }
 }
 
-fn compare_optimize(scenario: &Scenario, config: &EncoderConfig, lazy: &LazyConfig) -> Row {
+fn compare_optimize(
+    scenario: &Scenario,
+    config: &EncoderConfig,
+    strategy: SelectionStrategy,
+) -> Row {
     let t = Instant::now();
     let (eager_outcome, eager_report) =
         optimize_incremental(scenario, config).expect("well-formed");
     let eager_wall_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let t = Instant::now();
-    let (lazy_outcome, lazy_report) = optimize_lazy(scenario, config, lazy).expect("well-formed");
+    let (lazy_outcome, lazy_report) = etcs_lazy::run(
+        scenario,
+        &TaskKind::OptimizeIncremental,
+        config,
+        &Run::default(),
+        strategy,
+    )
+    .expect("well-formed");
     let lazy_wall_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let eager_costs = costs_of(&eager_outcome);
@@ -83,18 +94,29 @@ fn compare_optimize(scenario: &Scenario, config: &EncoderConfig, lazy: &LazyConf
     }
 }
 
-/// Generation head-to-head: eager `generate` vs the CEGAR `generate_lazy`
+/// Generation head-to-head: eager `generate` vs the lazy CEGAR generation
 /// loop, pinning the same minimal border count. This is the generation
 /// regime the optimisation rows cannot see — stage 1 (deadline search) is
 /// absent, so the comparison isolates the border-MaxSAT interaction with
 /// lazy separation.
-fn compare_generate(scenario: &Scenario, config: &EncoderConfig, lazy: &LazyConfig) -> Row {
+fn compare_generate(
+    scenario: &Scenario,
+    config: &EncoderConfig,
+    strategy: SelectionStrategy,
+) -> Row {
     let t = Instant::now();
     let (eager_outcome, eager_report) = generate(scenario, config).expect("well-formed");
     let eager_wall_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let t = Instant::now();
-    let (lazy_outcome, lazy_report) = generate_lazy(scenario, config, lazy).expect("well-formed");
+    let (lazy_outcome, lazy_report) = etcs_lazy::run(
+        scenario,
+        &TaskKind::Generate,
+        config,
+        &Run::default(),
+        strategy,
+    )
+    .expect("well-formed");
     let lazy_wall_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let eager_costs = costs_of(&eager_outcome);
@@ -119,14 +141,20 @@ fn compare_generate(scenario: &Scenario, config: &EncoderConfig, lazy: &LazyConf
 
 /// Verification head-to-head on the full VSS layout (always feasible, so
 /// the lazy loop has real violations to refine).
-fn compare_verify(scenario: &Scenario, config: &EncoderConfig, lazy: &LazyConfig) -> (f64, f64) {
+fn compare_verify(
+    scenario: &Scenario,
+    config: &EncoderConfig,
+    strategy: SelectionStrategy,
+) -> (f64, f64) {
     let inst = etcs_core::Instance::new(scenario).expect("valid");
     let layout = VssLayout::full(&inst.net);
     let t = Instant::now();
     let (eager, _) = verify(scenario, &layout, config).expect("well-formed");
     let eager_ms = t.elapsed().as_secs_f64() * 1e3;
     let t = Instant::now();
-    let (relaxed, _) = verify_lazy(scenario, &layout, config, lazy).expect("well-formed");
+    let task = TaskKind::Verify(layout.clone());
+    let (relaxed, _) =
+        etcs_lazy::run(scenario, &task, config, &Run::default(), strategy).expect("well-formed");
     let lazy_ms = t.elapsed().as_secs_f64() * 1e3;
     assert_eq!(
         eager.is_feasible(),
@@ -141,9 +169,25 @@ fn compare_verify(scenario: &Scenario, config: &EncoderConfig, lazy: &LazyConfig
 /// every line parses, `lazy.round` spans nest under the task span and
 /// agree with the report's round counter, and the refine spans sum to the
 /// clauses-added figure.
-fn traced_cross_check(scenario: &Scenario, config: &EncoderConfig, lazy: &LazyConfig, path: &str) {
+fn traced_cross_check(
+    scenario: &Scenario,
+    config: &EncoderConfig,
+    strategy: SelectionStrategy,
+    path: &str,
+) {
     let obs = Obs::jsonl(path).expect("create trace file");
-    let (outcome, report) = optimize_lazy_obs(scenario, config, lazy, &obs).expect("well-formed");
+    let traced = Run {
+        obs: obs.clone(),
+        ..Run::default()
+    };
+    let (outcome, report) = etcs_lazy::run(
+        scenario,
+        &TaskKind::OptimizeIncremental,
+        config,
+        &traced,
+        strategy,
+    )
+    .expect("well-formed");
     obs.flush_metrics();
     obs.flush();
     assert!(matches!(outcome, DesignOutcome::Solved { .. }));
@@ -259,7 +303,7 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned();
     let config = EncoderConfig::default();
-    let lazy = LazyConfig::with_strategy(SelectionStrategy::AllViolated);
+    let strategy = SelectionStrategy::AllViolated;
 
     const HEADLINE: [&str; 2] = ["convoy_line", "branched_line"];
     let fixtures: Vec<Scenario> = if smoke {
@@ -283,14 +327,14 @@ fn main() {
         "  \"mode\": \"{}\",",
         if smoke { "smoke" } else { "full" }
     );
-    let _ = writeln!(out, "  \"strategy\": \"{}\",", lazy.strategy.name());
+    let _ = writeln!(out, "  \"strategy\": \"{}\",", strategy.name());
     let _ = writeln!(out, "  \"fixtures\": [");
     let mut headline_speedups = Vec::new();
     for (i, scenario) in fixtures.iter().enumerate() {
         eprintln!("== {} ==", scenario.name);
-        let row = compare_optimize(scenario, &config, &lazy);
-        let gen_row = compare_generate(scenario, &config, &lazy);
-        let (verify_eager_ms, verify_lazy_ms) = compare_verify(scenario, &config, &lazy);
+        let row = compare_optimize(scenario, &config, strategy);
+        let gen_row = compare_generate(scenario, &config, strategy);
+        let (verify_eager_ms, verify_lazy_ms) = compare_verify(scenario, &config, strategy);
         eprintln!(
             "   optimize: eager {:.1} ms | lazy {:.1} ms ({:.2}x) | {} rounds, {} of {} eager clauses",
             row.eager_wall_ms,
@@ -309,7 +353,7 @@ fn main() {
         }
         if i + 1 == fixtures.len() {
             if let Some(path) = &trace_path {
-                traced_cross_check(scenario, &config, &lazy, path);
+                traced_cross_check(scenario, &config, strategy, path);
             }
         }
         let opt = |v: Option<u64>| v.map_or("null".to_owned(), |x| x.to_string());

@@ -1,18 +1,18 @@
-//! Head-to-head harness for the optimisation loops: from-scratch vs.
-//! incremental vs. portfolio, plus multi-core batch scaling.
+//! Head-to-head harness for the two eager optimisation loops:
+//! from-scratch vs. incremental.
 //!
 //! Writes machine-readable results to `BENCH_optimize.json` so the perf
 //! trajectory of the incremental rework is tracked from run to run.
 //!
 //! Usage: `bench_optimize [--smoke] [--out <path>] [--trace <path>]`
 //!
-//! `--smoke` restricts to the running example plus a tiny batch (seconds,
+//! `--smoke` restricts to the running example and the convoy (seconds,
 //! not minutes) — this is what `ci/check.sh` runs in release mode.
 //!
 //! `--trace` additionally re-runs the first fixture with observability on,
 //! writing a JSONL event stream to the given path, and cross-checks the
-//! stream against the run's own statistics: the probe spans, conflict
-//! totals and portfolio winner in the trace must agree with the figures
+//! stream against the run's own statistics: the probe spans and conflict
+//! totals in the trace must agree with the figures
 //! that go into the benchmark JSON. The timed runs stay untraced, so the
 //! recorded wall times are unaffected. Because every event is flushed as
 //! it is written, a crashed or diverging run still leaves the trace behind
@@ -22,9 +22,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use etcs_core::{
-    optimize, optimize_all_obs, optimize_all_with_threads, optimize_incremental, optimize_obs,
-    optimize_portfolio, optimize_portfolio_obs, DesignOutcome, EncoderConfig, OptimizeMode,
-    TaskReport,
+    optimize, optimize_incremental, DesignOutcome, EncoderConfig, Run, TaskKind, TaskReport,
 };
 use etcs_network::{fixtures, parse_scenario, Scenario};
 use etcs_obs::{json, Obs};
@@ -98,39 +96,33 @@ fn traced_cross_check(
     baseline: &RunResult,
 ) {
     let obs = Obs::jsonl(path).expect("create trace file");
-    let (outcome, report) = optimize_obs(scenario, config, &obs).expect("well-formed");
-    let (p_outcome, _) = optimize_portfolio_obs(scenario, config, &obs).expect("well-formed");
-    let batch = optimize_all_obs(
-        std::slice::from_ref(scenario),
+    let traced_run = Run {
+        obs: obs.clone(),
+        ..Run::default()
+    };
+    let (outcome, report) =
+        etcs_core::run(scenario, &TaskKind::Optimize, config, &traced_run).expect("well-formed");
+    let (i_outcome, i_report) = etcs_core::run(
+        scenario,
+        &TaskKind::OptimizeIncremental,
         config,
-        OptimizeMode::Incremental,
-        1,
-        &obs,
-    );
+        &traced_run,
+    )
+    .expect("well-formed");
     obs.flush_metrics();
     obs.flush();
 
-    let traced = flatten(&outcome, &report, 0.0);
-    assert_eq!(
-        (traced.deadline_steps, traced.borders),
-        (baseline.deadline_steps, baseline.borders),
-        "traced optimize diverged from the benchmarked run on {}",
-        scenario.name
-    );
-    let p_traced = flatten(&p_outcome, &report, 0.0);
-    assert_eq!(
-        (p_traced.deadline_steps, p_traced.borders),
-        (baseline.deadline_steps, baseline.borders),
-        "traced portfolio diverged on {}",
-        scenario.name
-    );
-    let (b_outcome, _) = batch[0].as_ref().expect("well-formed");
-    assert_eq!(
-        flatten(b_outcome, &report, 0.0).deadline_steps,
-        baseline.deadline_steps,
-        "traced batch diverged on {}",
-        scenario.name
-    );
+    for (label, traced) in [
+        ("optimize", flatten(&outcome, &report, 0.0)),
+        ("optimize_incremental", flatten(&i_outcome, &i_report, 0.0)),
+    ] {
+        assert_eq!(
+            (traced.deadline_steps, traced.borders),
+            (baseline.deadline_steps, baseline.borders),
+            "traced {label} diverged from the benchmarked run on {}",
+            scenario.name
+        );
+    }
 
     // Consume the sink: every line must parse, and the stream must tell
     // the same story as the Stats that went into the benchmark JSON.
@@ -175,29 +167,8 @@ fn traced_cross_check(
         "trace conflict total disagrees with Stats.conflicts"
     );
 
-    let winner = events
-        .iter()
-        .find(|e| str_of(e, "name") == "portfolio.outcome")
-        .expect("trace contains the portfolio outcome");
-    let strategy = winner
-        .get("fields")
-        .and_then(|f| f.get("strategy"))
-        .and_then(json::Json::as_str)
-        .unwrap_or_default()
-        .to_owned();
-    assert!(
-        strategy == "walk_up" || strategy == "binary",
-        "unknown portfolio winner {strategy:?}"
-    );
-    if let Some(deadline_steps) = baseline.deadline_steps {
-        assert_eq!(
-            field_of(winner, "deadline"),
-            Some((deadline_steps - 1) as f64),
-            "portfolio winner's deadline disagrees with the benchmark row"
-        );
-    }
     eprintln!(
-        "   trace: {} events, winner {strategy}, probes {probe_closes} -> {path}",
+        "   trace: {} events, probes {probe_closes} -> {path}",
         events.len()
     );
 }
@@ -262,25 +233,16 @@ fn main() {
         let incremental = run(scenario, &config, |s, c| {
             optimize_incremental(s, c).expect("well-formed")
         });
-        let portfolio = run(scenario, &config, |s, c| {
-            optimize_portfolio(s, c).expect("well-formed")
-        });
         assert_eq!(
             (scratch.deadline_steps, scratch.borders),
             (incremental.deadline_steps, incremental.borders),
             "incremental diverged from scratch on {}",
             scenario.name
         );
-        assert_eq!(
-            (scratch.deadline_steps, scratch.borders),
-            (portfolio.deadline_steps, portfolio.borders),
-            "portfolio diverged from scratch on {}",
-            scenario.name
-        );
         let speedup = scratch.wall_ms / incremental.wall_ms.max(1e-9);
         eprintln!(
-            "   scratch {:.1} ms | incremental {:.1} ms ({speedup:.2}x) | portfolio {:.1} ms",
-            scratch.wall_ms, incremental.wall_ms, portfolio.wall_ms
+            "   scratch {:.1} ms | incremental {:.1} ms ({speedup:.2}x)",
+            scratch.wall_ms, incremental.wall_ms
         );
         if i == 0 {
             if let Some(path) = &trace_path {
@@ -293,8 +255,6 @@ fn main() {
         out.push_str(",\n");
         json_run(&mut out, "incremental", &incremental);
         out.push_str(",\n");
-        json_run(&mut out, "portfolio", &portfolio);
-        out.push_str(",\n");
         let _ = writeln!(
             out,
             "      \"speedup_incremental_vs_scratch\": {speedup:.2}"
@@ -306,52 +266,7 @@ fn main() {
             "\n"
         });
     }
-    let _ = writeln!(out, "  ],");
-
-    // Batch scaling: the same scenario set solved with 1 worker vs. one
-    // worker per core (incremental loop per scenario).
-    let batch: Vec<Scenario> = if smoke {
-        vec![fixtures::running_example(), fixtures::simple_layout()]
-    } else {
-        vec![
-            fixtures::running_example(),
-            fixtures::simple_layout(),
-            fixtures::complex_layout(),
-            branch_line(),
-            fixtures::convoy(),
-        ]
-    };
-    let threads_n = cores.min(batch.len()).max(2);
-    eprintln!(
-        "== batch: {} scenarios, 1 vs {threads_n} threads ==",
-        batch.len()
-    );
-    let t1 = Instant::now();
-    let serial = optimize_all_with_threads(&batch, &config, OptimizeMode::Incremental, 1);
-    let wall_1 = t1.elapsed().as_secs_f64() * 1e3;
-    let tn = Instant::now();
-    let parallel = optimize_all_with_threads(&batch, &config, OptimizeMode::Incremental, threads_n);
-    let wall_n = tn.elapsed().as_secs_f64() * 1e3;
-    for (a, b) in serial.iter().zip(&parallel) {
-        let a = a.as_ref().expect("well-formed");
-        let b = b.as_ref().expect("well-formed");
-        let cost = |o: &DesignOutcome| match o {
-            DesignOutcome::Solved { costs, .. } => Some(costs.clone()),
-            DesignOutcome::Infeasible => None,
-        };
-        assert_eq!(cost(&a.0), cost(&b.0), "thread count changed a result");
-    }
-    let speedup = wall_1 / wall_n.max(1e-9);
-    eprintln!("   1 thread {wall_1:.1} ms | {threads_n} threads {wall_n:.1} ms ({speedup:.2}x)");
-    let _ = writeln!(out, "  \"batch\": {{");
-    let names: Vec<String> = batch.iter().map(|s| format!("\"{}\"", s.name)).collect();
-    let _ = writeln!(out, "    \"scenarios\": [{}],", names.join(", "));
-    let _ = writeln!(out, "    \"loop\": \"incremental\",");
-    let _ = writeln!(out, "    \"threads_1_wall_ms\": {wall_1:.2},");
-    let _ = writeln!(out, "    \"threads_n\": {threads_n},");
-    let _ = writeln!(out, "    \"threads_n_wall_ms\": {wall_n:.2},");
-    let _ = writeln!(out, "    \"speedup\": {speedup:.2}");
-    let _ = writeln!(out, "  }}");
+    let _ = writeln!(out, "  ]");
     out.push_str("}\n");
 
     std::fs::write(&out_path, &out).expect("write benchmark results");

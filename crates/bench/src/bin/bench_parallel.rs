@@ -25,7 +25,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use etcs_core::{optimize_incremental_obs, DesignOutcome, EncoderConfig, SolveMode};
+use etcs_core::{run, DesignOutcome, EncoderConfig, Run, SolveMode, TaskKind};
 use etcs_network::generator::{branched_line, single_track_line, BranchConfig, LineConfig};
 use etcs_network::{fixtures, Scenario, Seconds};
 use etcs_obs::Obs;
@@ -100,9 +100,13 @@ fn measure(scenario: &Scenario, threads: usize, trace: &mut Option<String>) -> M
         ..EncoderConfig::default()
     };
     let (obs, sink) = Obs::memory();
+    let traced = Run {
+        obs,
+        ..Run::default()
+    };
     let start = Instant::now();
-    let (outcome, report) =
-        optimize_incremental_obs(scenario, &config, &obs).expect("generated scenarios are valid");
+    let (outcome, report) = run(scenario, &TaskKind::OptimizeIncremental, &config, &traced)
+        .expect("generated scenarios are valid");
     let wall_s = start.elapsed().as_secs_f64();
 
     let costs = match outcome {

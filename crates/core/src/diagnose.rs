@@ -13,7 +13,7 @@ use etcs_sat::{Interrupt, Lit, SatResult};
 
 use crate::encoder::{encode, EncoderConfig, TaskKind};
 use crate::instance::Instance;
-use crate::tasks::{interrupt_error, TaskError};
+use crate::tasks::TaskError;
 
 /// Result of [`diagnose`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -98,7 +98,7 @@ pub fn diagnose_cancellable(
     let core = match enc.solver.solve_with(&selectors) {
         SatResult::Sat(_) => return Ok(Diagnosis::Feasible),
         SatResult::Unsat { core } => core,
-        SatResult::Unknown => return Err(interrupt_error(interrupt)),
+        SatResult::Unknown => return Err(TaskError::interrupted(interrupt)),
     };
     if core.is_empty() {
         // Unsatisfiable without any assumption: departures/stops alone
@@ -121,7 +121,7 @@ pub fn diagnose_cancellable(
                 i = 0;
             }
             SatResult::Sat(_) => i += 1,
-            SatResult::Unknown => return Err(interrupt_error(interrupt)),
+            SatResult::Unknown => return Err(TaskError::interrupted(interrupt)),
         }
         if minimal.is_empty() {
             return Ok(Diagnosis::Structural);

@@ -8,6 +8,10 @@
 //! * [`generate`] — find a minimal set of VSS borders making it work.
 //! * [`optimize`] — find layout *and* movements minimising completion time.
 //!
+//! Each is a one-line call of [`run`], the task driver, which takes the
+//! task as a [`TaskKind`] and a [`Run`] holding an observability handle
+//! and a cancellation token, both off by default.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -26,6 +30,32 @@
 //! assert!(designed.plan().is_some());
 //! # Ok::<(), etcs_network::NetworkError>(())
 //! ```
+//!
+//! The same verification, traced and under a wall-clock deadline:
+//!
+//! ```
+//! use std::time::Duration;
+//! use etcs_core::{run, EncoderConfig, Run, TaskKind};
+//! use etcs_network::{fixtures, VssLayout};
+//! use etcs_obs::Obs;
+//! use etcs_sat::Interrupt;
+//!
+//! let (obs, sink) = Obs::memory();
+//! let traced = Run {
+//!     obs,
+//!     interrupt: Interrupt::with_deadline(Duration::from_secs(60)),
+//! };
+//! let task = TaskKind::Verify(VssLayout::pure_ttd());
+//! let (outcome, _) = run(
+//!     &fixtures::running_example(),
+//!     &task,
+//!     &EncoderConfig::default(),
+//!     &traced,
+//! )?;
+//! assert!(!outcome.is_feasible());
+//! assert!(sink.events().iter().any(|e| e.name == "task.verify"));
+//! # Ok::<(), etcs_core::TaskError>(())
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +69,6 @@ mod explorer;
 mod fingerprint;
 mod instance;
 mod objectives;
-mod parallel;
 mod tasks;
 mod trace;
 mod tradeoff;
@@ -58,15 +87,9 @@ pub use explorer::LayoutExplorer;
 pub use fingerprint::{cache_key, sub_fingerprints, SubFingerprints, CACHE_KEY_VERSION};
 pub use instance::{ExitPolicy, Instance, TrainSpec};
 pub use objectives::optimize_arrivals;
-pub use parallel::{
-    optimize_all, optimize_all_obs, optimize_all_with_threads, optimize_portfolio,
-    optimize_portfolio_obs, verify_all, verify_all_obs, verify_all_with_threads, OptimizeMode,
-};
 pub use tasks::{
-    generate, generate_cancellable, generate_obs, minimize_borders, optimize, optimize_cancellable,
-    optimize_incremental, optimize_incremental_cancellable, optimize_incremental_obs, optimize_obs,
-    verify, verify_cancellable, verify_obs, DesignOutcome, Stage2, TaskError, TaskReport,
-    VerifyOutcome,
+    generate, minimize_borders, optimize, optimize_incremental, run, verify, walk_up_deadlines,
+    DesignOutcome, Run, Stage1, Stage2, TaskError, TaskReport, VerifyOutcome,
 };
 pub use trace::EncodingTrace;
 pub use tradeoff::{border_tradeoff, optimize_with_budget, TradeoffPoint};

@@ -3,10 +3,12 @@
 //! [`optimize_incremental`], the same optimisation run on one persistent
 //! incremental solver.
 //!
-//! Every task also has an `*_obs` variant taking an [`Obs`] handle; the
-//! plain entry points delegate with [`Obs::disabled`], so observability is
-//! strictly opt-in and free when off. The span vocabulary (stable, asserted
-//! by `tests/obs_trace.rs` and the CI smoke step):
+//! All four are one-line calls of [`run`], the single task driver: it
+//! takes the task as a [`TaskKind`] and a [`Run`] carrying an [`Obs`]
+//! handle and an [`Interrupt`] token, both off by default, so
+//! observability and cancellation are strictly opt-in and free when off.
+//! The span vocabulary (stable, asserted by `tests/obs_trace.rs` and the
+//! CI smoke step):
 //!
 //! * `task.verify` / `task.generate` / `task.optimize` /
 //!   `task.optimize_incremental` — one root span per task call;
@@ -17,19 +19,22 @@
 //! * `sat.solve` — emitted by the solver itself (see `etcs-sat`).
 //!
 //! Counters `probes` and `conflicts` accumulate in the handle's metrics
-//! registry alongside the events.
+//! registry alongside the events; `conflicts` counts interrupted searches
+//! too, so it always equals the sum of the `sat.solve` spans.
 
 use std::fmt;
 use std::time::{Duration, Instant};
 
 use etcs_network::{NetworkError, Scenario, VssLayout};
-use etcs_obs::Obs;
+use etcs_obs::{Obs, Span};
 use etcs_sat::{
     maxsat, Interrupt, InterruptReason, Lit, PreprocessConfig, SatResult, Stats, Strategy,
 };
 
 use crate::decode::SolvedPlan;
-use crate::encoder::{encode, EncoderConfig, Encoding, EncodingStats, TaskKind};
+use crate::encoder::{
+    encode_with, ConstraintFamilies, EncoderConfig, Encoding, EncodingStats, TaskKind,
+};
 use crate::instance::Instance;
 
 /// Shared outcome data of every task.
@@ -72,12 +77,22 @@ impl VerifyOutcome {
     }
 }
 
-/// Result of [`generate`] / [`optimize`].
+impl From<DesignOutcome> for VerifyOutcome {
+    fn from(outcome: DesignOutcome) -> Self {
+        match outcome {
+            DesignOutcome::Solved { plan, .. } => VerifyOutcome::Feasible(plan),
+            DesignOutcome::Infeasible => VerifyOutcome::Infeasible,
+        }
+    }
+}
+
+/// Result of [`run`], [`generate`] and [`optimize`].
 #[derive(Debug)]
 pub enum DesignOutcome {
     /// A layout (and plan) was found; for generation the layout has a
     /// provably minimal number of VSS borders, for optimisation the plan
-    /// has provably minimal completion time (then minimal borders).
+    /// has provably minimal completion time (then minimal borders). For
+    /// verification the layout is the given one and `costs` is empty.
     Solved {
         /// Decoded layout and train movements.
         plan: SolvedPlan,
@@ -89,6 +104,11 @@ pub enum DesignOutcome {
 }
 
 impl DesignOutcome {
+    /// `true` for [`DesignOutcome::Solved`].
+    pub fn is_feasible(&self) -> bool {
+        matches!(self, DesignOutcome::Solved { .. })
+    }
+
     /// The solved plan, if any.
     pub fn plan(&self) -> Option<&SolvedPlan> {
         match self {
@@ -98,8 +118,8 @@ impl DesignOutcome {
     }
 }
 
-/// Error from the `*_cancellable` task variants: either the scenario was
-/// malformed, or the task's [`Interrupt`] token fired mid-solve.
+/// Error from [`run`]: either the scenario was malformed, or the run's
+/// [`Interrupt`] token fired mid-solve.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TaskError {
     /// The scenario is malformed (see [`NetworkError`]).
@@ -108,6 +128,23 @@ pub enum TaskError {
     Cancelled,
     /// The task's armed wall-clock deadline expired.
     DeadlineExceeded,
+}
+
+impl TaskError {
+    /// The error for a solve that returned `Unknown` under `interrupt`.
+    /// Task loops never configure a conflict budget, so the token must
+    /// have fired.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interrupt` has not fired.
+    pub fn interrupted(interrupt: &Interrupt) -> TaskError {
+        match interrupt.probe() {
+            Some(InterruptReason::Cancelled) => TaskError::Cancelled,
+            Some(InterruptReason::DeadlineExceeded) => TaskError::DeadlineExceeded,
+            None => unreachable!("solver returned Unknown with neither budget nor interrupt fired"),
+        }
+    }
 }
 
 impl fmt::Display for TaskError {
@@ -135,14 +172,46 @@ impl From<NetworkError> for TaskError {
     }
 }
 
-/// Maps a fired [`Interrupt`] to the matching [`TaskError`]. Only called
-/// after a solver returned `Unknown` on an interrupt-equipped, budget-free
-/// solve, so the token must have fired.
-pub(crate) fn interrupt_error(interrupt: &Interrupt) -> TaskError {
-    match interrupt.probe() {
-        Some(InterruptReason::Cancelled) => TaskError::Cancelled,
-        Some(InterruptReason::DeadlineExceeded) => TaskError::DeadlineExceeded,
-        None => unreachable!("solver returned Unknown with neither budget nor interrupt fired"),
+/// How one [`run`] call runs: where its trace goes and what may stop it.
+/// The default traces nothing and never fires.
+#[derive(Clone, Debug, Default)]
+pub struct Run {
+    /// Observability handle for the task's spans, events and counters.
+    pub obs: Obs,
+    /// Cooperative cancellation: installed on every solver the task
+    /// builds, which polls it at restart boundaries. A fired token
+    /// surfaces as [`TaskError::Cancelled`] /
+    /// [`TaskError::DeadlineExceeded`]; the partially-solved state is
+    /// discarded.
+    pub interrupt: Interrupt,
+}
+
+impl Run {
+    /// Encodes `task` over `inst` under an `encode` child of `parent`
+    /// (fields `vars`, `clauses`), emitting only the constraint
+    /// `families` given, then wires the solver to this run's handle and
+    /// token and preprocesses it when `config.preprocess` is set. The
+    /// prologue of every task loop, eager and lazy.
+    pub fn encode(
+        &self,
+        inst: &Instance,
+        config: &EncoderConfig,
+        task: &TaskKind,
+        families: ConstraintFamilies,
+        parent: &Span,
+    ) -> Encoding {
+        let span = parent.child("encode");
+        let mut enc = encode_with(inst, config, task, families);
+        span.close_with(&[
+            ("vars", enc.stats.solver_vars.into()),
+            ("clauses", enc.stats.clauses.into()),
+        ]);
+        enc.solver.set_obs(self.obs.clone());
+        enc.solver.set_interrupt(self.interrupt.clone());
+        if config.preprocess {
+            enc.preprocess(&PreprocessConfig::default());
+        }
+        enc
     }
 }
 
@@ -217,6 +286,138 @@ pub fn minimize_borders(
     }
 }
 
+/// Outcome of [`walk_up_deadlines`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stage1 {
+    /// The first satisfiable deadline, which is the optimum: every
+    /// deadline below it is refuted.
+    Sat(usize),
+    /// Every deadline up to the horizon is refuted.
+    Unsat,
+    /// The solver's [`Interrupt`] fired mid-walk.
+    Interrupted,
+}
+
+/// Stage-1 deadline search on one persistent
+/// [`TaskKind::OptimizeIncremental`] encoding: probes every candidate
+/// deadline `d` from `*floor` up to the horizon as
+/// `solve_with(deadline_probe_assumptions(d))`, each under a `probe` child
+/// of `parent` (fields `deadline`, `sat`, `conflicts` — the delta on the
+/// persistent solver). Learnt clauses, VSIDS activity and saved phases
+/// carry across probes. Deadline feasibility is monotone, so the first
+/// satisfiable deadline is the optimum.
+///
+/// A refuted deadline stays refuted on this encoding: its selector is
+/// killed at level 0 and `*floor` moves past it, so a caller that keeps
+/// the encoding (the replanning session) never probes it again. Returns
+/// the verdict and the number of probes made.
+pub fn walk_up_deadlines(
+    enc: &mut Encoding,
+    inst: &Instance,
+    floor: &mut usize,
+    parent: &Span,
+    obs: &Obs,
+) -> (Stage1, usize) {
+    let max_deadline = inst.t_max - 1;
+    let mut calls = 0usize;
+    for d in *floor..=max_deadline {
+        calls += 1;
+        // Selector plus out-of-cone pruning literals; empty (an unguarded
+        // probe of the base formula) only with an empty schedule.
+        let assumptions = enc.deadline_probe_assumptions(inst, d);
+        let probe = parent.child_with("probe", &[("deadline", d.into())]);
+        let conflicts_before = enc.solver.stats().conflicts;
+        let verdict = enc.solver.solve_with(&assumptions);
+        let conflicts = enc.solver.stats().conflicts - conflicts_before;
+        obs.counter_add("probes", 1);
+        obs.counter_add("conflicts", conflicts);
+        probe.close_with(&[
+            ("deadline", d.into()),
+            ("sat", matches!(verdict, SatResult::Sat(_)).into()),
+            ("conflicts", conflicts.into()),
+        ]);
+        match verdict {
+            SatResult::Sat(_) => return (Stage1::Sat(d), calls),
+            SatResult::Unsat { .. } => {
+                // The refutation proved the formula entails ¬sel_d; assert
+                // it so the selector dies at level 0 — clauses learnt under
+                // the failed assumption are satisfied outright and phase
+                // saving can no longer branch back into a dead deadline.
+                if let Some(&sel) = enc.step_selectors.get(d).and_then(|s| s.as_ref()) {
+                    enc.solver.add_clause([!sel]);
+                }
+                *floor = d + 1;
+            }
+            SatResult::Unknown => return (Stage1::Interrupted, calls),
+        }
+    }
+    (Stage1::Unsat, calls)
+}
+
+/// The task driver: runs `task` on `scenario` under `run`'s observability
+/// handle and interrupt token. [`TaskKind::Verify`] checks the given
+/// layout (a feasible outcome carries the layout and empty `costs`),
+/// [`TaskKind::Generate`] minimises borders, [`TaskKind::Optimize`] runs
+/// the from-scratch deadline loop and [`TaskKind::OptimizeIncremental`]
+/// the same search on one persistent solver; see [`verify`],
+/// [`generate`], [`optimize`] and [`optimize_incremental`] for each
+/// task's semantics.
+///
+/// # Errors
+///
+/// Returns [`TaskError::Network`] if the scenario is malformed, or the
+/// interrupt-mapped error if the token fired mid-solve.
+///
+/// # Panics
+///
+/// Panics on [`TaskKind::Diagnose`], which has its own entry point,
+/// [`crate::diagnose`].
+///
+/// # Examples
+///
+/// ```
+/// use etcs_core::{run, EncoderConfig, Run, TaskKind};
+/// use etcs_network::{fixtures, VssLayout};
+/// use etcs_obs::Obs;
+///
+/// let (obs, sink) = Obs::memory();
+/// let traced = Run { obs, ..Run::default() };
+/// let task = TaskKind::Verify(VssLayout::pure_ttd());
+/// let (outcome, report) =
+///     run(&fixtures::running_example(), &task, &EncoderConfig::default(), &traced)?;
+/// assert!(!outcome.is_feasible());
+/// assert_eq!(traced.obs.metrics().counter("conflicts"), report.search.conflicts);
+/// assert!(sink.events().iter().any(|e| e.name == "task.verify"));
+/// # Ok::<(), etcs_core::TaskError>(())
+/// ```
+pub fn run(
+    scenario: &Scenario,
+    task: &TaskKind,
+    config: &EncoderConfig,
+    run: &Run,
+) -> Result<(DesignOutcome, TaskReport), TaskError> {
+    match task {
+        TaskKind::Verify(layout) => run_verify(scenario, layout, task, config, run),
+        TaskKind::Generate => run_generate(scenario, task, config, run),
+        TaskKind::Optimize => run_optimize(scenario, config, run),
+        TaskKind::OptimizeIncremental => run_incremental(scenario, task, config, run),
+        TaskKind::Diagnose(_) => panic!("diagnosis has its own entry point, `diagnose`"),
+    }
+}
+
+/// [`run`] with tracing and cancellation off: without an interrupt the
+/// only possible error is a malformed scenario.
+fn run_plain(
+    scenario: &Scenario,
+    task: &TaskKind,
+    config: &EncoderConfig,
+) -> Result<(DesignOutcome, TaskReport), NetworkError> {
+    run(scenario, task, config, &Run::default()).map_err(|e| match e {
+        TaskError::Network(e) => e,
+        other => unreachable!("no interrupt installed: {other:?}"),
+    })
+}
+
 /// Task 1 — *Verification of train schedules on ETCS Level 3 layouts*:
 /// does `scenario`'s schedule (with its arrival deadlines) work on the
 /// given TTD/VSS `layout`?
@@ -243,91 +444,7 @@ pub fn verify(
     layout: &VssLayout,
     config: &EncoderConfig,
 ) -> Result<(VerifyOutcome, TaskReport), NetworkError> {
-    verify_obs(scenario, layout, config, &Obs::disabled())
-}
-
-/// [`verify`] with observability: one `task.verify` span wrapping an
-/// `encode` child span and the solver's own `sat.solve` span.
-///
-/// # Errors
-///
-/// Returns [`NetworkError`] if the scenario is malformed.
-pub fn verify_obs(
-    scenario: &Scenario,
-    layout: &VssLayout,
-    config: &EncoderConfig,
-    obs: &Obs,
-) -> Result<(VerifyOutcome, TaskReport), NetworkError> {
-    match verify_cancellable(scenario, layout, config, &Interrupt::none(), obs) {
-        Ok(r) => Ok(r),
-        Err(TaskError::Network(e)) => Err(e),
-        Err(other) => unreachable!("no interrupt installed: {other:?}"),
-    }
-}
-
-/// [`verify_obs`] with cooperative cancellation: `interrupt` is installed
-/// on the solver, which polls it at restart boundaries. A fired token
-/// surfaces as [`TaskError::Cancelled`] / [`TaskError::DeadlineExceeded`];
-/// the partially-solved state is discarded.
-///
-/// # Errors
-///
-/// Returns [`TaskError::Network`] if the scenario is malformed, or the
-/// interrupt-mapped error if the token fired mid-solve.
-pub fn verify_cancellable(
-    scenario: &Scenario,
-    layout: &VssLayout,
-    config: &EncoderConfig,
-    interrupt: &Interrupt,
-    obs: &Obs,
-) -> Result<(VerifyOutcome, TaskReport), TaskError> {
-    let start = Instant::now();
-    let task = obs.span_with(
-        "task.verify",
-        &[("scenario", scenario.name.as_str().into())],
-    );
-    let inst = Instance::new(scenario)?;
-    let enc_span = task.child("encode");
-    let mut enc = encode(&inst, config, &TaskKind::Verify(layout.clone()));
-    enc_span.close_with(&[
-        ("vars", enc.stats.solver_vars.into()),
-        ("clauses", enc.stats.clauses.into()),
-    ]);
-    enc.solver.set_obs(obs.clone());
-    enc.solver.set_interrupt(interrupt.clone());
-    if config.preprocess {
-        enc.preprocess(&PreprocessConfig::default());
-    }
-    let stats = enc.stats;
-    let outcome = match enc.solver.solve() {
-        SatResult::Sat(model) => {
-            let mut plan = SolvedPlan::decode(&inst, &enc.vars, &model);
-            // The verification layout is an input, not a solver choice.
-            plan.layout = layout.clone();
-            VerifyOutcome::Feasible(plan)
-        }
-        SatResult::Unsat { .. } => VerifyOutcome::Infeasible,
-        SatResult::Unknown => {
-            task.close_with(&[("interrupted", true.into())]);
-            return Err(interrupt_error(interrupt));
-        }
-    };
-    let search = *enc.solver.stats();
-    drop(enc); // inside the task span, so teardown is attributed to it
-    obs.counter_add("conflicts", search.conflicts);
-    task.close_with(&[
-        ("feasible", outcome.is_feasible().into()),
-        ("conflicts", search.conflicts.into()),
-    ]);
-    Ok((
-        outcome,
-        TaskReport {
-            stats,
-            runtime: start.elapsed(),
-            solver_calls: 1,
-            search,
-        },
-    ))
+    run_plain(scenario, &TaskKind::Verify(layout.clone()), config).map(|(o, r)| (o.into(), r))
 }
 
 /// Task 2 — *Generation of VSS layouts*: find virtual borders that make the
@@ -341,89 +458,7 @@ pub fn generate(
     scenario: &Scenario,
     config: &EncoderConfig,
 ) -> Result<(DesignOutcome, TaskReport), NetworkError> {
-    generate_obs(scenario, config, &Obs::disabled())
-}
-
-/// [`generate`] with observability: one `task.generate` span wrapping an
-/// `encode` child and the `stage2` border-minimisation span.
-///
-/// # Errors
-///
-/// Returns [`NetworkError`] if the scenario is malformed.
-pub fn generate_obs(
-    scenario: &Scenario,
-    config: &EncoderConfig,
-    obs: &Obs,
-) -> Result<(DesignOutcome, TaskReport), NetworkError> {
-    match generate_cancellable(scenario, config, &Interrupt::none(), obs) {
-        Ok(r) => Ok(r),
-        Err(TaskError::Network(e)) => Err(e),
-        Err(other) => unreachable!("no interrupt installed: {other:?}"),
-    }
-}
-
-/// [`generate_obs`] with cooperative cancellation (see
-/// [`verify_cancellable`] for the contract).
-///
-/// # Errors
-///
-/// Returns [`TaskError::Network`] if the scenario is malformed, or the
-/// interrupt-mapped error if the token fired mid-solve.
-pub fn generate_cancellable(
-    scenario: &Scenario,
-    config: &EncoderConfig,
-    interrupt: &Interrupt,
-    obs: &Obs,
-) -> Result<(DesignOutcome, TaskReport), TaskError> {
-    let start = Instant::now();
-    let task = obs.span_with(
-        "task.generate",
-        &[("scenario", scenario.name.as_str().into())],
-    );
-    let inst = Instance::new(scenario)?;
-    let enc_span = task.child("encode");
-    let mut enc = encode(&inst, config, &TaskKind::Generate);
-    enc_span.close_with(&[
-        ("vars", enc.stats.solver_vars.into()),
-        ("clauses", enc.stats.clauses.into()),
-    ]);
-    enc.solver.set_obs(obs.clone());
-    enc.solver.set_interrupt(interrupt.clone());
-    if config.preprocess {
-        enc.preprocess(&PreprocessConfig::default());
-    }
-    let stats = enc.stats;
-    let (result, calls) = minimize_borders(&mut enc, &inst, &[], obs);
-    let search = *enc.solver.stats();
-    drop(enc); // inside the task span, so teardown is attributed to it
-    let outcome = match result {
-        Stage2::Solved(plan, cost) => DesignOutcome::Solved {
-            plan,
-            costs: vec![cost],
-        },
-        Stage2::Unsat => DesignOutcome::Infeasible,
-        Stage2::Interrupted => {
-            task.close_with(&[("interrupted", true.into())]);
-            return Err(interrupt_error(interrupt));
-        }
-    };
-    match &outcome {
-        DesignOutcome::Solved { costs, .. } => task.close_with(&[
-            ("feasible", true.into()),
-            ("borders", costs[0].into()),
-            ("solver_calls", calls.into()),
-        ]),
-        DesignOutcome::Infeasible => task.close_with(&[("feasible", false.into())]),
-    }
-    Ok((
-        outcome,
-        TaskReport {
-            stats,
-            runtime: start.elapsed(),
-            solver_calls: calls,
-            search,
-        },
-    ))
+    run_plain(scenario, &TaskKind::Generate, config)
 }
 
 /// Task 3 — *Schedule optimisation using the potential of VSS*: drop the
@@ -445,48 +480,145 @@ pub fn optimize(
     scenario: &Scenario,
     config: &EncoderConfig,
 ) -> Result<(DesignOutcome, TaskReport), NetworkError> {
-    optimize_obs(scenario, config, &Obs::disabled())
+    run_plain(scenario, &TaskKind::Optimize, config)
 }
 
-/// [`optimize`] with observability: one `task.optimize` span wrapping a
-/// `probe` child span per Stage-1 deadline candidate (each with its own
-/// `encode` child and `sat.solve`) and the `stage2` span. The `probes` and
-/// `conflicts` counters accumulate in `obs`'s metrics registry, and the
-/// span-close fields mirror the returned [`TaskReport`] — that agreement is
-/// asserted by `tests/obs_trace.rs`.
+/// [`optimize`] on **one persistent incremental solver**: the full horizon
+/// is encoded once ([`TaskKind::OptimizeIncremental`]), every candidate
+/// deadline is probed by [`walk_up_deadlines`] — learnt clauses, VSIDS
+/// activity and saved phases carry across probes — and the Stage-2
+/// border MaxSAT runs on the same warm solver with the optimal deadline
+/// committed, eliminating every re-encode.
+///
+/// Returns the same optima as [`optimize`] (identical deadline and border
+/// count; the witness plans may differ). The certified variant
+/// ([`crate::optimize_certified`]) intentionally keeps the from-scratch
+/// loop — see its docs for why proof logging forces that fallback.
 ///
 /// # Errors
 ///
 /// Returns [`NetworkError`] if the scenario is malformed.
-pub fn optimize_obs(
+pub fn optimize_incremental(
     scenario: &Scenario,
     config: &EncoderConfig,
-    obs: &Obs,
 ) -> Result<(DesignOutcome, TaskReport), NetworkError> {
-    match optimize_cancellable(scenario, config, &Interrupt::none(), obs) {
-        Ok(r) => Ok(r),
-        Err(TaskError::Network(e)) => Err(e),
-        Err(other) => unreachable!("no interrupt installed: {other:?}"),
-    }
+    run_plain(scenario, &TaskKind::OptimizeIncremental, config)
 }
 
-/// [`optimize_obs`] with cooperative cancellation: every Stage-1 probe
-/// solver and the Stage-2 MaxSAT loop carry the token, so a trigger or an
-/// expired deadline aborts the loop at the next solver poll (see
-/// [`verify_cancellable`] for the contract).
-///
-/// # Errors
-///
-/// Returns [`TaskError::Network`] if the scenario is malformed, or the
-/// interrupt-mapped error if the token fired mid-solve.
-pub fn optimize_cancellable(
+/// [`run`] for [`TaskKind::Verify`]: one `task.verify` span wrapping an
+/// `encode` child and the solver's own `sat.solve` span.
+fn run_verify(
     scenario: &Scenario,
+    layout: &VssLayout,
+    task: &TaskKind,
     config: &EncoderConfig,
-    interrupt: &Interrupt,
-    obs: &Obs,
+    run: &Run,
 ) -> Result<(DesignOutcome, TaskReport), TaskError> {
     let start = Instant::now();
-    let task = obs.span_with(
+    let span = run.obs.span_with(
+        "task.verify",
+        &[("scenario", scenario.name.as_str().into())],
+    );
+    let inst = Instance::new(scenario)?;
+    let mut enc = run.encode(&inst, config, task, ConstraintFamilies::ALL, &span);
+    let stats = enc.stats;
+    let verdict = enc.solver.solve();
+    let search = *enc.solver.stats();
+    run.obs.counter_add("conflicts", search.conflicts);
+    let outcome = match verdict {
+        SatResult::Sat(model) => {
+            let mut plan = SolvedPlan::decode(&inst, &enc.vars, &model);
+            // The verification layout is an input, not a solver choice.
+            plan.layout = layout.clone();
+            DesignOutcome::Solved {
+                plan,
+                costs: Vec::new(),
+            }
+        }
+        SatResult::Unsat { .. } => DesignOutcome::Infeasible,
+        SatResult::Unknown => {
+            span.close_with(&[("interrupted", true.into())]);
+            return Err(TaskError::interrupted(&run.interrupt));
+        }
+    };
+    drop(enc); // inside the task span, so teardown is attributed to it
+    span.close_with(&[
+        ("feasible", outcome.is_feasible().into()),
+        ("conflicts", search.conflicts.into()),
+    ]);
+    Ok((
+        outcome,
+        TaskReport {
+            stats,
+            runtime: start.elapsed(),
+            solver_calls: 1,
+            search,
+        },
+    ))
+}
+
+/// [`run`] for [`TaskKind::Generate`]: one `task.generate` span wrapping
+/// an `encode` child and the `stage2` border-minimisation span.
+fn run_generate(
+    scenario: &Scenario,
+    task: &TaskKind,
+    config: &EncoderConfig,
+    run: &Run,
+) -> Result<(DesignOutcome, TaskReport), TaskError> {
+    let start = Instant::now();
+    let span = run.obs.span_with(
+        "task.generate",
+        &[("scenario", scenario.name.as_str().into())],
+    );
+    let inst = Instance::new(scenario)?;
+    let mut enc = run.encode(&inst, config, task, ConstraintFamilies::ALL, &span);
+    let stats = enc.stats;
+    let (result, calls) = minimize_borders(&mut enc, &inst, &[], &run.obs);
+    let search = *enc.solver.stats();
+    drop(enc); // inside the task span, so teardown is attributed to it
+    let outcome = match result {
+        Stage2::Solved(plan, cost) => DesignOutcome::Solved {
+            plan,
+            costs: vec![cost],
+        },
+        Stage2::Unsat => DesignOutcome::Infeasible,
+        Stage2::Interrupted => {
+            span.close_with(&[("interrupted", true.into())]);
+            return Err(TaskError::interrupted(&run.interrupt));
+        }
+    };
+    match &outcome {
+        DesignOutcome::Solved { costs, .. } => span.close_with(&[
+            ("feasible", true.into()),
+            ("borders", costs[0].into()),
+            ("solver_calls", calls.into()),
+        ]),
+        DesignOutcome::Infeasible => span.close_with(&[("feasible", false.into())]),
+    }
+    Ok((
+        outcome,
+        TaskReport {
+            stats,
+            runtime: start.elapsed(),
+            solver_calls: calls,
+            search,
+        },
+    ))
+}
+
+/// [`run`] for [`TaskKind::Optimize`], the from-scratch loop: one
+/// `task.optimize` span wrapping a `probe` child per Stage-1 deadline
+/// candidate (each with its own `encode` child and `sat.solve`) and the
+/// `stage2` span. The span-close fields mirror the returned
+/// [`TaskReport`] — that agreement is asserted by `tests/obs_trace.rs`.
+fn run_optimize(
+    scenario: &Scenario,
+    config: &EncoderConfig,
+    run: &Run,
+) -> Result<(DesignOutcome, TaskReport), TaskError> {
+    let start = Instant::now();
+    let obs = &run.obs;
+    let span = obs.span_with(
         "task.optimize",
         &[("scenario", scenario.name.as_str().into())],
     );
@@ -511,18 +643,14 @@ pub fn optimize_cancellable(
     for d in lower..=max_deadline {
         calls += 1;
         inst.set_uniform_deadline(d);
-        let probe = task.child_with("probe", &[("deadline", d.into())]);
-        let enc_span = probe.child("encode");
-        let mut enc = encode(&inst, config, &TaskKind::Generate);
-        enc_span.close_with(&[
-            ("vars", enc.stats.solver_vars.into()),
-            ("clauses", enc.stats.clauses.into()),
-        ]);
-        enc.solver.set_obs(obs.clone());
-        enc.solver.set_interrupt(interrupt.clone());
-        if config.preprocess {
-            enc.preprocess(&PreprocessConfig::default());
-        }
+        let probe = span.child_with("probe", &[("deadline", d.into())]);
+        let mut enc = run.encode(
+            &inst,
+            config,
+            &TaskKind::Generate,
+            ConstraintFamilies::ALL,
+            &probe,
+        );
         last_stats = enc.stats;
         let verdict = enc.solver.solve();
         let sat = matches!(verdict, SatResult::Sat(_));
@@ -535,8 +663,8 @@ pub fn optimize_cancellable(
             ("conflicts", conflicts.into()),
         ]);
         if matches!(verdict, SatResult::Unknown) {
-            task.close_with(&[("interrupted", true.into())]);
-            return Err(interrupt_error(interrupt));
+            span.close_with(&[("interrupted", true.into())]);
+            return Err(TaskError::interrupted(&run.interrupt));
         }
         if sat {
             found = Some((d, enc));
@@ -545,7 +673,7 @@ pub fn optimize_cancellable(
         search += enc.solver.stats();
     }
     let Some((best_deadline, mut enc)) = found else {
-        task.close_with(&[("feasible", false.into()), ("probes", calls.into())]);
+        span.close_with(&[("feasible", false.into()), ("probes", calls.into())]);
         return Ok((
             DesignOutcome::Infeasible,
             TaskReport {
@@ -569,12 +697,12 @@ pub fn optimize_cancellable(
         Stage2::Solved(plan, cost) => (plan, cost),
         Stage2::Unsat => unreachable!("the probed deadline was satisfiable"),
         Stage2::Interrupted => {
-            task.close_with(&[("interrupted", true.into())]);
-            return Err(interrupt_error(interrupt));
+            span.close_with(&[("interrupted", true.into())]);
+            return Err(TaskError::interrupted(&run.interrupt));
         }
     };
 
-    task.close_with(&[
+    span.close_with(&[
         ("feasible", true.into()),
         ("deadline", best_deadline.into()),
         ("borders", border_cost.into()),
@@ -599,140 +727,52 @@ pub fn optimize_cancellable(
     ))
 }
 
-/// [`optimize`] on **one persistent incremental solver**: the full horizon
-/// is encoded once ([`TaskKind::OptimizeIncremental`]), every candidate
-/// deadline `d` is probed as `solve_with(&[sel_d])` — learnt clauses,
-/// VSIDS activity and saved phases carry across probes — and the Stage-2
-/// border MaxSAT runs on the same warm solver with the optimal selector
-/// pinned as an assumption, eliminating every re-encode.
-///
-/// Returns the same optima as [`optimize`] (identical deadline and border
-/// count; the witness plans may differ). The certified variant
-/// ([`crate::optimize_certified`]) intentionally keeps the from-scratch
-/// loop — see its docs for why proof logging forces that fallback.
-///
-/// # Errors
-///
-/// Returns [`NetworkError`] if the scenario is malformed.
-pub fn optimize_incremental(
+/// [`run`] for [`TaskKind::OptimizeIncremental`]: one
+/// `task.optimize_incremental` span wrapping a single `encode` child, the
+/// `probe` children of [`walk_up_deadlines`], and the `stage2` span on
+/// the same warm solver.
+fn run_incremental(
     scenario: &Scenario,
+    task: &TaskKind,
     config: &EncoderConfig,
-) -> Result<(DesignOutcome, TaskReport), NetworkError> {
-    optimize_incremental_obs(scenario, config, &Obs::disabled())
-}
-
-/// [`optimize_incremental`] with observability: one
-/// `task.optimize_incremental` span wrapping a single `encode` child, a
-/// `probe` child per candidate deadline (fields: `deadline`, `sat`,
-/// `conflicts` — the *delta* on the persistent solver), and the `stage2`
-/// span on the same warm solver.
-///
-/// # Errors
-///
-/// Returns [`NetworkError`] if the scenario is malformed.
-pub fn optimize_incremental_obs(
-    scenario: &Scenario,
-    config: &EncoderConfig,
-    obs: &Obs,
-) -> Result<(DesignOutcome, TaskReport), NetworkError> {
-    match optimize_incremental_cancellable(scenario, config, &Interrupt::none(), obs) {
-        Ok(r) => Ok(r),
-        Err(TaskError::Network(e)) => Err(e),
-        Err(other) => unreachable!("no interrupt installed: {other:?}"),
-    }
-}
-
-/// [`optimize_incremental_obs`] with cooperative cancellation: the single
-/// persistent solver carries the token across every probe and the Stage-2
-/// loop (see [`verify_cancellable`] for the contract).
-///
-/// # Errors
-///
-/// Returns [`TaskError::Network`] if the scenario is malformed, or the
-/// interrupt-mapped error if the token fired mid-solve.
-pub fn optimize_incremental_cancellable(
-    scenario: &Scenario,
-    config: &EncoderConfig,
-    interrupt: &Interrupt,
-    obs: &Obs,
+    run: &Run,
 ) -> Result<(DesignOutcome, TaskReport), TaskError> {
     let start = Instant::now();
-    let task = obs.span_with(
+    let span = run.obs.span_with(
         "task.optimize_incremental",
         &[("scenario", scenario.name.as_str().into())],
     );
     let open = scenario.without_arrivals();
     let inst = Instance::new(&open)?;
-    let enc_span = task.child("encode");
-    let mut enc = encode(&inst, config, &TaskKind::OptimizeIncremental);
-    enc_span.close_with(&[
-        ("vars", enc.stats.solver_vars.into()),
-        ("clauses", enc.stats.clauses.into()),
-    ]);
-    enc.solver.set_obs(obs.clone());
-    enc.solver.set_interrupt(interrupt.clone());
-    if config.preprocess {
-        enc.preprocess(&PreprocessConfig::default());
-    }
+    let mut enc = run.encode(&inst, config, task, ConstraintFamilies::ALL, &span);
     let stats = enc.stats;
-    let mut calls = 0usize;
 
-    let max_deadline = inst.t_max - 1;
-    let lower = inst.completion_lower_bound().min(max_deadline);
-    let mut best_deadline = None;
-    for d in lower..=max_deadline {
-        calls += 1;
-        // Selector plus out-of-cone pruning literals; empty (an unguarded
-        // probe of the base formula) only with an empty schedule.
-        let assumptions = enc.deadline_probe_assumptions(&inst, d);
-        let probe = task.child_with("probe", &[("deadline", d.into())]);
-        let conflicts_before = enc.solver.stats().conflicts;
-        let verdict = enc.solver.solve_with(&assumptions);
-        let conflicts = enc.solver.stats().conflicts - conflicts_before;
-        obs.counter_add("probes", 1);
-        obs.counter_add("conflicts", conflicts);
-        probe.close_with(&[
-            ("deadline", d.into()),
-            ("sat", matches!(verdict, SatResult::Sat(_)).into()),
-            ("conflicts", conflicts.into()),
-        ]);
-        match verdict {
-            SatResult::Sat(_) => {
-                best_deadline = Some(d);
-                break;
-            }
-            SatResult::Unsat { .. } => {
-                // The refutation proved the formula entails ¬sel_d; assert
-                // it so the selector dies at level 0 — clauses learnt under
-                // the failed assumption are satisfied outright and phase
-                // saving can no longer branch back into a dead deadline.
-                if let Some(&sel) = enc.step_selectors.get(d).and_then(|s| s.as_ref()) {
-                    enc.solver.add_clause([!sel]);
-                }
-            }
-            SatResult::Unknown => {
-                task.close_with(&[("interrupted", true.into())]);
-                return Err(interrupt_error(interrupt));
-            }
+    let mut floor = inst.completion_lower_bound().min(inst.t_max - 1);
+    let (stage1, mut calls) = walk_up_deadlines(&mut enc, &inst, &mut floor, &span, &run.obs);
+    let best_deadline = match stage1 {
+        Stage1::Sat(d) => d,
+        Stage1::Unsat => {
+            let search = *enc.solver.stats();
+            drop(enc); // inside the task span, so teardown is attributed to it
+            span.close_with(&[("feasible", false.into()), ("probes", calls.into())]);
+            return Ok((
+                DesignOutcome::Infeasible,
+                TaskReport {
+                    stats,
+                    runtime: start.elapsed(),
+                    solver_calls: calls,
+                    search,
+                },
+            ));
         }
-    }
-    let Some(best_deadline) = best_deadline else {
-        let search = *enc.solver.stats();
-        drop(enc); // inside the task span, so teardown is attributed to it
-        task.close_with(&[("feasible", false.into()), ("probes", calls.into())]);
-        return Ok((
-            DesignOutcome::Infeasible,
-            TaskReport {
-                stats,
-                runtime: start.elapsed(),
-                solver_calls: calls,
-                search,
-            },
-        ));
+        Stage1::Interrupted => {
+            span.close_with(&[("interrupted", true.into())]);
+            return Err(TaskError::interrupted(&run.interrupt));
+        }
     };
 
     // Stage 2 — border MaxSAT on the same solver, the optimum committed as
-    // unit clauses (the same pin `optimize_lazy` uses): the deadline is
+    // unit clauses (the same pin the lazy loop uses): the deadline is
     // final, so asserting the selector and its cone-pruning literals at
     // level 0 beats re-propagating thousands of assumption literals on
     // every descent call of the border MaxSAT — the solver is never probed
@@ -740,20 +780,20 @@ pub fn optimize_incremental_cancellable(
     for &lit in &enc.deadline_probe_assumptions(&inst, best_deadline) {
         enc.solver.add_clause([lit]);
     }
-    let (result, stage2_calls) = minimize_borders(&mut enc, &inst, &[], obs);
+    let (result, stage2_calls) = minimize_borders(&mut enc, &inst, &[], &run.obs);
     calls += stage2_calls;
     let (plan, border_cost) = match result {
         Stage2::Solved(plan, cost) => (plan, cost),
         Stage2::Unsat => unreachable!("the probed deadline was satisfiable"),
         Stage2::Interrupted => {
-            task.close_with(&[("interrupted", true.into())]);
-            return Err(interrupt_error(interrupt));
+            span.close_with(&[("interrupted", true.into())]);
+            return Err(TaskError::interrupted(&run.interrupt));
         }
     };
     let search = *enc.solver.stats();
     drop(enc); // inside the task span, so teardown is attributed to it
 
-    task.close_with(&[
+    span.close_with(&[
         ("feasible", true.into()),
         ("deadline", best_deadline.into()),
         ("borders", border_cost.into()),
@@ -867,6 +907,36 @@ mod tests {
                 "probes must inherit earlier probes' lemmas"
             );
         }
+    }
+
+    #[test]
+    fn run_verify_returns_the_given_layout_and_no_costs() {
+        let scenario = fixtures::running_example();
+        let inst = Instance::new(&scenario).expect("valid");
+        let full = VssLayout::full(&inst.net);
+        let task = TaskKind::Verify(full.clone());
+        let (outcome, report) =
+            run(&scenario, &task, &EncoderConfig::default(), &Run::default()).expect("well-formed");
+        match outcome {
+            DesignOutcome::Solved { plan, costs } => {
+                assert_eq!(plan.layout, full);
+                assert!(costs.is_empty(), "verification has no objective");
+            }
+            DesignOutcome::Infeasible => panic!("the finest layout is feasible"),
+        }
+        assert_eq!(report.solver_calls, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "diagnosis has its own entry point")]
+    fn run_refuses_diagnosis() {
+        let task = TaskKind::Diagnose(VssLayout::pure_ttd());
+        let _ = run(
+            &fixtures::running_example(),
+            &task,
+            &EncoderConfig::default(),
+            &Run::default(),
+        );
     }
 
     #[test]

@@ -9,9 +9,11 @@
 
 use std::time::Duration;
 
-use etcs_core::{optimize_incremental, DesignOutcome, EncoderConfig, SolveMode};
-use etcs_lazy::{optimize_lazy, LazyConfig};
-use etcs_network::{NetworkError, Scenario};
+use etcs_core::{
+    optimize_incremental, DesignOutcome, EncoderConfig, Run, SolveMode, TaskError, TaskKind,
+};
+use etcs_lazy::SelectionStrategy;
+use etcs_network::Scenario;
 
 /// One solve configuration of the corpus sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -19,7 +21,7 @@ pub enum SolveSetup {
     /// The eager incremental optimisation loop (`optimize_incremental`
     /// with the default encoder config).
     Eager,
-    /// The lazy CEGAR loop (`optimize_lazy`, `AllViolated` selection).
+    /// The lazy CEGAR loop (`etcs_lazy::run`, `AllViolated` selection).
     Lazy,
     /// The eager loop over a two-worker clause-sharing portfolio
     /// (`SolveMode::Portfolio(2)`).
@@ -48,8 +50,8 @@ impl SolveSetup {
     }
 
     /// The encoder configuration this setup solves under. For
-    /// [`SolveSetup::Lazy`] this is the default config (the lazy loop's
-    /// own [`LazyConfig`] carries the CEGAR knobs).
+    /// [`SolveSetup::Lazy`] this is the default config (the selection
+    /// strategy is the lazy loop's only knob of its own).
     pub fn encoder_config(self) -> EncoderConfig {
         match self {
             SolveSetup::Eager | SolveSetup::Lazy => EncoderConfig::default(),
@@ -64,12 +66,17 @@ impl SolveSetup {
     ///
     /// # Errors
     ///
-    /// Propagates [`NetworkError`] if the scenario is malformed.
-    pub fn optimize(self, scenario: &Scenario) -> Result<OptimizeOutcome, NetworkError> {
+    /// Returns [`TaskError::Network`] if the scenario is malformed.
+    pub fn optimize(self, scenario: &Scenario) -> Result<OptimizeOutcome, TaskError> {
         match self {
             SolveSetup::Lazy => {
-                let (outcome, report) =
-                    optimize_lazy(scenario, &self.encoder_config(), &LazyConfig::default())?;
+                let (outcome, report) = etcs_lazy::run(
+                    scenario,
+                    &TaskKind::OptimizeIncremental,
+                    &self.encoder_config(),
+                    &Run::default(),
+                    SelectionStrategy::AllViolated,
+                )?;
                 Ok(OptimizeOutcome {
                     outcome,
                     // The lazy loop starts from a relaxation: its clause

@@ -25,21 +25,26 @@
 //!
 //! ## Quick start
 //!
+//! [`run`] takes the same task, configuration and [`etcs_core::Run`] as
+//! [`etcs_core::run`], plus the [`SelectionStrategy`] deciding which
+//! violated instances each round encodes:
+//!
 //! ```
-//! use etcs_core::EncoderConfig;
-//! use etcs_lazy::{verify_lazy, LazyConfig};
+//! use etcs_core::{EncoderConfig, Run, TaskKind};
+//! use etcs_lazy::SelectionStrategy;
 //! use etcs_network::{fixtures, VssLayout};
 //!
 //! let scenario = fixtures::running_example();
-//! let (outcome, report) = verify_lazy(
+//! let (outcome, report) = etcs_lazy::run(
 //!     &scenario,
-//!     &VssLayout::pure_ttd(),
+//!     &TaskKind::Verify(VssLayout::pure_ttd()),
 //!     &EncoderConfig::default(),
-//!     &LazyConfig::default(),
+//!     &Run::default(),
+//!     SelectionStrategy::AllViolated,
 //! )?;
 //! assert!(!outcome.is_feasible(), "same verdict as eager verification");
 //! assert!(report.rounds >= 1);
-//! # Ok::<(), etcs_network::NetworkError>(())
+//! # Ok::<(), etcs_core::TaskError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,11 +57,7 @@ mod tasks;
 
 pub use detect::{detect, LazyViolation};
 pub use refine::{select, SelectionStrategy};
-pub use tasks::{
-    generate_lazy, generate_lazy_cancellable, generate_lazy_obs, optimize_lazy,
-    optimize_lazy_cancellable, optimize_lazy_obs, verify_lazy, verify_lazy_cancellable,
-    verify_lazy_obs, LazyConfig, LazyReport,
-};
+pub use tasks::{run, LazyReport};
 
 use etcs_core::ConstraintFamilies;
 use etcs_lint::LazyProfile;

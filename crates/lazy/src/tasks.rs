@@ -1,6 +1,6 @@
-//! The lazy task loops: [`verify_lazy`], [`generate_lazy`] and
-//! [`optimize_lazy`], each with `*_obs` and `*_cancellable` variants
-//! mirroring the eager entry points of `etcs-core`.
+//! The lazy task loops behind [`run`], the lazy counterpart of
+//! [`etcs_core::run`]: verification, layout generation and schedule
+//! optimisation, each a CEGAR loop over the same encoder.
 //!
 //! Every loop follows the same CEGAR skeleton on one persistent
 //! incremental solver:
@@ -19,45 +19,20 @@
 use std::time::Instant;
 
 use etcs_core::{
-    encode_with, minimize_borders, ConstraintFamilies, DesignOutcome, EncoderConfig, Encoding,
-    Instance, SolvedPlan, Stage2, TaskError, TaskKind, TaskReport, VerifyOutcome,
+    minimize_borders, ConstraintFamilies, DesignOutcome, EncoderConfig, Encoding, Instance, Run,
+    SolvedPlan, Stage2, TaskError, TaskKind, TaskReport,
 };
-use etcs_network::{NetworkError, Scenario, VssLayout};
+use etcs_network::{Scenario, VssLayout};
 use etcs_obs::{Obs, Span};
-use etcs_sat::{Interrupt, InterruptReason, PreprocessConfig, SatResult};
+use etcs_sat::SatResult;
 
 use crate::detect::detect;
 use crate::refine::{refine, RefineState, SelectionStrategy};
 
-/// Tuning knobs for the lazy loops.
-#[derive(Clone, Copy, Debug)]
-pub struct LazyConfig {
-    /// Which violated instances to encode per round.
-    pub strategy: SelectionStrategy,
-    /// Families to emit eagerly anyway. The default defers all three lazy
-    /// families ([`ConstraintFamilies::CORE_ONLY`]); keeping a family
-    /// eager turns its detector scan off.
-    pub eager: ConstraintFamilies,
-}
-
-impl Default for LazyConfig {
-    fn default() -> Self {
-        LazyConfig {
-            strategy: SelectionStrategy::AllViolated,
-            eager: ConstraintFamilies::CORE_ONLY,
-        }
-    }
-}
-
-impl LazyConfig {
-    /// A config with the given strategy and everything else default.
-    pub fn with_strategy(strategy: SelectionStrategy) -> Self {
-        LazyConfig {
-            strategy,
-            ..LazyConfig::default()
-        }
-    }
-}
+/// The families every lazy loop defers to the refinement rounds: all
+/// three pairwise ones (shared-segment exclusion, same-TTD separation and
+/// no-passing sweeps).
+const DEFERRED: ConstraintFamilies = ConstraintFamilies::CORE_ONLY;
 
 /// A [`TaskReport`] plus the lazy loop's own counters.
 #[derive(Debug)]
@@ -70,16 +45,6 @@ pub struct LazyReport {
     pub rounds: usize,
     /// Blocking clauses added across all refinement rounds.
     pub clauses_added: usize,
-}
-
-/// Maps a fired [`Interrupt`] to the matching [`TaskError`] (same contract
-/// as the private helper in `etcs-core`).
-fn interrupt_error(interrupt: &Interrupt) -> TaskError {
-    match interrupt.probe() {
-        Some(InterruptReason::Cancelled) => TaskError::Cancelled,
-        Some(InterruptReason::DeadlineExceeded) => TaskError::DeadlineExceeded,
-        None => unreachable!("solver returned Unknown with neither budget nor interrupt fired"),
-    }
 }
 
 /// Final bit-check: a fixpoint plan must pass the eager validator. Skipped
@@ -125,7 +90,7 @@ impl LoopState {
         inst: &Instance,
         config: &EncoderConfig,
         violations: &[crate::LazyViolation],
-        lazy: &LazyConfig,
+        strategy: SelectionStrategy,
         obs: &Obs,
         extra: &[(&'static str, etcs_obs::Value)],
     ) {
@@ -136,7 +101,7 @@ impl LoopState {
             config,
             &mut self.refine,
             violations,
-            lazy.strategy,
+            strategy,
         );
         self.clauses_added += added;
         obs.counter_add("lazy.clauses_added", added as u64);
@@ -150,81 +115,72 @@ impl LoopState {
     }
 }
 
-// ---------------------------------------------------------------------
-// Task 1 — lazy verification
-// ---------------------------------------------------------------------
-
-/// Lazy [`etcs_core::verify`]: CEGAR over the relaxed encoding instead of
-/// one monolithic solve. Returns bit-identical verdicts.
+/// The lazy task driver: [`etcs_core::run`] as a CEGAR loop over the
+/// relaxed encoding, refining the violated instances `strategy` selects.
+/// Verdicts and optima are bit-identical to the eager driver; witness
+/// plans and search statistics may differ. [`TaskKind::Optimize`] and
+/// [`TaskKind::OptimizeIncremental`] share one loop: the CEGAR walk is
+/// inherently incremental, and its optima match either eager loop.
 ///
-/// # Errors
-///
-/// Returns [`NetworkError`] if the scenario is malformed.
-pub fn verify_lazy(
-    scenario: &Scenario,
-    layout: &VssLayout,
-    config: &EncoderConfig,
-    lazy: &LazyConfig,
-) -> Result<(VerifyOutcome, LazyReport), NetworkError> {
-    verify_lazy_obs(scenario, layout, config, lazy, &Obs::disabled())
-}
-
-/// [`verify_lazy`] with observability: a `task.verify_lazy` span wrapping
-/// an `encode` child and one `lazy.round` child per CEGAR round (each with
-/// a `lazy.refine` child when violations were found).
-///
-/// # Errors
-///
-/// Returns [`NetworkError`] if the scenario is malformed.
-pub fn verify_lazy_obs(
-    scenario: &Scenario,
-    layout: &VssLayout,
-    config: &EncoderConfig,
-    lazy: &LazyConfig,
-    obs: &Obs,
-) -> Result<(VerifyOutcome, LazyReport), NetworkError> {
-    match verify_lazy_cancellable(scenario, layout, config, lazy, &Interrupt::none(), obs) {
-        Ok(r) => Ok(r),
-        Err(TaskError::Network(e)) => Err(e),
-        Err(other) => unreachable!("no interrupt installed: {other:?}"),
-    }
-}
-
-/// [`verify_lazy_obs`] with cooperative cancellation (same contract as
-/// [`etcs_core::verify_cancellable`]).
+/// Every fixpoint plan is bit-checked against `etcs-sim`'s validator
+/// (except under `allow_immediate_reoccupation`, see `bit_check`).
 ///
 /// # Errors
 ///
 /// Returns [`TaskError::Network`] if the scenario is malformed, or the
-/// interrupt-mapped error if the token fired mid-solve.
-pub fn verify_lazy_cancellable(
+/// interrupt-mapped error if `run`'s token fired mid-solve.
+///
+/// # Panics
+///
+/// Panics on [`TaskKind::Diagnose`]: diagnosis extracts unsat cores from
+/// the full eager encoding and has no lazy form.
+pub fn run(
+    scenario: &Scenario,
+    task: &TaskKind,
+    config: &EncoderConfig,
+    run: &Run,
+    strategy: SelectionStrategy,
+) -> Result<(DesignOutcome, LazyReport), TaskError> {
+    match task {
+        TaskKind::Verify(layout) => verify(scenario, layout, task, config, run, strategy),
+        TaskKind::Generate => generate(scenario, task, config, run, strategy),
+        TaskKind::Optimize | TaskKind::OptimizeIncremental => {
+            optimize(scenario, config, run, strategy)
+        }
+        TaskKind::Diagnose(_) => panic!("diagnosis has no lazy form; use `etcs_core::diagnose`"),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Task 1 — lazy verification
+// ---------------------------------------------------------------------
+
+/// [`run`] for [`TaskKind::Verify`], the lazy [`etcs_core::verify`]:
+/// CEGAR over the relaxed encoding instead of one monolithic solve.
+/// Returns bit-identical verdicts.
+///
+/// Traced as a `task.verify_lazy` span wrapping an `encode` child and
+/// one `lazy.round` child per CEGAR round (each with a `lazy.refine`
+/// child when violations were found).
+fn verify(
     scenario: &Scenario,
     layout: &VssLayout,
+    task: &TaskKind,
     config: &EncoderConfig,
-    lazy: &LazyConfig,
-    interrupt: &Interrupt,
-    obs: &Obs,
-) -> Result<(VerifyOutcome, LazyReport), TaskError> {
+    run: &Run,
+    strategy: SelectionStrategy,
+) -> Result<(DesignOutcome, LazyReport), TaskError> {
     let start = Instant::now();
-    let task = obs.span_with(
+    let obs = &run.obs;
+    let span = obs.span_with(
         "task.verify_lazy",
         &[
             ("scenario", scenario.name.as_str().into()),
-            ("strategy", lazy.strategy.name().into()),
+            ("strategy", strategy.name().into()),
         ],
     );
     let inst = Instance::new(scenario)?;
-    let enc_span = task.child("encode");
-    let mut enc = encode_with(&inst, config, &TaskKind::Verify(layout.clone()), lazy.eager);
-    enc_span.close_with(&[
-        ("vars", enc.stats.solver_vars.into()),
-        ("clauses", enc.stats.clauses.into()),
-    ]);
-    enc.solver.set_obs(obs.clone());
-    enc.solver.set_interrupt(interrupt.clone());
-    if config.preprocess {
-        enc.preprocess(&PreprocessConfig::default());
-    }
+    let mut enc = run.encode(&inst, config, task, DEFERRED, &span);
     let stats = enc.stats;
     let mut state = LoopState::new();
 
@@ -232,38 +188,51 @@ pub fn verify_lazy_cancellable(
         state.rounds += 1;
         state.calls += 1;
         obs.counter_add("lazy.rounds", 1);
-        let round = task.child_with("lazy.round", &[("round", state.rounds.into())]);
+        let round = span.child_with("lazy.round", &[("round", state.rounds.into())]);
         match enc.solver.solve() {
             SatResult::Sat(model) => {
                 let mut plan = SolvedPlan::decode(&inst, &enc.vars, &model);
                 // The verification layout is an input, not a solver choice.
                 plan.layout = layout.clone();
-                let violations = detect(&inst, &plan, config, lazy.eager);
+                let violations = detect(&inst, &plan, config, DEFERRED);
                 if violations.is_empty() {
                     round.close_with(&[("sat", true.into()), ("violations", 0usize.into())]);
-                    break VerifyOutcome::Feasible(plan);
+                    break DesignOutcome::Solved {
+                        plan,
+                        costs: Vec::new(),
+                    };
                 }
-                state.refine_round(round, &mut enc, &inst, config, &violations, lazy, obs, &[]);
+                state.refine_round(
+                    round,
+                    &mut enc,
+                    &inst,
+                    config,
+                    &violations,
+                    strategy,
+                    obs,
+                    &[],
+                );
             }
             SatResult::Unsat { .. } => {
                 round.close_with(&[("sat", false.into())]);
-                break VerifyOutcome::Infeasible;
+                break DesignOutcome::Infeasible;
             }
             SatResult::Unknown => {
+                obs.counter_add("conflicts", enc.solver.stats().conflicts);
                 round.close_with(&[("interrupted", true.into())]);
-                task.close_with(&[("interrupted", true.into())]);
-                return Err(interrupt_error(interrupt));
+                span.close_with(&[("interrupted", true.into())]);
+                return Err(TaskError::interrupted(&run.interrupt));
             }
         }
     };
 
-    if let VerifyOutcome::Feasible(plan) = &outcome {
+    if let Some(plan) = outcome.plan() {
         bit_check(&inst, plan, true, config);
     }
     let search = *enc.solver.stats();
     drop(enc); // inside the task span, so teardown is attributed to it
     obs.counter_add("conflicts", search.conflicts);
-    task.close_with(&[
+    span.close_with(&[
         ("feasible", outcome.is_feasible().into()),
         ("rounds", state.rounds.into()),
         ("clauses_added", state.clauses_added.into()),
@@ -288,89 +257,46 @@ pub fn verify_lazy_cancellable(
 // Task 2 — lazy layout generation
 // ---------------------------------------------------------------------
 
-/// Lazy [`etcs_core::generate`]: each round runs the border MaxSAT on the
-/// relaxed formula; a violated optimum is refined and re-minimised.
+/// [`run`] for [`TaskKind::Generate`], the lazy [`etcs_core::generate`]:
+/// each round runs the border MaxSAT on the relaxed formula; a violated
+/// optimum is refined and re-minimised.
 /// Returns the same minimal border count as the eager task (the relaxed
 /// optimum is a lower bound on the full optimum; a violation-free witness
 /// at that cost closes the gap).
 ///
-/// # Errors
-///
-/// Returns [`NetworkError`] if the scenario is malformed.
-pub fn generate_lazy(
+/// Traced as a `task.generate_lazy` span with an `encode` child and one
+/// `lazy.round` per CEGAR round, each wrapping the round's `stage2`
+/// MaxSAT span.
+fn generate(
     scenario: &Scenario,
+    task: &TaskKind,
     config: &EncoderConfig,
-    lazy: &LazyConfig,
-) -> Result<(DesignOutcome, LazyReport), NetworkError> {
-    generate_lazy_obs(scenario, config, lazy, &Obs::disabled())
-}
-
-/// [`generate_lazy`] with observability: a `task.generate_lazy` span with
-/// an `encode` child and one `lazy.round` per CEGAR round, each wrapping
-/// the round's `stage2` MaxSAT span.
-///
-/// # Errors
-///
-/// Returns [`NetworkError`] if the scenario is malformed.
-pub fn generate_lazy_obs(
-    scenario: &Scenario,
-    config: &EncoderConfig,
-    lazy: &LazyConfig,
-    obs: &Obs,
-) -> Result<(DesignOutcome, LazyReport), NetworkError> {
-    match generate_lazy_cancellable(scenario, config, lazy, &Interrupt::none(), obs) {
-        Ok(r) => Ok(r),
-        Err(TaskError::Network(e)) => Err(e),
-        Err(other) => unreachable!("no interrupt installed: {other:?}"),
-    }
-}
-
-/// [`generate_lazy_obs`] with cooperative cancellation (same contract as
-/// [`etcs_core::generate_cancellable`]).
-///
-/// # Errors
-///
-/// Returns [`TaskError::Network`] if the scenario is malformed, or the
-/// interrupt-mapped error if the token fired mid-solve.
-pub fn generate_lazy_cancellable(
-    scenario: &Scenario,
-    config: &EncoderConfig,
-    lazy: &LazyConfig,
-    interrupt: &Interrupt,
-    obs: &Obs,
+    run: &Run,
+    strategy: SelectionStrategy,
 ) -> Result<(DesignOutcome, LazyReport), TaskError> {
     let start = Instant::now();
-    let task = obs.span_with(
+    let obs = &run.obs;
+    let span = obs.span_with(
         "task.generate_lazy",
         &[
             ("scenario", scenario.name.as_str().into()),
-            ("strategy", lazy.strategy.name().into()),
+            ("strategy", strategy.name().into()),
         ],
     );
     let inst = Instance::new(scenario)?;
-    let enc_span = task.child("encode");
-    let mut enc = encode_with(&inst, config, &TaskKind::Generate, lazy.eager);
-    enc_span.close_with(&[
-        ("vars", enc.stats.solver_vars.into()),
-        ("clauses", enc.stats.clauses.into()),
-    ]);
-    enc.solver.set_obs(obs.clone());
-    enc.solver.set_interrupt(interrupt.clone());
-    if config.preprocess {
-        enc.preprocess(&PreprocessConfig::default());
-    }
+    let mut enc = run.encode(&inst, config, task, DEFERRED, &span);
     let stats = enc.stats;
     let mut state = LoopState::new();
 
     let outcome = loop {
         state.rounds += 1;
         obs.counter_add("lazy.rounds", 1);
-        let round = task.child_with("lazy.round", &[("round", state.rounds.into())]);
+        let round = span.child_with("lazy.round", &[("round", state.rounds.into())]);
         let (result, stage_calls) = minimize_borders(&mut enc, &inst, &[], obs);
         state.calls += stage_calls;
         match result {
             Stage2::Solved(plan, cost) => {
-                let violations = detect(&inst, &plan, config, lazy.eager);
+                let violations = detect(&inst, &plan, config, DEFERRED);
                 if violations.is_empty() {
                     round.close_with(&[
                         ("sat", true.into()),
@@ -382,7 +308,16 @@ pub fn generate_lazy_cancellable(
                         costs: vec![cost],
                     };
                 }
-                state.refine_round(round, &mut enc, &inst, config, &violations, lazy, obs, &[]);
+                state.refine_round(
+                    round,
+                    &mut enc,
+                    &inst,
+                    config,
+                    &violations,
+                    strategy,
+                    obs,
+                    &[],
+                );
             }
             Stage2::Unsat => {
                 round.close_with(&[("sat", false.into())]);
@@ -390,8 +325,8 @@ pub fn generate_lazy_cancellable(
             }
             Stage2::Interrupted => {
                 round.close_with(&[("interrupted", true.into())]);
-                task.close_with(&[("interrupted", true.into())]);
-                return Err(interrupt_error(interrupt));
+                span.close_with(&[("interrupted", true.into())]);
+                return Err(TaskError::interrupted(&run.interrupt));
             }
         }
     };
@@ -402,7 +337,7 @@ pub fn generate_lazy_cancellable(
     let search = *enc.solver.stats();
     drop(enc); // inside the task span, so teardown is attributed to it
     match &outcome {
-        DesignOutcome::Solved { costs, .. } => task.close_with(&[
+        DesignOutcome::Solved { costs, .. } => span.close_with(&[
             ("feasible", true.into()),
             ("borders", costs[0].into()),
             ("rounds", state.rounds.into()),
@@ -410,7 +345,7 @@ pub fn generate_lazy_cancellable(
             ("solver_calls", state.calls.into()),
         ]),
         DesignOutcome::Infeasible => {
-            task.close_with(&[("feasible", false.into()), ("rounds", state.rounds.into())])
+            span.close_with(&[("feasible", false.into()), ("rounds", state.rounds.into())])
         }
     }
     Ok((
@@ -432,7 +367,8 @@ pub fn generate_lazy_cancellable(
 // Task 3 — lazy schedule optimisation
 // ---------------------------------------------------------------------
 
-/// Lazy [`etcs_core::optimize_incremental`]: a witness-bracketed search
+/// [`run`] for both optimisation kinds, the lazy
+/// [`etcs_core::optimize_incremental`]: a witness-bracketed search
 /// over the deadline selectors, with an inner CEGAR loop per probe. The
 /// first probe is *optimistic* — the completion lower bound, which on
 /// uncongested instances is the optimum outright; if it is refuted, a
@@ -447,72 +383,33 @@ pub fn generate_lazy_cancellable(
 /// violation-free. Returns bit-identical optima `(deadline, borders)` to
 /// the eager loop.
 ///
-/// # Errors
-///
-/// Returns [`NetworkError`] if the scenario is malformed.
-pub fn optimize_lazy(
+/// Traced as a `task.optimize_lazy` span with an `encode` child and one
+/// `lazy.round` per probe (fields: `round`, `deadline`, `sat`, and on
+/// refinement `violations` / `clauses`).
+fn optimize(
     scenario: &Scenario,
     config: &EncoderConfig,
-    lazy: &LazyConfig,
-) -> Result<(DesignOutcome, LazyReport), NetworkError> {
-    optimize_lazy_obs(scenario, config, lazy, &Obs::disabled())
-}
-
-/// [`optimize_lazy`] with observability: a `task.optimize_lazy` span with
-/// an `encode` child and one `lazy.round` per probe (fields: `round`,
-/// `deadline`, `sat`, and on refinement `violations` / `clauses`).
-///
-/// # Errors
-///
-/// Returns [`NetworkError`] if the scenario is malformed.
-pub fn optimize_lazy_obs(
-    scenario: &Scenario,
-    config: &EncoderConfig,
-    lazy: &LazyConfig,
-    obs: &Obs,
-) -> Result<(DesignOutcome, LazyReport), NetworkError> {
-    match optimize_lazy_cancellable(scenario, config, lazy, &Interrupt::none(), obs) {
-        Ok(r) => Ok(r),
-        Err(TaskError::Network(e)) => Err(e),
-        Err(other) => unreachable!("no interrupt installed: {other:?}"),
-    }
-}
-
-/// [`optimize_lazy_obs`] with cooperative cancellation (same contract as
-/// [`etcs_core::optimize_incremental_cancellable`]).
-///
-/// # Errors
-///
-/// Returns [`TaskError::Network`] if the scenario is malformed, or the
-/// interrupt-mapped error if the token fired mid-solve.
-pub fn optimize_lazy_cancellable(
-    scenario: &Scenario,
-    config: &EncoderConfig,
-    lazy: &LazyConfig,
-    interrupt: &Interrupt,
-    obs: &Obs,
+    run: &Run,
+    strategy: SelectionStrategy,
 ) -> Result<(DesignOutcome, LazyReport), TaskError> {
     let start = Instant::now();
-    let task = obs.span_with(
+    let obs = &run.obs;
+    let span = obs.span_with(
         "task.optimize_lazy",
         &[
             ("scenario", scenario.name.as_str().into()),
-            ("strategy", lazy.strategy.name().into()),
+            ("strategy", strategy.name().into()),
         ],
     );
     let open = scenario.without_arrivals();
     let inst = Instance::new(&open)?;
-    let enc_span = task.child("encode");
-    let mut enc = encode_with(&inst, config, &TaskKind::OptimizeIncremental, lazy.eager);
-    enc_span.close_with(&[
-        ("vars", enc.stats.solver_vars.into()),
-        ("clauses", enc.stats.clauses.into()),
-    ]);
-    enc.solver.set_obs(obs.clone());
-    enc.solver.set_interrupt(interrupt.clone());
-    if config.preprocess {
-        enc.preprocess(&PreprocessConfig::default());
-    }
+    let mut enc = run.encode(
+        &inst,
+        config,
+        &TaskKind::OptimizeIncremental,
+        DEFERRED,
+        &span,
+    );
     let stats = enc.stats;
     let mut state = LoopState::new();
 
@@ -542,7 +439,7 @@ pub fn optimize_lazy_cancellable(
         state.calls += 1;
         obs.counter_add("lazy.rounds", 1);
         obs.counter_add("probes", 1);
-        let round = task.child_with(
+        let round = span.child_with(
             "lazy.round",
             &[("round", state.rounds.into()), ("deadline", d.into())],
         );
@@ -553,7 +450,7 @@ pub fn optimize_lazy_cancellable(
         match verdict {
             SatResult::Sat(model) => {
                 let plan = SolvedPlan::decode(&inst, &enc.vars, &model);
-                let violations = detect(&inst, &plan, config, lazy.eager);
+                let violations = detect(&inst, &plan, config, DEFERRED);
                 if violations.is_empty() {
                     let achieved = plan.completion_steps(&inst).saturating_sub(1).min(d);
                     debug_assert!(achieved >= lower, "witness beats the lower bound");
@@ -575,7 +472,7 @@ pub fn optimize_lazy_cancellable(
                         &inst,
                         config,
                         &violations,
-                        lazy,
+                        strategy,
                         obs,
                         &[("deadline", d.into())],
                     );
@@ -603,15 +500,15 @@ pub fn optimize_lazy_cancellable(
             }
             SatResult::Unknown => {
                 round.close_with(&[("interrupted", true.into())]);
-                task.close_with(&[("interrupted", true.into())]);
-                return Err(interrupt_error(interrupt));
+                span.close_with(&[("interrupted", true.into())]);
+                return Err(TaskError::interrupted(&run.interrupt));
             }
         }
     }
     let Some(best_deadline) = upper else {
         let search = *enc.solver.stats();
         drop(enc); // inside the task span, so teardown is attributed to it
-        task.close_with(&[
+        span.close_with(&[
             ("feasible", false.into()),
             ("rounds", state.rounds.into()),
             ("clauses_added", state.clauses_added.into()),
@@ -645,7 +542,7 @@ pub fn optimize_lazy_cancellable(
     let (plan, border_cost) = loop {
         state.rounds += 1;
         obs.counter_add("lazy.rounds", 1);
-        let round = task.child_with(
+        let round = span.child_with(
             "lazy.round",
             &[
                 ("round", state.rounds.into()),
@@ -656,7 +553,7 @@ pub fn optimize_lazy_cancellable(
         state.calls += stage_calls;
         match result {
             Stage2::Solved(plan, cost) => {
-                let violations = detect(&inst, &plan, config, lazy.eager);
+                let violations = detect(&inst, &plan, config, DEFERRED);
                 if violations.is_empty() {
                     round.close_with(&[
                         ("sat", true.into()),
@@ -671,7 +568,7 @@ pub fn optimize_lazy_cancellable(
                     &inst,
                     config,
                     &violations,
-                    lazy,
+                    strategy,
                     obs,
                     &[("deadline", best_deadline.into())],
                 );
@@ -681,8 +578,8 @@ pub fn optimize_lazy_cancellable(
             }
             Stage2::Interrupted => {
                 round.close_with(&[("interrupted", true.into())]);
-                task.close_with(&[("interrupted", true.into())]);
-                return Err(interrupt_error(interrupt));
+                span.close_with(&[("interrupted", true.into())]);
+                return Err(TaskError::interrupted(&run.interrupt));
             }
         }
     };
@@ -690,7 +587,7 @@ pub fn optimize_lazy_cancellable(
     bit_check(&inst, &plan, false, config);
     let search = *enc.solver.stats();
     drop(enc); // inside the task span, so teardown is attributed to it
-    task.close_with(&[
+    span.close_with(&[
         ("feasible", true.into()),
         ("deadline", best_deadline.into()),
         ("borders", border_cost.into()),

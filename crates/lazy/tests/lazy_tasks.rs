@@ -3,15 +3,26 @@
 //! cancellation.
 
 use etcs_core::{
-    generate, optimize_incremental, verify, DesignOutcome, EncoderConfig, TaskError, VerifyOutcome,
+    generate, optimize_incremental, verify, DesignOutcome, EncoderConfig, Run, TaskError, TaskKind,
 };
-use etcs_lazy::{
-    generate_lazy, optimize_lazy, optimize_lazy_cancellable, verify_lazy, verify_lazy_obs,
-    LazyConfig, SelectionStrategy,
-};
-use etcs_network::{fixtures, VssLayout};
+use etcs_lazy::{LazyReport, SelectionStrategy};
+use etcs_network::{fixtures, Scenario, VssLayout};
 use etcs_obs::{EventKind, Obs};
 use etcs_sat::Interrupt;
+
+/// [`etcs_lazy::run`] untraced and uninterruptible, under `AllViolated`.
+fn lazy(scenario: &Scenario, task: TaskKind) -> (DesignOutcome, LazyReport) {
+    lazy_with(scenario, task, SelectionStrategy::AllViolated)
+}
+
+fn lazy_with(
+    scenario: &Scenario,
+    task: TaskKind,
+    strategy: SelectionStrategy,
+) -> (DesignOutcome, LazyReport) {
+    let config = EncoderConfig::default();
+    etcs_lazy::run(scenario, &task, &config, &Run::default(), strategy).expect("well-formed")
+}
 
 fn costs(outcome: &DesignOutcome) -> Option<&[u64]> {
     match outcome {
@@ -24,12 +35,10 @@ fn costs(outcome: &DesignOutcome) -> Option<&[u64]> {
 fn lazy_verification_matches_eager_on_running_example() {
     let scenario = fixtures::running_example();
     let config = EncoderConfig::default();
-    let lazy = LazyConfig::default();
 
     // Pure TTD deadlocks (the paper's Example 2) under both paths …
     let (eager, _) = verify(&scenario, &VssLayout::pure_ttd(), &config).expect("well-formed");
-    let (outcome, report) =
-        verify_lazy(&scenario, &VssLayout::pure_ttd(), &config, &lazy).expect("well-formed");
+    let (outcome, report) = lazy(&scenario, TaskKind::Verify(VssLayout::pure_ttd()));
     assert_eq!(eager.is_feasible(), outcome.is_feasible());
     assert!(report.rounds >= 1);
 
@@ -37,12 +46,12 @@ fn lazy_verification_matches_eager_on_running_example() {
     let (designed, _) = generate(&scenario, &config).expect("well-formed");
     let layout = &designed.plan().expect("feasible").layout;
     let (eager, _) = verify(&scenario, layout, &config).expect("well-formed");
-    let (outcome, report) = verify_lazy(&scenario, layout, &config, &lazy).expect("well-formed");
+    let (outcome, report) = lazy(&scenario, TaskKind::Verify(layout.clone()));
     assert!(eager.is_feasible() && outcome.is_feasible());
     // The relaxation starts without any separation clauses, so at least
     // one refinement round must have fired on a two-train scenario.
     assert!(report.clauses_added >= 1, "expected refinement to happen");
-    if let VerifyOutcome::Feasible(plan) = &outcome {
+    if let Some(plan) = outcome.plan() {
         assert_eq!(plan.layout, *layout, "layout is an input, not a choice");
     }
 }
@@ -52,8 +61,7 @@ fn lazy_generation_matches_eager_border_optimum() {
     for scenario in [fixtures::running_example(), fixtures::convoy()] {
         let config = EncoderConfig::default();
         let (eager, _) = generate(&scenario, &config).expect("well-formed");
-        let (outcome, report) =
-            generate_lazy(&scenario, &config, &LazyConfig::default()).expect("well-formed");
+        let (outcome, report) = lazy(&scenario, TaskKind::Generate);
         assert_eq!(
             costs(&eager),
             costs(&outcome),
@@ -69,8 +77,7 @@ fn lazy_optimization_matches_eager_optima() {
     for scenario in [fixtures::running_example(), fixtures::convoy()] {
         let config = EncoderConfig::default();
         let (eager, _) = optimize_incremental(&scenario, &config).expect("well-formed");
-        let (outcome, report) =
-            optimize_lazy(&scenario, &config, &LazyConfig::default()).expect("well-formed");
+        let (outcome, report) = lazy(&scenario, TaskKind::OptimizeIncremental);
         assert_eq!(
             costs(&eager),
             costs(&outcome),
@@ -84,11 +91,9 @@ fn lazy_optimization_matches_eager_optima() {
 #[test]
 fn all_selection_strategies_agree() {
     let scenario = fixtures::running_example();
-    let config = EncoderConfig::default();
     let mut optima = Vec::new();
     for strategy in SelectionStrategy::ALL {
-        let lazy = LazyConfig::with_strategy(strategy);
-        let (outcome, _) = optimize_lazy(&scenario, &config, &lazy).expect("well-formed");
+        let (outcome, _) = lazy_with(&scenario, TaskKind::OptimizeIncremental, strategy);
         optima.push(costs(&outcome).expect("feasible").to_vec());
     }
     assert_eq!(optima[0], optima[1], "all-violated vs first-violated");
@@ -102,9 +107,14 @@ fn traced_lazy_run_emits_the_round_and_refine_vocabulary() {
     let (designed, _) = generate(&scenario, &config).expect("well-formed");
     let layout = &designed.plan().expect("feasible").layout;
     let (obs, sink) = Obs::memory();
+    let traced = Run {
+        obs: obs.clone(),
+        ..Run::default()
+    };
+    let task = TaskKind::Verify(layout.clone());
+    let strategy = SelectionStrategy::AllViolated;
     let (outcome, report) =
-        verify_lazy_obs(&scenario, layout, &config, &LazyConfig::default(), &obs)
-            .expect("well-formed");
+        etcs_lazy::run(&scenario, &task, &config, &traced, strategy).expect("well-formed");
     assert!(outcome.is_feasible());
 
     let events = sink.events();
@@ -147,12 +157,16 @@ fn pre_fired_interrupt_cancels_the_lazy_loop() {
     let scenario = fixtures::running_example();
     let interrupt = Interrupt::new();
     interrupt.trigger();
-    let err = optimize_lazy_cancellable(
+    let cancelled = Run {
+        interrupt,
+        ..Run::default()
+    };
+    let err = etcs_lazy::run(
         &scenario,
+        &TaskKind::OptimizeIncremental,
         &EncoderConfig::default(),
-        &LazyConfig::default(),
-        &interrupt,
-        &Obs::disabled(),
+        &cancelled,
+        SelectionStrategy::AllViolated,
     )
     .expect_err("must cancel");
     assert_eq!(err, TaskError::Cancelled);

@@ -36,13 +36,13 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 use etcs_core::{
-    encode, minimize_borders, sub_fingerprints, EncoderConfig, Encoding, Instance, SolvedPlan,
-    Stage2, TaskError, TaskKind,
+    minimize_borders, sub_fingerprints, walk_up_deadlines, ConstraintFamilies, DesignOutcome,
+    EncoderConfig, Encoding, Instance, Run, SolvedPlan, Stage1, Stage2, TaskError, TaskKind,
 };
-use etcs_lazy::{optimize_lazy_cancellable, LazyConfig};
+use etcs_lazy::SelectionStrategy;
 use etcs_network::Scenario;
 use etcs_obs::{Obs, Span};
-use etcs_sat::{Interrupt, PreprocessConfig, SatResult};
+use etcs_sat::Interrupt;
 
 use crate::delta::{DeltaError, LiveScenario, ScenarioDelta};
 
@@ -163,16 +163,18 @@ impl WarmCore {
     ) -> Self {
         let open = scenario.without_arrivals();
         let inst = Instance::new(&open).expect("live scenario discretises (checked on apply)");
-        let enc_span = tick.child("encode");
-        let mut enc = encode(&inst, config, &TaskKind::OptimizeIncremental);
-        enc_span.close_with(&[
-            ("vars", enc.stats.solver_vars.into()),
-            ("clauses", enc.stats.clauses.into()),
-        ]);
-        enc.solver.set_obs(obs.clone());
-        if config.preprocess {
-            enc.preprocess(&PreprocessConfig::default());
-        }
+        // No interrupt yet: each tick installs its own token.
+        let traced = Run {
+            obs: obs.clone(),
+            ..Run::default()
+        };
+        let enc = traced.encode(
+            &inst,
+            config,
+            &TaskKind::OptimizeIncremental,
+            ConstraintFamilies::ALL,
+            tick,
+        );
         let max_deadline = inst.t_max - 1;
         let floor = inst.completion_lower_bound().min(max_deadline);
         WarmCore {
@@ -415,86 +417,50 @@ impl ReplanSession {
         };
         w.enc.solver.set_interrupt(token.clone());
         let conflicts_before = w.enc.solver.stats().conflicts;
-        let max_deadline = w.inst.t_max - 1;
-        let mut calls = 0usize;
-        let mut best = None;
-        let mut missed = false;
-        for d in w.floor..=max_deadline {
-            calls += 1;
-            let assumptions = w.enc.deadline_probe_assumptions(&w.inst, d);
-            let probe = span.child_with("probe", &[("deadline", d.into())]);
-            let before = w.enc.solver.stats().conflicts;
-            let verdict = w.enc.solver.solve_with(&assumptions);
-            let delta = w.enc.solver.stats().conflicts - before;
-            self.obs.counter_add("probes", 1);
-            self.obs.counter_add("conflicts", delta);
-            probe.close_with(&[
-                ("deadline", d.into()),
-                ("sat", matches!(verdict, SatResult::Sat(_)).into()),
-                ("conflicts", delta.into()),
-            ]);
-            match verdict {
-                SatResult::Sat(_) => {
-                    best = Some(d);
-                    break;
-                }
-                SatResult::Unsat { .. } => {
-                    // Refuted once, refuted forever on this core: kill
-                    // the selector at level 0 and advance the floor so no
-                    // later tick re-probes a dead deadline.
-                    if let Some(&sel) = w.enc.step_selectors.get(d).and_then(|s| s.as_ref()) {
-                        w.enc.solver.add_clause([!sel]);
-                    }
-                    w.floor = d + 1;
-                }
-                SatResult::Unknown => {
-                    missed = true;
-                    break;
-                }
-            }
-        }
-
-        let solve = if missed {
-            Solve::Missed {
+        let (stage1, mut calls) =
+            walk_up_deadlines(&mut w.enc, &w.inst, &mut w.floor, span, &self.obs);
+        let solve = match stage1 {
+            Stage1::Interrupted => Solve::Missed {
                 warm,
                 conflicts: w.enc.solver.stats().conflicts - conflicts_before,
                 solver_calls: calls,
+            },
+            Stage1::Sat(d) => {
+                // Stage 2 with the winning deadline as *assumptions* —
+                // never unit clauses — so the solver stays probe-able next
+                // tick.
+                let assumptions = w.enc.deadline_probe_assumptions(&w.inst, d);
+                let (result, stage2_calls) =
+                    minimize_borders(&mut w.enc, &w.inst, &assumptions, &self.obs);
+                calls += stage2_calls;
+                let conflicts = w.enc.solver.stats().conflicts - conflicts_before;
+                match result {
+                    Stage2::Solved(plan, borders) => Solve::Fresh {
+                        warm,
+                        feasible: true,
+                        costs: vec![d as u64 + 1, borders],
+                        plan: Some(plan),
+                        conflicts,
+                        solver_calls: calls,
+                    },
+                    Stage2::Unsat => unreachable!("the probed deadline was satisfiable"),
+                    Stage2::Interrupted => Solve::Missed {
+                        warm,
+                        conflicts,
+                        solver_calls: calls,
+                    },
+                }
             }
-        } else if let Some(d) = best {
-            // Stage 2 with the winning deadline as *assumptions* — never
-            // unit clauses — so the solver stays probe-able next tick.
-            let assumptions = w.enc.deadline_probe_assumptions(&w.inst, d);
-            let (result, stage2_calls) =
-                minimize_borders(&mut w.enc, &w.inst, &assumptions, &self.obs);
-            calls += stage2_calls;
-            let conflicts = w.enc.solver.stats().conflicts - conflicts_before;
-            match result {
-                Stage2::Solved(plan, borders) => Solve::Fresh {
-                    warm,
-                    feasible: true,
-                    costs: vec![d as u64 + 1, borders],
-                    plan: Some(plan),
-                    conflicts,
-                    solver_calls: calls,
-                },
-                Stage2::Unsat => unreachable!("the probed deadline was satisfiable"),
-                Stage2::Interrupted => Solve::Missed {
-                    warm,
-                    conflicts,
-                    solver_calls: calls,
-                },
-            }
-        } else {
             // Every deadline refuted: the floor sits beyond the horizon
             // and later ticks on this core answer infeasible instantly.
-            Solve::Fresh {
+            Stage1::Unsat => Solve::Fresh {
                 warm,
                 feasible: false,
                 costs: Vec::new(),
                 plan: None,
                 conflicts: w.enc.solver.stats().conflicts - conflicts_before,
                 solver_calls: calls,
-            }
+            },
         };
 
         self.warm.push_front(w);
@@ -504,17 +470,21 @@ impl ReplanSession {
 
     /// The lazy path: a cold CEGAR re-solve per tick.
     fn tick_lazy(&mut self, token: &Interrupt) -> Solve {
-        match optimize_lazy_cancellable(
+        let run = Run {
+            obs: self.obs.clone(),
+            interrupt: token.clone(),
+        };
+        match etcs_lazy::run(
             self.live.current(),
+            &TaskKind::OptimizeIncremental,
             &self.config.encoder,
-            &LazyConfig::default(),
-            token,
-            &self.obs,
+            &run,
+            SelectionStrategy::AllViolated,
         ) {
             Ok((outcome, report)) => {
                 let (feasible, costs, plan) = match outcome {
-                    etcs_core::DesignOutcome::Solved { plan, costs } => (true, costs, Some(plan)),
-                    etcs_core::DesignOutcome::Infeasible => (false, Vec::new(), None),
+                    DesignOutcome::Solved { plan, costs } => (true, costs, Some(plan)),
+                    DesignOutcome::Infeasible => (false, Vec::new(), None),
                 };
                 Solve::Fresh {
                     warm: false,

@@ -7,14 +7,10 @@ use std::fmt;
 use std::time::Duration;
 
 use etcs_core::{
-    cache_key, diagnose_cancellable, generate_cancellable, optimize_cancellable,
-    optimize_incremental_cancellable, verify_cancellable, DesignOutcome, Diagnosis, EncoderConfig,
-    EncodingStats, SolvedPlan, TaskError, TaskKind, TaskReport, VerifyOutcome,
+    cache_key, diagnose_cancellable, DesignOutcome, Diagnosis, EncoderConfig, EncodingStats, Run,
+    SolvedPlan, TaskError, TaskKind, TaskReport,
 };
-use etcs_lazy::{
-    generate_lazy_cancellable, optimize_lazy_cancellable, verify_lazy_cancellable, LazyConfig,
-    SelectionStrategy,
-};
+use etcs_lazy::SelectionStrategy;
 use etcs_network::{Scenario, VssLayout};
 use etcs_obs::Obs;
 use etcs_sat::{Interrupt, Stats};
@@ -495,25 +491,6 @@ pub struct JobResponse {
     pub wall: Duration,
 }
 
-fn payload_from_report(
-    kind: JobKind,
-    feasible: bool,
-    costs: Vec<u64>,
-    plan: Option<SolvedPlan>,
-    report: TaskReport,
-) -> JobPayload {
-    JobPayload {
-        kind,
-        feasible,
-        costs,
-        plan,
-        diagnosis: None,
-        stats: report.stats,
-        solver_calls: report.solver_calls,
-        search: report.search,
-    }
-}
-
 /// Runs a request directly — no queue, no cache — and maps the result into
 /// a [`JobOutcome`]. This is the exact function the worker pool executes on
 /// cache misses, exposed so callers (and the bit-identical cache tests) can
@@ -525,48 +502,14 @@ pub fn execute(
     obs: &Obs,
 ) -> JobOutcome {
     let config = &request.effective_config(config);
-    let lazy = request.lazy.map(LazyConfig::with_strategy);
-    let result = match request.kind {
-        JobKind::Verify => match lazy {
-            Some(lazy) => verify_lazy_cancellable(
-                &request.scenario,
-                &request.layout,
-                config,
-                &lazy,
-                interrupt,
-                obs,
-            )
-            .map(|(outcome, lr)| verify_payload(request.kind, outcome, lr.report)),
-            None => verify_cancellable(&request.scenario, &request.layout, config, interrupt, obs)
-                .map(|(outcome, report)| verify_payload(request.kind, outcome, report)),
-        },
-        JobKind::Generate => match lazy {
-            Some(lazy) => {
-                generate_lazy_cancellable(&request.scenario, config, &lazy, interrupt, obs)
-                    .map(|(outcome, lr)| design_payload(request.kind, outcome, lr.report))
-            }
-            None => generate_cancellable(&request.scenario, config, interrupt, obs)
-                .map(|(outcome, report)| design_payload(request.kind, outcome, report)),
-        },
-        // Both optimisation kinds share one lazy loop: the CEGAR walk is
-        // inherently incremental, and its optima match either eager loop.
-        JobKind::Optimize | JobKind::OptimizeIncremental if lazy.is_some() => {
-            optimize_lazy_cancellable(
-                &request.scenario,
-                config,
-                &lazy.expect("guarded"),
-                interrupt,
-                obs,
-            )
-            .map(|(outcome, lr)| design_payload(request.kind, outcome, lr.report))
-        }
-        JobKind::Optimize => optimize_cancellable(&request.scenario, config, interrupt, obs)
-            .map(|(outcome, report)| design_payload(request.kind, outcome, report)),
-        JobKind::OptimizeIncremental => {
-            optimize_incremental_cancellable(&request.scenario, config, interrupt, obs)
-                .map(|(outcome, report)| design_payload(request.kind, outcome, report))
-        }
-        JobKind::Diagnose => {
+    let run = Run {
+        obs: obs.clone(),
+        interrupt: interrupt.clone(),
+    };
+    let result = match (request.kind, request.lazy) {
+        // Diagnosis has no lazy form: its MUS extraction needs the full
+        // eager encoding.
+        (JobKind::Diagnose, _) => {
             diagnose_cancellable(&request.scenario, &request.layout, config, interrupt).map(
                 |diagnosis| JobPayload {
                     kind: request.kind,
@@ -580,6 +523,16 @@ pub fn execute(
                 },
             )
         }
+        (_, Some(strategy)) => etcs_lazy::run(
+            &request.scenario,
+            &request.task_kind(),
+            config,
+            &run,
+            strategy,
+        )
+        .map(|(outcome, lr)| design_payload(request.kind, outcome, lr.report)),
+        (_, None) => etcs_core::run(&request.scenario, &request.task_kind(), config, &run)
+            .map(|(outcome, report)| design_payload(request.kind, outcome, report)),
     };
     match result {
         Ok(payload) => JobOutcome::Done(Box::new(payload)),
@@ -589,21 +542,21 @@ pub fn execute(
     }
 }
 
-fn verify_payload(kind: JobKind, outcome: VerifyOutcome, report: TaskReport) -> JobPayload {
-    match outcome {
-        VerifyOutcome::Feasible(plan) => {
-            payload_from_report(kind, true, Vec::new(), Some(plan), report)
-        }
-        VerifyOutcome::Infeasible => payload_from_report(kind, false, Vec::new(), None, report),
-    }
-}
-
+/// The payload of a finished verify, generate or optimise task.
 fn design_payload(kind: JobKind, outcome: DesignOutcome, report: TaskReport) -> JobPayload {
-    match outcome {
-        DesignOutcome::Solved { plan, costs } => {
-            payload_from_report(kind, true, costs, Some(plan), report)
-        }
-        DesignOutcome::Infeasible => payload_from_report(kind, false, Vec::new(), None, report),
+    let (feasible, costs, plan) = match outcome {
+        DesignOutcome::Solved { plan, costs } => (true, costs, Some(plan)),
+        DesignOutcome::Infeasible => (false, Vec::new(), None),
+    };
+    JobPayload {
+        kind,
+        feasible,
+        costs,
+        plan,
+        diagnosis: None,
+        stats: report.stats,
+        solver_calls: report.solver_calls,
+        search: report.search,
     }
 }
 

@@ -32,6 +32,12 @@
 //! (CEGAR) loops that defer the pairwise train-interaction constraints
 //! and refine only the violated instances.
 //!
+//! Every task goes through one driver: [`run`] takes the task as a
+//! [`TaskKind`] and a [`Run`] holding an observability handle and a
+//! cancellation token, both off by default; [`lazy::run`] takes the same
+//! arguments plus the CEGAR selection strategy. [`verify`], [`generate`],
+//! [`optimize`] and [`optimize_incremental`] are one-line calls of [`run`].
+//!
 //! ## Quick start
 //!
 //! ```
@@ -54,21 +60,48 @@
 //! assert!(etcs::sim::validate(&instance, plan, true).is_valid());
 //! # Ok::<(), etcs::NetworkError>(())
 //! ```
+//!
+//! The same generation, traced and then re-run lazily:
+//!
+//! ```
+//! use etcs::lazy::SelectionStrategy;
+//! use etcs::obs::Obs;
+//! use etcs::prelude::*;
+//!
+//! let scenario = fixtures::running_example();
+//! let config = EncoderConfig::default();
+//! let (obs, sink) = Obs::memory();
+//! let traced = Run { obs, ..Run::default() };
+//! let (eager, _) = run(&scenario, &TaskKind::Generate, &config, &traced)?;
+//! assert!(sink.events().iter().any(|e| e.name == "task.generate"));
+//!
+//! let (lazy, report) = etcs::lazy::run(
+//!     &scenario,
+//!     &TaskKind::Generate,
+//!     &config,
+//!     &Run::default(),
+//!     SelectionStrategy::AllViolated,
+//! )?;
+//! assert!(report.rounds >= 1);
+//! // Same minimal border count, whichever loop found it.
+//! let borders = |o: &DesignOutcome| match o {
+//!     DesignOutcome::Solved { costs, .. } => Some(costs[0]),
+//!     DesignOutcome::Infeasible => None,
+//! };
+//! assert_eq!(borders(&eager), borders(&lazy));
+//! # Ok::<(), etcs::TaskError>(())
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use etcs_core::{
     border_tradeoff, cache_key, diagnose, diagnose_cancellable, diagnose_certified, encode,
-    generate, generate_cancellable, generate_certified, generate_obs, optimize, optimize_all,
-    optimize_all_obs, optimize_all_with_threads, optimize_arrivals, optimize_cancellable,
-    optimize_certified, optimize_incremental, optimize_incremental_cancellable,
-    optimize_incremental_obs, optimize_obs, optimize_portfolio, optimize_portfolio_obs,
-    optimize_with_budget, verify, verify_all, verify_all_obs, verify_all_with_threads,
-    verify_cancellable, verify_certified, verify_obs, Certification, CertifiedVerdict,
-    CertifyError, DesignOutcome, Diagnosis, EncoderConfig, Encoding, EncodingStats, EncodingTrace,
-    ExitPolicy, Instance, LayoutExplorer, OptimizeMode, SolveMode, SolvedPlan, TaskError, TaskKind,
-    TaskReport, TradeoffPoint, TrainPlan, TrainSpec, VerifyOutcome,
+    generate, generate_certified, optimize, optimize_arrivals, optimize_certified,
+    optimize_incremental, optimize_with_budget, run, verify, verify_certified, Certification,
+    CertifiedVerdict, CertifyError, DesignOutcome, Diagnosis, EncoderConfig, Encoding,
+    EncodingStats, EncodingTrace, ExitPolicy, Instance, LayoutExplorer, Run, SolveMode, SolvedPlan,
+    TaskError, TaskKind, TaskReport, TradeoffPoint, TrainPlan, TrainSpec, VerifyOutcome,
 };
 pub use etcs_network::{
     fixtures, parse_scenario, write_scenario, DiscreteNet, EdgeId, KmPerHour, Meters,
@@ -99,8 +132,8 @@ pub mod lint {
 
 /// Structured run observability: spans, events, metrics and JSONL traces.
 ///
-/// Pass an enabled [`obs::Obs`] handle to any `*_obs` task entry point
-/// (e.g. [`optimize_obs`]) to record a replayable event stream; the plain
+/// Put an enabled [`obs::Obs`] handle in the [`Run`] passed to [`run`] (or
+/// to [`lazy::run`]) to record a replayable event stream; the plain
 /// entry points run with tracing off at zero cost.
 pub mod obs {
     pub use etcs_obs::*;
@@ -152,10 +185,10 @@ pub mod lazy {
 pub mod prelude {
     pub use crate::{
         diagnose, diagnose_certified, fixtures, generate, generate_certified, optimize,
-        optimize_all, optimize_arrivals, optimize_certified, optimize_incremental,
-        optimize_portfolio, verify, verify_all, verify_certified, Certification, CertifiedVerdict,
-        DesignOutcome, Diagnosis, EncoderConfig, Instance, LayoutExplorer, NetworkBuilder,
-        OptimizeMode, Scenario, Schedule, SolveMode, Train, TrainRun, VerifyOutcome, VssLayout,
+        optimize_arrivals, optimize_certified, optimize_incremental, run, verify, verify_certified,
+        Certification, CertifiedVerdict, DesignOutcome, Diagnosis, EncoderConfig, Instance,
+        LayoutExplorer, NetworkBuilder, Run, Scenario, Schedule, SolveMode, TaskKind, Train,
+        TrainRun, VerifyOutcome, VssLayout,
     };
     pub use crate::{KmPerHour, Meters, Seconds};
 }

@@ -8,7 +8,7 @@
 //! replayable from the instance name in the assertion message.
 
 use etcs::corpus::{sample_specs, Family, InstanceSpec, SizeClass, SolveSetup};
-use etcs::lazy::{optimize_lazy, verify_lazy, LazyConfig, SelectionStrategy};
+use etcs::lazy::SelectionStrategy;
 use etcs::prelude::*;
 
 /// Instances per family (the issue floor is 30).
@@ -47,12 +47,13 @@ fn assert_instance_agrees(spec: &InstanceSpec) {
     assert_sim_valid(&scenario, &eager, "eager");
 
     for strategy in SelectionStrategy::ALL {
-        let lazy = LazyConfig::with_strategy(strategy);
-        let (outcome, _) = optimize_lazy(&scenario, &config, &lazy).expect("well-formed");
+        let task = TaskKind::OptimizeIncremental;
+        let (outcome, _) = etcs::lazy::run(&scenario, &task, &config, &Run::default(), strategy)
+            .expect("well-formed");
         assert_eq!(
             optimum(&outcome),
             baseline,
-            "{}: optimize_lazy({}) diverged from eager",
+            "{}: lazy optimize ({}) diverged from eager",
             scenario.name,
             strategy.name()
         );
@@ -122,14 +123,15 @@ fn verify_full_layout_agrees_across_families() {
                     scenario.name
                 );
             }
+            let task = TaskKind::Verify(layout.clone());
             for strategy in SelectionStrategy::ALL {
-                let lazy = LazyConfig::with_strategy(strategy);
                 let (relaxed, _) =
-                    verify_lazy(&scenario, &layout, &config, &lazy).expect("well-formed");
+                    etcs::lazy::run(&scenario, &task, &config, &Run::default(), strategy)
+                        .expect("well-formed");
                 assert_eq!(
                     eager.is_feasible(),
                     relaxed.is_feasible(),
-                    "{}: verify_lazy({}) diverged",
+                    "{}: lazy verify ({}) diverged",
                     scenario.name,
                     strategy.name()
                 );

@@ -1,14 +1,14 @@
 //! Differential tests for the lazy (CEGAR) task loops: on random testkit
-//! topologies and on the interaction-dense fixtures, `verify_lazy` must
-//! return **bit-identical** verdicts and `optimize_lazy` **bit-identical**
-//! optima `(deadline, borders)` to the eager loops — under every
+//! topologies and on the interaction-dense fixtures, lazy verification
+//! must return **bit-identical** verdicts and lazy optimisation
+//! **bit-identical** optima `(deadline, borders)` to the eager loops — under every
 //! Engels–Wille selection strategy. The lazy loops differ from the eager
 //! ones in *what* they encode (a relaxation refined on demand), so any
 //! soundness gap in the refiner — a blocking clause not implied by the
 //! full formula, a violation the detector misses — surfaces here as a
 //! verdict or cost divergence.
 
-use etcs::lazy::{optimize_lazy, verify_lazy, LazyConfig, SelectionStrategy};
+use etcs::lazy::SelectionStrategy;
 use etcs::network::generator::{branched_line, single_track_line, BranchConfig, LineConfig};
 use etcs::prelude::*;
 use etcs_testkit::{cases, Rng};
@@ -67,13 +67,14 @@ fn optimum(outcome: &DesignOutcome) -> Option<(u64, u64)> {
 /// strategy, asserting bit-identical verdicts.
 fn assert_verify_agrees(scenario: &Scenario, layout: &VssLayout) {
     let (eager, _) = verify(scenario, layout, &config()).expect("well-formed");
+    let task = TaskKind::Verify(layout.clone());
     for strategy in SelectionStrategy::ALL {
-        let lazy = LazyConfig::with_strategy(strategy);
-        let (relaxed, _) = verify_lazy(scenario, layout, &config(), &lazy).expect("well-formed");
+        let (relaxed, _) = etcs::lazy::run(scenario, &task, &config(), &Run::default(), strategy)
+            .expect("well-formed");
         assert_eq!(
             eager.is_feasible(),
             relaxed.is_feasible(),
-            "{}: verify_lazy({}) diverged from verify",
+            "{}: lazy verify ({}) diverged from verify",
             scenario.name,
             strategy.name()
         );
@@ -85,12 +86,13 @@ fn assert_verify_agrees(scenario: &Scenario, layout: &VssLayout) {
 fn assert_optimize_agrees(scenario: &Scenario) {
     let (eager, _) = optimize_incremental(scenario, &config()).expect("well-formed");
     for strategy in SelectionStrategy::ALL {
-        let lazy = LazyConfig::with_strategy(strategy);
-        let (relaxed, _) = optimize_lazy(scenario, &config(), &lazy).expect("well-formed");
+        let task = TaskKind::OptimizeIncremental;
+        let (relaxed, _) = etcs::lazy::run(scenario, &task, &config(), &Run::default(), strategy)
+            .expect("well-formed");
         assert_eq!(
             optimum(&eager),
             optimum(&relaxed),
-            "{}: optimize_lazy({}) diverged from optimize_incremental",
+            "{}: lazy optimize ({}) diverged from optimize_incremental",
             scenario.name,
             strategy.name()
         );

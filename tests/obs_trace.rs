@@ -4,11 +4,20 @@
 //! documented in DESIGN.md §10 and asserted again by `ci/check.sh`), and
 //! tracing must not change any answer.
 
+use std::time::Duration;
+
 use etcs::obs::{EventKind, Obs, Value};
 use etcs::prelude::*;
-use etcs::{
-    optimize_incremental_obs, optimize_obs, optimize_portfolio_obs, verify_obs, DesignOutcome,
-};
+use etcs::sat::Interrupt;
+use etcs::TaskError;
+
+/// A [`Run`] recording into `obs`, with no interrupt.
+fn traced(obs: &Obs) -> Run {
+    Run {
+        obs: obs.clone(),
+        ..Run::default()
+    }
+}
 
 fn costs(outcome: &DesignOutcome) -> Option<&[u64]> {
     match outcome {
@@ -23,7 +32,8 @@ fn traced_optimize_event_stream_agrees_with_stats() {
     let config = EncoderConfig::default();
     let (obs, sink) = Obs::memory();
 
-    let (outcome, report) = optimize_obs(&scenario, &config, &obs).expect("well-formed");
+    let (outcome, report) =
+        run(&scenario, &TaskKind::Optimize, &config, &traced(&obs)).expect("well-formed");
     let (baseline, _) = optimize(&scenario, &config).expect("well-formed");
     assert_eq!(
         costs(&baseline),
@@ -95,8 +105,13 @@ fn traced_incremental_probe_deltas_sum_to_stats() {
     let scenario = fixtures::running_example();
     let config = EncoderConfig::default();
     let (obs, sink) = Obs::memory();
-    let (outcome, report) =
-        optimize_incremental_obs(&scenario, &config, &obs).expect("well-formed");
+    let (outcome, report) = run(
+        &scenario,
+        &TaskKind::OptimizeIncremental,
+        &config,
+        &traced(&obs),
+    )
+    .expect("well-formed");
     let (baseline, _) = optimize(&scenario, &config).expect("well-formed");
     assert_eq!(
         costs(&baseline),
@@ -118,82 +133,12 @@ fn traced_incremental_probe_deltas_sum_to_stats() {
 }
 
 #[test]
-fn portfolio_trace_names_the_winner() {
-    let scenario = fixtures::running_example();
-    let config = EncoderConfig::default();
-    let (obs, sink) = Obs::memory();
-    let (outcome, _) = optimize_portfolio_obs(&scenario, &config, &obs).expect("well-formed");
-    let c = costs(&outcome).expect("running example solves").to_vec();
-
-    let events = sink.events();
-    let outcomes: Vec<_> = events
-        .iter()
-        .filter(|e| e.name == "portfolio.outcome")
-        .collect();
-    assert_eq!(outcomes.len(), 1, "exactly one racer claims the race");
-    let winner = outcomes[0];
-    let strategy = winner.field_str("strategy").expect("winner named");
-    assert!(strategy == "walk_up" || strategy == "binary");
-    assert_eq!(winner.field_u64("deadline"), Some(c[0] - 1));
-    assert_eq!(winner.field("feasible"), Some(&Value::Bool(true)));
-
-    // Both racers ran under the task span, and exactly one reports a win.
-    let races: Vec<_> = events
-        .iter()
-        .filter(|e| e.kind == EventKind::SpanClose && e.name == "race")
-        .collect();
-    assert_eq!(races.len(), 2);
-    let wins = races
-        .iter()
-        .filter(|e| e.field("won") == Some(&Value::Bool(true)))
-        .count();
-    assert_eq!(wins, 1);
-
-    let task_close = events
-        .iter()
-        .find(|e| e.kind == EventKind::SpanClose && e.name == "task.optimize_portfolio")
-        .expect("task span closes");
-    assert_eq!(task_close.field_u64("deadline"), Some(c[0] - 1));
-    assert_eq!(task_close.field_u64("borders"), Some(c[1]));
-}
-
-#[test]
-fn batch_workers_trace_their_jobs() {
-    let scenarios = vec![fixtures::running_example(), fixtures::simple_layout()];
-    let config = EncoderConfig::default();
-    let (obs, sink) = Obs::memory();
-    let results = etcs::optimize_all_obs(&scenarios, &config, OptimizeMode::Incremental, 2, &obs);
-    assert!(results.iter().all(Result::is_ok));
-
-    let events = sink.events();
-    let worker_closes: Vec<_> = events
-        .iter()
-        .filter(|e| e.kind == EventKind::SpanClose && e.name == "parallel.worker")
-        .collect();
-    assert_eq!(worker_closes.len(), 2, "one span per worker thread");
-    let jobs: u64 = worker_closes
-        .iter()
-        .filter_map(|e| e.field_u64("jobs"))
-        .sum();
-    assert_eq!(
-        jobs as usize,
-        scenarios.len(),
-        "every job is claimed exactly once"
-    );
-    let tasks = events
-        .iter()
-        .filter(|e| e.kind == EventKind::SpanClose && e.name == "task.optimize_incremental")
-        .count();
-    assert_eq!(tasks, scenarios.len());
-}
-
-#[test]
 fn traced_verify_mirrors_its_outcome() {
     let scenario = fixtures::running_example();
     let config = EncoderConfig::default();
     let (obs, sink) = Obs::memory();
-    let (outcome, report) =
-        verify_obs(&scenario, &VssLayout::pure_ttd(), &config, &obs).expect("well-formed");
+    let task = TaskKind::Verify(VssLayout::pure_ttd());
+    let (outcome, report) = run(&scenario, &task, &config, &traced(&obs)).expect("well-formed");
     assert!(!outcome.is_feasible(), "paper: pure TTD deadlocks");
     let close = sink
         .events()
@@ -204,6 +149,39 @@ fn traced_verify_mirrors_its_outcome() {
     assert_eq!(close.field_u64("conflicts"), Some(report.search.conflicts));
 }
 
+/// An interrupted task still did work, and the `conflicts` counter must
+/// say so: it equals the `sat.solve` spans' total on every path, not only
+/// when the task finishes.
+#[test]
+fn interrupted_verify_still_counts_its_conflicts() {
+    // Refuting pure TTD on Simple Layout takes about 85k conflicts, far
+    // more than fit into the deadline.
+    let scenario = fixtures::simple_layout();
+    let (obs, sink) = Obs::memory();
+    let deadline = Run {
+        obs: obs.clone(),
+        interrupt: Interrupt::with_deadline(Duration::from_millis(1500)),
+    };
+    let task = TaskKind::Verify(VssLayout::pure_ttd());
+    let result = run(&scenario, &task, &EncoderConfig::default(), &deadline);
+    assert_eq!(result.err(), Some(TaskError::DeadlineExceeded));
+
+    let events = sink.events();
+    let solved: u64 = events
+        .iter()
+        .filter(|e| e.kind == EventKind::SpanClose && e.name == "sat.solve")
+        .filter_map(|e| e.field_u64("conflicts"))
+        .sum();
+    let counted = obs.metrics().counter("conflicts");
+    assert!(counted > 0, "the interrupted search did work");
+    assert_eq!(counted, solved, "counter vs sat.solve spans");
+    let close = events
+        .iter()
+        .rfind(|e| e.kind == EventKind::SpanClose && e.name == "task.verify")
+        .expect("task span closes");
+    assert_eq!(close.field("interrupted"), Some(&Value::Bool(true)));
+}
+
 #[test]
 fn jsonl_trace_artifact_replays_the_documented_schema() {
     let path = std::env::temp_dir().join("etcs_obs_trace_it.jsonl");
@@ -211,7 +189,8 @@ fn jsonl_trace_artifact_replays_the_documented_schema() {
     let config = EncoderConfig::default();
     {
         let obs = Obs::jsonl(&path).expect("create trace");
-        let (outcome, _) = optimize_obs(&scenario, &config, &obs).expect("well-formed");
+        let (outcome, _) =
+            run(&scenario, &TaskKind::Optimize, &config, &traced(&obs)).expect("well-formed");
         assert!(costs(&outcome).is_some());
         obs.flush_metrics();
         obs.flush();
@@ -379,8 +358,9 @@ fn disabled_handle_changes_nothing_and_records_nothing() {
     let scenario = fixtures::running_example();
     let config = EncoderConfig::default();
     let obs = Obs::disabled();
-    let (traced, _) = optimize_obs(&scenario, &config, &obs).expect("well-formed");
+    let (untraced, _) =
+        run(&scenario, &TaskKind::Optimize, &config, &traced(&obs)).expect("well-formed");
     let (plain, _) = optimize(&scenario, &config).expect("well-formed");
-    assert_eq!(costs(&plain), costs(&traced));
+    assert_eq!(costs(&plain), costs(&untraced));
     assert!(obs.metrics().is_empty());
 }

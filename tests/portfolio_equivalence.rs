@@ -156,16 +156,19 @@ fn portfolio_lazy_loops_agree_with_their_single_threaded_selves() {
     // The CEGAR relaxation solves are the portfolio's hot path in the lazy
     // loops; the refiner must stay sound when its counterexamples come from
     // whichever worker happened to win.
-    use etcs::lazy::{verify_lazy, LazyConfig};
+    use etcs::lazy::SelectionStrategy;
     let config = EncoderConfig::default();
-    let lazy = LazyConfig::default();
     let scenario = fixtures::running_example();
+    let lazy = |task: &TaskKind, config: &EncoderConfig| {
+        let strategy = SelectionStrategy::AllViolated;
+        etcs::lazy::run(&scenario, task, config, &Run::default(), strategy).expect("well-formed")
+    };
     let inst = Instance::new(&scenario).expect("fixtures are valid");
     for layout in [VssLayout::pure_ttd(), VssLayout::full(&inst.net)] {
-        let (single, _) = verify_lazy(&scenario, &layout, &config, &lazy).expect("well-formed");
+        let task = TaskKind::Verify(layout);
+        let (single, _) = lazy(&task, &config);
         for threads in THREADS {
-            let (raced, _) =
-                verify_lazy(&scenario, &layout, &racing(threads), &lazy).expect("well-formed");
+            let (raced, _) = lazy(&task, &racing(threads));
             assert_eq!(
                 single.is_feasible(),
                 raced.is_feasible(),

@@ -17,7 +17,7 @@
 //! conflicts and solver calls, warm hits, cold fallbacks).
 
 use etcs::corpus::{Family, InstanceSpec, SizeClass};
-use etcs::lazy::{generate_lazy, optimize_lazy, verify_lazy, LazyConfig, LazyReport};
+use etcs::lazy::{LazyReport, SelectionStrategy};
 use etcs::prelude::*;
 use etcs::replan::{parse_trace, ReplanConfig, ReplanSession, TraceOp};
 use etcs::sat::{Lit, Solver};
@@ -271,6 +271,8 @@ fn random_3sat_rows() -> Vec<Measured> {
 /// `(instance, task, conflicts, propagations, decisions, restarts,
 /// cegar_rounds, clauses_added)` of the lazy loops under `AllViolated`.
 type LazyRow = (&'static str, &'static str, u64, u64, u64, u64, usize, usize);
+/// A measured [`LazyRow`], owning its instance name.
+type LazyMeasured = (String, &'static str, u64, u64, u64, u64, usize, usize);
 
 const LAZY_PINNED: &[LazyRow] = &[
     (
@@ -326,38 +328,22 @@ const LAZY_PINNED: &[LazyRow] = &[
     ("moving_block", "optimize", 0, 14611, 3976, 0, 4, 1165),
 ];
 
-fn measure_lazy() -> Vec<(String, &'static str, u64, u64, u64, u64, usize, usize)> {
+fn measure_lazy() -> Vec<LazyMeasured> {
     let config = EncoderConfig::default();
-    let lazy = LazyConfig::default();
     let mut rows = Vec::new();
     for (name, scenario) in scenarios() {
         let inst = Instance::new(&scenario).expect("valid scenario");
-        let full = VssLayout::full(&inst.net);
+        let lazy = |task: TaskKind| -> LazyReport {
+            let strategy = SelectionStrategy::AllViolated;
+            etcs::lazy::run(&scenario, &task, &config, &Run::default(), strategy)
+                .expect("well-formed")
+                .1
+        };
         let reports: [(&'static str, LazyReport); 4] = [
-            (
-                "verify_ttd",
-                verify_lazy(&scenario, &VssLayout::pure_ttd(), &config, &lazy)
-                    .expect("well-formed")
-                    .1,
-            ),
-            (
-                "verify",
-                verify_lazy(&scenario, &full, &config, &lazy)
-                    .expect("well-formed")
-                    .1,
-            ),
-            (
-                "generate",
-                generate_lazy(&scenario, &config, &lazy)
-                    .expect("well-formed")
-                    .1,
-            ),
-            (
-                "optimize",
-                optimize_lazy(&scenario, &config, &lazy)
-                    .expect("well-formed")
-                    .1,
-            ),
+            ("verify_ttd", lazy(TaskKind::Verify(VssLayout::pure_ttd()))),
+            ("verify", lazy(TaskKind::Verify(VssLayout::full(&inst.net)))),
+            ("generate", lazy(TaskKind::Generate)),
+            ("optimize", lazy(TaskKind::OptimizeIncremental)),
         ];
         for (task, r) in reports {
             let s = r.report.search;
@@ -380,6 +366,8 @@ fn measure_lazy() -> Vec<(String, &'static str, u64, u64, u64, u64, usize, usize
 /// hits, cold fallbacks)` of a `scenarios/replay/*.delta` exemplar
 /// replayed through a [`ReplanSession`].
 type ReplanRow = (&'static str, &'static str, u64, usize, u64, u64);
+/// A measured [`ReplanRow`], owning its trace name.
+type ReplanMeasured = (String, &'static str, u64, usize, u64, u64);
 
 const REPLAN_PINNED: &[ReplanRow] = &[
     ("corpus_grid_ladder", "eager", 4298, 22, 3, 1),
@@ -388,7 +376,7 @@ const REPLAN_PINNED: &[ReplanRow] = &[
     ("running_example", "lazy", 9963, 255, 0, 8),
 ];
 
-fn measure_replan() -> Vec<(String, &'static str, u64, usize, u64, u64)> {
+fn measure_replan() -> Vec<ReplanMeasured> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/replay");
     let mut paths: Vec<_> = std::fs::read_dir(dir)
         .expect("scenarios/replay/ ships with the repo")
