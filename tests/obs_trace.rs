@@ -6,6 +6,7 @@
 
 use std::time::Duration;
 
+use etcs::lazy::SelectionStrategy;
 use etcs::obs::{EventKind, Obs, Value};
 use etcs::prelude::*;
 use etcs::sat::Interrupt;
@@ -151,35 +152,47 @@ fn traced_verify_mirrors_its_outcome() {
 
 /// An interrupted task still did work, and the `conflicts` counter must
 /// say so: it equals the `sat.solve` spans' total on every path, not only
-/// when the task finishes.
+/// when the task finishes. Checked for the eager and the lazy driver.
 #[test]
 fn interrupted_verify_still_counts_its_conflicts() {
-    // Refuting pure TTD on Simple Layout takes about 85k conflicts, far
-    // more than fit into the deadline.
+    // Refuting pure TTD on Simple Layout takes about 85k conflicts eagerly
+    // and over 100k lazily, far more than fit into the deadline.
     let scenario = fixtures::simple_layout();
-    let (obs, sink) = Obs::memory();
-    let deadline = Run {
-        obs: obs.clone(),
-        interrupt: Interrupt::with_deadline(Duration::from_millis(1500)),
-    };
     let task = TaskKind::Verify(VssLayout::pure_ttd());
-    let result = run(&scenario, &task, &EncoderConfig::default(), &deadline);
-    assert_eq!(result.err(), Some(TaskError::DeadlineExceeded));
+    let config = EncoderConfig::default();
+    for span_name in ["task.verify", "task.verify_lazy"] {
+        let (obs, sink) = Obs::memory();
+        let deadline = Run {
+            obs: obs.clone(),
+            interrupt: Interrupt::with_deadline(Duration::from_millis(1500)),
+        };
+        let result = if span_name == "task.verify" {
+            run(&scenario, &task, &config, &deadline).map(|_| ())
+        } else {
+            let strategy = SelectionStrategy::AllViolated;
+            etcs::lazy::run(&scenario, &task, &config, &deadline, strategy).map(|_| ())
+        };
+        assert_eq!(
+            result.err(),
+            Some(TaskError::DeadlineExceeded),
+            "{span_name}"
+        );
 
-    let events = sink.events();
-    let solved: u64 = events
-        .iter()
-        .filter(|e| e.kind == EventKind::SpanClose && e.name == "sat.solve")
-        .filter_map(|e| e.field_u64("conflicts"))
-        .sum();
-    let counted = obs.metrics().counter("conflicts");
-    assert!(counted > 0, "the interrupted search did work");
-    assert_eq!(counted, solved, "counter vs sat.solve spans");
-    let close = events
-        .iter()
-        .rfind(|e| e.kind == EventKind::SpanClose && e.name == "task.verify")
-        .expect("task span closes");
-    assert_eq!(close.field("interrupted"), Some(&Value::Bool(true)));
+        let events = sink.events();
+        let solved: u64 = events
+            .iter()
+            .filter(|e| e.kind == EventKind::SpanClose && e.name == "sat.solve")
+            .filter_map(|e| e.field_u64("conflicts"))
+            .sum();
+        let counted = obs.metrics().counter("conflicts");
+        assert!(counted > 0, "{span_name}: the interrupted search did work");
+        assert_eq!(counted, solved, "{span_name}: counter vs sat.solve spans");
+        let close = events
+            .iter()
+            .rfind(|e| e.kind == EventKind::SpanClose && e.name == span_name)
+            .expect("task span closes");
+        assert_eq!(close.field("interrupted"), Some(&Value::Bool(true)));
+    }
 }
 
 #[test]
