@@ -104,6 +104,18 @@ for name in serve.enqueue serve.admit serve.job; do
     }
 done
 
+echo "==> every bench artifact has the bench that writes it"
+# A checked-in BENCH_<name>.json must not outlive
+# crates/bench/src/bin/bench_<name>.rs: delete the artifact with its bench.
+for artifact in BENCH_*.json; do
+    name=${artifact#BENCH_}
+    name=${name%.json}
+    test -f "crates/bench/src/bin/bench_$name.rs" || {
+        echo "$artifact has no bench crates/bench/src/bin/bench_$name.rs"
+        exit 1
+    }
+done
+
 echo "==> bench artifacts parse (in-repo JSON parser)"
 # Every checked-in BENCH_*.json must be readable by the workspace's own
 # dependency-free parser (etcs_obs::json) — a truncated or hand-mangled
@@ -135,29 +147,6 @@ if grep -q '"rounds": 0' target/BENCH_lazy_smoke.json; then
     exit 1
 fi
 
-echo "==> bench_preprocess smoke (release, certified reduction, traced)"
-PP_TRACE=target/BENCH_preprocess_smoke.trace.jsonl
-cargo run --release -q -p etcs-bench --bin bench_preprocess -- \
-    --smoke --out target/BENCH_preprocess_smoke.json --trace "$PP_TRACE"
-test -s target/BENCH_preprocess_smoke.json || {
-    echo "missing bench artifact target/BENCH_preprocess_smoke.json"; exit 1;
-}
-# The bench itself asserts preprocess-on/off optima are bit-identical and
-# cross-checks the traced span fields against PreprocessStats; here we pin
-# the span vocabulary and that the pass actually removed clauses (a
-# zero-reduction run would mean the preprocessor went idle).
-grep -q '"name":"sat.preprocess"' "$PP_TRACE" || {
-    echo "preprocess trace lacks the sat.preprocess span"
-    exit 1
-}
-grep -q '"geomean_clause_reduction"' target/BENCH_preprocess_smoke.json || {
-    echo "bench_preprocess artifact lacks the headline reduction"; exit 1;
-}
-if grep -q '"geomean_clause_reduction": 0\.0000' target/BENCH_preprocess_smoke.json; then
-    echo "bench_preprocess smoke removed no clauses (preprocessor idle)"
-    exit 1
-fi
-
 echo "==> bench_parallel smoke (release, portfolio races, clause traffic)"
 PAR_TRACE=target/BENCH_parallel_smoke.trace.jsonl
 cargo run --release -q -p etcs-bench --bin bench_parallel -- \
@@ -186,7 +175,7 @@ cargo run --release -q -p etcs-bench --bin bench_corpus -- \
     --smoke --out target/BENCH_corpus_smoke.json
 cargo run --release -q -p etcs-bench --bin json_check -- \
     target/BENCH_corpus_smoke.json
-# The bench itself asserts that all four solve configurations agree on
+# The bench itself asserts that all three solve configurations agree on
 # verdict and optima on every corpus instance and that p50<=p90<=max per
 # distribution; here we pin the artifact shape: the ordering flag must be
 # recorded true and at least two families must report nonzero instance

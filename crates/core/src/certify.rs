@@ -26,9 +26,7 @@ use std::time::Instant;
 
 use etcs_lint::{has_errors, Finding};
 use etcs_network::{NetworkError, Scenario, TrainId, VssLayout};
-use etcs_sat::{
-    check_drat, maxsat, CheckOutcome, Lit, PreprocessConfig, ProofError, SatResult, Strategy,
-};
+use etcs_sat::{check_drat, maxsat, CheckOutcome, Lit, ProofError, SatResult, Strategy};
 
 use crate::decode::SolvedPlan;
 use crate::diagnose::Diagnosis;
@@ -179,13 +177,6 @@ pub fn verify_certified(
     let trace = enc.trace.take().expect("tracing enabled");
     let proof = enc.proof.take().expect("proof logging enabled");
     let findings = lint_gate(&trace)?;
-    if config.preprocess {
-        // The proof sink stays installed on the solver, so every
-        // preprocessing derivation lands in the certificate and UNSAT
-        // verdicts still check against the traced axioms; SAT models are
-        // reconstructed to satisfy the original formula.
-        enc.preprocess(&PreprocessConfig::default());
-    }
     let (outcome, verdict) = match enc.solver.solve() {
         SatResult::Sat(model) => {
             if !trace.formula.eval(&model) {
@@ -251,9 +242,6 @@ pub fn generate_certified(
     let trace = enc.trace.take().expect("tracing enabled");
     let proof = enc.proof.take().expect("proof logging enabled");
     let findings = lint_gate(&trace)?;
-    if config.preprocess {
-        enc.preprocess(&PreprocessConfig::default());
-    }
     let objective = enc.border_objective.clone();
     let (outcome, verdict, calls) =
         match maxsat::minimize(&mut enc.solver, &objective, &[], Strategy::LinearSatUnsat) {
@@ -349,9 +337,6 @@ pub fn optimize_certified(
         let trace = enc.trace.take().expect("tracing enabled");
         let proof = enc.proof.take().expect("proof logging enabled");
         let findings = lint_gate(&trace)?;
-        if cfg.preprocess {
-            enc.preprocess(&PreprocessConfig::default());
-        }
         calls += 1;
         let verdict = enc.solver.solve();
         search += enc.solver.stats();
@@ -400,9 +385,6 @@ pub fn optimize_certified(
     let stats = enc.stats;
     let trace = enc.trace.take().expect("tracing enabled");
     let findings = lint_gate(&trace)?;
-    if cfg.preprocess {
-        enc.preprocess(&PreprocessConfig::default());
-    }
     let border_obj = enc.border_objective.clone();
     let (plan, border_cost) =
         match maxsat::minimize(&mut enc.solver, &border_obj, &[], Strategy::LinearSatUnsat) {
@@ -467,9 +449,6 @@ pub fn diagnose_certified(
     let trace = enc.trace.take().expect("tracing enabled");
     let proof = enc.proof.take().expect("proof logging enabled");
     let findings = lint_gate(&trace)?;
-    if config.preprocess {
-        enc.preprocess(&PreprocessConfig::default());
-    }
     let selectors = enc.deadline_selectors.clone();
 
     // All deadlines on: the plain verification question.

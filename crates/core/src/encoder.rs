@@ -26,10 +26,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 use etcs_network::{EdgeId, NodeId, NodeKind, VssLayout};
-use etcs_sat::{
-    CnfSink, DratProof, Lit, Objective, PortfolioConfig, PreprocessConfig, PreprocessStats, Solver,
-    Var,
-};
+use etcs_sat::{CnfSink, DratProof, Lit, Objective, PortfolioConfig, Solver, Var};
 
 use crate::instance::{ExitPolicy, Instance};
 use crate::trace::{EncodingTrace, TracedSolver};
@@ -75,12 +72,6 @@ pub struct EncoderConfig {
     /// UNSAT verdicts can be certified against the traced formula (see
     /// [`Encoding::proof`]). Off by default.
     pub proof: bool,
-    /// Run the certified SAT preprocessor ([`Encoding::preprocess`]) before
-    /// the first solve: subsumption, self-subsuming resolution,
-    /// failed-literal probing and bounded variable elimination, with all
-    /// encoder-owned literals frozen. Verdicts, optima and reconstructed
-    /// models are unchanged; only solve time is. Off by default.
-    pub preprocess: bool,
     /// How each solve call on the built encoding executes (sequential or
     /// clause-sharing portfolio). Verdict- and optimum-preserving; see
     /// [`SolveMode`].
@@ -95,7 +86,6 @@ impl Default for EncoderConfig {
             symmetric_movement: true,
             trace: false,
             proof: false,
-            preprocess: false,
             solve_mode: SolveMode::Single,
         }
     }
@@ -107,11 +97,6 @@ impl EncoderConfig {
     /// (the `etcs-corpus` benchmark wiring).
     pub fn with_solve_mode(self, solve_mode: SolveMode) -> Self {
         EncoderConfig { solve_mode, ..self }
-    }
-
-    /// Returns a copy with [`preprocess`](Self::preprocess) set.
-    pub fn with_preprocess(self, preprocess: bool) -> Self {
-        EncoderConfig { preprocess, ..self }
     }
 }
 
@@ -334,55 +319,6 @@ impl Encoding {
             }
         }
         assumptions
-    }
-
-    /// Runs the certified SAT preprocessor over the loaded formula, with
-    /// every encoder-owned literal frozen first: border and occupancy
-    /// variables, completion tracking (`visited`/`done`/`all_done`),
-    /// deadline and step selectors, and both objectives' literals. These
-    /// are exactly the variables later consulted by decoding, probed as
-    /// assumptions, pinned as unit clauses, referenced by MaxSAT totalizer
-    /// clauses, or mentioned by lazy refinement clauses — so only internal
-    /// Tseitin auxiliaries are elimination candidates, which is what makes
-    /// the pass safe under the eager, incremental, lazy and served loops.
-    ///
-    /// Verdicts, optima and decoded plans are unchanged (models are
-    /// reconstructed exactly; DRAT proofs still check against the traced
-    /// axioms); only solve time is affected.
-    pub fn preprocess(&mut self, cfg: &PreprocessConfig) -> PreprocessStats {
-        for v in self.vars.border.iter().flatten() {
-            self.solver.freeze_var(*v);
-        }
-        for per_train in &self.vars.occ {
-            for per_step in per_train {
-                for v in per_step.iter().flatten() {
-                    self.solver.freeze_var(*v);
-                }
-            }
-        }
-        for per_train in self.vars.visited.iter().chain(self.vars.done.iter()) {
-            for l in per_train.iter().flatten() {
-                self.solver.freeze_lit(*l);
-            }
-        }
-        for l in self.all_done.iter().flatten() {
-            self.solver.freeze_lit(*l);
-        }
-        for &l in &self.deadline_selectors {
-            self.solver.freeze_lit(l);
-        }
-        for l in self.step_selectors.iter().flatten() {
-            self.solver.freeze_lit(*l);
-        }
-        for &(l, _) in self.border_objective.terms() {
-            self.solver.freeze_lit(l);
-        }
-        if let Some(obj) = &self.step_objective {
-            for &(l, _) in obj.terms() {
-                self.solver.freeze_lit(l);
-            }
-        }
-        self.solver.preprocess(cfg)
     }
 
     /// (Re-)applies [`EncoderConfig::solve_mode`] to the loaded solver:

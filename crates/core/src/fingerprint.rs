@@ -41,7 +41,7 @@ use crate::encoder::{EncoderConfig, TaskKind};
 /// stale persisted (or replicated) caches can never alias. Distributed
 /// components exchange this string in their handshakes: two processes may
 /// only share cache entries when their versions agree.
-pub const CACHE_KEY_VERSION: &str = "etcs-cache-key-v3";
+pub const CACHE_KEY_VERSION: &str = "etcs-cache-key-v4";
 
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 const OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
@@ -109,12 +109,13 @@ impl Canon {
 /// Computes the content-addressed cache key of a task over `scenario`.
 ///
 /// See the module docs for exactly what is (and is not) canonicalised.
-/// The key is versioned (`etcs-cache-key-v3`): any change to the encoding
+/// The key is versioned (`etcs-cache-key-v4`): any change to the encoding
 /// or decoding pipeline that can alter results must bump the version tag so
 /// stale persisted caches can never alias. v3 added
 /// [`EncoderConfig::solve_mode`] to the hash — verdicts and optima are
 /// mode-independent, but the witness plan a portfolio race returns may
-/// legitimately differ from the sequential one.
+/// legitimately differ from the sequential one. v4 dropped the byte of a
+/// removed encoder flag, which changed every key value.
 ///
 /// # Examples
 ///
@@ -147,7 +148,6 @@ fn write_config(c: &mut Canon, config: &EncoderConfig) {
     c.bool(config.symmetric_movement);
     c.bool(config.trace);
     c.bool(config.proof);
-    c.bool(config.preprocess);
     match config.solve_mode {
         crate::encoder::SolveMode::Single => c.byte(0),
         crate::encoder::SolveMode::Portfolio(n) => {
@@ -396,6 +396,32 @@ mod tests {
     }
 
     #[test]
+    fn key_values_are_pinned() {
+        let s = fixtures::running_example();
+        let pinned: [(&str, TaskKind, u128); 2] = [
+            (
+                "generate",
+                TaskKind::Generate,
+                0x568d6a97a501e1c350ad86f951a478bb,
+            ),
+            (
+                "pure-TTD verify",
+                TaskKind::Verify(VssLayout::pure_ttd()),
+                0x651e0192836e66c688d27f6d10b91d21,
+            ),
+        ];
+        for (label, task, want) in pinned {
+            assert_eq!(
+                format!("{:032x}", cache_key(&s, &task, &config())),
+                format!("{want:032x}"),
+                "the {CACHE_KEY_VERSION} key of the running example's {label} task changed: \
+                 a changed key value means a changed key function, which must bump \
+                 CACHE_KEY_VERSION in the same commit"
+            );
+        }
+    }
+
+    #[test]
     fn task_kinds_get_distinct_keys() {
         let s = fixtures::running_example();
         let layout = VssLayout::pure_ttd();
@@ -432,13 +458,6 @@ mod tests {
         assert_ne!(
             cache_key(&s, &TaskKind::Generate, &config()),
             cache_key(&s, &TaskKind::Generate, &other),
-        );
-        let mut preprocessed = config();
-        preprocessed.preprocess = true;
-        assert_ne!(
-            cache_key(&s, &TaskKind::Generate, &config()),
-            cache_key(&s, &TaskKind::Generate, &preprocessed),
-            "preprocess flag addresses distinct cached results"
         );
         let mut raced = config();
         raced.solve_mode = crate::encoder::SolveMode::Portfolio(4);

@@ -27,9 +27,7 @@ use std::time::{Duration, Instant};
 
 use etcs_network::{NetworkError, Scenario, VssLayout};
 use etcs_obs::{Obs, Span};
-use etcs_sat::{
-    maxsat, Interrupt, InterruptReason, Lit, PreprocessConfig, SatResult, Stats, Strategy,
-};
+use etcs_sat::{maxsat, Interrupt, InterruptReason, Lit, SatResult, Stats, Strategy};
 
 use crate::decode::SolvedPlan;
 use crate::encoder::{
@@ -190,8 +188,7 @@ impl Run {
     /// Encodes `task` over `inst` under an `encode` child of `parent`
     /// (fields `vars`, `clauses`), emitting only the constraint
     /// `families` given, then wires the solver to this run's handle and
-    /// token and preprocesses it when `config.preprocess` is set. The
-    /// prologue of every task loop, eager and lazy.
+    /// token. The prologue of every task loop, eager and lazy.
     pub fn encode(
         &self,
         inst: &Instance,
@@ -208,9 +205,6 @@ impl Run {
         ]);
         enc.solver.set_obs(self.obs.clone());
         enc.solver.set_interrupt(self.interrupt.clone());
-        if config.preprocess {
-            enc.preprocess(&PreprocessConfig::default());
-        }
         enc
     }
 }

@@ -1,9 +1,8 @@
 //! The solve configurations the corpus is swept across.
 //!
 //! A [`SolveSetup`] names one way of running the optimisation task on a
-//! corpus instance: the eager incremental loop, the lazy CEGAR loop, the
-//! clause-sharing portfolio, or the eager loop over the certified
-//! preprocessor. All four are proven verdict-equivalent by
+//! corpus instance: the eager incremental loop, the lazy CEGAR loop or the
+//! clause-sharing portfolio. All three are proven verdict-equivalent by
 //! `tests/corpus_equivalence.rs`; `bench_corpus` reports their
 //! distributional behaviour per family.
 
@@ -26,18 +25,11 @@ pub enum SolveSetup {
     /// The eager loop over a two-worker clause-sharing portfolio
     /// (`SolveMode::Portfolio(2)`).
     Portfolio,
-    /// The eager loop with certified CNF preprocessing enabled.
-    Preprocess,
 }
 
 impl SolveSetup {
     /// Every setup, in sweep order.
-    pub const ALL: [SolveSetup; 4] = [
-        SolveSetup::Eager,
-        SolveSetup::Lazy,
-        SolveSetup::Portfolio,
-        SolveSetup::Preprocess,
-    ];
+    pub const ALL: [SolveSetup; 3] = [SolveSetup::Eager, SolveSetup::Lazy, SolveSetup::Portfolio];
 
     /// Stable lowercase name (artifact key).
     pub fn name(self) -> &'static str {
@@ -45,7 +37,6 @@ impl SolveSetup {
             SolveSetup::Eager => "eager",
             SolveSetup::Lazy => "lazy",
             SolveSetup::Portfolio => "portfolio",
-            SolveSetup::Preprocess => "preprocess",
         }
     }
 
@@ -58,7 +49,6 @@ impl SolveSetup {
             SolveSetup::Portfolio => {
                 EncoderConfig::default().with_solve_mode(SolveMode::Portfolio(2))
             }
-            SolveSetup::Preprocess => EncoderConfig::default().with_preprocess(true),
         }
     }
 

@@ -16,10 +16,10 @@
 //! * `--replicas N` — copies of each completed cold solve pushed to the
 //!   next-ranked shards (default 1).
 //! * `--streams N` — concurrent connections per shard (default 2).
-//! * `--lazy` / `--portfolio N` / `--preprocess` — the same job defaults
-//!   as `served`, applied when computing routing fingerprints; start the
-//!   shards with the same flags so their keys agree (routing stays
-//!   correct either way — the shard's own key is authoritative).
+//! * `--lazy` / `--portfolio N` — the same job defaults as `served`,
+//!   applied when computing routing fingerprints; start the shards with
+//!   the same flags so their keys agree (routing stays correct either
+//!   way — the shard's own key is authoritative).
 //! * `--check-histories` — after the batch (or standalone, with no
 //!   `--input` on a tty-less stdin use `--no-jobs`), fetch every shard's
 //!   recorded cache history and run the dbcop-style consistency checker;
@@ -50,7 +50,6 @@ struct Args {
     replicas: usize,
     streams: usize,
     lazy: bool,
-    preprocess: bool,
     portfolio: Option<usize>,
     check_histories: bool,
     shutdown_shards: bool,
@@ -59,7 +58,7 @@ struct Args {
 
 const USAGE: &str = "usage: fleetd --shard ADDR [--shard ADDR …] [--shards A,B,…] \
 [--input FILE] [--output FILE] [--trace FILE] [--replicas N] [--streams N] \
-[--lazy] [--preprocess] [--portfolio N] [--check-histories] [--shutdown-shards] [--no-jobs]\n\
+[--lazy] [--portfolio N] [--check-histories] [--shutdown-shards] [--no-jobs]\n\
 Routes served-format JSONL jobs across a fleet of `served --listen` shards\n\
 by canonical cache fingerprint (rendezvous hashing), replicates completed\n\
 cache entries, survives shard loss, and can audit the fleet's recorded\n\
@@ -76,7 +75,6 @@ fn parse_args() -> Result<Args, String> {
         replicas: 1,
         streams: 2,
         lazy: false,
-        preprocess: false,
         portfolio: None,
         check_histories: false,
         shutdown_shards: false,
@@ -110,7 +108,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| "--streams must be a positive integer".to_string())?
             }
             "--lazy" => args.lazy = true,
-            "--preprocess" => args.preprocess = true,
             "--portfolio" => {
                 let n: usize = value("--portfolio")?
                     .parse()
@@ -169,10 +166,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let encoder = etcs_core::EncoderConfig {
-        preprocess: args.preprocess,
-        ..etcs_core::EncoderConfig::default()
-    };
+    let encoder = etcs_core::EncoderConfig::default();
 
     let mut failed = false;
     let mut jobs_total = 0usize;

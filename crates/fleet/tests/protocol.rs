@@ -71,7 +71,10 @@ fn version_mismatched_hello_is_refused() {
 
     // Wrong protocol version.
     let mut raw = Raw::connect(addr);
-    raw.send("{\"type\": \"hello\", \"proto\": 999, \"cache_key\": \"etcs-cache-key-v3\"}");
+    raw.send(&format!(
+        "{{\"type\": \"hello\", \"proto\": 999, \"cache_key\": \"{}\"}}",
+        etcs_core::CACHE_KEY_VERSION
+    ));
     let reply = raw.recv();
     assert!(reply.contains("hello_err"), "got: {reply}");
     assert!(
@@ -106,8 +109,12 @@ fn client_types_the_version_mismatch() {
         let mut writer = stream;
         writer
             .write_all(
-                b"{\"type\": \"hello_err\", \"reason\": \"unsupported protocol version 1\", \
-                  \"proto\": 2, \"cache_key\": \"etcs-cache-key-v3\"}\n",
+                format!(
+                    "{{\"type\": \"hello_err\", \"reason\": \"unsupported protocol version 1\", \
+                     \"proto\": 2, \"cache_key\": \"{}\"}}\n",
+                    etcs_core::CACHE_KEY_VERSION
+                )
+                .as_bytes(),
             )
             .expect("write");
     });

@@ -53,10 +53,6 @@ pub enum LintKind {
     /// A Tseitin gate output is never referenced outside its own (or other
     /// dead gates') defining clauses.
     UnreferencedGate,
-    /// A clause references a variable the SAT preprocessor eliminated:
-    /// the clause database and the elimination record disagree, so models
-    /// reconstructed from the elimination stack are untrustworthy.
-    EliminatedVarClause,
 }
 
 impl LintKind {
@@ -72,14 +68,13 @@ impl LintKind {
             LintKind::EmptyGroup => "empty-group",
             LintKind::DeadGroup => "dead-group",
             LintKind::UnreferencedGate => "unreferenced-gate",
-            LintKind::EliminatedVarClause => "eliminated-var-clause",
         }
     }
 
     /// The severity this lint reports at.
     pub fn severity(self) -> Severity {
         match self {
-            LintKind::OutOfRangeLiteral | LintKind::EliminatedVarClause => Severity::Error,
+            LintKind::OutOfRangeLiteral => Severity::Error,
             LintKind::EmptyClause
             | LintKind::UnconstrainedVar
             | LintKind::TautologicalClause
@@ -230,51 +225,6 @@ pub fn audit_with_profile(
             !allowed
         })
         .collect()
-}
-
-/// Audits the output of the SAT preprocessor (`Solver::clauses_snapshot`
-/// rebuilt as a [`Formula`], plus `Solver::eliminated_vars`).
-///
-/// The preprocessed formula must contain no tautological clauses, no
-/// duplicate clauses, and — the preprocessing-specific invariant — no
-/// clause touching an eliminated variable ([`LintKind::EliminatedVarClause`],
-/// an error: the clause database and the model-reconstruction stack would
-/// disagree). Eliminated variables legitimately occur in no clause, so they
-/// are exempt from [`LintKind::UnconstrainedVar`].
-pub fn audit_preprocessed(formula: &Formula, eliminated: &[Var]) -> Vec<Finding> {
-    let mut elim = vec![false; formula.num_vars()];
-    for &v in eliminated {
-        if let Some(slot) = elim.get_mut(v.index()) {
-            *slot = true;
-        }
-    }
-    let mut findings: Vec<Finding> = audit(formula, None)
-        .into_iter()
-        .filter(|f| {
-            !(f.kind == LintKind::UnconstrainedVar
-                && f.var
-                    .is_some_and(|v| elim.get(v.index()).copied().unwrap_or(false)))
-        })
-        .collect();
-    for (i, clause) in formula.clauses().iter().enumerate() {
-        if let Some(&l) = clause
-            .iter()
-            .find(|l| elim.get(l.var().index()).copied().unwrap_or(false))
-        {
-            findings.push(
-                Finding::new(
-                    LintKind::EliminatedVarClause,
-                    format!(
-                        "clause #{i} references {}, which preprocessing eliminated",
-                        l.var()
-                    ),
-                )
-                .with_var(l.var())
-                .with_clause(i),
-            );
-        }
-    }
-    findings
 }
 
 /// Audits `formula`, returning all findings in discovery order.

@@ -16,10 +16,7 @@
 //! * [`LintKind::EmptyGroup`] / [`LintKind::DeadGroup`] — declared
 //!   constraint groups that emitted nothing, or whose every clause is
 //!   already satisfied by unit propagation over the rest of the formula,
-//! * [`LintKind::UnreferencedGate`] — Tseitin gates whose outputs dangle,
-//! * [`LintKind::EliminatedVarClause`] — clauses touching a variable the
-//!   SAT preprocessor eliminated (via [`audit_preprocessed`], the audit
-//!   profile over preprocessor output).
+//! * [`LintKind::UnreferencedGate`] — Tseitin gates whose outputs dangle.
 //!
 //! With provenance attached (the ETCS encoder tags every variable with its
 //! train / time step / segment and every clause with its constraint group),
@@ -54,9 +51,7 @@
 mod audit;
 mod provenance;
 
-pub use audit::{
-    audit, audit_preprocessed, audit_with_profile, Finding, LazyProfile, LintKind, Severity,
-};
+pub use audit::{audit, audit_with_profile, Finding, LazyProfile, LintKind, Severity};
 pub use provenance::{Gate, Provenance};
 
 use etcs_sat::Formula;
@@ -363,73 +358,5 @@ mod tests {
         let findings = audit_formula(&f);
         let report = render_report(&findings);
         assert!(report.contains("[warning] unconstrained-var"));
-    }
-
-    #[test]
-    fn preprocessed_audit_errors_on_clauses_touching_eliminated_vars() {
-        let mut f = Formula::new();
-        let a = f.new_var();
-        let b = f.new_var();
-        f.add_clause_from(&[a.positive(), b.positive()]);
-        // Claiming `b` was eliminated while a clause still mentions it is
-        // an inconsistency between database and elimination record.
-        let findings = audit_preprocessed(&f, &[b]);
-        assert!(kinds(&findings).contains(&LintKind::EliminatedVarClause));
-        assert!(has_errors(&findings));
-        assert_eq!(
-            findings
-                .iter()
-                .find(|x| x.kind == LintKind::EliminatedVarClause)
-                .and_then(|x| x.var),
-            Some(b)
-        );
-    }
-
-    #[test]
-    fn preprocessed_audit_exempts_eliminated_vars_from_unconstrained() {
-        let mut f = Formula::new();
-        let a = f.new_var();
-        let b = f.new_var();
-        f.add_clause_from(&[a.positive()]);
-        // Plain audit flags `b` as unconstrained; the preprocess profile
-        // knows eliminated variables occur in no clause by design.
-        assert!(kinds(&audit_formula(&f)).contains(&LintKind::UnconstrainedVar));
-        assert!(audit_preprocessed(&f, &[b]).is_empty());
-    }
-
-    #[test]
-    fn preprocessor_output_passes_the_preprocessed_audit() {
-        // Round-trip: a formula with duplicates, subsumed clauses and an
-        // eliminable variable goes through the real preprocessor; its
-        // output snapshot must be clean under the preprocess profile.
-        use etcs_sat::{PreprocessConfig, Solver};
-        let mut s = Solver::new();
-        let a = s.new_var().positive();
-        let b = s.new_var().positive();
-        let x = s.new_var().positive();
-        let c = s.new_var().positive();
-        s.add_clause([a, b]);
-        s.add_clause([b, a]); // duplicate
-        s.add_clause([a, b, c]); // subsumed
-        s.add_clause([!x, a]);
-        s.add_clause([x, c]); // x is eliminable
-        for l in [a, b, c] {
-            s.freeze_lit(l);
-        }
-        let stats = s.preprocess(&PreprocessConfig::default());
-        assert!(stats.clauses_removed() >= 2);
-        let mut f = Formula::new();
-        for _ in 0..s.num_vars() {
-            let _ = f.new_var();
-        }
-        for clause in s.clauses_snapshot() {
-            f.add_clause_from(&clause);
-        }
-        let findings = audit_preprocessed(&f, &s.eliminated_vars());
-        let ks = kinds(&findings);
-        assert!(!ks.contains(&LintKind::TautologicalClause), "{findings:?}");
-        assert!(!ks.contains(&LintKind::DuplicateClause), "{findings:?}");
-        assert!(!ks.contains(&LintKind::EliminatedVarClause), "{findings:?}");
-        assert!(!has_errors(&findings), "{findings:?}");
     }
 }

@@ -30,12 +30,16 @@ impl std::fmt::Display for ParseDimacsError {
 
 impl std::error::Error for ParseDimacsError {}
 
+/// Largest variable count a [`Lit`] can address: it packs `var << 1` into
+/// a `u32`, so a variable index of 2^31 or more would wrap onto a low one.
+const MAX_VARS: usize = 1 << 31;
+
 /// Parses a DIMACS CNF document into a [`Formula`].
 ///
 /// Comment lines (`c …`) and the problem line (`p cnf V C`) are accepted in
 /// the usual places; clauses may span lines and are `0`-terminated. The
 /// declared variable count is honoured (more variables than used is fine);
-/// literals beyond it are an error.
+/// literals beyond it are an error, and so is a count above 2^31.
 ///
 /// # Errors
 ///
@@ -84,6 +88,12 @@ pub fn parse_dimacs(input: &str) -> Result<Formula, ParseDimacsError> {
                         line: lineno,
                         message: "missing or invalid variable count".into(),
                     })?;
+            if nv > MAX_VARS {
+                return Err(ParseDimacsError {
+                    line: lineno,
+                    message: format!("variable count {nv} exceeds the limit of {MAX_VARS}"),
+                });
+            }
             declared_vars = Some(nv);
             for _ in 0..nv {
                 formula.new_var();
@@ -189,6 +199,15 @@ mod tests {
     fn rejects_out_of_range_literal() {
         let e = parse_dimacs("p cnf 1 1\n2 0\n").expect_err("should fail");
         assert!(e.message.contains("exceeds"));
+    }
+
+    #[test]
+    fn rejects_variable_count_past_literal_packing() {
+        // Variable 2147483649 has index 2^31, which would wrap onto x0 and
+        // turn this satisfiable formula into `x0 ∧ ¬x0`.
+        let e = parse_dimacs("p cnf 2147483649 2\n2147483649 0\n-1 0\n").expect_err("should fail");
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("exceeds the limit"));
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! * [`Solver`] — conflict-driven clause learning with two-watched-literal
 //!   propagation, VSIDS + phase saving, Luby restarts, LBD-based clause
 //!   database reduction, incremental solving under assumptions and
-//!   unsat-core extraction, plus certified SatELite-style preprocessing
-//!   ([`Solver::preprocess`], [`PreprocessConfig`]) with DRAT-logged
-//!   derivations and model reconstruction for eliminated variables;
+//!   unsat-core extraction;
 //! * [`parallel`] — an in-process clause-sharing portfolio
 //!   ([`Solver::set_portfolio`], [`PortfolioConfig`]): N diversified CDCL
 //!   workers race one formula, exchanging small-LBD learnt clauses, with
@@ -80,9 +78,6 @@ pub use model::Model;
 pub use pb::{Objective, ObjectiveCounter};
 pub use proof::{check_drat, CheckOutcome, DratProof, ProofError, ProofSink, ProofStep};
 pub use solver::parallel;
-pub use solver::{
-    luby, PortfolioConfig, PortfolioStats, PreprocessConfig, PreprocessStats, SatResult, Solver,
-    SolverConfig,
-};
+pub use solver::{luby, PortfolioConfig, PortfolioStats, SatResult, Solver, SolverConfig};
 pub use stats::Stats;
 pub use types::{LBool, Lit, Var};

@@ -35,9 +35,9 @@ use std::sync::{Arc, Mutex};
 /// **before adding any clauses** — lemmas derived while loading (level-0
 /// simplifications) are part of the certificate.
 ///
-/// Sinks are `Send` so a proof-logging solver can move across threads (the
-/// batch layers in `etcs-core` do); the in-process portfolio still refuses
-/// to *race* proof-logging workers, because imported clauses have no local
+/// Sinks are `Send` so a proof-logging solver stays `Send` and can move
+/// across threads; the in-process portfolio still refuses to *race*
+/// proof-logging workers, because imported clauses have no local
 /// derivation (see `parallel`).
 pub trait ProofSink: fmt::Debug + Send {
     /// A clause was derived; it is RUP with respect to everything emitted
@@ -231,7 +231,7 @@ impl ProofSink for DratProof {
 /// Shared-handle sink: the caller keeps one `Arc` and gives the solver the
 /// other, so the proof can be inspected after (or between) solver runs. The
 /// mutex is uncontended in practice — a solver emits from one thread at a
-/// time — it exists to keep the handle `Send` for the batch layers.
+/// time — it exists to keep the handle `Send`.
 impl ProofSink for Arc<Mutex<DratProof>> {
     fn add_clause(&mut self, lits: &[Lit]) {
         self.lock().expect("proof sink poisoned").add_clause(lits);

@@ -13,11 +13,9 @@
 
 mod heap;
 pub mod parallel;
-mod preprocess;
 mod restart;
 
 pub use parallel::{PortfolioConfig, PortfolioStats};
-pub use preprocess::{PreprocessConfig, PreprocessStats};
 pub use restart::luby;
 
 use crate::clause::{ClauseDb, ClauseRef};
@@ -193,17 +191,6 @@ pub struct Solver {
     /// Observability handle. Disabled by default, in which case every
     /// emission site is a single branch (see `etcs-obs`).
     obs: Obs,
-    /// Variables removed by preprocessing (bounded variable elimination).
-    /// They never re-enter search; models reassemble their values from
-    /// `reconstruction`.
-    eliminated: Vec<bool>,
-    /// Variables the preprocessor must not eliminate because they outlive
-    /// it (assumption/selector literals, variables of later clauses).
-    frozen: Vec<bool>,
-    /// Witness stack for eliminated variables: `(witness, clause)` entries
-    /// walked in reverse by [`Solver::reconstructed_model`] — a stacked
-    /// clause left unsatisfied flips its witness literal.
-    reconstruction: Vec<(Lit, Vec<Lit>)>,
     /// Reused buffer for normalising clauses in [`Solver::add_clause`].
     add_buf: Vec<Lit>,
 }
@@ -246,9 +233,6 @@ impl Solver {
             portfolio_stats: PortfolioStats::default(),
             proof: None,
             obs: Obs::disabled(),
-            eliminated: Vec::new(),
-            frozen: Vec::new(),
-            reconstruction: Vec::new(),
             add_buf: Vec::new(),
         }
     }
@@ -317,8 +301,6 @@ impl Solver {
         self.activity.push(0.0);
         self.phase.push(self.default_phase);
         self.seen.push(false);
-        self.eliminated.push(false);
-        self.frozen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.heap.grow_to(self.assigns.len());
@@ -361,8 +343,7 @@ impl Solver {
     /// `Unknown` return the trail is rolled back to level 0, no assumption
     /// sticks, and everything learnt during the aborted call stays — a
     /// later call (with a larger budget, or `None`) resumes from strictly
-    /// more information. The portfolio racer in `etcs-core` leans on this
-    /// to poll a cancellation flag between budget slices.
+    /// more information.
     pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
         self.conflict_budget = budget;
     }
@@ -480,11 +461,6 @@ impl Solver {
             debug_assert!(
                 l.var().index() < self.num_vars(),
                 "literal {l:?} uses an unallocated variable"
-            );
-            debug_assert!(
-                !self.eliminated[l.var().index()],
-                "literal {l:?} uses a variable eliminated by preprocessing; \
-                 freeze it before calling preprocess"
             );
         }
         lits.sort_unstable();
@@ -636,13 +612,6 @@ impl Solver {
     }
 
     fn solve_with_inner(&mut self, assumptions: &[Lit]) -> SatResult {
-        for &a in assumptions {
-            debug_assert!(
-                !self.eliminated[a.var().index()],
-                "assumption {a:?} uses a variable eliminated by preprocessing; \
-                 freeze it before calling preprocess"
-            );
-        }
         self.stats.solve_calls += 1;
         if self.stats.solve_calls > 1 {
             self.stats.reused_learnts += self.db.num_learnt() as u64;
@@ -672,7 +641,7 @@ impl Solver {
             let limit = self.config.restart_base.saturating_mul(luby(restart_num));
             match self.search(assumptions, limit, budget_start) {
                 SearchOutcome::Sat => {
-                    let model = self.reconstructed_model();
+                    let model = Model::from_assignments(&self.assigns);
                     self.cancel_until(0);
                     return SatResult::Sat(model);
                 }
@@ -1033,32 +1002,11 @@ impl Solver {
 
     fn pick_branch_var(&mut self) -> Option<Var> {
         while let Some(v) = self.heap.pop_max(&self.activity) {
-            if self.assigns[v.index()] == LBool::Undef && !self.eliminated[v.index()] {
+            if self.assigns[v.index()] == LBool::Undef {
                 return Some(v);
             }
         }
         None
-    }
-
-    /// Builds the model for the full assignment, then walks the
-    /// reconstruction stack in reverse: each entry whose clause the model
-    /// does not yet satisfy flips its witness literal. This reassembles
-    /// exact values for preprocessing-eliminated variables, so the model
-    /// satisfies the *original* formula, not just the preprocessed one.
-    fn reconstructed_model(&self) -> Model {
-        if self.reconstruction.is_empty() {
-            return Model::from_assignments(&self.assigns);
-        }
-        let mut values: Vec<bool> = self.assigns.iter().map(|&a| a == LBool::True).collect();
-        for (witness, clause) in self.reconstruction.iter().rev() {
-            let satisfied = clause
-                .iter()
-                .any(|&l| values[l.var().index()] == l.is_positive());
-            if !satisfied {
-                values[witness.var().index()] = witness.is_positive();
-            }
-        }
-        Model::from_values(values)
     }
 
     fn search(

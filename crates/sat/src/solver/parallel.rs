@@ -464,13 +464,13 @@ impl Solver {
         worker
     }
 
-    /// Re-inserts every unassigned, non-eliminated variable into a fresh
-    /// heap (needed after bulk activity edits, which invalidate heap order).
+    /// Re-inserts every unassigned variable into a fresh heap (needed
+    /// after bulk activity edits, which invalidate heap order).
     fn rebuild_heap(&mut self) {
         self.heap = super::VarHeap::new();
         self.heap.grow_to(self.assigns.len());
         for v in 0..self.assigns.len() {
-            if self.assigns[v] == LBool::Undef && !self.eliminated[v] {
+            if self.assigns[v] == LBool::Undef {
                 self.heap.insert(Var::from_index(v), &self.activity);
             }
         }
@@ -509,9 +509,6 @@ impl Solver {
             portfolio_stats: PortfolioStats::default(),
             proof: None,
             obs: Obs::disabled(),
-            eliminated: self.eliminated.clone(),
-            frozen: self.frozen.clone(),
-            reconstruction: self.reconstruction.clone(),
             add_buf: Vec::new(),
         }
     }

@@ -12,7 +12,7 @@
 //! compacted database, under the same brute-force and DRAT checks.
 
 use etcs_sat::proof::{check_drat, DratProof};
-use etcs_sat::{CnfSink, Formula, Lit, PreprocessConfig, SatResult, Solver, Var};
+use etcs_sat::{CnfSink, Formula, Lit, SatResult, Solver, Var};
 use etcs_testkit::{cases, Rng};
 use std::sync::{Arc, Mutex};
 
@@ -117,57 +117,6 @@ fn check_one(rng: &mut Rng, max_vars: usize) {
     }
 }
 
-/// Solves `f` with the certified preprocessor in front of the search;
-/// returns the result and the combined (preprocessing + search) proof.
-fn solve_preprocessed_logged(f: &Formula) -> (SatResult, DratProof) {
-    let proof = Arc::new(Mutex::new(DratProof::new()));
-    let mut s = Solver::new();
-    s.set_proof_sink(Box::new(Arc::clone(&proof)));
-    f.load_into(&mut s);
-    s.preprocess(&PreprocessConfig::default());
-    let result = s.solve();
-    drop(s);
-    let proof = Arc::try_unwrap(proof)
-        .expect("solver handle dropped")
-        .into_inner()
-        .expect("proof lock");
-    (result, proof)
-}
-
-/// Differential body: the same instance solved directly and through the
-/// preprocessor must give bit-identical verdicts. Reconstructed SAT models
-/// are checked against the *original* formula (model reconstruction must
-/// undo variable elimination exactly); UNSAT proofs are checked against
-/// the *original* axioms (preprocessing derivations must be DRAT-valid).
-fn check_one_preprocessed(rng: &mut Rng, max_vars: usize) {
-    let (nv, clauses) = random_cnf(rng, max_vars);
-    let f = build_formula(nv, &clauses);
-    let (direct, _) = solve_logged(&f);
-    let (result, proof) = solve_preprocessed_logged(&f);
-    match (&direct, &result) {
-        (SatResult::Sat(_), SatResult::Sat(_))
-        | (SatResult::Unsat { .. }, SatResult::Unsat { .. }) => {}
-        _ => panic!("preprocessing changed the verdict on a {nv}-var instance"),
-    }
-    match result {
-        SatResult::Sat(m) => {
-            assert!(
-                f.eval(&m),
-                "reconstructed model violates an original clause on {nv} vars"
-            );
-        }
-        SatResult::Unsat { .. } => {
-            let outcome = check_drat(f.clauses(), &proof, &[])
-                .unwrap_or_else(|e| panic!("preprocessed UNSAT proof rejected on {nv} vars: {e}"));
-            assert!(
-                outcome.checked_lemmas >= 1,
-                "an UNSAT certificate must derive the empty clause"
-            );
-        }
-        SatResult::Unknown => panic!("no budget was set"),
-    }
-}
-
 /// Solves a small instance on a solver that has first searched hard
 /// random 3-SAT blocks, each guarded by its own selector `s` (every block
 /// clause carries `!s`), until the learnt database was reduced; a
@@ -250,19 +199,6 @@ fn fuzz_after_forced_reductions_and_compaction_certified() {
 #[test]
 fn fuzz_up_to_twenty_vars_certified() {
     cases(48, |rng| check_one(rng, 20));
-}
-
-#[test]
-fn fuzz_preprocessed_matches_direct_up_to_twenty_vars() {
-    cases(48, |rng| check_one_preprocessed(rng, 20));
-}
-
-#[test]
-fn fuzz_preprocessed_dense_small_instances_certify_unsat() {
-    // The dense regime is frequently UNSAT, and small instances are where
-    // the preprocessor most often closes the formula outright — both the
-    // in-preprocessing and in-search refutations must check end-to-end.
-    cases(96, |rng| check_one_preprocessed(rng, 5));
 }
 
 #[test]

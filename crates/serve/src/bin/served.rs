@@ -91,7 +91,6 @@ struct Args {
     queue: usize,
     cache: usize,
     lazy: bool,
-    preprocess: bool,
     portfolio: Option<usize>,
     listen: Option<String>,
     name: Option<String>,
@@ -99,13 +98,11 @@ struct Args {
 }
 
 const USAGE: &str = "usage: served [--input FILE] [--output FILE] [--trace FILE] \
-[--workers N] [--queue N] [--cache N] [--lazy] [--preprocess] [--portfolio N] \
+[--workers N] [--queue N] [--cache N] [--lazy] [--portfolio N] \
 [--listen ADDR] [--name NAME] [--crash-after N]\n\
 Reads one JSON job request per line, writes one JSON response per line.\n\
 --lazy routes every job through the CEGAR loop (strategy all-violated)\n\
 unless the request line carries its own \"lazy\" field.\n\
---preprocess runs the certified CNF preprocessor before every solve\n\
-(results are bit-identical; the cache key distinguishes the modes).\n\
 --portfolio N races every solve across an N-worker clause-sharing\n\
 portfolio unless the request line carries its own \"portfolio\" field\n\
 (verdicts and optima are unchanged; witness plans may differ).\n\
@@ -127,7 +124,6 @@ fn parse_args() -> Result<Args, String> {
         queue: 256,
         cache: 128,
         lazy: false,
-        preprocess: false,
         portfolio: None,
         listen: None,
         name: None,
@@ -159,7 +155,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| "--cache must be an integer".to_string())?
             }
             "--lazy" => args.lazy = true,
-            "--preprocess" => args.preprocess = true,
             "--portfolio" => {
                 let n: usize = value("--portfolio")?
                     .parse()
@@ -208,16 +203,11 @@ fn print_stats_record(shard: Option<&str>, service: &Service, replan: &ReplanSta
 
 /// The `--listen` socket mode: one fleet shard until `shutdown` (or death).
 fn run_shard(args: &Args, addr: &str, obs: Obs) -> ExitCode {
-    let encoder = etcs_core::EncoderConfig {
-        preprocess: args.preprocess,
-        ..etcs_core::EncoderConfig::default()
-    };
     let service = Service::with_obs(
         ServeConfig {
             workers: args.workers,
             queue_capacity: args.queue,
             cache_capacity: args.cache,
-            encoder,
             record_history: true,
             ..ServeConfig::default()
         },
@@ -332,23 +322,17 @@ fn main() -> ExitCode {
         }
     }
 
-    let encoder = etcs_core::EncoderConfig {
-        preprocess: args.preprocess,
-        ..etcs_core::EncoderConfig::default()
-    };
     let mut service = Service::with_obs(
         ServeConfig {
             workers: args.workers,
             queue_capacity: args.queue,
             cache_capacity: args.cache,
-            encoder,
             ..ServeConfig::default()
         },
         obs.clone(),
     );
     let mut replan = ReplanManager::new(
         ReplanConfig {
-            encoder,
             lazy: args.lazy,
             ..ReplanConfig::default()
         },
