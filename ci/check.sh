@@ -13,6 +13,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (broken or private intra-doc links are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
+
 echo "==> cargo build --examples"
 cargo build -q --examples
 

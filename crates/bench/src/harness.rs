@@ -3,8 +3,10 @@
 //! The workspace builds fully offline, so the `criterion` crate is not
 //! available. This module provides the small slice of its surface the bench
 //! targets use — [`Criterion`], [`BenchmarkGroup`], [`Bencher`],
-//! [`BenchmarkId`], [`BatchSize`], [`criterion_group!`], [`criterion_main!`] —
-//! so each bench file only swaps its `use criterion::…` line.
+//! [`BenchmarkId`], [`BatchSize`],
+//! [`criterion_group!`](crate::criterion_group),
+//! [`criterion_main!`](crate::criterion_main) — so each bench file only
+//! swaps its `use criterion::…` line.
 //!
 //! Measurement model: after a warm-up period, each benchmark runs
 //! `sample_size` timed samples (bounded by `measurement_time`) and reports

@@ -1,66 +1,56 @@
-//! Certified task runners: verdicts that do not trust the solver.
+//! Certifying an answer: evidence that does not trust whatever produced it.
 //!
-//! [`verify_certified`], [`generate_certified`], [`optimize_certified`] and
-//! [`diagnose_certified`] run the same pipelines as their plain
-//! counterparts, but build the encoding through the tracing path (an
-//! [`EncodingTrace`] mirror of exactly what the encoder emitted), lint it
-//! with [`etcs_lint`] before solving, log a DRAT proof while solving, and
-//! validate the verdict independently:
-//!
-//! * **Feasible / solved** — the witness model is re-evaluated clause by
-//!   clause against the traced formula, not against the solver's internal
-//!   state.
-//! * **Infeasible** — the DRAT proof is replayed by the backward checker
-//!   [`etcs_sat::check_drat`] with the traced formula as axiom set; for
-//!   assumption-based verdicts (diagnosis cores) the negated failed core
-//!   is the checked target.
-//!
-//! Optimality claims (minimal borders, minimal completion time) are *not*
-//! independently certified: the MaxSAT loop introduces cardinality-counter
-//! clauses outside the traced axiom set. The certified surface is the
-//! feasibility verdict of the returned solution and every UNSAT answer met
-//! on the way (the deadline probes of [`optimize_certified`]).
+//! [`certify`] checks a [`DesignOutcome`] and [`certify_diagnosis`] a
+//! [`Diagnosis`] from any driver: eager, incremental, lazy, portfolio or a
+//! cache. Each re-derives the answer's evidence on fresh encodings, traced
+//! (an [`EncodingTrace`] mirror of exactly what the encoder emitted),
+//! linted before solving and proof-logged while solving. A model must
+//! satisfy the traced formula; a refutation's DRAT proof must pass
+//! [`etcs_sat::check_drat`] with the traced formula as axioms and, under
+//! assumptions, the negated failed core as target. A proof-logging solver
+//! never races, so these solves are sequential whatever the
+//! [`SolveMode`](crate::SolveMode). Minimality (of borders, of a diagnosis
+//! conflict) is not certified: MaxSAT counter clauses lie outside every
+//! traced axiom set.
 
 use std::fmt;
-use std::time::Instant;
 
 use etcs_lint::{has_errors, Finding};
 use etcs_network::{NetworkError, Scenario, TrainId, VssLayout};
-use etcs_sat::{check_drat, maxsat, CheckOutcome, Lit, ProofError, SatResult, Strategy};
+use etcs_sat::{check_drat, CheckOutcome, Lit, ProofError, SatResult};
 
-use crate::decode::SolvedPlan;
 use crate::diagnose::Diagnosis;
-use crate::encoder::{encode, EncoderConfig, EncodingStats, SolveMode, TaskKind};
+use crate::encoder::{encode, EncoderConfig, TaskKind};
 use crate::instance::Instance;
-use crate::tasks::{DesignOutcome, TaskReport, VerifyOutcome};
+use crate::tasks::DesignOutcome;
 use crate::trace::EncodingTrace;
 
-/// Evidence accompanying a certified verdict.
+/// Evidence that an answer holds.
 #[derive(Debug)]
 pub struct Certification {
-    /// Lint findings on the traced encoding (warnings and infos; a finding
-    /// of [`etcs_lint::Severity::Error`] aborts before solving instead).
+    /// Lint findings on [`trace`](Self::trace): warnings and infos (an
+    /// error-severity finding on any encoding aborts before solving it).
     pub findings: Vec<Finding>,
-    /// The traced encoding all evidence refers to: the exact clause list
-    /// handed to the solver plus variable/clause provenance.
+    /// The traced encoding the verdict refers to: the witness encoding of
+    /// a satisfiable claim, the last refuted one otherwise.
     pub trace: EncodingTrace,
     /// How the verdict was validated.
     pub verdict: CertifiedVerdict,
-    /// UNSAT deadline probes certified along the way (only
-    /// [`optimize_certified`] produces these).
+    /// Deadlines refuted with their own proofs on the way to an
+    /// optimisation verdict; 0 for the other tasks.
     pub certified_unsat_probes: usize,
 }
 
-/// How a certified verdict was independently validated.
+/// How a verdict was independently validated.
 #[derive(Clone, Copy, Debug)]
 pub enum CertifiedVerdict {
-    /// A witness model satisfied every clause of the traced formula.
+    /// A model satisfied every clause of the traced formula.
     ModelChecked,
     /// A DRAT proof of unsatisfiability passed the backward checker.
     ProofChecked(CheckOutcome),
 }
 
-/// Failure modes of the certified runners.
+/// Why an answer could not be certified.
 #[derive(Debug)]
 pub enum CertifyError {
     /// The scenario itself is malformed.
@@ -68,16 +58,14 @@ pub enum CertifyError {
     /// The lint pass found error-severity findings; the formula was not
     /// handed to the solver.
     MalformedEncoding(Vec<Finding>),
-    /// The solver's witness model violates the traced formula — a solver
-    /// or mirror defect.
+    /// The solver's model violates the traced formula — a solver or
+    /// mirror defect.
     BadWitness,
     /// The solver's DRAT proof failed independent validation.
     Proof(ProofError),
-    /// The caller asked for [`SolveMode::Portfolio`]: a portfolio verdict
-    /// cannot be DRAT-certified (imported clauses have no derivation in the
-    /// local proof log), so the certified runners refuse it outright rather
-    /// than silently downgrading to sequential solving.
-    PortfolioUncertified(usize),
+    /// Re-deriving the evidence contradicted the answer: the stated fact,
+    /// which the answer implies, does not hold.
+    Refuted(String),
 }
 
 impl fmt::Display for CertifyError {
@@ -93,11 +81,7 @@ impl fmt::Display for CertifyError {
                 write!(f, "witness model does not satisfy the traced formula")
             }
             CertifyError::Proof(e) => write!(f, "DRAT proof rejected: {e}"),
-            CertifyError::PortfolioUncertified(n) => write!(
-                f,
-                "certified tasks require SolveMode::Single: a {n}-worker \
-                 clause-sharing portfolio cannot be DRAT-certified"
-            ),
+            CertifyError::Refuted(claim) => write!(f, "answer refuted: not true that {claim}"),
         }
     }
 }
@@ -116,449 +100,178 @@ impl From<ProofError> for CertifyError {
     }
 }
 
-/// Lints a traced encoding, refusing to solve on error-severity findings.
-fn lint_gate(trace: &EncodingTrace) -> Result<Vec<Finding>, CertifyError> {
+/// One piece of evidence: encodes `task` on `inst` traced and
+/// proof-logged, refuses to solve on error-severity lint findings, solves
+/// under the deadline selectors of `trains` (only [`TaskKind::Diagnose`]
+/// has any), and checks the answer. An answer other than `sat` refutes
+/// `claim`.
+fn prove(
+    inst: &Instance,
+    config: &EncoderConfig,
+    task: &TaskKind,
+    trains: &[TrainId],
+    sat: bool,
+    claim: &str,
+) -> Result<Certification, CertifyError> {
+    let refuted = || CertifyError::Refuted(claim.to_owned());
+    let config = EncoderConfig {
+        trace: true,
+        proof: true,
+        ..*config
+    };
+    let mut enc = encode(inst, &config, task);
+    let trace = enc.trace.take().expect("tracing enabled");
+    let proof = enc.proof.take().expect("proof logging enabled");
     let findings = trace.lint();
     if has_errors(&findings) {
         return Err(CertifyError::MalformedEncoding(findings));
     }
-    Ok(findings)
+    let assumptions: Vec<Lit> = trains
+        .iter()
+        .map(|t| enc.deadline_selectors.get(t.index()).copied())
+        .collect::<Option<_>>()
+        .ok_or_else(refuted)?;
+    let verdict = match enc.solver.solve_with(&assumptions) {
+        SatResult::Sat(model) if sat => {
+            if !trace.formula.eval(&model) {
+                return Err(CertifyError::BadWitness);
+            }
+            CertifiedVerdict::ModelChecked
+        }
+        SatResult::Unsat { core } if !sat => {
+            let target: Vec<Lit> = core.iter().map(|&l| !l).collect();
+            let proof = proof.lock().expect("proof lock");
+            CertifiedVerdict::ProofChecked(check_drat(trace.formula.clauses(), &proof, &target)?)
+        }
+        SatResult::Unknown => unreachable!("no conflict budget or interrupt configured"),
+        _ => return Err(refuted()),
+    };
+    Ok(Certification {
+        findings,
+        trace,
+        verdict,
+        certified_unsat_probes: 0,
+    })
 }
 
-/// Forces tracing and proof logging on, whatever the caller's config says.
-/// Rejects [`SolveMode::Portfolio`] — the certification boundary: imported
-/// clauses carry no derivation in the local DRAT log, so a portfolio verdict
-/// is not certifiable and silently racing (or silently downgrading) would
-/// misrepresent what the certificate covers.
-fn certified_config(config: &EncoderConfig) -> Result<EncoderConfig, CertifyError> {
-    if let SolveMode::Portfolio(n) = config.solve_mode {
-        return Err(CertifyError::PortfolioUncertified(n));
-    }
-    let mut cfg = *config;
-    cfg.trace = true;
-    cfg.proof = true;
-    Ok(cfg)
-}
-
-/// [`crate::verify`] with a certified verdict.
+/// Certifies `outcome` as the answer to `task` on `scenario` under
+/// `config`, whichever driver produced it. The evidence per claim:
+///
+/// * `Verify(L)` feasible: the `Verify(L)` encoding is satisfiable;
+///   `Verify(L)` or `Generate` infeasible: that task's encoding is refuted.
+/// * `Generate` solved: `Verify(plan.layout)` is satisfiable.
+/// * `Optimize` / `OptimizeIncremental` solved at completion `c`: on the
+///   arrival-free scenario every uniform deadline from the completion
+///   lower bound to `c - 2` is refuted, and `Verify(plan.layout)` at
+///   deadline `c - 1` is satisfiable. Infeasible: every deadline up to the
+///   horizon is refuted.
 ///
 /// # Errors
 ///
-/// Returns [`CertifyError`] if the scenario is malformed, the encoding
-/// fails the lint gate, or the solver's evidence fails validation.
+/// Returns [`CertifyError::Refuted`] if the evidence contradicts the
+/// answer, and the other variants if the scenario is malformed, an
+/// encoding fails the lint gate, or the solver's evidence fails validation.
+///
+/// # Panics
+///
+/// Panics on [`TaskKind::Diagnose`]; see [`certify_diagnosis`].
 ///
 /// # Examples
 ///
 /// ```
-/// use etcs_core::{verify_certified, CertifiedVerdict, EncoderConfig};
+/// use etcs_core::{certify, run, CertifiedVerdict, EncoderConfig, Run, TaskKind};
 /// use etcs_network::{fixtures, VssLayout};
 ///
 /// let scenario = fixtures::running_example();
-/// let (outcome, _, cert) =
-///     verify_certified(&scenario, &VssLayout::pure_ttd(), &EncoderConfig::default())?;
-/// assert!(!outcome.is_feasible());
+/// let config = EncoderConfig::default();
+/// let task = TaskKind::Verify(VssLayout::pure_ttd());
+/// let (outcome, _) = run(&scenario, &task, &config, &Run::default())?;
 /// // The deadlock verdict is backed by a checker-validated DRAT proof.
+/// let cert = certify(&scenario, &task, &config, &outcome)?;
 /// assert!(matches!(cert.verdict, CertifiedVerdict::ProofChecked(_)));
-/// # Ok::<(), etcs_core::CertifyError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn verify_certified(
+pub fn certify(
     scenario: &Scenario,
-    layout: &VssLayout,
+    task: &TaskKind,
     config: &EncoderConfig,
-) -> Result<(VerifyOutcome, TaskReport, Certification), CertifyError> {
-    let start = Instant::now();
-    let inst = Instance::new(scenario)?;
-    let mut enc = encode(
-        &inst,
-        &certified_config(config)?,
-        &TaskKind::Verify(layout.clone()),
-    );
-    let stats = enc.stats;
-    let trace = enc.trace.take().expect("tracing enabled");
-    let proof = enc.proof.take().expect("proof logging enabled");
-    let findings = lint_gate(&trace)?;
-    let (outcome, verdict) = match enc.solver.solve() {
-        SatResult::Sat(model) => {
-            if !trace.formula.eval(&model) {
-                return Err(CertifyError::BadWitness);
+    outcome: &DesignOutcome,
+) -> Result<Certification, CertifyError> {
+    let plan = outcome.plan();
+    if !matches!(task, TaskKind::Optimize | TaskKind::OptimizeIncremental) {
+        let inst = Instance::new(scenario)?;
+        return match (task, plan) {
+            (TaskKind::Diagnose(_), _) => panic!("a diagnosis has its own checker"),
+            (TaskKind::Generate, Some(plan)) => {
+                let verify = TaskKind::Verify(plan.layout.clone());
+                prove(&inst, config, &verify, &[], true, "the layout works")
             }
-            let mut plan = SolvedPlan::decode(&inst, &enc.vars, &model);
-            plan.layout = layout.clone();
-            (
-                VerifyOutcome::Feasible(plan),
-                CertifiedVerdict::ModelChecked,
-            )
-        }
-        SatResult::Unsat { .. } => {
-            let check = check_drat(
-                trace.formula.clauses(),
-                &proof.lock().expect("proof lock"),
-                &[],
-            )?;
-            (
-                VerifyOutcome::Infeasible,
-                CertifiedVerdict::ProofChecked(check),
-            )
-        }
-        SatResult::Unknown => unreachable!("no conflict budget configured"),
-    };
-    Ok((
-        outcome,
-        TaskReport {
-            stats,
-            runtime: start.elapsed(),
-            solver_calls: 1,
-            search: *enc.solver.stats(),
-        },
-        Certification {
-            findings,
-            trace,
-            verdict,
-            certified_unsat_probes: 0,
-        },
-    ))
-}
-
-/// [`crate::generate`] with a certified verdict.
-///
-/// The returned layout's feasibility is model-checked; an infeasibility
-/// verdict is proof-checked (the MaxSAT loop answers "unsatisfiable" from
-/// its very first solve, before any counter clause exists, so the proof is
-/// valid against the traced axioms). Border *minimality* is reported as in
-/// [`crate::generate`] but not independently certified.
-///
-/// # Errors
-///
-/// Returns [`CertifyError`] if the scenario is malformed, the encoding
-/// fails the lint gate, or the solver's evidence fails validation.
-pub fn generate_certified(
-    scenario: &Scenario,
-    config: &EncoderConfig,
-) -> Result<(DesignOutcome, TaskReport, Certification), CertifyError> {
-    let start = Instant::now();
-    let inst = Instance::new(scenario)?;
-    let mut enc = encode(&inst, &certified_config(config)?, &TaskKind::Generate);
-    let stats = enc.stats;
-    let trace = enc.trace.take().expect("tracing enabled");
-    let proof = enc.proof.take().expect("proof logging enabled");
-    let findings = lint_gate(&trace)?;
-    let objective = enc.border_objective.clone();
-    let (outcome, verdict, calls) =
-        match maxsat::minimize(&mut enc.solver, &objective, &[], Strategy::LinearSatUnsat) {
-            maxsat::OptimizeOutcome::Optimal(r) => {
-                if !trace.formula.eval(&r.model) {
-                    return Err(CertifyError::BadWitness);
-                }
-                (
-                    DesignOutcome::Solved {
-                        plan: SolvedPlan::decode(&inst, &enc.vars, &r.model),
-                        costs: vec![r.cost],
-                    },
-                    CertifiedVerdict::ModelChecked,
-                    r.solver_calls,
-                )
-            }
-            maxsat::OptimizeOutcome::Unsat => {
-                let check = check_drat(
-                    trace.formula.clauses(),
-                    &proof.lock().expect("proof lock"),
-                    &[],
-                )?;
-                (
-                    DesignOutcome::Infeasible,
-                    CertifiedVerdict::ProofChecked(check),
-                    1,
-                )
-            }
-            maxsat::OptimizeOutcome::Unknown { .. } => {
-                unreachable!("no conflict budget configured")
-            }
+            (_, Some(_)) => prove(&inst, config, task, &[], true, "the layout works"),
+            (_, None) => prove(&inst, config, task, &[], false, "the task is infeasible"),
         };
-    Ok((
-        outcome,
-        TaskReport {
-            stats,
-            runtime: start.elapsed(),
-            solver_calls: calls,
-            search: *enc.solver.stats(),
+    }
+    let mut inst = Instance::new(&scenario.without_arrivals())?;
+    let horizon = inst.t_max - 1;
+    // The claimed optimum: the deadline one step before the completion.
+    let best = match outcome {
+        DesignOutcome::Solved { costs, .. } => match costs.first() {
+            Some(&c) if (1..=inst.t_max as u64).contains(&c) => Some(c as usize - 1),
+            _ => return Err(CertifyError::Refuted("the completion is in range".into())),
         },
-        Certification {
-            findings,
-            trace,
-            verdict,
-            certified_unsat_probes: 0,
-        },
-    ))
-}
-
-/// [`crate::optimize`] with a certified verdict.
-///
-/// Every UNSAT deadline probe of the shrinking-horizon search is certified
-/// with its own DRAT proof (their count is reported in
-/// [`Certification::certified_unsat_probes`]); the final solution is
-/// model-checked against the stage-2 traced formula.
-///
-/// This is the **explicit per-probe fallback** to the incremental loop of
-/// [`crate::optimize_incremental`]: certification deliberately re-encodes
-/// every probe from scratch. A DRAT refutation is checked against a fixed
-/// axiom set, and each deadline needs its *own* axiom set (the probe's
-/// traced formula) — on a shared incremental solver the probes' proofs
-/// would interleave in one log, and the Stage-2 MaxSAT counter clauses
-/// fall outside the traced axioms entirely. Re-encoding keeps every
-/// certificate self-contained at the cost of the cross-probe clause reuse
-/// the plain incremental path exploits.
-///
-/// # Errors
-///
-/// Returns [`CertifyError`] if the scenario is malformed, any probe
-/// encoding fails the lint gate, or the solver's evidence fails validation.
-pub fn optimize_certified(
-    scenario: &Scenario,
-    config: &EncoderConfig,
-) -> Result<(DesignOutcome, TaskReport, Certification), CertifyError> {
-    let start = Instant::now();
-    let open = scenario.without_arrivals();
-    let mut inst = Instance::new(&open)?;
-    let cfg = certified_config(config)?;
-    let mut calls = 0usize;
-    let mut probes = 0usize;
-    let mut search = etcs_sat::Stats::default();
-
-    // Stage 1 — shrinking-horizon search (see `optimize` for rationale),
-    // with every UNSAT probe certified on the spot.
-    let max_deadline = inst.t_max - 1;
-    let lower = inst.completion_lower_bound().min(max_deadline);
-    let mut best_deadline = None;
-    let mut last_infeasible: Option<(EncodingStats, Vec<Finding>, EncodingTrace, CheckOutcome)> =
-        None;
-    for d in lower..=max_deadline {
+        DesignOutcome::Infeasible => None,
+    };
+    let lower = inst.completion_lower_bound().min(horizon);
+    let end = best.unwrap_or(horizon + 1);
+    let mut cert = None;
+    for d in lower..end {
         inst.set_uniform_deadline(d);
-        let mut enc = encode(&inst, &cfg, &TaskKind::Generate);
-        let trace = enc.trace.take().expect("tracing enabled");
-        let proof = enc.proof.take().expect("proof logging enabled");
-        let findings = lint_gate(&trace)?;
-        calls += 1;
-        let verdict = enc.solver.solve();
-        search += enc.solver.stats();
-        match verdict {
-            SatResult::Sat(model) => {
-                if !trace.formula.eval(&model) {
-                    return Err(CertifyError::BadWitness);
-                }
-                best_deadline = Some(d);
-                break;
-            }
-            SatResult::Unsat { .. } => {
-                let check = check_drat(
-                    trace.formula.clauses(),
-                    &proof.lock().expect("proof lock"),
-                    &[],
-                )?;
-                probes += 1;
-                last_infeasible = Some((enc.stats, findings, trace, check));
-            }
-            SatResult::Unknown => unreachable!("no conflict budget configured"),
-        }
+        let claim = format!("deadline step {d} is infeasible");
+        let refuted = prove(&inst, config, &TaskKind::Generate, &[], false, &claim)?;
+        cert = Some(refuted);
     }
-    let Some(best_deadline) = best_deadline else {
-        let (stats, findings, trace, check) = last_infeasible.expect("at least one probe runs");
-        return Ok((
-            DesignOutcome::Infeasible,
-            TaskReport {
-                stats,
-                runtime: start.elapsed(),
-                solver_calls: calls,
-                search,
-            },
-            Certification {
-                findings,
-                trace,
-                verdict: CertifiedVerdict::ProofChecked(check),
-                certified_unsat_probes: probes,
-            },
-        ));
-    };
-
-    // Stage 2 — minimise borders at the optimal completion.
-    inst.set_uniform_deadline(best_deadline);
-    let mut enc = encode(&inst, &cfg, &TaskKind::Generate);
-    let stats = enc.stats;
-    let trace = enc.trace.take().expect("tracing enabled");
-    let findings = lint_gate(&trace)?;
-    let border_obj = enc.border_objective.clone();
-    let (plan, border_cost) =
-        match maxsat::minimize(&mut enc.solver, &border_obj, &[], Strategy::LinearSatUnsat) {
-            maxsat::OptimizeOutcome::Optimal(r) => {
-                if !trace.formula.eval(&r.model) {
-                    return Err(CertifyError::BadWitness);
-                }
-                calls += r.solver_calls;
-                (SolvedPlan::decode(&inst, &enc.vars, &r.model), r.cost)
-            }
-            maxsat::OptimizeOutcome::Unsat => {
-                unreachable!("the probed deadline was satisfiable")
-            }
-            maxsat::OptimizeOutcome::Unknown { .. } => {
-                unreachable!("no conflict budget configured")
-            }
-        };
-    search += enc.solver.stats();
-    Ok((
-        DesignOutcome::Solved {
-            plan,
-            costs: vec![best_deadline as u64 + 1, border_cost],
-        },
-        TaskReport {
-            stats,
-            runtime: start.elapsed(),
-            solver_calls: calls,
-            search,
-        },
-        Certification {
-            findings,
-            trace,
-            verdict: CertifiedVerdict::ModelChecked,
-            certified_unsat_probes: probes,
-        },
-    ))
+    if let (Some(d), Some(plan)) = (best, plan) {
+        inst.set_uniform_deadline(d);
+        let verify = TaskKind::Verify(plan.layout.clone());
+        let claim = format!("the plan's layout meets deadline step {d}");
+        cert = Some(prove(&inst, config, &verify, &[], true, &claim)?);
+    }
+    let mut cert = cert.expect("a witness, or a refutation of at least the horizon");
+    cert.certified_unsat_probes = end.saturating_sub(lower);
+    Ok(cert)
 }
 
-/// [`crate::diagnose`] with a certified verdict.
-///
-/// Structural deadlocks are certified by a proof of the empty clause;
-/// deadline conflicts by a proof of the negated failed core (the lemma
-/// `¬sel₁ ∨ … ∨ ¬selₙ` over the deadline selector literals). The traced
-/// provenance labels the selectors (`deadline-sel[…]`) so the certificate
-/// can be read without decoding variable indices.
+/// Certifies `diagnosis` as the diagnosis of `scenario` on `layout` under
+/// `config`: [`Diagnosis::Feasible`] by a model under every deadline
+/// selector, [`Diagnosis::Structural`] by a refutation without
+/// assumptions, and [`Diagnosis::Conflict`] by a refutation under the
+/// named trains' selectors (labelled `deadline-sel[…]` in the trace).
 ///
 /// # Errors
 ///
-/// Returns [`CertifyError`] if the scenario is malformed, the encoding
-/// fails the lint gate, or the solver's evidence fails validation.
-pub fn diagnose_certified(
+/// As for [`certify`].
+pub fn certify_diagnosis(
     scenario: &Scenario,
     layout: &VssLayout,
     config: &EncoderConfig,
-) -> Result<(Diagnosis, Certification), CertifyError> {
+    diagnosis: &Diagnosis,
+) -> Result<Certification, CertifyError> {
     let inst = Instance::new(scenario)?;
-    let mut enc = encode(
-        &inst,
-        &certified_config(config)?,
-        &TaskKind::Diagnose(layout.clone()),
-    );
-    let trace = enc.trace.take().expect("tracing enabled");
-    let proof = enc.proof.take().expect("proof logging enabled");
-    let findings = lint_gate(&trace)?;
-    let selectors = enc.deadline_selectors.clone();
-
-    // All deadlines on: the plain verification question.
-    let core = match enc.solver.solve_with(&selectors) {
-        SatResult::Sat(model) => {
-            if !trace.formula.eval(&model) {
-                return Err(CertifyError::BadWitness);
-            }
-            return Ok((
-                Diagnosis::Feasible,
-                Certification {
-                    findings,
-                    trace,
-                    verdict: CertifiedVerdict::ModelChecked,
-                    certified_unsat_probes: 0,
-                },
-            ));
+    let (trains, sat, claim) = match diagnosis {
+        Diagnosis::Feasible => {
+            let all = (0..inst.trains.len()).map(TrainId::from_index).collect();
+            (all, true, "every deadline is met")
         }
-        SatResult::Unsat { core } => core,
-        SatResult::Unknown => unreachable!("no conflict budget configured"),
+        Diagnosis::Structural => (Vec::new(), false, "the schedule fails without deadlines"),
+        Diagnosis::Conflict { trains, .. } => (trains.clone(), false, "the trains conflict"),
     };
-    if core.is_empty() {
-        let check = check_drat(
-            trace.formula.clauses(),
-            &proof.lock().expect("proof lock"),
-            &[],
-        )?;
-        return Ok((
-            Diagnosis::Structural,
-            Certification {
-                findings,
-                trace,
-                verdict: CertifiedVerdict::ProofChecked(check),
-                certified_unsat_probes: 0,
-            },
-        ));
-    }
-
-    // Shrink to a minimal conflict set, exactly as `diagnose` does.
-    let mut minimal: Vec<Lit> = core;
-    let mut i = 0;
-    while i < minimal.len() {
-        let mut candidate = minimal.clone();
-        candidate.remove(i);
-        match enc.solver.solve_with(&candidate) {
-            SatResult::Unsat { core } => {
-                minimal = core;
-                i = 0;
-            }
-            SatResult::Sat(_) => i += 1,
-            SatResult::Unknown => unreachable!("no conflict budget configured"),
-        }
-        if minimal.is_empty() {
-            let check = check_drat(
-                trace.formula.clauses(),
-                &proof.lock().expect("proof lock"),
-                &[],
-            )?;
-            return Ok((
-                Diagnosis::Structural,
-                Certification {
-                    findings,
-                    trace,
-                    verdict: CertifiedVerdict::ProofChecked(check),
-                    certified_unsat_probes: 0,
-                },
-            ));
-        }
-    }
-
-    // One confirming solve so the core lemma is RUP with respect to the
-    // *final* clause set: the intervening satisfiable probes may have
-    // reduced the learnt database, and the checker validates the target
-    // against what is active at the end of the proof.
-    let confirmed = match enc.solver.solve_with(&minimal) {
-        SatResult::Unsat { core } => core,
-        _ => unreachable!("the minimal core was just unsatisfiable"),
-    };
-    let target: Vec<Lit> = confirmed.iter().map(|&l| !l).collect();
-    let check = check_drat(
-        trace.formula.clauses(),
-        &proof.lock().expect("proof lock"),
-        &target,
-    )?;
-
-    let mut trains: Vec<TrainId> = confirmed
-        .iter()
-        .filter_map(|l| selectors.iter().position(|s| s == l))
-        .map(TrainId::from_index)
-        .collect();
-    trains.sort();
-    trains.dedup();
-    let names = trains
-        .iter()
-        .map(|t| inst.trains[t.index()].name.clone())
-        .collect();
-    Ok((
-        Diagnosis::Conflict { trains, names },
-        Certification {
-            findings,
-            trace,
-            verdict: CertifiedVerdict::ProofChecked(check),
-            certified_unsat_probes: 0,
-        },
-    ))
+    let task = TaskKind::Diagnose(layout.clone());
+    prove(&inst, config, &task, &trains, sat, claim)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tasks::{run, Run};
     use etcs_lint::LintKind;
     use etcs_network::fixtures;
     use etcs_sat::{CnfSink, DratProof, ProofStep, Var};
@@ -567,12 +280,27 @@ mod tests {
         EncoderConfig::default()
     }
 
+    /// The task's answer from the plain driver, and its certificate.
+    fn solve_and_certify(
+        scenario: &Scenario,
+        task: &TaskKind,
+    ) -> (DesignOutcome, Result<Certification, CertifyError>) {
+        let (outcome, _) = run(scenario, task, &config(), &Run::default()).expect("well-formed");
+        let cert = certify(scenario, task, &config(), &outcome);
+        (outcome, cert)
+    }
+
+    fn is_refuted(result: Result<Certification, CertifyError>) -> bool {
+        matches!(result, Err(CertifyError::Refuted(_)))
+    }
+
     #[test]
     fn pure_ttd_infeasibility_is_proof_checked() {
         let scenario = fixtures::running_example();
-        let (outcome, report, cert) =
-            verify_certified(&scenario, &VssLayout::pure_ttd(), &config()).expect("certified");
+        let task = TaskKind::Verify(VssLayout::pure_ttd());
+        let (outcome, cert) = solve_and_certify(&scenario, &task);
         assert!(!outcome.is_feasible(), "paper: pure TTD deadlocks");
+        let cert = cert.expect("certified");
         assert!(
             cert.findings.is_empty(),
             "clean encoder output must lint clean: {:?}",
@@ -582,28 +310,33 @@ mod tests {
             panic!("UNSAT verdicts must be proof-checked");
         };
         assert!(check.lemmas > 0 && check.checked_lemmas > 0);
-        assert!(report.stats.clauses > 0);
+        assert!(cert.trace.formula.num_clauses() > 0);
     }
 
     #[test]
     fn full_layout_feasibility_is_model_checked() {
         let scenario = fixtures::running_example();
         let inst = Instance::new(&scenario).expect("valid");
-        let full = VssLayout::full(&inst.net);
-        let (outcome, _, cert) = verify_certified(&scenario, &full, &config()).expect("certified");
+        let task = TaskKind::Verify(VssLayout::full(&inst.net));
+        let (outcome, cert) = solve_and_certify(&scenario, &task);
         assert!(outcome.is_feasible());
+        let cert = cert.expect("certified");
         assert!(matches!(cert.verdict, CertifiedVerdict::ModelChecked));
         assert!(cert.findings.is_empty());
     }
 
     #[test]
     fn forged_proof_is_rejected() {
-        // Re-run the UNSAT verification by hand, then swap in a forged
-        // proof claiming the empty clause outright. The checker must refuse
-        // it: the encoding is not refutable by unit propagation alone.
+        // Run the UNSAT verification by hand, then swap in a forged proof
+        // claiming the empty clause outright. The checker must refuse it:
+        // the encoding is not refutable by unit propagation alone.
         let scenario = fixtures::running_example();
         let inst = Instance::new(&scenario).expect("valid");
-        let cfg = certified_config(&config()).expect("sequential mode certifies");
+        let cfg = EncoderConfig {
+            trace: true,
+            proof: true,
+            ..config()
+        };
         let mut enc = encode(&inst, &cfg, &TaskKind::Verify(VssLayout::pure_ttd()));
         let trace = enc.trace.take().expect("traced");
         let proof = enc.proof.take().expect("proof logged");
@@ -668,11 +401,12 @@ mod tests {
     #[test]
     fn certified_generation_model_checks_the_optimum() {
         let scenario = fixtures::running_example();
-        let (outcome, _, cert) = generate_certified(&scenario, &config()).expect("certified");
+        let (outcome, cert) = solve_and_certify(&scenario, &TaskKind::Generate);
         let DesignOutcome::Solved { costs, .. } = outcome else {
             panic!("paper: generation succeeds");
         };
         assert!(costs[0] >= 1);
+        let cert = cert.expect("certified");
         assert!(matches!(cert.verdict, CertifiedVerdict::ModelChecked));
         assert!(cert.findings.is_empty());
     }
@@ -682,36 +416,77 @@ mod tests {
         // No VSS layout lets the follower overtake on a single track, so
         // generation is infeasible — and says so with a checked proof.
         let scenario = crate::diagnose::follower_scenario();
-        let (outcome, _, cert) = generate_certified(&scenario, &config()).expect("certified");
+        let (outcome, cert) = solve_and_certify(&scenario, &TaskKind::Generate);
         assert!(matches!(outcome, DesignOutcome::Infeasible));
+        let cert = cert.expect("certified");
         assert!(matches!(cert.verdict, CertifiedVerdict::ProofChecked(_)));
     }
 
     #[test]
-    fn certified_optimization_matches_plain() {
+    fn optimum_refutes_every_earlier_deadline() {
         let scenario = fixtures::running_example();
-        let (outcome, _, cert) = optimize_certified(&scenario, &config()).expect("certified");
-        let DesignOutcome::Solved { costs, .. } = outcome else {
+        let (outcome, cert) = solve_and_certify(&scenario, &TaskKind::Optimize);
+        let DesignOutcome::Solved { costs, .. } = &outcome else {
             panic!("paper: optimisation succeeds");
         };
-        let (plain, _) = crate::tasks::optimize(&scenario, &config()).expect("ok");
-        let DesignOutcome::Solved {
-            costs: plain_costs, ..
-        } = plain
-        else {
-            panic!("plain optimisation succeeds");
-        };
-        assert_eq!(costs, plain_costs);
+        let cert = cert.expect("certified");
         assert!(matches!(cert.verdict, CertifiedVerdict::ModelChecked));
         assert!(cert.findings.is_empty());
+        let lower = Instance::new(&scenario.without_arrivals())
+            .expect("valid")
+            .completion_lower_bound();
+        assert_eq!(
+            cert.certified_unsat_probes as u64,
+            costs[0] - 1 - lower as u64,
+            "one refutation per deadline below the optimum"
+        );
+    }
+
+    #[test]
+    fn wrong_design_claims_are_refuted() {
+        let scenario = fixtures::running_example();
+        let inst = Instance::new(&scenario).expect("valid");
+        let full = TaskKind::Verify(VssLayout::full(&inst.net));
+        let pure = TaskKind::Verify(VssLayout::pure_ttd());
+        let (feasible, _) = solve_and_certify(&scenario, &full);
+        assert!(
+            is_refuted(certify(
+                &scenario,
+                &full,
+                &config(),
+                &DesignOutcome::Infeasible
+            )),
+            "infeasible claimed for the full layout"
+        );
+        assert!(
+            is_refuted(certify(&scenario, &pure, &config(), &feasible)),
+            "feasible claimed for pure TTD"
+        );
+
+        let (optimum, _) = solve_and_certify(&scenario, &TaskKind::Optimize);
+        let DesignOutcome::Solved { plan, costs } = optimum else {
+            panic!("paper: optimisation succeeds");
+        };
+        for wrong in [costs[0] - 1, costs[0] + 1] {
+            let claim = DesignOutcome::Solved {
+                plan: plan.clone(),
+                costs: vec![wrong, costs[1]],
+            };
+            let err = certify(&scenario, &TaskKind::Optimize, &config(), &claim).unwrap_err();
+            assert!(
+                matches!(err, CertifyError::Refuted(_)),
+                "completion {wrong} against the true {}: {err}",
+                costs[0]
+            );
+        }
     }
 
     #[test]
     fn certified_diagnosis_certifies_structural_deadlock() {
         let scenario = fixtures::running_example();
-        let (d, cert) =
-            diagnose_certified(&scenario, &VssLayout::pure_ttd(), &config()).expect("certified");
-        assert_eq!(d, Diagnosis::Structural);
+        let layout = VssLayout::pure_ttd();
+        let cert = certify_diagnosis(&scenario, &layout, &config(), &Diagnosis::Structural)
+            .expect("certified");
         let CertifiedVerdict::ProofChecked(check) = cert.verdict else {
             panic!("structural deadlock must be proof-checked");
         };
@@ -721,15 +496,13 @@ mod tests {
     #[test]
     fn certified_diagnosis_certifies_conflict_core() {
         let scenario = crate::diagnose::follower_scenario();
-        let (d, cert) =
-            diagnose_certified(&scenario, &VssLayout::pure_ttd(), &config()).expect("certified");
-        let Diagnosis::Conflict { names, .. } = d else {
+        let layout = VssLayout::pure_ttd();
+        let (d, _) = crate::diagnose::diagnose(&scenario, &layout, &config(), &Run::default())
+            .expect("well-formed");
+        let Diagnosis::Conflict { names, .. } = &d else {
             panic!("expected a conflict, got {d:?}");
         };
-        assert_eq!(
-            names,
-            vec!["Slow leader".to_owned(), "Tight follower".to_owned()]
-        );
+        let cert = certify_diagnosis(&scenario, &layout, &config(), &d).expect("certified");
         assert!(matches!(cert.verdict, CertifiedVerdict::ProofChecked(_)));
         // The certificate's provenance names the selector of every
         // conflicting train, so the core is readable without the decoder.
@@ -737,7 +510,7 @@ mod tests {
             .filter_map(|i| cert.trace.provenance.var_label(Var::from_index(i)))
             .filter(|l| l.starts_with("deadline-sel["))
             .collect();
-        for name in &names {
+        for name in names {
             assert!(
                 labels.iter().any(|l| l.contains(name.as_str())),
                 "selector for {name} must carry provenance: {labels:?}"
@@ -746,30 +519,14 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_mode_is_rejected_by_every_certified_runner() {
-        // The certification boundary: clause-sharing portfolio verdicts are
-        // not DRAT-certifiable, and the certified runners must say so with a
-        // typed error instead of silently solving sequentially.
-        let scenario = fixtures::running_example();
-        let cfg = EncoderConfig {
-            solve_mode: SolveMode::Portfolio(4),
-            ..config()
-        };
+    fn wrong_diagnoses_are_refuted() {
+        let scenario = crate::diagnose::follower_scenario();
         let layout = VssLayout::pure_ttd();
-        assert!(matches!(
-            verify_certified(&scenario, &layout, &cfg),
-            Err(CertifyError::PortfolioUncertified(4))
-        ));
-        assert!(matches!(
-            generate_certified(&scenario, &cfg),
-            Err(CertifyError::PortfolioUncertified(4))
-        ));
-        assert!(matches!(
-            optimize_certified(&scenario, &cfg),
-            Err(CertifyError::PortfolioUncertified(4))
-        ));
-        let err = diagnose_certified(&scenario, &layout, &cfg).unwrap_err();
-        assert!(matches!(err, CertifyError::PortfolioUncertified(4)));
-        assert!(err.to_string().contains("SolveMode::Single"));
+        for wrong in [Diagnosis::Feasible, Diagnosis::Structural] {
+            assert!(
+                is_refuted(certify_diagnosis(&scenario, &layout, &config(), &wrong)),
+                "{wrong:?} claimed for the follower conflict"
+            );
+        }
     }
 }

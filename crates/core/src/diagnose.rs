@@ -2,35 +2,38 @@
 //!
 //! When [`crate::verify`] answers "infeasible", designers want to know
 //! which part of the timetable is to blame. This module re-encodes the
-//! verification instance with every train's arrival deadline guarded by an
-//! assumption literal; the solver's unsat core then names a subset of
-//! trains whose deadlines are jointly unachievable, which is subsequently
-//! shrunk to a *minimal* conflict set (deleting any member makes the rest
-//! feasible).
+//! verification instance with every train's arrival and stop deadlines
+//! guarded by an assumption literal; the solver's unsat core then names a
+//! subset of trains whose deadlines are jointly unachievable, which is
+//! subsequently shrunk to a *minimal* conflict set (deleting any member
+//! makes the rest feasible).
 
-use etcs_network::{NetworkError, Scenario, TrainId, VssLayout};
-use etcs_sat::{Interrupt, Lit, SatResult};
+use std::time::Instant;
 
-use crate::encoder::{encode, EncoderConfig, TaskKind};
+use etcs_network::{Scenario, TrainId, VssLayout};
+use etcs_sat::{Lit, SatResult};
+
+use crate::encoder::{ConstraintFamilies, EncoderConfig, TaskKind};
 use crate::instance::Instance;
-use crate::tasks::TaskError;
+use crate::tasks::{Run, TaskError, TaskReport};
 
 /// Result of [`diagnose`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Diagnosis {
     /// The schedule works on the layout — nothing to diagnose.
     Feasible,
-    /// A minimal set of trains whose arrival deadlines conflict on this
-    /// layout: removing (or relaxing) any one of them makes the remaining
-    /// deadlines achievable.
+    /// A minimal set of trains whose arrival or stop deadlines conflict on
+    /// this layout: removing (or relaxing) any one of them makes the
+    /// remaining deadlines achievable.
     Conflict {
         /// Train ids (schedule order) of the minimal conflict set.
         trains: Vec<TrainId>,
         /// Their display names, for reporting.
         names: Vec<String>,
     },
-    /// The instance is infeasible even with every arrival deadline
-    /// dropped — the conflict is structural (departures alone deadlock).
+    /// The instance is infeasible even with every arrival and stop
+    /// deadline dropped — the conflict is structural (departures alone
+    /// deadlock).
     Structural,
 }
 
@@ -41,105 +44,120 @@ impl Diagnosis {
     }
 }
 
-/// Diagnoses why `scenario`'s schedule fails on `layout`.
-///
-/// Returns [`Diagnosis::Feasible`] when it does not fail.
-///
-/// # Errors
-///
-/// Returns [`NetworkError`] if the scenario is malformed.
-///
-/// # Examples
-///
-/// ```
-/// use etcs_core::{diagnose, Diagnosis, EncoderConfig};
-/// use etcs_network::{fixtures, VssLayout};
-///
-/// let scenario = fixtures::running_example();
-/// let diagnosis = diagnose(&scenario, &VssLayout::pure_ttd(), &EncoderConfig::default())?;
-/// // The running example deadlocks *structurally* on pure TTDs — exactly
-/// // the paper's Example 2: once all four trains have departed, no train
-/// // can move, regardless of any arrival deadline.
-/// assert_eq!(diagnosis, Diagnosis::Structural);
-/// # Ok::<(), etcs_network::NetworkError>(())
-/// ```
-pub fn diagnose(
-    scenario: &Scenario,
-    layout: &VssLayout,
-    config: &EncoderConfig,
-) -> Result<Diagnosis, NetworkError> {
-    match diagnose_cancellable(scenario, layout, config, &Interrupt::none()) {
-        Ok(d) => Ok(d),
-        Err(TaskError::Network(e)) => Err(e),
-        Err(other) => unreachable!("no interrupt installed: {other:?}"),
-    }
-}
-
-/// [`diagnose`] with cooperative cancellation: `interrupt` is installed on
-/// the solver driving the core-shrinking loop, so a trigger or an expired
-/// deadline aborts between (or inside) shrink probes.
+/// Diagnoses why `scenario`'s schedule fails on `layout` under `run`, like
+/// a [`crate::run`] task: one `task.diagnose` span (fields `feasible`,
+/// `trains`, `solver_calls`, `conflicts`) and the `conflicts` counter.
+/// Returns [`Diagnosis::Feasible`] when the schedule does not fail.
 ///
 /// # Errors
 ///
 /// Returns [`TaskError::Network`] if the scenario is malformed, or the
 /// interrupt-mapped error if the token fired mid-solve.
-pub fn diagnose_cancellable(
+///
+/// # Examples
+///
+/// ```
+/// use etcs_core::{diagnose, Diagnosis, EncoderConfig, Run};
+/// use etcs_network::{fixtures, VssLayout};
+///
+/// let scenario = fixtures::running_example();
+/// let config = EncoderConfig::default();
+/// let (diagnosis, _report) =
+///     diagnose(&scenario, &VssLayout::pure_ttd(), &config, &Run::default())?;
+/// // The running example deadlocks *structurally* on pure TTDs — exactly
+/// // the paper's Example 2: once all four trains have departed, no train
+/// // can move, regardless of any deadline.
+/// assert_eq!(diagnosis, Diagnosis::Structural);
+/// # Ok::<(), etcs_core::TaskError>(())
+/// ```
+pub fn diagnose(
     scenario: &Scenario,
     layout: &VssLayout,
     config: &EncoderConfig,
-    interrupt: &Interrupt,
-) -> Result<Diagnosis, TaskError> {
+    run: &Run,
+) -> Result<(Diagnosis, TaskReport), TaskError> {
+    let start = Instant::now();
+    let span = run.obs.span_with(
+        "task.diagnose",
+        &[("scenario", scenario.name.as_str().into())],
+    );
     let inst = Instance::new(scenario)?;
-    let mut enc = encode(&inst, config, &TaskKind::Diagnose(layout.clone()));
-    enc.solver.set_interrupt(interrupt.clone());
+    let task = TaskKind::Diagnose(layout.clone());
+    let mut enc = run.encode(&inst, config, &task, ConstraintFamilies::ALL, &span);
+    let stats = enc.stats;
     let selectors = enc.deadline_selectors.clone();
+    let mut calls = 1;
 
-    // All deadlines on: the plain verification question.
-    let core = match enc.solver.solve_with(&selectors) {
-        SatResult::Sat(_) => return Ok(Diagnosis::Feasible),
-        SatResult::Unsat { core } => core,
-        SatResult::Unknown => return Err(TaskError::interrupted(interrupt)),
-    };
-    if core.is_empty() {
-        // Unsatisfiable without any assumption: departures/stops alone
-        // cannot be scheduled.
-        return Ok(Diagnosis::Structural);
-    }
-
-    // Shrink the core to a minimal conflict set: drop one member at a
-    // time; if the rest is still unsatisfiable, the member was redundant.
-    let mut minimal: Vec<Lit> = core;
-    let mut i = 0;
-    while i < minimal.len() {
-        let mut candidate = minimal.clone();
-        candidate.remove(i);
-        match enc.solver.solve_with(&candidate) {
-            SatResult::Unsat { core } => {
-                // Still conflicting; adopt the (possibly even smaller)
-                // refreshed core and restart scanning.
-                minimal = core;
-                i = 0;
+    let outcome = 'solve: {
+        // All deadlines on: the plain verification question.
+        let mut minimal: Vec<Lit> = match enc.solver.solve_with(&selectors) {
+            SatResult::Sat(_) => break 'solve Some(Diagnosis::Feasible),
+            SatResult::Unsat { core } => core,
+            SatResult::Unknown => break 'solve None,
+        };
+        // Shrink the core to a minimal conflict set: drop one member at a
+        // time; if the rest is still unsatisfiable, the member was
+        // redundant.
+        let mut i = 0;
+        while i < minimal.len() {
+            let mut candidate = minimal.clone();
+            candidate.remove(i);
+            calls += 1;
+            match enc.solver.solve_with(&candidate) {
+                SatResult::Unsat { core } => {
+                    // Still conflicting; adopt the (possibly even smaller)
+                    // refreshed core and restart scanning.
+                    minimal = core;
+                    i = 0;
+                }
+                SatResult::Sat(_) => i += 1,
+                SatResult::Unknown => break 'solve None,
             }
-            SatResult::Sat(_) => i += 1,
-            SatResult::Unknown => return Err(TaskError::interrupted(interrupt)),
         }
         if minimal.is_empty() {
-            return Ok(Diagnosis::Structural);
+            // Unsatisfiable without any assumption: departures alone
+            // cannot be scheduled.
+            break 'solve Some(Diagnosis::Structural);
         }
-    }
-
-    let mut trains: Vec<TrainId> = minimal
-        .iter()
-        .filter_map(|l| selectors.iter().position(|s| s == l))
-        .map(TrainId::from_index)
-        .collect();
-    trains.sort();
-    trains.dedup();
-    let names = trains
-        .iter()
-        .map(|t| inst.trains[t.index()].name.clone())
-        .collect();
-    Ok(Diagnosis::Conflict { trains, names })
+        let mut trains: Vec<TrainId> = minimal
+            .iter()
+            .filter_map(|l| selectors.iter().position(|s| s == l))
+            .map(TrainId::from_index)
+            .collect();
+        trains.sort();
+        trains.dedup();
+        let names = trains
+            .iter()
+            .map(|t| inst.trains[t.index()].name.clone())
+            .collect();
+        Some(Diagnosis::Conflict { trains, names })
+    };
+    let search = *enc.solver.stats();
+    run.obs.counter_add("conflicts", search.conflicts);
+    drop(enc); // inside the task span, so teardown is attributed to it
+    let Some(diagnosis) = outcome else {
+        span.close_with(&[("interrupted", true.into())]);
+        return Err(TaskError::interrupted(&run.interrupt));
+    };
+    let trains = match &diagnosis {
+        Diagnosis::Conflict { trains, .. } => trains.len(),
+        Diagnosis::Feasible | Diagnosis::Structural => 0,
+    };
+    span.close_with(&[
+        ("feasible", (diagnosis == Diagnosis::Feasible).into()),
+        ("trains", trains.into()),
+        ("solver_calls", calls.into()),
+        ("conflicts", search.conflicts.into()),
+    ]);
+    Ok((
+        diagnosis,
+        TaskReport {
+            stats,
+            runtime: start.elapsed(),
+            solver_calls: calls,
+            search,
+        },
+    ))
 }
 
 /// A single-track line where a slow leader makes a tight follower deadline
@@ -202,12 +220,17 @@ mod tests {
         EncoderConfig::default()
     }
 
+    fn diagnosis(scenario: &Scenario, layout: &VssLayout) -> Diagnosis {
+        let (d, _) = diagnose(scenario, layout, &config(), &Run::default()).expect("ok");
+        d
+    }
+
     #[test]
     fn feasible_layout_diagnoses_feasible() {
         let scenario = fixtures::running_example();
         let inst = Instance::new(&scenario).expect("valid");
         let full = VssLayout::full(&inst.net);
-        let d = diagnose(&scenario, &full, &config()).expect("ok");
+        let d = diagnosis(&scenario, &full);
         assert_eq!(d, Diagnosis::Feasible);
     }
 
@@ -216,14 +239,14 @@ mod tests {
         // The paper's Example 2: after all four trains depart, all four
         // TTDs are blocked — no deadline relaxation can help.
         let scenario = fixtures::running_example();
-        let d = diagnose(&scenario, &VssLayout::pure_ttd(), &config()).expect("ok");
+        let d = diagnosis(&scenario, &VssLayout::pure_ttd());
         assert_eq!(d, Diagnosis::Structural);
     }
 
     #[test]
     fn tight_follower_deadline_is_a_minimal_conflict() {
         let scenario = follower_scenario();
-        let d = diagnose(&scenario, &VssLayout::pure_ttd(), &config()).expect("ok");
+        let d = diagnosis(&scenario, &VssLayout::pure_ttd());
         let Diagnosis::Conflict { trains, names } = d else {
             panic!("expected a conflict, got {d:?}");
         };
@@ -278,7 +301,7 @@ mod tests {
         // single track: the pair stays a conflict.
         let scenario = follower_scenario();
         let inst = Instance::new(&scenario).expect("valid");
-        let d = diagnose(&scenario, &VssLayout::full(&inst.net), &config()).expect("ok");
+        let d = diagnosis(&scenario, &VssLayout::full(&inst.net));
         assert!(d.is_conflict());
     }
 
@@ -300,7 +323,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let d = diagnose(&scenario, &VssLayout::pure_ttd(), &config()).expect("ok");
+        let d = diagnosis(&scenario, &VssLayout::pure_ttd());
         assert_eq!(d, Diagnosis::Feasible);
     }
 }

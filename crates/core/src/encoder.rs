@@ -36,11 +36,12 @@ use crate::trace::{EncodingTrace, TracedSolver};
 /// This is a property of the *solving* side, not of the formula: verdicts
 /// and optimal objective values are identical across modes, so every task
 /// loop accepts any mode. Witness plans may differ between modes (several
-/// optimal plans usually exist), and [`SolveMode::Portfolio`] is not
-/// DRAT-certifiable — the `*_certified` task variants reject it.
+/// optimal plans usually exist). A proof-logging solver never races, so
+/// [`certify`](crate::certify) re-checks a portfolio answer on sequential
+/// solves.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SolveMode {
-    /// One sequential CDCL search (the default; required for certification).
+    /// One sequential CDCL search (the default).
     #[default]
     Single,
     /// An in-process clause-sharing portfolio of `n` diversified workers
@@ -188,9 +189,10 @@ pub enum TaskKind {
     /// `solve_with(&[sel_d])` instead of re-encoding per probe. No step
     /// objective is built — the selector search replaces it.
     OptimizeIncremental,
-    /// Like [`TaskKind::Verify`], but every train's arrival constraint is
-    /// guarded by a selector literal (see [`Encoding::deadline_selectors`])
-    /// so unsat cores can pinpoint which deadlines conflict.
+    /// Like [`TaskKind::Verify`], but every train's arrival and stop
+    /// deadlines are guarded by a selector literal (see
+    /// [`Encoding::deadline_selectors`]) so unsat cores can pinpoint which
+    /// deadlines conflict. Visiting each stop by the horizon stays hard.
     Diagnose(VssLayout),
 }
 
@@ -257,7 +259,7 @@ pub struct Encoding {
     pub all_done: Vec<Option<Lit>>,
     /// For [`TaskKind::Diagnose`]: one selector literal per train, in
     /// schedule order; assuming a selector enforces that train's arrival
-    /// deadline. Empty for the other tasks.
+    /// and stop deadlines. Empty for the other tasks.
     pub deadline_selectors: Vec<Lit>,
     /// For [`TaskKind::OptimizeIncremental`]: `step_selectors[d]` is a
     /// selector literal whose assumption forces every train to reach its
@@ -325,8 +327,7 @@ impl Encoding {
     /// installs the clause-sharing portfolio for
     /// [`SolveMode::Portfolio`], removes it for [`SolveMode::Single`].
     /// [`encode`] already calls this, so it is only needed when a caller
-    /// changes its mind about the mode after building (the certified task
-    /// variants use it to force sequential solving).
+    /// changes its mind about the mode after building.
     ///
     /// A proof-logging solver ignores an installed portfolio (it falls back
     /// to the sequential search), so this is safe in any order relative to
@@ -1147,19 +1148,20 @@ impl<'a> Encoder<'a> {
             };
             let vis = self.visited[tr][goal_step.max(spec.dep_step).min(final_step)]
                 .expect("visited allocated for all steps after departure");
-            if diagnose {
-                // Guarded arrival: assuming the selector enforces it, so an
-                // unsat core over the selectors names the clashing trains.
+            // Diagnose guards the train's deadlines by a selector: assuming
+            // it enforces them, so an unsat core over the selectors names
+            // the clashing trains.
+            let sel = diagnose.then(|| {
                 let sel = CnfSink::new_var(&mut self.solver).positive();
-                {
-                    let name = &self.inst.trains[tr].name;
-                    self.solver
-                        .tag_var(sel.var(), || format!("deadline-sel[{name}]"));
-                }
-                self.solver.implies(sel, vis);
+                let name = &self.inst.trains[tr].name;
+                self.solver
+                    .tag_var(sel.var(), || format!("deadline-sel[{name}]"));
                 selectors.push(sel);
-            } else {
-                self.solver.assert_true(vis);
+                sel
+            });
+            match sel {
+                Some(sel) => self.solver.implies(sel, vis),
+                None => self.solver.assert_true(vis),
             }
 
             // Intermediate stops: visited some time before their deadline.
@@ -1169,15 +1171,24 @@ impl<'a> Encoder<'a> {
                 } else {
                     final_step
                 };
-                let mut clause = Vec::new();
-                for t in spec.dep_step..=last.min(final_step) {
-                    for &g in stop_edges {
-                        if let Some(l) = self.occ_lit(tr, t, g) {
-                            clause.push(l);
+                let visit_by = |last: usize| {
+                    let mut clause = Vec::new();
+                    for t in spec.dep_step..=last.min(final_step) {
+                        for &g in stop_edges {
+                            clause.extend(self.occ_lit(tr, t, g));
                         }
                     }
+                    clause
+                };
+                // Diagnose keeps visiting the stop by the horizon hard and
+                // guards only its deadline by the train's selector.
+                let guard = sel.filter(|_| last < final_step);
+                let hard = visit_by(if guard.is_some() { final_step } else { last });
+                let guarded = guard.map(|sel| [vec![!sel], visit_by(last)].concat());
+                self.solver.add_clause(hard);
+                if let Some(clause) = guarded {
+                    self.solver.add_clause(clause);
                 }
-                self.solver.add_clause(clause);
             }
         }
         selectors

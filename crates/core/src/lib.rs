@@ -10,7 +10,9 @@
 //!
 //! Each is a one-line call of [`run`], the task driver, which takes the
 //! task as a [`TaskKind`] and a [`Run`] holding an observability handle
-//! and a cancellation token, both off by default.
+//! and a cancellation token, both off by default. [`diagnose`] explains an
+//! infeasible verdict under the same [`Run`], and [`certify`] /
+//! [`certify_diagnosis`] check any answer on fresh proof-logged encodings.
 //!
 //! ## Quick start
 //!
@@ -73,12 +75,9 @@ mod tasks;
 mod trace;
 mod tradeoff;
 
-pub use certify::{
-    diagnose_certified, generate_certified, optimize_certified, verify_certified, Certification,
-    CertifiedVerdict, CertifyError,
-};
+pub use certify::{certify, certify_diagnosis, Certification, CertifiedVerdict, CertifyError};
 pub use decode::{SolvedPlan, TrainPlan};
-pub use diagnose::{diagnose, diagnose_cancellable, Diagnosis};
+pub use diagnose::{diagnose, Diagnosis};
 pub use encoder::{
     encode, encode_with, ConstraintFamilies, EncoderConfig, Encoding, EncodingStats, SolveMode,
     TaskKind, VarMap,

@@ -11,7 +11,8 @@
 //! CI smoke step):
 //!
 //! * `task.verify` / `task.generate` / `task.optimize` /
-//!   `task.optimize_incremental` — one root span per task call;
+//!   `task.optimize_incremental` — one root span per task call
+//!   (`task.diagnose` for [`crate::diagnose`]);
 //! * `encode` — child span per encoding built;
 //! * `probe` — child span per Stage-1 deadline probe (fields: `deadline`,
 //!   `sat`, `conflicts`);
@@ -485,9 +486,7 @@ pub fn optimize(
 /// committed, eliminating every re-encode.
 ///
 /// Returns the same optima as [`optimize`] (identical deadline and border
-/// count; the witness plans may differ). The certified variant
-/// ([`crate::optimize_certified`]) intentionally keeps the from-scratch
-/// loop — see its docs for why proof logging forces that fallback.
+/// count; the witness plans may differ).
 ///
 /// # Errors
 ///

@@ -1,6 +1,6 @@
 //! DRAT proof logging and checking.
 //!
-//! When a [`ProofSink`](crate::ProofSink) is installed on a
+//! When a [`ProofSink`] is installed on a
 //! [`Solver`](crate::Solver) *before any clauses are added*, the solver
 //! records every clause it derives (learnt clauses, level-0 simplification
 //! results, the empty clause) and every clause it discards (database

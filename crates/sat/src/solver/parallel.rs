@@ -8,7 +8,7 @@
 //! a private [`Interrupt`] chained to the caller's external token.
 //!
 //! While racing, workers exchange small-LBD learnt clauses through a
-//! lock-light [`SharePool`]: exports are buffered locally and flushed at
+//! lock-light `SharePool`: exports are buffered locally and flushed at
 //! the existing `Interrupt`-style sync points (the configurable conflict
 //! poll and restart boundaries), imports happen at restart boundaries only
 //! — the worker is at decision level 0 there, so an imported clause can be
@@ -23,10 +23,9 @@
 //! learnt clauses. Verdicts are therefore identical to a single-threaded
 //! solve; only the witness model (and the particular — still valid — unsat
 //! core) may differ. Proof logging is incompatible: an imported clause has
-//! no local derivation, so [`Solver`] silently falls back to
-//! single-threaded search while a proof sink is installed, and the
-//! `*_certified` task variants in `etcs-core` reject portfolio mode with a
-//! typed error.
+//! no local derivation, so [`Solver`] runs a sequential search while a
+//! proof sink is installed. That is what lets `etcs_core::certify` re-check
+//! a portfolio answer: its own proof-logged solves never race.
 
 use super::{SatResult, Solver, SolverConfig};
 use crate::interrupt::Interrupt;

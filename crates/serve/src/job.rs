@@ -7,8 +7,8 @@ use std::fmt;
 use std::time::Duration;
 
 use etcs_core::{
-    cache_key, diagnose_cancellable, DesignOutcome, Diagnosis, EncoderConfig, EncodingStats, Run,
-    SolvedPlan, TaskError, TaskKind, TaskReport,
+    cache_key, diagnose, DesignOutcome, Diagnosis, EncoderConfig, EncodingStats, Run, SolvedPlan,
+    TaskError, TaskKind, TaskReport,
 };
 use etcs_lazy::SelectionStrategy;
 use etcs_network::{Scenario, VssLayout};
@@ -219,14 +219,15 @@ impl JobRequest {
     /// Lazy jobs mix the strategy into the key: their payloads carry
     /// different statistics (and possibly different witness plans) than
     /// eager runs of the same request, and the cache's bit-identical
-    /// guarantee must keep holding per key.
+    /// guarantee must keep holding per key. A diagnose job runs eagerly
+    /// whatever its `lazy` field says, so it keys as the eager job.
     pub fn cache_key(&self, config: &EncoderConfig) -> u128 {
         let base = cache_key(
             &self.scenario,
             &self.task_kind(),
             &self.effective_config(config),
         );
-        match self.lazy {
+        match self.lazy.filter(|_| self.kind != JobKind::Diagnose) {
             None => base,
             Some(strategy) => {
                 let mut h = Fnv2::new();
@@ -510,18 +511,7 @@ pub fn execute(
         // Diagnosis has no lazy form: its MUS extraction needs the full
         // eager encoding.
         (JobKind::Diagnose, _) => {
-            diagnose_cancellable(&request.scenario, &request.layout, config, interrupt).map(
-                |diagnosis| JobPayload {
-                    kind: request.kind,
-                    feasible: diagnosis == Diagnosis::Feasible,
-                    costs: Vec::new(),
-                    plan: None,
-                    diagnosis: Some(diagnosis),
-                    stats: EncodingStats::default(),
-                    solver_calls: 0,
-                    search: Stats::default(),
-                },
-            )
+            diagnose(&request.scenario, &request.layout, config, &run).map(diagnosis_payload)
         }
         (_, Some(strategy)) => etcs_lazy::run(
             &request.scenario,
@@ -539,6 +529,20 @@ pub fn execute(
         Err(TaskError::Cancelled) => JobOutcome::Cancelled,
         Err(TaskError::DeadlineExceeded) => JobOutcome::DeadlineExceeded,
         Err(TaskError::Network(e)) => JobOutcome::Invalid(e.to_string()),
+    }
+}
+
+/// The payload of a finished diagnosis.
+fn diagnosis_payload((diagnosis, report): (Diagnosis, TaskReport)) -> JobPayload {
+    JobPayload {
+        kind: JobKind::Diagnose,
+        feasible: diagnosis == Diagnosis::Feasible,
+        costs: Vec::new(),
+        plan: None,
+        diagnosis: Some(diagnosis),
+        stats: report.stats,
+        solver_calls: report.solver_calls,
+        search: report.search,
     }
 }
 
@@ -628,6 +632,40 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), SelectionStrategy::ALL.len());
+    }
+
+    #[test]
+    fn lazy_keys_only_kinds_with_a_lazy_form() {
+        let scenario = fixtures::running_example();
+        let config = EncoderConfig::default();
+        let key = |kind, lazy: Option<SelectionStrategy>| {
+            let mut request = JobRequest::new("k", kind, scenario.clone());
+            request.lazy = lazy;
+            request.cache_key(&config)
+        };
+        let lazy = Some(SelectionStrategy::AllViolated);
+        assert_eq!(
+            key(JobKind::Diagnose, None),
+            key(JobKind::Diagnose, lazy),
+            "diagnosis ignores `lazy`, so both requests address one cache line"
+        );
+        assert_ne!(key(JobKind::Verify, None), key(JobKind::Verify, lazy));
+    }
+
+    #[test]
+    fn diagnose_payload_carries_its_report() {
+        let scenario = fixtures::running_example();
+        let config = EncoderConfig::default();
+        let request = JobRequest::new("d", JobKind::Diagnose, scenario.clone());
+        let outcome = execute(&request, &config, &Interrupt::none(), &Obs::disabled());
+        let payload = outcome.payload().expect("runs to completion");
+        let (diagnosis, report) =
+            diagnose(&scenario, &VssLayout::pure_ttd(), &config, &Run::default()).expect("valid");
+        assert_eq!(payload.diagnosis, Some(diagnosis));
+        assert_eq!(payload.stats, report.stats);
+        assert_eq!(payload.solver_calls, report.solver_calls);
+        assert_eq!(payload.search, report.search);
+        assert!(payload.stats.clauses > 0 && payload.solver_calls > 0);
     }
 
     #[test]

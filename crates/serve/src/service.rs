@@ -47,8 +47,8 @@ pub struct ServeConfig {
     /// Encoder configuration shared by every job (part of the cache key).
     pub encoder: EncoderConfig,
     /// Record a per-fingerprint history of cache put/hit events (see
-    /// [`crate::history`]) for the fleet's consistency checker. Off by
-    /// default; `served --listen` turns it on.
+    /// [`ShardHistory`](crate::ShardHistory)) for the fleet's consistency
+    /// checker. Off by default; `served --listen` turns it on.
     pub record_history: bool,
 }
 

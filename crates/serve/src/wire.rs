@@ -79,7 +79,7 @@ pub enum WireError {
     Io(String),
     /// The peer closed the connection (EOF, possibly mid-frame).
     Closed,
-    /// A frame exceeded [`MAX_LINE`].
+    /// A frame exceeded the 64 MiB frame bound.
     Oversized {
         /// The configured frame bound, in bytes.
         limit: usize,

@@ -7,23 +7,20 @@
 use etcs::prelude::*;
 use etcs::sim;
 
-fn main() -> Result<(), etcs::NetworkError> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scenario = fixtures::running_example();
     let config = EncoderConfig::default();
     let instance = Instance::new(&scenario)?;
 
     // 1. Why does the schedule fail on pure TTDs?
-    match diagnose(&scenario, &VssLayout::pure_ttd(), &config)? {
+    match diagnose(&scenario, &VssLayout::pure_ttd(), &config, &Run::default())?.0 {
         Diagnosis::Feasible => println!("diagnosis: schedule works — nothing to explain"),
         Diagnosis::Structural => println!(
             "diagnosis: structural deadlock — no deadline relaxation can help \
              (the paper's Example 2: all four TTDs end up blocked)"
         ),
         Diagnosis::Conflict { names, .. } => {
-            println!(
-                "diagnosis: conflicting arrival deadlines: {}",
-                names.join(", ")
-            )
+            println!("diagnosis: conflicting deadlines: {}", names.join(", "))
         }
     }
 

@@ -18,13 +18,13 @@
 //! optimisation and DRAT proof logging ([`sat`]), railway network modelling
 //! and discretisation ([`network`]), an independent plan validator plus a
 //! fixed-block dispatcher baseline ([`sim`]), and a CNF encoding lint
-//! ([`lint`]). Each design task also has a `*_certified` variant
-//! ([`verify_certified`] and friends) that lints the encoding and checks
-//! every answer — models against a mirrored formula, UNSAT verdicts against
-//! a DRAT proof replayed by an in-repo checker. For long-lived deployments,
-//! [`serve`] wraps the tasks in a concurrent job service with admission
-//! control, per-job deadlines, cooperative cancellation and a
-//! content-addressed result cache (the `served` binary speaks JSONL);
+//! ([`lint`]). [`certify`] and [`certify_diagnosis`] check an answer from
+//! any driver on fresh, linted encodings — models against a mirrored
+//! formula, UNSAT verdicts against a DRAT proof replayed by an in-repo
+//! checker. For long-lived deployments, [`serve`] wraps the tasks in a
+//! concurrent job service with admission control, per-job deadlines,
+//! cooperative cancellation and a content-addressed result cache (the
+//! `served` binary speaks JSONL);
 //! [`fleet`] scales that service across processes — rendezvous-hashed
 //! routing onto `served --listen` shards with cache replication, crash
 //! failover and a checked consistency story.
@@ -36,7 +36,8 @@
 //! [`TaskKind`] and a [`Run`] holding an observability handle and a
 //! cancellation token, both off by default; [`lazy::run`] takes the same
 //! arguments plus the CEGAR selection strategy. [`verify`], [`generate`],
-//! [`optimize`] and [`optimize_incremental`] are one-line calls of [`run`].
+//! [`optimize`] and [`optimize_incremental`] are one-line calls of [`run`];
+//! [`diagnose`] takes the same [`Run`].
 //!
 //! ## Quick start
 //!
@@ -96,9 +97,8 @@
 #![warn(missing_docs)]
 
 pub use etcs_core::{
-    border_tradeoff, cache_key, diagnose, diagnose_cancellable, diagnose_certified, encode,
-    generate, generate_certified, optimize, optimize_arrivals, optimize_certified,
-    optimize_incremental, optimize_with_budget, run, verify, verify_certified, Certification,
+    border_tradeoff, cache_key, certify, certify_diagnosis, diagnose, encode, generate, optimize,
+    optimize_arrivals, optimize_incremental, optimize_with_budget, run, verify, Certification,
     CertifiedVerdict, CertifyError, DesignOutcome, Diagnosis, EncoderConfig, Encoding,
     EncodingStats, EncodingTrace, ExitPolicy, Instance, LayoutExplorer, Run, SolveMode, SolvedPlan,
     TaskError, TaskKind, TaskReport, TradeoffPoint, TrainPlan, TrainSpec, VerifyOutcome,
@@ -184,11 +184,10 @@ pub mod lazy {
 /// The most common imports in one place.
 pub mod prelude {
     pub use crate::{
-        diagnose, diagnose_certified, fixtures, generate, generate_certified, optimize,
-        optimize_arrivals, optimize_certified, optimize_incremental, run, verify, verify_certified,
-        Certification, CertifiedVerdict, DesignOutcome, Diagnosis, EncoderConfig, Instance,
-        LayoutExplorer, NetworkBuilder, Run, Scenario, Schedule, SolveMode, TaskKind, Train,
-        TrainRun, VerifyOutcome, VssLayout,
+        certify, certify_diagnosis, diagnose, fixtures, generate, optimize, optimize_arrivals,
+        optimize_incremental, run, verify, Certification, CertifiedVerdict, DesignOutcome,
+        Diagnosis, EncoderConfig, Instance, LayoutExplorer, NetworkBuilder, Run, Scenario,
+        Schedule, SolveMode, TaskKind, Train, TrainRun, VerifyOutcome, VssLayout,
     };
     pub use crate::{KmPerHour, Meters, Seconds};
 }

@@ -195,6 +195,69 @@ fn interrupted_verify_still_counts_its_conflicts() {
     }
 }
 
+/// Diagnosis is a task like the others: its `conflicts` counter equals the
+/// `sat.solve` spans' total, on a finished and on an interrupted run, and
+/// its `task.diagnose` span mirrors the returned report.
+#[test]
+fn traced_diagnose_mirrors_its_report() {
+    // Local 2 cannot make a stop deadline equal to its departure, so the
+    // core-shrinking loop runs after the first solve.
+    let base = include_str!("../scenarios/station_sidings.rail");
+    let text = format!("{base}stop Local 2 : Middleton arr 0:01:00\n");
+    let scenario = etcs::parse_scenario(&text).expect("valid");
+    let (obs, sink) = Obs::memory();
+    let layout = VssLayout::pure_ttd();
+    let (d, report) =
+        diagnose(&scenario, &layout, &EncoderConfig::default(), &traced(&obs)).expect("valid");
+    assert!(d.is_conflict());
+    assert!(report.solver_calls > 1, "the core was shrunk");
+
+    let events = sink.events();
+    let solves: Vec<_> = events
+        .iter()
+        .filter(|e| e.kind == EventKind::SpanClose && e.name == "sat.solve")
+        .collect();
+    assert_eq!(solves.len(), report.solver_calls);
+    let solved: u64 = solves.iter().filter_map(|e| e.field_u64("conflicts")).sum();
+    assert_eq!(solved, report.search.conflicts);
+    assert_eq!(obs.metrics().counter("conflicts"), solved);
+    let close = events
+        .iter()
+        .rfind(|e| e.kind == EventKind::SpanClose && e.name == "task.diagnose")
+        .expect("task span closes");
+    assert_eq!(close.field("feasible"), Some(&Value::Bool(false)));
+    assert_eq!(close.field_u64("trains"), Some(1));
+    assert_eq!(
+        close.field_u64("solver_calls"),
+        Some(report.solver_calls as u64)
+    );
+    assert_eq!(close.field_u64("conflicts"), Some(report.search.conflicts));
+
+    // Refuting pure TTD on Simple Layout takes far longer than the
+    // deadline; the interrupted search still counts its conflicts.
+    let (obs, sink) = Obs::memory();
+    let deadline = Run {
+        obs: obs.clone(),
+        interrupt: Interrupt::with_deadline(Duration::from_millis(1500)),
+    };
+    let result = diagnose(
+        &fixtures::simple_layout(),
+        &layout,
+        &EncoderConfig::default(),
+        &deadline,
+    );
+    assert_eq!(result.err(), Some(TaskError::DeadlineExceeded));
+    let solved: u64 = sink
+        .events()
+        .iter()
+        .filter(|e| e.kind == EventKind::SpanClose && e.name == "sat.solve")
+        .filter_map(|e| e.field_u64("conflicts"))
+        .sum();
+    let counted = obs.metrics().counter("conflicts");
+    assert!(counted > 0, "the interrupted search did work");
+    assert_eq!(counted, solved);
+}
+
 #[test]
 fn jsonl_trace_artifact_replays_the_documented_schema() {
     let path = std::env::temp_dir().join("etcs_obs_trace_it.jsonl");

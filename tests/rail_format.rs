@@ -194,19 +194,16 @@ fn sample_scenario_runs_the_design_pipeline() {
 
     // Both intercity trains wait on the single Westhaven station track, so
     // pure TTD operation deadlocks before either can depart — the paper's
-    // core motivation in miniature. The certified path proves it: the
-    // verdict ships with a DRAT proof the in-repo checker replays.
-    let (v, _, cert) =
-        etcs::verify_certified(&s, &VssLayout::pure_ttd(), &config).expect("well-formed");
+    // core motivation in miniature. Certifying the verdict proves it: a
+    // DRAT proof the in-repo checker replays.
+    let task = TaskKind::Verify(VssLayout::pure_ttd());
+    let (v, _) = run(&s, &task, &config, &Run::default()).expect("well-formed");
     assert!(!v.is_feasible());
-    assert!(matches!(
-        cert.verdict,
-        etcs::CertifiedVerdict::ProofChecked(_)
-    ));
-    assert_eq!(
-        diagnose(&s, &VssLayout::pure_ttd(), &config).expect("well-formed"),
-        Diagnosis::Structural
-    );
+    let cert = certify(&s, &task, &config, &v).expect("certified");
+    assert!(matches!(cert.verdict, CertifiedVerdict::ProofChecked(_)));
+    let (d, _) =
+        diagnose(&s, &VssLayout::pure_ttd(), &config, &Run::default()).expect("well-formed");
+    assert_eq!(d, Diagnosis::Structural);
 
     // Virtual subsections repair the deadlock.
     let (g, _) = generate(&s, &config).expect("well-formed");
