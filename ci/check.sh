@@ -107,6 +107,34 @@ for name in serve.enqueue serve.admit serve.job; do
     }
 done
 
+echo "==> served hostile-input smoke (typed invalid records, exit 1, bounded time)"
+# Three lines no parser may choke on: a lone UTF-16 surrogate escape, an
+# object nested one level past etcs_obs::json::MAX_DEPTH, and a 4 MiB
+# string that never ends. Each must come back as one invalid record and
+# served must exit 1 (not 101 from a panic, not a signal) well inside the
+# timeout: a JSON string scan that is quadratic in its length takes hours
+# on the last line alone.
+HOSTILE_IN=target/serve_hostile.in.jsonl
+HOSTILE_OUT=target/serve_hostile.out.jsonl
+printf '{"id": "\\ud800", "kind": "verify", "scenario": "fixture:running_example"}\n' \
+    > "$HOSTILE_IN"
+printf '{"id": "deep", "kind": "verify", "scenario": "fixture:running_example", "x": %s%s}\n' \
+    "$(printf '%128s' '' | tr ' ' '[')" "$(printf '%128s' '' | tr ' ' ']')" >> "$HOSTILE_IN"
+{ printf '{"id": "'; head -c 4194304 /dev/zero | tr '\0' 'x'; printf '\n'; } >> "$HOSTILE_IN"
+cargo build --release -q -p etcs-serve
+status=0
+timeout 60 target/release/served --input "$HOSTILE_IN" --output "$HOSTILE_OUT" \
+    --workers 1 2> target/serve_hostile.log || status=$?
+test "$status" -eq 1 || {
+    echo "served: hostile batch exited $status, expected 1"; exit 1;
+}
+test "$(wc -l < "$HOSTILE_OUT")" -eq 3 || {
+    echo "served: expected 3 response lines for 3 hostile lines"; exit 1;
+}
+test "$(grep -c '"status": "invalid"' "$HOSTILE_OUT")" -eq 3 || {
+    echo "served: not every hostile line came back invalid"; exit 1;
+}
+
 echo "==> every bench artifact has the bench that writes it"
 # A checked-in BENCH_<name>.json must not outlive
 # crates/bench/src/bin/bench_<name>.rs: delete the artifact with its bench.

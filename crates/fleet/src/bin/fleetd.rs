@@ -5,6 +5,8 @@
 //! canonical cache fingerprint, and writes one response per line (to
 //! `--output FILE` or stdout) in input order — byte-identical to what a
 //! single-process `served` would have produced for the same outcomes.
+//! Shards refuse `file:` scenarios from the wire, so `fleetd` reads a
+//! `file:PATH` spec itself and forwards the file's text as `rail:TEXT`.
 //!
 //! ```text
 //! fleetd --shard 127.0.0.1:47411 --shard 127.0.0.1:47412 \
@@ -37,7 +39,7 @@ use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
-use etcs_fleet::wire::parse_request_line;
+use etcs_fleet::wire::parse_forwarded_line;
 use etcs_fleet::{consistency, Fleet, FleetConfig, FleetJob};
 use etcs_obs::json;
 use etcs_obs::Obs;
@@ -188,7 +190,8 @@ fn main() -> ExitCode {
 
         // Parse and fingerprint every line up front; malformed lines are
         // answered locally (same text a single-process `served` emits)
-        // and never reach a shard.
+        // and never reach a shard. Shards refuse `file:` scenarios, so a
+        // `file:PATH` line is forwarded with the file's text inline.
         let mut lines: Vec<Option<String>> = Vec::new(); // slot per input line
         let mut jobs: Vec<FleetJob> = Vec::new();
         for (i, line) in input.lines().enumerate() {
@@ -204,14 +207,15 @@ fn main() -> ExitCode {
                 continue;
             }
             let index = lines.len();
-            match parse_request_line(&line, &format!("line {lineno}"), args.lazy, args.portfolio) {
-                Ok(request) => {
+            match parse_forwarded_line(&line, &format!("line {lineno}"), args.lazy, args.portfolio)
+            {
+                Ok((request, spec)) => {
                     let key = request.cache_key(&encoder);
                     lines.push(None);
                     jobs.push(FleetJob {
                         index,
                         id: request.id,
-                        spec: line,
+                        spec,
                         key,
                     });
                 }

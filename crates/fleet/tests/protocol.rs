@@ -271,3 +271,81 @@ fn invalid_job_specs_come_back_as_invalid_not_errors() {
     client.shutdown().expect("graceful shutdown");
     server.wait();
 }
+
+/// A file only the shard's host can read, holding a token that must never
+/// travel back over the wire. Removed when dropped.
+struct Secret(std::path::PathBuf);
+
+impl Secret {
+    fn new(name: &str) -> Secret {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+        std::fs::write(&path, "SECRET_TOKEN=hunter2\n").expect("write the secret");
+        Secret(path)
+    }
+}
+
+impl Drop for Secret {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+#[test]
+fn a_job_frame_naming_a_file_is_invalid_and_reads_nothing() {
+    let server = spawn_shard("nofile");
+    let mut client = ShardClient::connect(&server.addr().to_string()).expect("connect");
+    let secret = Secret::new("job-secret.rail");
+    let shipped = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/branch_line.rail"
+    );
+    for path in [secret.0.to_str().expect("utf-8 path"), shipped] {
+        let spec = format!(
+            "{{\"id\": \"leak\", \"kind\": \"verify\", \"scenario\": {}}}",
+            etcs_obs::json::quote(&format!("file:{path}"))
+        );
+        let done = client.job(&spec).expect("protocol-level success");
+        assert_eq!(done.status, "invalid", "{}", done.response);
+        assert!(done.key.is_none() && done.payload.is_none());
+        assert!(
+            done.response.contains("read only from local input"),
+            "{}",
+            done.response
+        );
+        assert!(!done.response.contains("SECRET"), "{}", done.response);
+        assert!(!done.response.contains("hunter2"), "{}", done.response);
+    }
+    // The shard still serves inline scenarios on the same connection.
+    let done = client
+        .job("{\"id\": \"ok\", \"kind\": \"verify\", \"scenario\": \"fixture:running_example\"}")
+        .expect("job");
+    assert_eq!(done.status, "done");
+    client.shutdown().expect("graceful shutdown");
+    server.wait();
+}
+
+#[test]
+fn a_replan_open_record_naming_a_file_is_invalid_and_reads_nothing() {
+    let server = spawn_shard("nofile-replan");
+    let mut client = ShardClient::connect(&server.addr().to_string()).expect("connect");
+    let secret = Secret::new("replan-secret.rail");
+    let record = format!(
+        "{{\"record\": \"open\", \"session\": \"s\", \"scenario\": {}}}",
+        etcs_obs::json::quote(&format!("file:{}", secret.0.display()))
+    );
+    let response = client.replan(&record).expect("protocol-level success");
+    assert!(response.contains("\"record\": \"error\""), "{response}");
+    assert!(
+        response.contains("read only from local input"),
+        "{response}"
+    );
+    assert!(!response.contains("SECRET"), "{response}");
+    assert!(!response.contains("hunter2"), "{response}");
+    // No session was opened under that name.
+    let response = client
+        .replan("{\"record\": \"tick\", \"session\": \"s\"}")
+        .expect("protocol-level success");
+    assert!(response.contains("unknown session"), "{response}");
+    client.shutdown().expect("graceful shutdown");
+    server.wait();
+}

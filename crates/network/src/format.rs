@@ -134,15 +134,15 @@ pub fn parse_scenario(input: &str) -> Result<Scenario, ParseScenarioError> {
         match keyword {
             "scenario" => name = rest.to_owned(),
             "rs" => {
-                let metres: u64 = rest
-                    .parse()
-                    .map_err(|_| err_at(rest, format!("invalid rs `{rest}` (metres)")))?;
+                let metres = positive(rest).ok_or_else(|| {
+                    err_at(rest, format!("invalid rs `{rest}` (positive metres)"))
+                })?;
                 r_s = Some(Meters(metres));
             }
             "rt" => {
-                let secs: u64 = rest
-                    .parse()
-                    .map_err(|_| err_at(rest, format!("invalid rt `{rest}` (seconds)")))?;
+                let secs = positive(rest).ok_or_else(|| {
+                    err_at(rest, format!("invalid rt `{rest}` (positive seconds)"))
+                })?;
                 r_t = Some(Seconds(secs));
             }
             "horizon" => {
@@ -228,7 +228,21 @@ pub fn parse_scenario(input: &str) -> Result<Scenario, ParseScenarioError> {
                     .parse()
                     .map_err(|_| err_at(speed, format!("invalid train speed `{speed}`")))?;
                 let train = Train::new(tname.trim(), Meters(length), KmPerHour(speed));
-                trains.insert(tname.trim().to_owned(), (train, usize::MAX));
+                // The writer declares a train once per run, so a repeated
+                // declaration must repeat the same train: a different one
+                // would not survive a write and re-parse.
+                match trains.get(tname.trim()) {
+                    Some((known, _)) if *known != train => {
+                        return Err(err_at(
+                            tname.trim(),
+                            format!("train `{}` redeclared differently", tname.trim()),
+                        ))
+                    }
+                    Some(_) => {}
+                    None => {
+                        trains.insert(tname.trim().to_owned(), (train, usize::MAX));
+                    }
+                }
             }
             "run" => {
                 // <train> : <origin> -> <dest> dep <time> [arr <time>]
@@ -336,6 +350,11 @@ pub fn parse_scenario(input: &str) -> Result<Scenario, ParseScenarioError> {
         message: format!("schedule validation failed: {e}"),
     })?;
     Ok(scenario)
+}
+
+/// A resolution: a decimal integer above zero (a zero grid has no steps).
+fn positive(text: &str) -> Option<u64> {
+    text.parse().ok().filter(|&n| n > 0)
 }
 
 fn parse_track_list<'a>(
@@ -546,6 +565,49 @@ stop T : M arr 0:04:00
         // the column is measured in the raw line.
         let e = parse_scenario("scenario X\n   rs nope # comment\n").expect_err("fails");
         assert_eq!((e.line, e.column), (2, 7));
+    }
+
+    #[test]
+    fn a_train_is_declared_once_or_identically() {
+        let text = "\
+scenario S
+rs 500
+rt 30
+horizon 0:10:00
+node a
+node b
+track t : a - b 500
+ttd T : t
+station A : boundary t
+train X : 100 60
+run X : A -> A dep 0:00:00
+train X : 100 60
+run X : A -> A dep 0:01:00
+";
+        let s = parse_scenario(text).expect("an identical redeclaration is fine");
+        assert_eq!(s.schedule.len(), 2);
+        let back = parse_scenario(&write_scenario(&s)).expect("round-trips");
+        assert_eq!(back.schedule, s.schedule);
+        let e = parse_scenario(&text.replacen(
+            "train X : 100 60\nrun X : A -> A dep 0:01",
+            "train X : 200 60\nrun X : A -> A dep 0:01",
+            1,
+        ))
+        .expect_err("a different redeclaration is an error");
+        assert_eq!((e.line, e.column), (12, 7), "{e}");
+        assert!(e.message.contains("redeclared"), "{e}");
+    }
+
+    #[test]
+    fn zero_resolutions_are_rejected() {
+        for (text, want) in [
+            ("scenario X\nrs 0\n", "invalid rs `0`"),
+            ("scenario X\nrs 500\nrt 0\n", "invalid rt `0`"),
+        ] {
+            let e = parse_scenario(text).expect_err("fails");
+            assert_eq!(e.column, 4, "{e}");
+            assert!(e.message.contains(want), "{e}");
+        }
     }
 
     #[test]

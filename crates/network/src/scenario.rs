@@ -54,7 +54,7 @@ impl Scenario {
     /// Converts a wall-clock time to its time-step index, clamped into the
     /// grid (a deadline beyond the horizon becomes the last step).
     pub fn step_of(&self, time: Seconds) -> usize {
-        let step = (time.as_u64() + self.r_t.as_u64() / 2) / self.r_t.as_u64();
+        let step = time.as_u64().saturating_add(self.r_t.as_u64() / 2) / self.r_t.as_u64();
         (step as usize).min(self.t_max() - 1)
     }
 
@@ -133,6 +133,7 @@ mod tests {
     fn step_of_clamps_beyond_horizon() {
         let s = fixtures::running_example();
         assert_eq!(s.step_of(Seconds(10_000)), s.t_max() - 1);
+        assert_eq!(s.step_of(Seconds(u64::MAX)), s.t_max() - 1);
     }
 
     #[test]

@@ -164,7 +164,8 @@ impl Seconds {
     /// # Errors
     ///
     /// Returns a [`ParseTimeError`] for anything that is not one or two
-    /// colons separating decimal fields.
+    /// colons separating decimal fields, and for a time past `u64::MAX`
+    /// seconds.
     pub fn parse_hms(text: &str) -> Result<Self, ParseTimeError> {
         let parts: Vec<&str> = text.split(':').collect();
         let err = || ParseTimeError {
@@ -174,11 +175,14 @@ impl Seconds {
             .iter()
             .map(|p| p.parse::<u64>().map_err(|_| err()))
             .collect::<Result<_, _>>()?;
-        match nums.as_slice() {
-            [m, s] if *s < 60 => Ok(Seconds(m * 60 + s)),
-            [h, m, s] if *m < 60 && *s < 60 => Ok(Seconds(h * 3600 + m * 60 + s)),
-            _ => Err(err()),
-        }
+        let seconds = match nums.as_slice() {
+            [m, s] if *s < 60 => m.checked_mul(60).and_then(|t| t.checked_add(*s)),
+            [h, m, s] if *m < 60 && *s < 60 => {
+                h.checked_mul(3600).and_then(|t| t.checked_add(m * 60 + s))
+            }
+            _ => None,
+        };
+        seconds.map(Seconds).ok_or_else(err)
     }
 }
 
@@ -226,8 +230,9 @@ impl fmt::Display for ParseTimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "invalid time syntax `{}` (expected H:MM:SS or M:SS)",
-            self.input
+            "invalid time syntax `{}` (expected H:MM:SS or M:SS, at most {} seconds)",
+            self.input,
+            u64::MAX
         )
     }
 }
@@ -290,6 +295,27 @@ mod tests {
         assert!(Seconds::parse_hms("1:99").is_err());
         assert!(Seconds::parse_hms("1:2:3:4").is_err());
         assert!(Seconds::parse_hms("a:30").is_err());
+    }
+
+    #[test]
+    fn parse_hms_rejects_overflow() {
+        for text in [
+            "99999999999999999:00:00",
+            "307445734561825861:00",
+            "5124095576030432:00:00",
+            "18446744073709551615:00",
+        ] {
+            let err = Seconds::parse_hms(text).expect_err(text);
+            assert_eq!(err.input, text);
+        }
+        // The largest representable times still parse, and print back.
+        let max = Seconds::parse_hms("307445734561825860:15").expect("fits");
+        assert_eq!(max, Seconds(u64::MAX));
+        assert_eq!(Seconds::parse_hms(&max.to_string()), Ok(max));
+        assert_eq!(
+            Seconds::parse_hms("5124095576030431:00:15"),
+            Ok(Seconds(u64::MAX))
+        );
     }
 
     #[test]

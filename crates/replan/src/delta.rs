@@ -168,14 +168,20 @@ impl LiveScenario {
         let mut runs = self.runs.clone();
         match delta {
             ScenarioDelta::Delay { train, by } => {
+                let shift = |t: Seconds| match t.as_u64().checked_add(by.as_u64()) {
+                    Some(shifted) => Ok(Seconds(shifted)),
+                    None => Err(DeltaError::new(format!(
+                        "delaying `{train}` by {by} overflows the clock at {t}"
+                    ))),
+                };
                 let run = find_run_mut(&mut runs, train)?;
-                run.departure = Seconds(run.departure.as_u64() + by.as_u64());
+                run.departure = shift(run.departure)?;
                 if let Some(arr) = &mut run.arrival {
-                    *arr = Seconds(arr.as_u64() + by.as_u64());
+                    *arr = shift(*arr)?;
                 }
                 for (_, deadline) in &mut run.stops {
                     if let Some(d) = deadline {
-                        *d = Seconds(d.as_u64() + by.as_u64());
+                        *d = shift(*d)?;
                     }
                 }
             }
@@ -353,6 +359,21 @@ mod tests {
             (None, None) => {}
             other => panic!("arrival deadline changed shape: {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_delay_past_the_clock_is_rejected_without_state_change() {
+        let mut l = live();
+        let before = l.current().schedule.clone();
+        let name = before.runs()[0].train.name.clone();
+        let err = l
+            .apply(&ScenarioDelta::Delay {
+                train: name,
+                by: Seconds(u64::MAX),
+            })
+            .expect_err("rejected");
+        assert!(err.message.contains("overflows the clock"), "{err}");
+        assert_eq!(l.current().schedule, before);
     }
 
     #[test]

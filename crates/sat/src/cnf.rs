@@ -156,6 +156,15 @@ impl Formula {
         Self::default()
     }
 
+    /// A formula over `num_vars` variables and no clauses, in constant
+    /// time (unlike `num_vars` calls of [`CnfSink::new_var`]).
+    pub(crate) fn with_vars(num_vars: usize) -> Self {
+        Formula {
+            num_vars,
+            clauses: Vec::new(),
+        }
+    }
+
     /// Number of allocated variables.
     pub fn num_vars(&self) -> usize {
         self.num_vars

@@ -94,10 +94,9 @@ pub fn parse_dimacs(input: &str) -> Result<Formula, ParseDimacsError> {
                     message: format!("variable count {nv} exceeds the limit of {MAX_VARS}"),
                 });
             }
+            // Only comments precede the problem line, so `formula` is empty.
             declared_vars = Some(nv);
-            for _ in 0..nv {
-                formula.new_var();
-            }
+            formula = Formula::with_vars(nv);
             continue;
         }
         let nv = declared_vars.ok_or_else(|| ParseDimacsError {
@@ -208,6 +207,14 @@ mod tests {
         let e = parse_dimacs("p cnf 2147483649 2\n2147483649 0\n-1 0\n").expect_err("should fail");
         assert_eq!(e.line, 1);
         assert!(e.message.contains("exceeds the limit"));
+    }
+
+    #[test]
+    fn a_large_declared_variable_count_parses_in_constant_time() {
+        // The declared count is recorded, not allocated variable by variable.
+        let f = parse_dimacs("p cnf 2147483648 1\n-2147483648 0\n").expect("parse");
+        assert_eq!(f.num_vars(), 1 << 31);
+        assert_eq!(f.clauses()[0][0].var().index(), (1 << 31) - 1);
     }
 
     #[test]

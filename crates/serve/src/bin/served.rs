@@ -29,6 +29,8 @@
 //!   | `diagnose`.
 //! * `scenario` — `fixture:NAME` (a built-in case study), `file:PATH`
 //!   (a `.rail` file) or `rail:TEXT` (inline `.rail` source, `\n`-escaped).
+//!   `file:` is read only from the local batch: a shard answers a `job`
+//!   or `replan` frame naming one as invalid, without touching the file.
 //! * `layout` (optional, verify/diagnose only) — `pure_ttd` (default),
 //!   `full`, or `borders:2,5,9` (discrete-node indices).
 //! * `priority` (optional) — `high` | `normal` (default) | `low`.
@@ -79,7 +81,8 @@ use etcs_obs::json;
 use etcs_obs::Obs;
 use etcs_replan::{ReplanConfig, ReplanStats};
 use etcs_serve::wire::{
-    parse_request_line, response_line, stats_body_json, JobHook, ShardServer, ShardServerConfig,
+    parse_request_line, response_line, stats_body_json, JobHook, Origin, ShardServer,
+    ShardServerConfig,
 };
 use etcs_serve::{JobRequest, ReplanManager, ServeConfig, Service};
 
@@ -336,6 +339,7 @@ fn main() -> ExitCode {
             lazy: args.lazy,
             ..ReplanConfig::default()
         },
+        Origin::Local,
         obs,
     );
 

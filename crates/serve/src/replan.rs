@@ -34,13 +34,14 @@ use etcs_obs::Obs;
 use etcs_replan::{parse_trace, ReplanConfig, ReplanSession, ReplanStats, TickReport, TraceOp};
 
 use crate::job::{verdict_digest_of, JobKind};
-use crate::wire::load_scenario;
+use crate::wire::{load_scenario, Origin};
 
 /// All open replanning sessions of one `served` process, keyed by the
 /// client-chosen session id, plus the accumulated counters of sessions
 /// already closed (so the terminal stats record covers the whole run).
 pub struct ReplanManager {
     base: ReplanConfig,
+    origin: Origin,
     obs: Obs,
     sessions: BTreeMap<String, ReplanSession>,
     closed: ReplanStats,
@@ -58,10 +59,12 @@ impl std::fmt::Debug for ReplanManager {
 impl ReplanManager {
     /// A manager whose sessions default to `base` (service encoder config,
     /// CLI `--lazy` default); `open` records override `lazy` and
-    /// `tick_budget_ms` per session.
-    pub fn new(base: ReplanConfig, obs: Obs) -> ReplanManager {
+    /// `tick_budget_ms` per session. Records come from `origin`: an `open`
+    /// record from [`Origin::Peer`] may not name a `file:` scenario.
+    pub fn new(base: ReplanConfig, origin: Origin, obs: Obs) -> ReplanManager {
         ReplanManager {
             base,
+            origin,
             obs,
             sessions: BTreeMap::new(),
             closed: ReplanStats::default(),
@@ -114,7 +117,7 @@ impl ReplanManager {
                     .get("scenario")
                     .and_then(Json::as_str)
                     .ok_or_else(|| err("missing \"scenario\"".to_string()))?;
-                let scenario = load_scenario(spec).map_err(err)?;
+                let scenario = load_scenario(spec, self.origin).map_err(err)?;
                 let mut config = self.base.clone();
                 if let Some(Json::Bool(lazy)) = value.get("lazy") {
                     config.lazy = *lazy;
@@ -232,7 +235,7 @@ mod tests {
     use super::*;
 
     fn manager() -> ReplanManager {
-        ReplanManager::new(ReplanConfig::default(), Obs::disabled())
+        ReplanManager::new(ReplanConfig::default(), Origin::Local, Obs::disabled())
     }
 
     #[test]
@@ -318,6 +321,28 @@ mod tests {
         // The session survived all of it.
         let (ticked, failed) = m.handle(r#"{"record": "tick", "session": "s1"}"#, "line 4");
         assert!(!failed, "{ticked}");
+    }
+
+    #[test]
+    fn only_local_records_open_file_scenarios() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../scenarios/branch_line.rail"
+        );
+        let open = format!(
+            "{{\"record\": \"open\", \"session\": \"f\", \"scenario\": {}}}",
+            json::quote(&format!("file:{path}"))
+        );
+        let (response, failed) = manager().handle(&open, "line 1");
+        assert!(!failed, "{response}");
+        let mut peer = ReplanManager::new(ReplanConfig::default(), Origin::Peer, Obs::disabled());
+        let (response, failed) = peer.handle(&open, "replan");
+        assert!(failed);
+        assert!(
+            response.contains("read only from local input"),
+            "{response}"
+        );
+        assert!(peer.sessions.is_empty());
     }
 
     #[test]

@@ -220,14 +220,26 @@ fn hex_u128(s: &str) -> Result<u128, WireError> {
 // Request-line parsing (shared by `served` and `fleetd`)
 // ---------------------------------------------------------------------------
 
-/// Resolves a request `scenario` spec: `fixture:NAME`, `file:PATH`, or
-/// `rail:TEXT`.
+/// Where a request line or session record came from. It decides whether
+/// its `scenario` spec may name a file.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Origin {
+    /// This host's own input: a `served` batch, or the lines `fleetd`
+    /// reads. `file:PATH` reads the `.rail` file at `PATH`.
+    Local,
+    /// A network peer: a shard's `job` and `replan` frames. `file:` is
+    /// invalid here, so that no peer can make a shard read its files.
+    Peer,
+}
+
+/// Resolves a request `scenario` spec: `fixture:NAME`, `file:PATH` (only
+/// from [`Origin::Local`]), or `rail:TEXT`.
 ///
 /// # Errors
 ///
 /// A human-readable message naming the unknown fixture, unreadable file or
-/// parse failure.
-pub fn load_scenario(spec: &str) -> Result<Scenario, String> {
+/// parse failure, or saying that a peer may not name a file.
+pub fn load_scenario(spec: &str, origin: Origin) -> Result<Scenario, String> {
     if let Some(name) = spec.strip_prefix("fixture:") {
         match name {
             "running_example" => Ok(fixtures::running_example()),
@@ -238,8 +250,7 @@ pub fn load_scenario(spec: &str) -> Result<Scenario, String> {
             other => Err(format!("unknown fixture {other:?}")),
         }
     } else if let Some(path) = spec.strip_prefix("file:") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        parse_scenario(&text).map_err(|e| format!("{path}: {e}"))
+        read_scenario_file(path, origin).map(|(scenario, _)| scenario)
     } else if let Some(text) = spec.strip_prefix("rail:") {
         parse_scenario(text).map_err(|e| e.to_string())
     } else {
@@ -247,6 +258,20 @@ pub fn load_scenario(spec: &str) -> Result<Scenario, String> {
             "scenario must start with fixture:, file: or rail: (got {spec:?})"
         ))
     }
+}
+
+/// A `file:PATH` scenario and the text it was parsed from, read only for
+/// local input.
+fn read_scenario_file(path: &str, origin: Origin) -> Result<(Scenario, String), String> {
+    if origin == Origin::Peer {
+        return Err(
+            "file: scenarios are read only from local input; send the .rail text as rail:TEXT"
+                .to_string(),
+        );
+    }
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let scenario = parse_scenario(&text).map_err(|e| format!("{path}: {e}"))?;
+    Ok((scenario, text))
 }
 
 /// Resolves a request `layout` spec: `pure_ttd`, `full`, or
@@ -278,10 +303,11 @@ pub fn load_layout(spec: &str, scenario: &Scenario) -> Result<VssLayout, String>
     }
 }
 
-/// Parses one `served`-format request line into a [`JobRequest`].
-/// `label` prefixes error messages (`"line 7"`, `"job"`, …);
-/// `lazy_default` / `portfolio_default` are the service-wide CLI defaults
-/// applied to lines that do not carry their own fields.
+/// Parses one `served`-format request line from local input into a
+/// [`JobRequest`]; `file:PATH` scenarios are read. `label` prefixes error
+/// messages (`"line 7"`, `"job"`, …); `lazy_default` /
+/// `portfolio_default` are the service-wide CLI defaults applied to lines
+/// that do not carry their own fields.
 ///
 /// # Errors
 ///
@@ -292,7 +318,74 @@ pub fn parse_request_line(
     lazy_default: bool,
     portfolio_default: Option<usize>,
 ) -> Result<JobRequest, String> {
+    parse_request(line, label, Origin::Local, lazy_default, portfolio_default)
+}
+
+/// [`parse_request_line`] for a line from `origin`: a line from
+/// [`Origin::Peer`] that names a `file:` scenario is invalid.
+///
+/// # Errors
+///
+/// A human-readable message for malformed JSON, unknown field values, and
+/// a peer's `file:` spec.
+pub fn parse_request(
+    line: &str,
+    label: &str,
+    origin: Origin,
+    lazy_default: bool,
+    portfolio_default: Option<usize>,
+) -> Result<JobRequest, String> {
     let value = json::parse(line).map_err(|e| format!("{label}: {e}"))?;
+    request_from_json(&value, label, lazy_default, portfolio_default, |spec| {
+        load_scenario(spec, origin)
+    })
+}
+
+/// Parses a local request line that is to be forwarded to a shard, which
+/// refuses `file:` scenarios. A `file:PATH` spec is read here, once, and
+/// the returned line carries its text inline as `rail:TEXT`; any other
+/// line is returned as it came. The request is the one
+/// [`parse_request_line`] gives, with the same error messages.
+///
+/// # Errors
+///
+/// As [`parse_request_line`].
+pub fn parse_forwarded_line(
+    line: &str,
+    label: &str,
+    lazy_default: bool,
+    portfolio_default: Option<usize>,
+) -> Result<(JobRequest, String), String> {
+    let mut value = json::parse(line).map_err(|e| format!("{label}: {e}"))?;
+    let mut inlined = None;
+    let request = request_from_json(&value, label, lazy_default, portfolio_default, |spec| {
+        let Some(path) = spec.strip_prefix("file:") else {
+            return load_scenario(spec, Origin::Local);
+        };
+        let (scenario, text) = read_scenario_file(path, Origin::Local)?;
+        inlined = Some(text);
+        Ok(scenario)
+    })?;
+    let Some(text) = inlined else {
+        return Ok((request, line.to_owned()));
+    };
+    if let Json::Obj(members) = &mut value {
+        if let Some((_, spec)) = members.iter_mut().find(|(key, _)| key == "scenario") {
+            *spec = Json::Str(format!("rail:{text}"));
+        }
+    }
+    Ok((request, value.to_string()))
+}
+
+/// The fields of a parsed request line; `load` resolves the `scenario`
+/// spec.
+fn request_from_json(
+    value: &Json,
+    label: &str,
+    lazy_default: bool,
+    portfolio_default: Option<usize>,
+    load: impl FnOnce(&str) -> Result<Scenario, String>,
+) -> Result<JobRequest, String> {
     let str_field = |key: &str| value.get(key).and_then(Json::as_str);
     let id = str_field("id")
         .map(str::to_owned)
@@ -302,7 +395,7 @@ pub fn parse_request_line(
         JobKind::parse(kind_name).ok_or_else(|| format!("{label}: unknown kind {kind_name:?}"))?;
     let scenario_spec =
         str_field("scenario").ok_or_else(|| format!("{label}: missing \"scenario\""))?;
-    let scenario = load_scenario(scenario_spec).map_err(|e| format!("{label}: {e}"))?;
+    let scenario = load(scenario_spec).map_err(|e| format!("{label}: {e}"))?;
     let mut request = JobRequest::new(id, kind, scenario);
     if let Some(layout_spec) = str_field("layout") {
         request.layout =
@@ -806,6 +899,7 @@ impl ShardServer {
                 lazy: config.lazy_default,
                 ..ReplanConfig::default()
             },
+            Origin::Peer,
             obs.clone(),
         );
         let shared = Arc::new(ServerShared {
@@ -1037,24 +1131,29 @@ fn handle_job(
     if let Some(hook) = &shared.hook {
         hook(seen);
     }
-    let request =
-        match parse_request_line(spec, "job", shared.lazy_default, shared.portfolio_default) {
-            Ok(request) => request,
-            Err(message) => {
-                let line = format!(
-                    "{{\"id\": \"job\", \"status\": \"invalid\", \"reason\": {}}}",
-                    json::quote(&message)
-                );
-                return write_frame(
-                    writer,
-                    &format!(
-                        "{{\"type\": \"done\", \"status\": \"invalid\", \"cache\": \"miss\", \
+    let request = match parse_request(
+        spec,
+        "job",
+        Origin::Peer,
+        shared.lazy_default,
+        shared.portfolio_default,
+    ) {
+        Ok(request) => request,
+        Err(message) => {
+            let line = format!(
+                "{{\"id\": \"job\", \"status\": \"invalid\", \"reason\": {}}}",
+                json::quote(&message)
+            );
+            return write_frame(
+                writer,
+                &format!(
+                    "{{\"type\": \"done\", \"status\": \"invalid\", \"cache\": \"miss\", \
                      \"response\": {}}}",
-                        json::quote(&line)
-                    ),
-                );
-            }
-        };
+                    json::quote(&line)
+                ),
+            );
+        }
+    };
     let key = request.cache_key(&shared.service.config().encoder);
     let response = match shared.service.submit(request) {
         Ok(ticket) => ticket.wait(),
@@ -1433,5 +1532,57 @@ mod tests {
             .unwrap_err()
             .contains("line 2"));
         assert!(parse_request_line("not json", "line 3", false, None).is_err());
+    }
+
+    #[test]
+    fn file_specs_are_read_only_from_local_input() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../scenarios/branch_line.rail"
+        );
+        let line = format!(
+            "{{\"id\": \"f\", \"kind\": \"generate\", \"scenario\": {}, \"priority\": \"low\"}}",
+            json::quote(&format!("file:{path}"))
+        );
+        let config = EncoderConfig::default();
+        let local = parse_request_line(&line, "line 1", false, None).expect("local reads files");
+        let err = parse_request(&line, "job", Origin::Peer, false, None).unwrap_err();
+        assert!(
+            err.starts_with("job: file: scenarios are read only"),
+            "{err}"
+        );
+
+        // A frontend inlines the file, and the inlined line means the same
+        // job to a shard: same request fields, same cache key.
+        let (forwarded, spec) = parse_forwarded_line(&line, "line 1", false, None).expect("parses");
+        assert_eq!(forwarded.cache_key(&config), local.cache_key(&config));
+        let text = std::fs::read_to_string(path).expect("shipped scenario");
+        let value = json::parse(&spec).expect("forwarded line is JSON");
+        assert_eq!(
+            value.get("scenario").and_then(Json::as_str),
+            Some(format!("rail:{text}").as_str())
+        );
+        let shard = parse_request(&spec, "job", Origin::Peer, false, None).expect("no file left");
+        assert_eq!(shard.cache_key(&config), local.cache_key(&config));
+        assert_eq!((shard.id, shard.priority), (local.id, local.priority));
+
+        // Lines without a file pass through as they came, and errors carry
+        // the same text as the local parser's.
+        let plain = "{\"kind\": \"verify\", \"scenario\": \"fixture:running_example\"}";
+        assert_eq!(
+            parse_forwarded_line(plain, "l", false, None).unwrap().1,
+            plain
+        );
+        for bad in [
+            "{\"kind\": \"fly\", \"scenario\": \"file:/nonexistent.rail\"}",
+            "{\"kind\": \"verify\", \"scenario\": \"file:/nonexistent.rail\"}",
+            "{\"kind\": \"verify\", \"scenario\": \"file:Cargo.toml\"}",
+            "[1",
+        ] {
+            assert_eq!(
+                parse_forwarded_line(bad, "line 2", false, None).unwrap_err(),
+                parse_request_line(bad, "line 2", false, None).unwrap_err(),
+            );
+        }
     }
 }
