@@ -6,7 +6,7 @@
 //! reports *distributions*: per family × solve mode it aggregates p50 /
 //! p90 / max wall time and clause mass over all of the family's
 //! instances, plus verdict counts. Every instance is also a differential
-//! check — all three configurations must agree on verdict and proven
+//! check — both configurations must agree on verdict and proven
 //! optima, and the harness asserts it before writing the artifact.
 //!
 //! Usage: `bench_corpus [--smoke] [--out <path>] [--emit-exemplars]`

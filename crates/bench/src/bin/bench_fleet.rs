@@ -28,7 +28,7 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use etcs_core::EncoderConfig;
-use etcs_fleet::wire::{parse_request_line, ShardServer, ShardServerConfig};
+use etcs_fleet::wire::{parse_request, Origin, ShardServer, ShardServerConfig};
 use etcs_fleet::{check, Fleet, FleetConfig, FleetJob};
 use etcs_network::generator::{single_track_line, LineConfig};
 use etcs_network::{write_scenario, Seconds};
@@ -66,7 +66,9 @@ fn request_lines(smoke: bool) -> Vec<String> {
 fn parse_all(lines: &[String]) -> Vec<JobRequest> {
     lines
         .iter()
-        .map(|line| parse_request_line(line, "bench", false, None).expect("bench lines are valid"))
+        .map(|line| {
+            parse_request(line, "bench", Origin::Local, false).expect("bench lines are valid")
+        })
         .collect()
 }
 

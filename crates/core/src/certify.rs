@@ -1,17 +1,15 @@
 //! Certifying an answer: evidence that does not trust whatever produced it.
 //!
 //! [`certify`] checks a [`DesignOutcome`] and [`certify_diagnosis`] a
-//! [`Diagnosis`] from any driver: eager, incremental, lazy, portfolio or a
-//! cache. Each re-derives the answer's evidence on fresh encodings, traced
-//! (an [`EncodingTrace`] mirror of exactly what the encoder emitted),
-//! linted before solving and proof-logged while solving. A model must
+//! [`Diagnosis`] from any driver: eager, incremental, lazy or a cache.
+//! Each re-derives the answer's evidence on fresh encodings, traced (an
+//! [`EncodingTrace`] mirror of exactly what the encoder emitted), linted
+//! before solving and proof-logged while solving. A model must
 //! satisfy the traced formula; a refutation's DRAT proof must pass
 //! [`etcs_sat::check_drat`] with the traced formula as axioms and, under
-//! assumptions, the negated failed core as target. A proof-logging solver
-//! never races, so these solves are sequential whatever the
-//! [`SolveMode`](crate::SolveMode). Minimality (of borders, of a diagnosis
-//! conflict) is not certified: MaxSAT counter clauses lie outside every
-//! traced axiom set.
+//! assumptions, the negated failed core as target. Minimality (of borders,
+//! of a diagnosis conflict) is not certified: MaxSAT counter clauses lie
+//! outside every traced axiom set.
 
 use std::fmt;
 

@@ -26,30 +26,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 use etcs_network::{EdgeId, NodeId, NodeKind, VssLayout};
-use etcs_sat::{CnfSink, DratProof, Lit, Objective, PortfolioConfig, Solver, Var};
+use etcs_sat::{CnfSink, DratProof, Lit, Objective, Solver, Var};
 
 use crate::instance::{ExitPolicy, Instance};
 use crate::trace::{EncodingTrace, TracedSolver};
-
-/// How the built encoding's solver executes each (incremental) solve call.
-///
-/// This is a property of the *solving* side, not of the formula: verdicts
-/// and optimal objective values are identical across modes, so every task
-/// loop accepts any mode. Witness plans may differ between modes (several
-/// optimal plans usually exist). A proof-logging solver never races, so
-/// [`certify`](crate::certify) re-checks a portfolio answer on sequential
-/// solves.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum SolveMode {
-    /// One sequential CDCL search (the default).
-    #[default]
-    Single,
-    /// An in-process clause-sharing portfolio of `n` diversified workers
-    /// racing each solve call, first finisher cancelling the siblings (see
-    /// `etcs_sat::parallel`). Values below 2 behave like
-    /// [`SolveMode::Single`].
-    Portfolio(usize),
-}
 
 /// Tunable encoder behaviour; defaults reproduce the paper's formulation.
 #[derive(Clone, Copy, Debug)]
@@ -73,10 +53,6 @@ pub struct EncoderConfig {
     /// UNSAT verdicts can be certified against the traced formula (see
     /// [`Encoding::proof`]). Off by default.
     pub proof: bool,
-    /// How each solve call on the built encoding executes (sequential or
-    /// clause-sharing portfolio). Verdict- and optimum-preserving; see
-    /// [`SolveMode`].
-    pub solve_mode: SolveMode,
 }
 
 impl Default for EncoderConfig {
@@ -87,17 +63,7 @@ impl Default for EncoderConfig {
             symmetric_movement: true,
             trace: false,
             proof: false,
-            solve_mode: SolveMode::Single,
         }
-    }
-}
-
-impl EncoderConfig {
-    /// Returns a copy with [`solve_mode`](Self::solve_mode) replaced —
-    /// convenience for sweeping one scenario across solve configurations
-    /// (the `etcs-corpus` benchmark wiring).
-    pub fn with_solve_mode(self, solve_mode: SolveMode) -> Self {
-        EncoderConfig { solve_mode, ..self }
     }
 }
 
@@ -322,24 +288,6 @@ impl Encoding {
         }
         assumptions
     }
-
-    /// (Re-)applies [`EncoderConfig::solve_mode`] to the loaded solver:
-    /// installs the clause-sharing portfolio for
-    /// [`SolveMode::Portfolio`], removes it for [`SolveMode::Single`].
-    /// [`encode`] already calls this, so it is only needed when a caller
-    /// changes its mind about the mode after building.
-    ///
-    /// A proof-logging solver ignores an installed portfolio (it falls back
-    /// to the sequential search), so this is safe in any order relative to
-    /// [`EncoderConfig::proof`].
-    pub fn apply_solve_mode(&mut self, config: &EncoderConfig) {
-        match config.solve_mode {
-            SolveMode::Single => self.solver.set_portfolio(None),
-            SolveMode::Portfolio(n) => self
-                .solver
-                .set_portfolio(Some(PortfolioConfig::with_threads(n))),
-        }
-    }
 }
 
 /// Builds the encoding for an instance and task (every constraint family
@@ -467,7 +415,7 @@ impl<'a> Encoder<'a> {
             solver_vars: solver.num_vars(),
             clauses: solver.num_clauses(),
         };
-        let mut enc = Encoding {
+        Encoding {
             solver,
             vars: VarMap {
                 border: self.border,
@@ -484,9 +432,7 @@ impl<'a> Encoder<'a> {
             step_selectors,
             trace,
             proof,
-        };
-        enc.apply_solve_mode(self.config);
-        enc
+        }
     }
 
     // ------------------------------------------------------------------

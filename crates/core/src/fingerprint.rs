@@ -41,7 +41,7 @@ use crate::encoder::{EncoderConfig, TaskKind};
 /// stale persisted (or replicated) caches can never alias. Distributed
 /// components exchange this string in their handshakes: two processes may
 /// only share cache entries when their versions agree.
-pub const CACHE_KEY_VERSION: &str = "etcs-cache-key-v4";
+pub const CACHE_KEY_VERSION: &str = "etcs-cache-key-v5";
 
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 const OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
@@ -109,13 +109,10 @@ impl Canon {
 /// Computes the content-addressed cache key of a task over `scenario`.
 ///
 /// See the module docs for exactly what is (and is not) canonicalised.
-/// The key is versioned (`etcs-cache-key-v4`): any change to the encoding
+/// The key is versioned (`etcs-cache-key-v5`): any change to the encoding
 /// or decoding pipeline that can alter results must bump the version tag so
-/// stale persisted caches can never alias. v3 added
-/// [`EncoderConfig::solve_mode`] to the hash — verdicts and optima are
-/// mode-independent, but the witness plan a portfolio race returns may
-/// legitimately differ from the sequential one. v4 dropped the byte of a
-/// removed encoder flag, which changed every key value.
+/// stale persisted caches can never alias. v4 and v5 each dropped the
+/// bytes of a removed encoder setting, which changed every key value.
 ///
 /// # Examples
 ///
@@ -148,13 +145,6 @@ fn write_config(c: &mut Canon, config: &EncoderConfig) {
     c.bool(config.symmetric_movement);
     c.bool(config.trace);
     c.bool(config.proof);
-    match config.solve_mode {
-        crate::encoder::SolveMode::Single => c.byte(0),
-        crate::encoder::SolveMode::Portfolio(n) => {
-            c.byte(1);
-            c.usize(n);
-        }
-    }
 }
 
 /// Hashes the spatial/temporal resolutions and horizon (tag `0x02`).
@@ -402,12 +392,12 @@ mod tests {
             (
                 "generate",
                 TaskKind::Generate,
-                0x568d6a97a501e1c350ad86f951a478bb,
+                0x6876139760c79c5b5b323496db82091e,
             ),
             (
                 "pure-TTD verify",
                 TaskKind::Verify(VssLayout::pure_ttd()),
-                0x651e0192836e66c688d27f6d10b91d21,
+                0x9ae1e763a61d683c3aff975db59e4a20,
             ),
         ];
         for (label, task, want) in pinned {
@@ -459,18 +449,12 @@ mod tests {
             cache_key(&s, &TaskKind::Generate, &config()),
             cache_key(&s, &TaskKind::Generate, &other),
         );
-        let mut raced = config();
-        raced.solve_mode = crate::encoder::SolveMode::Portfolio(4);
+        let mut both = other;
+        both.allow_immediate_reoccupation = !both.allow_immediate_reoccupation;
         assert_ne!(
-            cache_key(&s, &TaskKind::Generate, &config()),
-            cache_key(&s, &TaskKind::Generate, &raced),
-            "portfolio witness plans may differ; the mode addresses its own slot"
-        );
-        let mut other_width = config();
-        other_width.solve_mode = crate::encoder::SolveMode::Portfolio(2);
-        assert_ne!(
-            cache_key(&s, &TaskKind::Generate, &raced),
-            cache_key(&s, &TaskKind::Generate, &other_width),
+            cache_key(&s, &TaskKind::Generate, &other),
+            cache_key(&s, &TaskKind::Generate, &both),
+            "two non-default configs address distinct slots"
         );
     }
 
@@ -541,12 +525,15 @@ mod tests {
     #[test]
     fn config_moves_core_but_not_topology() {
         let s = fixtures::running_example();
-        let mut raced = config();
-        raced.solve_mode = crate::encoder::SolveMode::Portfolio(2);
+        let mut asymmetric = config();
+        asymmetric.symmetric_movement = false;
         let a = sub_fingerprints(&s, &config());
-        let b = sub_fingerprints(&s, &raced);
+        let b = sub_fingerprints(&s, &asymmetric);
         assert_ne!(a.config, b.config);
-        assert_ne!(a.core, b.core, "solve mode reaches the warm-start key");
+        assert_ne!(
+            a.core, b.core,
+            "the encoder config reaches the warm-start key"
+        );
         assert_eq!(a.topology, b.topology);
         assert_eq!(a.deadlines, b.deadlines);
     }

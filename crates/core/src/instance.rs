@@ -102,7 +102,10 @@ impl Instance {
                 dep_step: scenario.step_of(run.departure),
                 deadline_step: run.arrival.map(|a| scenario.step_of(a)),
                 length: run.train.discrete_length(scenario.r_s) as usize,
-                speed: run.train.discrete_speed(scenario.r_s, scenario.r_t) as u32,
+                // Any speed past the network's size moves a train the
+                // same way, so a huge one saturates.
+                speed: u32::try_from(run.train.discrete_speed(scenario.r_s, scenario.r_t))
+                    .unwrap_or(u32::MAX),
                 origin_edges,
                 goal_edges,
                 stops,
@@ -229,6 +232,18 @@ mod tests {
         let t3 = &inst.trains[2];
         assert_eq!(t3.exit, ExitPolicy::Park, "station C is interior");
         assert_eq!(t3.goal_edges.len(), 2, "both C platform tracks");
+    }
+
+    #[test]
+    fn a_huge_time_resolution_saturates_the_discrete_speed() {
+        let text = include_str!("../../../scenarios/branch_line.rail")
+            .replace("\nrt 30\n", "\nrt 4000000000000000\n");
+        let scenario = etcs_network::parse_scenario(&text).expect("parses");
+        let inst = Instance::new(&scenario).expect("valid");
+        assert_eq!(inst.trains.len(), 2);
+        for train in &inst.trains {
+            assert_eq!(train.speed, u32::MAX, "{}", train.name);
+        }
     }
 
     #[test]

@@ -79,8 +79,8 @@ pub use certify::{certify, certify_diagnosis, Certification, CertifiedVerdict, C
 pub use decode::{SolvedPlan, TrainPlan};
 pub use diagnose::{diagnose, Diagnosis};
 pub use encoder::{
-    encode, encode_with, ConstraintFamilies, EncoderConfig, Encoding, EncodingStats, SolveMode,
-    TaskKind, VarMap,
+    encode, encode_with, ConstraintFamilies, EncoderConfig, Encoding, EncodingStats, TaskKind,
+    VarMap,
 };
 pub use explorer::LayoutExplorer;
 pub use fingerprint::{cache_key, sub_fingerprints, SubFingerprints, CACHE_KEY_VERSION};

@@ -22,9 +22,9 @@
 //! format, and its traced CNF passes the `etcs-lint` audit with zero
 //! errors — the crate's test suite pins all four properties per family.
 //!
-//! [`SolveSetup`] is the companion wiring: the three solve configurations
-//! (eager / lazy / portfolio) the corpus is swept across, dispatching to
-//! the matching `etcs-core`/`etcs-lazy` task loop.
+//! [`SolveSetup`] is the companion wiring: the two solve configurations
+//! (eager / lazy) the corpus is swept across, dispatching to the matching
+//! `etcs-core`/`etcs-lazy` task loop.
 //!
 //! ## Quick start
 //!

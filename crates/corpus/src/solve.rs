@@ -1,16 +1,13 @@
 //! The solve configurations the corpus is swept across.
 //!
 //! A [`SolveSetup`] names one way of running the optimisation task on a
-//! corpus instance: the eager incremental loop, the lazy CEGAR loop or the
-//! clause-sharing portfolio. All three are proven verdict-equivalent by
-//! `tests/corpus_equivalence.rs`; `bench_corpus` reports their
-//! distributional behaviour per family.
+//! corpus instance: the eager incremental loop or the lazy CEGAR loop.
+//! Both are proven verdict-equivalent by `tests/corpus_equivalence.rs`;
+//! `bench_corpus` reports their distributional behaviour per family.
 
 use std::time::Duration;
 
-use etcs_core::{
-    optimize_incremental, DesignOutcome, EncoderConfig, Run, SolveMode, TaskError, TaskKind,
-};
+use etcs_core::{optimize_incremental, DesignOutcome, EncoderConfig, Run, TaskError, TaskKind};
 use etcs_lazy::SelectionStrategy;
 use etcs_network::Scenario;
 
@@ -22,48 +19,34 @@ pub enum SolveSetup {
     Eager,
     /// The lazy CEGAR loop (`etcs_lazy::run`, `AllViolated` selection).
     Lazy,
-    /// The eager loop over a two-worker clause-sharing portfolio
-    /// (`SolveMode::Portfolio(2)`).
-    Portfolio,
 }
 
 impl SolveSetup {
     /// Every setup, in sweep order.
-    pub const ALL: [SolveSetup; 3] = [SolveSetup::Eager, SolveSetup::Lazy, SolveSetup::Portfolio];
+    pub const ALL: [SolveSetup; 2] = [SolveSetup::Eager, SolveSetup::Lazy];
 
     /// Stable lowercase name (artifact key).
     pub fn name(self) -> &'static str {
         match self {
             SolveSetup::Eager => "eager",
             SolveSetup::Lazy => "lazy",
-            SolveSetup::Portfolio => "portfolio",
         }
     }
 
-    /// The encoder configuration this setup solves under. For
-    /// [`SolveSetup::Lazy`] this is the default config (the selection
-    /// strategy is the lazy loop's only knob of its own).
-    pub fn encoder_config(self) -> EncoderConfig {
-        match self {
-            SolveSetup::Eager | SolveSetup::Lazy => EncoderConfig::default(),
-            SolveSetup::Portfolio => {
-                EncoderConfig::default().with_solve_mode(SolveMode::Portfolio(2))
-            }
-        }
-    }
-
-    /// Runs the optimisation task on `scenario` under this setup.
+    /// Runs the optimisation task on `scenario` under this setup, with
+    /// the default encoder configuration.
     ///
     /// # Errors
     ///
     /// Returns [`TaskError::Network`] if the scenario is malformed.
     pub fn optimize(self, scenario: &Scenario) -> Result<OptimizeOutcome, TaskError> {
+        let config = EncoderConfig::default();
         match self {
             SolveSetup::Lazy => {
                 let (outcome, report) = etcs_lazy::run(
                     scenario,
                     &TaskKind::OptimizeIncremental,
-                    &self.encoder_config(),
+                    &config,
                     &Run::default(),
                     SelectionStrategy::AllViolated,
                 )?;
@@ -76,8 +59,8 @@ impl SolveSetup {
                     solver_calls: report.report.solver_calls,
                 })
             }
-            _ => {
-                let (outcome, report) = optimize_incremental(scenario, &self.encoder_config())?;
+            SolveSetup::Eager => {
+                let (outcome, report) = optimize_incremental(scenario, &config)?;
                 Ok(OptimizeOutcome {
                     outcome,
                     clauses: report.stats.clauses,

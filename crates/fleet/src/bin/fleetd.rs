@@ -18,10 +18,10 @@
 //! * `--replicas N` — copies of each completed cold solve pushed to the
 //!   next-ranked shards (default 1).
 //! * `--streams N` — concurrent connections per shard (default 2).
-//! * `--lazy` / `--portfolio N` — the same job defaults as `served`,
-//!   applied when computing routing fingerprints; start the shards with
-//!   the same flags so their keys agree (routing stays correct either
-//!   way — the shard's own key is authoritative).
+//! * `--lazy` — the same job default as `served`, applied when computing
+//!   routing fingerprints; start the shards with the same flag so their
+//!   keys agree (routing stays correct either way — the shard's own key
+//!   is authoritative).
 //! * `--check-histories` — after the batch (or standalone, with no
 //!   `--input` on a tty-less stdin use `--no-jobs`), fetch every shard's
 //!   recorded cache history and run the dbcop-style consistency checker;
@@ -52,7 +52,6 @@ struct Args {
     replicas: usize,
     streams: usize,
     lazy: bool,
-    portfolio: Option<usize>,
     check_histories: bool,
     shutdown_shards: bool,
     no_jobs: bool,
@@ -60,7 +59,7 @@ struct Args {
 
 const USAGE: &str = "usage: fleetd --shard ADDR [--shard ADDR …] [--shards A,B,…] \
 [--input FILE] [--output FILE] [--trace FILE] [--replicas N] [--streams N] \
-[--lazy] [--portfolio N] [--check-histories] [--shutdown-shards] [--no-jobs]\n\
+[--lazy] [--check-histories] [--shutdown-shards] [--no-jobs]\n\
 Routes served-format JSONL jobs across a fleet of `served --listen` shards\n\
 by canonical cache fingerprint (rendezvous hashing), replicates completed\n\
 cache entries, survives shard loss, and can audit the fleet's recorded\n\
@@ -77,7 +76,6 @@ fn parse_args() -> Result<Args, String> {
         replicas: 1,
         streams: 2,
         lazy: false,
-        portfolio: None,
         check_histories: false,
         shutdown_shards: false,
         no_jobs: false,
@@ -110,15 +108,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| "--streams must be a positive integer".to_string())?
             }
             "--lazy" => args.lazy = true,
-            "--portfolio" => {
-                let n: usize = value("--portfolio")?
-                    .parse()
-                    .map_err(|_| "--portfolio must be a positive integer".to_string())?;
-                if n < 2 {
-                    return Err("--portfolio needs at least 2 workers".to_string());
-                }
-                args.portfolio = Some(n);
-            }
             "--check-histories" => args.check_histories = true,
             "--shutdown-shards" => args.shutdown_shards = true,
             "--no-jobs" => args.no_jobs = true,
@@ -207,8 +196,7 @@ fn main() -> ExitCode {
                 continue;
             }
             let index = lines.len();
-            match parse_forwarded_line(&line, &format!("line {lineno}"), args.lazy, args.portfolio)
-            {
+            match parse_forwarded_line(&line, &format!("line {lineno}"), args.lazy) {
                 Ok((request, spec)) => {
                     let key = request.cache_key(&encoder);
                     lines.push(None);

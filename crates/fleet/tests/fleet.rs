@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use etcs_core::EncoderConfig;
-use etcs_fleet::wire::{parse_request_line, ShardServer, ShardServerConfig};
+use etcs_fleet::wire::{parse_request, Origin, ShardServer, ShardServerConfig};
 use etcs_fleet::{check, Fleet, FleetConfig, FleetJob};
 use etcs_obs::json;
 use etcs_obs::Obs;
@@ -87,7 +87,7 @@ fn fleet_jobs(lines: &[String]) -> Vec<FleetJob> {
         .enumerate()
         .map(|(index, line)| {
             let request =
-                parse_request_line(line, "test", false, None).expect("test lines are valid");
+                parse_request(line, "test", Origin::Local, false).expect("test lines are valid");
             FleetJob {
                 index,
                 id: request.id.clone(),
@@ -106,7 +106,7 @@ fn reference_digests(lines: &[String]) -> Vec<String> {
         .iter()
         .map(|line| {
             let request =
-                parse_request_line(line, "ref", false, None).expect("test lines are valid");
+                parse_request(line, "ref", Origin::Local, false).expect("test lines are valid");
             match execute(&request, &encoder, &Interrupt::none(), &Obs::disabled()) {
                 JobOutcome::Done(payload) => format!("{:032x}", payload.digest()),
                 other => panic!("reference execution did not finish: {other:?}"),

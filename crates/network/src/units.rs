@@ -114,10 +114,12 @@ impl KmPerHour {
     }
 
     /// Distance covered at this speed in the given duration (rounded to
-    /// whole metres).
+    /// whole metres). A product past `u64::MAX` saturates instead of
+    /// overflowing.
     pub fn distance_in(self, duration: Seconds) -> Meters {
         // km/h * s = (1000 m / 3600 s) * s
-        Meters((self.0 as u64 * duration.0 * 1000).div_ceil(3600))
+        let km_s = u64::from(self.0).saturating_mul(duration.0);
+        Meters(km_s.saturating_mul(1000).div_ceil(3600))
     }
 }
 
@@ -278,6 +280,11 @@ mod tests {
         assert_eq!(KmPerHour(120).distance_in(Seconds(60)), Meters(2000));
         assert_eq!(KmPerHour(180).distance_in(Seconds(30)), Meters(1500));
         assert_eq!(KmPerHour(0).distance_in(Seconds(600)), Meters(0));
+        assert_eq!(
+            KmPerHour(120).distance_in(Seconds(4_000_000_000_000_000)),
+            Meters(u64::MAX.div_ceil(3600)),
+            "a product past u64::MAX saturates"
+        );
     }
 
     #[test]

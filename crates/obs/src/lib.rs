@@ -59,8 +59,8 @@ struct Inner {
     metrics: Mutex<MetricsRegistry>,
 }
 
-/// The observability handle threaded through solver, tasks and parallel
-/// layers. See the crate docs for the enabled/disabled contract.
+/// The observability handle threaded through solver, tasks and service
+/// workers. See the crate docs for the enabled/disabled contract.
 #[derive(Clone, Default)]
 pub struct Obs {
     inner: Option<Arc<Inner>>,

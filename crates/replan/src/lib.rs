@@ -20,7 +20,7 @@
 //! Verdicts and optima per tick are bit-identical to a cold
 //! [`etcs_core::optimize_incremental`] of the same patched scenario —
 //! the differential suite in `tests/replan_differential.rs` proves it
-//! across eager, lazy and portfolio modes.
+//! in eager and lazy mode.
 //!
 //! ## Quick start
 //!

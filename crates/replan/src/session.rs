@@ -49,8 +49,7 @@ use crate::delta::{DeltaError, LiveScenario, ScenarioDelta};
 /// Configuration of a [`ReplanSession`].
 #[derive(Clone, Debug)]
 pub struct ReplanConfig {
-    /// Encoder configuration every solve runs under (including the solve
-    /// mode: a portfolio race works transparently on the warm solver).
+    /// Encoder configuration every solve runs under.
     pub encoder: EncoderConfig,
     /// Solve each tick with the lazy CEGAR loop instead of the warm
     /// incremental solver. The CEGAR loop re-encodes per tick, so every

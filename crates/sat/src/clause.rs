@@ -69,7 +69,7 @@ const LEARNT_EXTRA: usize = 3;
 /// Metadata words are stored as raw bit patterns in the same `Lit` vector
 /// as the literals, which keeps the arena one allocation without unsafe
 /// reinterpretation.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct ClauseDb {
     mem: Vec<Lit>,
     /// Every clause not yet compacted away, in insertion order.

@@ -50,10 +50,8 @@ struct Inner {
 #[derive(Clone, Debug, Default)]
 pub struct Interrupt {
     inner: Option<Arc<Inner>>,
-    /// An upstream token this one also listens to. The in-process portfolio
-    /// gives every worker a private sibling-cancellation token chained to
-    /// the caller's external token, so a deadline or cancellation armed by a
-    /// job scheduler still reaches every racing worker.
+    /// An upstream token this one also listens to (see
+    /// [`Interrupt::chained`]).
     parent: Option<Arc<Interrupt>>,
 }
 
@@ -80,10 +78,11 @@ impl Interrupt {
     }
 
     /// A live token that also fires whenever `parent` fires. Triggering the
-    /// child never affects the parent, so a portfolio can cancel its sibling
-    /// workers without cancelling the job that spawned them. The parent's
-    /// reason takes precedence in [`Interrupt::probe`], so supervising code
-    /// probing the *parent* still sees the true external cause.
+    /// child never affects the parent: a replanning session arms a per-tick
+    /// budget on a child of its session token, and a missed tick never
+    /// cancels the session. The parent's reason takes precedence in
+    /// [`Interrupt::probe`], so supervising code probing the *parent* still
+    /// sees the true external cause.
     pub fn chained(parent: &Interrupt) -> Self {
         let mut token = Interrupt::new();
         if parent.inner.is_some() || parent.parent.is_some() {

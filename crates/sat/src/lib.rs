@@ -8,10 +8,6 @@
 //!   propagation, VSIDS + phase saving, Luby restarts, LBD-based clause
 //!   database reduction, incremental solving under assumptions and
 //!   unsat-core extraction;
-//! * [`parallel`] — an in-process clause-sharing portfolio
-//!   ([`Solver::set_portfolio`], [`PortfolioConfig`]): N diversified CDCL
-//!   workers race one formula, exchanging small-LBD learnt clauses, with
-//!   first-finisher-wins cancellation of the siblings;
 //! * [`Formula`] / [`CnfSink`] — inspectable CNF construction with Tseitin
 //!   gate helpers;
 //! * [`card`] — arc-consistent cardinality encodings (pairwise, sequential
@@ -77,7 +73,6 @@ pub use maxsat::{
 pub use model::Model;
 pub use pb::{Objective, ObjectiveCounter};
 pub use proof::{check_drat, CheckOutcome, DratProof, ProofError, ProofSink, ProofStep};
-pub use solver::parallel;
-pub use solver::{luby, PortfolioConfig, PortfolioStats, SatResult, Solver, SolverConfig};
+pub use solver::{luby, SatResult, Solver};
 pub use stats::Stats;
 pub use types::{LBool, Lit, Var};

@@ -36,9 +36,7 @@ use std::sync::{Arc, Mutex};
 /// simplifications) are part of the certificate.
 ///
 /// Sinks are `Send` so a proof-logging solver stays `Send` and can move
-/// across threads; the in-process portfolio still refuses to *race*
-/// proof-logging workers, because imported clauses have no local
-/// derivation (see `parallel`).
+/// across threads, e.g. into a job-service worker.
 pub trait ProofSink: fmt::Debug + Send {
     /// A clause was derived; it is RUP with respect to everything emitted
     /// before it plus the axioms. The empty slice is the empty clause.

@@ -7,7 +7,7 @@ use crate::types::Var;
 /// The heap stores positions per variable so that `decrease`/`increase`
 /// operations after activity bumps are `O(log n)`, and membership tests are
 /// `O(1)`.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct VarHeap {
     /// Heap array of variable indices.
     heap: Vec<u32>,

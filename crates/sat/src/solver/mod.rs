@@ -12,10 +12,8 @@
 //! answers.
 
 mod heap;
-pub mod parallel;
 mod restart;
 
-pub use parallel::{PortfolioConfig, PortfolioStats};
 pub use restart::luby;
 
 use crate::clause::{ClauseDb, ClauseRef};
@@ -26,47 +24,15 @@ use crate::stats::Stats;
 use crate::types::{LBool, Lit, Var};
 use etcs_obs::Obs;
 use heap::VarHeap;
-use parallel::ShareState;
 
-/// Tunable search parameters.
-///
-/// The defaults reproduce the solver's historical constants; the in-process
-/// portfolio perturbs these per worker to diversify the race, and callers
-/// needing tighter cancellation latency can shrink
-/// [`SolverConfig::poll_interval`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SolverConfig {
-    /// How many conflicts pass between [`Interrupt`] polls inside a restart
-    /// (rounded up to a power of two; restart boundaries poll
-    /// unconditionally). This bounds the latency of a cancellation landing
-    /// mid-restart, and the portfolio flushes its learnt-clause exports at
-    /// the same cadence.
-    pub poll_interval: u64,
-    /// VSIDS variable-activity decay factor (0 < decay ≤ 1; smaller decays
-    /// focus harder on recent conflicts).
-    pub var_decay: f64,
-    /// Base conflict limit of the Luby restart sequence.
-    pub restart_base: u64,
-}
-
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig {
-            poll_interval: 64,
-            var_decay: 0.95,
-            restart_base: 128,
-        }
-    }
-}
-
-impl SolverConfig {
-    /// Bitmask implementing the poll cadence (`poll_interval` rounded up to
-    /// a power of two, minus one).
-    #[inline]
-    fn poll_mask(&self) -> u64 {
-        self.poll_interval.next_power_of_two().saturating_sub(1)
-    }
-}
+/// Base conflict limit of the Luby restart sequence.
+const RESTART_BASE: u64 = 128;
+/// VSIDS variable-activity decay factor.
+const VAR_DECAY: f64 = 0.95;
+/// Inside a restart the [`Interrupt`] is polled every 64 conflicts
+/// (`conflicts & POLL_MASK == 0`); restart boundaries poll unconditionally.
+/// This bounds the latency of a cancellation landing mid-restart.
+const POLL_MASK: u64 = 63;
 
 /// Outcome of a [`Solver::solve`] call.
 #[derive(Clone, Debug, PartialEq)]
@@ -175,16 +141,6 @@ pub struct Solver {
     /// which case every poll is a single branch.
     interrupt: Interrupt,
     default_phase: bool,
-    /// Tunable search parameters (restart base, decay, poll cadence).
-    config: SolverConfig,
-    /// When set (≥ 2 threads), `solve`/`solve_with` race diversified worker
-    /// clones with clause sharing instead of searching single-threaded.
-    portfolio: Option<PortfolioConfig>,
-    /// Clause-sharing state while this solver participates in a portfolio
-    /// race; `None` outside one, keeping all hooks single branches.
-    share: Option<ShareState>,
-    /// Cumulative clause-sharing counters across portfolio solves.
-    portfolio_stats: PortfolioStats,
     /// Optional DRAT proof logger. `None` (the default) keeps all emission
     /// paths behind a single branch, so solving without a proof is free.
     proof: Option<Box<dyn ProofSink>>,
@@ -227,10 +183,6 @@ impl Solver {
             conflict_budget: None,
             interrupt: Interrupt::none(),
             default_phase: false,
-            config: SolverConfig::default(),
-            portfolio: None,
-            share: None,
-            portfolio_stats: PortfolioStats::default(),
             proof: None,
             obs: Obs::disabled(),
             add_buf: Vec::new(),
@@ -363,44 +315,6 @@ impl Solver {
     /// The installed cancellation token ([`Interrupt::none`] by default).
     pub fn interrupt(&self) -> &Interrupt {
         &self.interrupt
-    }
-
-    /// Replaces the tunable search parameters. Takes effect from the next
-    /// `solve`/`solve_with` call; solver state (clauses, activities, phases)
-    /// is untouched.
-    pub fn set_config(&mut self, config: SolverConfig) {
-        self.config = config;
-    }
-
-    /// The current search parameters.
-    pub fn config(&self) -> &SolverConfig {
-        &self.config
-    }
-
-    /// Enables (or, with `None`, disables) the in-process clause-sharing
-    /// portfolio: subsequent `solve`/`solve_with` calls race
-    /// [`PortfolioConfig::threads`] diversified worker clones of this solver
-    /// on the same formula, exchanging small-LBD learnt clauses, with
-    /// first-finisher-wins cancellation of the siblings. Verdicts (and
-    /// unsat cores' validity) are identical to a single-threaded solve;
-    /// only the witness model may differ.
-    ///
-    /// Ignored (single-threaded search) while `threads < 2` or while a
-    /// proof sink is installed — imported clauses have no local derivation,
-    /// so a portfolio solve cannot be DRAT-certified.
-    pub fn set_portfolio(&mut self, portfolio: Option<PortfolioConfig>) {
-        self.portfolio = portfolio;
-    }
-
-    /// The configured portfolio, if any.
-    pub fn portfolio(&self) -> Option<&PortfolioConfig> {
-        self.portfolio.as_ref()
-    }
-
-    /// Cumulative clause-sharing counters over every portfolio solve this
-    /// solver ran (all zero while the portfolio never engaged).
-    pub fn portfolio_stats(&self) -> &PortfolioStats {
-        &self.portfolio_stats
     }
 
     /// Sets the phase a variable is first tried with (`false` by default,
@@ -568,13 +482,13 @@ impl Solver {
     /// in `tests/regression.rs` pins this contract.
     pub fn solve_with(&mut self, assumptions: &[Lit]) -> SatResult {
         if !self.obs.is_enabled() {
-            return self.solve_dispatch(assumptions);
+            return self.solve_with_inner(assumptions);
         }
         let before = self.stats;
         let span = self
             .obs
             .span_with("sat.solve", &[("assumptions", assumptions.len().into())]);
-        let result = self.solve_dispatch(assumptions);
+        let result = self.solve_with_inner(assumptions);
         let verdict = match &result {
             SatResult::Sat(_) => "sat",
             SatResult::Unsat { .. } => "unsat",
@@ -597,18 +511,6 @@ impl Solver {
             ("restarts", (self.stats.restarts - before.restarts).into()),
         ]);
         result
-    }
-
-    /// Routes a solve to the portfolio race when one is configured and
-    /// eligible (≥ 2 threads, no proof sink), otherwise to the ordinary
-    /// single-threaded search.
-    fn solve_dispatch(&mut self, assumptions: &[Lit]) -> SatResult {
-        match self.portfolio {
-            Some(cfg) if cfg.threads >= 2 && self.proof.is_none() => {
-                self.solve_portfolio(assumptions, cfg)
-            }
-            _ => self.solve_with_inner(assumptions),
-        }
     }
 
     fn solve_with_inner(&mut self, assumptions: &[Lit]) -> SatResult {
@@ -638,7 +540,7 @@ impl Solver {
                 return SatResult::Unknown;
             }
             restart_num += 1;
-            let limit = self.config.restart_base.saturating_mul(luby(restart_num));
+            let limit = RESTART_BASE.saturating_mul(luby(restart_num));
             match self.search(assumptions, limit, budget_start) {
                 SearchOutcome::Sat => {
                     let model = Model::from_assignments(&self.assigns);
@@ -662,14 +564,6 @@ impl Solver {
                     self.simplify_and_maybe_reduce();
                     if !self.ok {
                         return SatResult::Unsat { core: Vec::new() };
-                    }
-                    // Portfolio sync point: flush buffered exports and
-                    // absorb siblings' learnt clauses at level 0.
-                    if self.share.is_some() {
-                        self.share_sync();
-                        if !self.ok {
-                            return SatResult::Unsat { core: Vec::new() };
-                        }
                     }
                 }
                 SearchOutcome::BudgetExhausted | SearchOutcome::Interrupted => {
@@ -852,7 +746,7 @@ impl Solver {
     }
 
     fn decay_activities(&mut self) {
-        self.var_inc /= self.config.var_decay;
+        self.var_inc /= VAR_DECAY;
         self.cla_inc /= CLAUSE_DECAY;
     }
 
@@ -1016,7 +910,6 @@ impl Solver {
         budget_start: u64,
     ) -> SearchOutcome {
         let mut conflicts_here = 0u64;
-        let poll_mask = self.config.poll_mask();
         loop {
             if let Some(conflict) = self.propagate() {
                 self.stats.conflicts += 1;
@@ -1029,9 +922,6 @@ impl Solver {
                 let (learnt, bt_level, lbd) = self.analyze(conflict);
                 self.cancel_until(bt_level);
                 self.proof_add(&learnt);
-                if self.share.is_some() {
-                    self.share_export(&learnt, lbd);
-                }
                 if learnt.len() == 1 {
                     debug_assert_eq!(bt_level, 0);
                     self.enqueue(learnt[0], None);
@@ -1047,17 +937,8 @@ impl Solver {
                         return SearchOutcome::BudgetExhausted;
                     }
                 }
-                if conflicts_here & poll_mask == 0 {
-                    // Same cadence as the interrupt poll: make buffered
-                    // exports visible to siblings even mid-restart, and do
-                    // so before bailing out so a cancelled worker's last
-                    // lemmas still reach the winner.
-                    if self.share.is_some() {
-                        self.share_flush_exports();
-                    }
-                    if self.interrupt.is_triggered() {
-                        return SearchOutcome::Interrupted;
-                    }
+                if conflicts_here & POLL_MASK == 0 && self.interrupt.is_triggered() {
+                    return SearchOutcome::Interrupted;
                 }
                 if conflicts_here >= conflict_limit {
                     return SearchOutcome::Restart;
@@ -1560,13 +1441,39 @@ mod tests {
         assert!(s.solve().is_sat());
     }
 
+    /// A proof sink that triggers `token` when the solver emits its
+    /// `fire_at`-th clause addition.
+    #[derive(Debug)]
+    struct TriggerOnLemma {
+        token: crate::Interrupt,
+        added: usize,
+        fire_at: usize,
+    }
+
+    impl ProofSink for TriggerOnLemma {
+        fn add_clause(&mut self, _lits: &[Lit]) {
+            self.added += 1;
+            if self.added == self.fire_at {
+                self.token.trigger();
+            }
+        }
+
+        fn delete_clause(&mut self, _lits: &[Lit]) {}
+    }
+
     #[test]
-    fn tighter_poll_interval_still_returns_unknown_with_state_intact() {
-        // With a huge restart base there are no restart-boundary polls, so
-        // only the per-conflict poll can observe the deadline; shrink it to
-        // every conflict and interrupt a hard instance mid-restart.
+    fn interrupt_inside_a_restart_is_caught_by_the_conflict_poll() {
+        // Every conflict emits one lemma, so the token fires on conflict 10.
+        // The first restart boundary comes at 128 conflicts, so only the
+        // in-restart poll, every 64 conflicts, can observe the token.
         let n = 8usize;
+        let token = crate::Interrupt::new();
         let mut s = Solver::new();
+        s.set_proof_sink(Box::new(TriggerOnLemma {
+            token: token.clone(),
+            added: 0,
+            fire_at: 10,
+        }));
         let p: Vec<Vec<Lit>> = (0..n)
             .map(|_| (0..n - 1).map(|_| lit(&mut s)).collect())
             .collect();
@@ -1580,23 +1487,13 @@ mod tests {
                 }
             }
         }
-        assert_eq!(s.config().poll_interval, 64, "documented default");
-        s.set_config(SolverConfig {
-            poll_interval: 1,
-            restart_base: u64::MAX,
-            ..SolverConfig::default()
-        });
-        let token = crate::Interrupt::with_deadline(std::time::Duration::from_millis(5));
         s.set_interrupt(token.clone());
-        let first = s.solve();
-        if first != SatResult::Unknown {
-            // The instance finished inside the deadline on this machine;
-            // nothing left to observe.
-            return;
-        }
+        assert_eq!(s.solve(), SatResult::Unknown);
+        assert_eq!(token.probe(), Some(crate::InterruptReason::Cancelled));
         assert_eq!(
-            token.probe(),
-            Some(crate::InterruptReason::DeadlineExceeded)
+            (s.stats().conflicts, s.stats().restarts),
+            (64, 0),
+            "the first poll after the trigger is at conflict 64"
         );
         // State intact: the trail is back at level 0, learnt clauses are
         // kept, and the same solver still reaches the verdict.
@@ -1605,7 +1502,6 @@ mod tests {
             "interrupted call learnt nothing"
         );
         s.set_interrupt(crate::Interrupt::none());
-        s.set_config(SolverConfig::default());
         assert!(s.solve().is_unsat(), "pigeonhole is unsatisfiable");
     }
 

@@ -39,11 +39,8 @@
 //!   route the job through the `etcs-lazy` CEGAR loop with that selection
 //!   strategy. The `--lazy` CLI flag applies `all-violated` to every job
 //!   that does not carry its own `lazy` field (diagnose jobs ignore it).
-//! * `portfolio` (optional) — worker count `n ≥ 2`: race every solve of
-//!   this job across an in-process clause-sharing portfolio. Verdicts and
-//!   optima are unchanged (witness plans may differ, so portfolio jobs
-//!   cache under their own keys). The `--portfolio N` CLI flag applies `N`
-//!   to every job that does not carry its own `portfolio` field.
+//!
+//! Fields the parser does not know are ignored.
 //!
 //! Response line (`payload` only when `status` is `done`):
 //!
@@ -81,8 +78,7 @@ use etcs_obs::json;
 use etcs_obs::Obs;
 use etcs_replan::{ReplanConfig, ReplanStats};
 use etcs_serve::wire::{
-    parse_request_line, response_line, stats_body_json, JobHook, Origin, ShardServer,
-    ShardServerConfig,
+    parse_request, response_line, stats_body_json, JobHook, Origin, ShardServer, ShardServerConfig,
 };
 use etcs_serve::{JobRequest, ReplanManager, ServeConfig, Service};
 
@@ -94,21 +90,17 @@ struct Args {
     queue: usize,
     cache: usize,
     lazy: bool,
-    portfolio: Option<usize>,
     listen: Option<String>,
     name: Option<String>,
     crash_after: Option<u64>,
 }
 
 const USAGE: &str = "usage: served [--input FILE] [--output FILE] [--trace FILE] \
-[--workers N] [--queue N] [--cache N] [--lazy] [--portfolio N] \
+[--workers N] [--queue N] [--cache N] [--lazy] \
 [--listen ADDR] [--name NAME] [--crash-after N]\n\
 Reads one JSON job request per line, writes one JSON response per line.\n\
 --lazy routes every job through the CEGAR loop (strategy all-violated)\n\
 unless the request line carries its own \"lazy\" field.\n\
---portfolio N races every solve across an N-worker clause-sharing\n\
-portfolio unless the request line carries its own \"portfolio\" field\n\
-(verdicts and optima are unchanged; witness plans may differ).\n\
 --listen ADDR serves the fleet wire protocol on a TCP socket instead of\n\
 reading a batch (a fleet shard); --name labels the shard; --crash-after N\n\
 aborts the whole process after N jobs (deterministic fault injection for\n\
@@ -127,7 +119,6 @@ fn parse_args() -> Result<Args, String> {
         queue: 256,
         cache: 128,
         lazy: false,
-        portfolio: None,
         listen: None,
         name: None,
         crash_after: None,
@@ -158,15 +149,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| "--cache must be an integer".to_string())?
             }
             "--lazy" => args.lazy = true,
-            "--portfolio" => {
-                let n: usize = value("--portfolio")?
-                    .parse()
-                    .map_err(|_| "--portfolio must be a positive integer".to_string())?;
-                if n < 2 {
-                    return Err("--portfolio needs at least 2 workers".to_string());
-                }
-                args.portfolio = Some(n);
-            }
             "--listen" => args.listen = Some(value("--listen")?),
             "--name" => args.name = Some(value("--name")?),
             "--crash-after" => {
@@ -229,7 +211,6 @@ fn run_shard(args: &Args, addr: &str, obs: Obs) -> ExitCode {
     let config = ShardServerConfig {
         name: args.name.clone().unwrap_or_default(),
         lazy_default: args.lazy,
-        portfolio_default: args.portfolio,
         hook,
     };
     let server = match ShardServer::spawn(addr, service, config, obs) {
@@ -319,7 +300,7 @@ fn main() -> ExitCode {
             });
             continue;
         }
-        match parse_request_line(&line, &format!("line {lineno}"), args.lazy, args.portfolio) {
+        match parse_request(&line, &format!("line {lineno}"), Origin::Local, args.lazy) {
             Ok(request) => order.push(Entry::Job(Box::new(request))),
             Err(message) => order.push(Entry::Invalid(format!("line-{lineno}"), message)),
         }

@@ -137,12 +137,6 @@ pub struct JobRequest {
     /// which has no lazy variant (its MUS extraction needs the full eager
     /// formula).
     pub lazy: Option<SelectionStrategy>,
-    /// Race every solve of this job across an in-process clause-sharing
-    /// portfolio of `n` workers ([`etcs_core::SolveMode::Portfolio`]).
-    /// Verdicts and optima are unchanged; the witness plan may differ from
-    /// a sequential run, so portfolio jobs cache under their own keys.
-    /// `None` = the service default.
-    pub portfolio: Option<usize>,
 }
 
 impl JobRequest {
@@ -156,7 +150,6 @@ impl JobRequest {
             priority: Priority::Normal,
             deadline: None,
             lazy: None,
-            portfolio: None,
         }
     }
 
@@ -184,24 +177,6 @@ impl JobRequest {
         self
     }
 
-    /// Races every solve across an `n`-worker clause-sharing portfolio.
-    pub fn with_portfolio(mut self, threads: usize) -> Self {
-        self.portfolio = Some(threads);
-        self
-    }
-
-    /// The encoder configuration this job actually runs under: the service
-    /// config with the request's portfolio override applied. Both the cache
-    /// key and [`execute`] go through this, so a portfolio job can never
-    /// alias a sequential job's cached payload.
-    pub fn effective_config(&self, config: &EncoderConfig) -> EncoderConfig {
-        let mut cfg = *config;
-        if let Some(n) = self.portfolio {
-            cfg.solve_mode = etcs_core::SolveMode::Portfolio(n);
-        }
-        cfg
-    }
-
     /// The encoder-level task this request maps to.
     pub fn task_kind(&self) -> TaskKind {
         match self.kind {
@@ -222,11 +197,7 @@ impl JobRequest {
     /// guarantee must keep holding per key. A diagnose job runs eagerly
     /// whatever its `lazy` field says, so it keys as the eager job.
     pub fn cache_key(&self, config: &EncoderConfig) -> u128 {
-        let base = cache_key(
-            &self.scenario,
-            &self.task_kind(),
-            &self.effective_config(config),
-        );
+        let base = cache_key(&self.scenario, &self.task_kind(), config);
         match self.lazy.filter(|_| self.kind != JobKind::Diagnose) {
             None => base,
             Some(strategy) => {
@@ -502,7 +473,6 @@ pub fn execute(
     interrupt: &Interrupt,
     obs: &Obs,
 ) -> JobOutcome {
-    let config = &request.effective_config(config);
     let run = Run {
         obs: obs.clone(),
         interrupt: interrupt.clone(),
@@ -666,24 +636,6 @@ mod tests {
         assert_eq!(payload.solver_calls, report.solver_calls);
         assert_eq!(payload.search, report.search);
         assert!(payload.stats.clauses > 0 && payload.solver_calls > 0);
-    }
-
-    #[test]
-    fn portfolio_jobs_cache_separately_but_agree_on_the_verdict() {
-        let scenario = fixtures::running_example();
-        let config = EncoderConfig::default();
-        let plain = JobRequest::new("p", JobKind::Verify, scenario.clone());
-        let raced = JobRequest::new("r", JobKind::Verify, scenario).with_portfolio(2);
-        assert_ne!(
-            plain.cache_key(&config),
-            raced.cache_key(&config),
-            "portfolio witness plans may differ, so the modes must not share a cache line"
-        );
-        let a = execute(&plain, &config, &Interrupt::none(), &Obs::disabled());
-        let b = execute(&raced, &config, &Interrupt::none(), &Obs::disabled());
-        let (a, b) = (a.payload().expect("solves"), b.payload().expect("solves"));
-        assert_eq!(a.feasible, b.feasible);
-        assert_eq!(a.verdict_digest(), b.verdict_digest());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! One JSON object per `\n`-terminated line, in both directions. Every
 //! connection starts with an explicit handshake: the client sends
-//! `{"type": "hello", "proto": 1, "cache_key": "etcs-cache-key-v4"}` and
+//! `{"type": "hello", "proto": 1, "cache_key": "etcs-cache-key-v5"}` and
 //! the server answers `hello_ok` (echoing its own versions and shard name)
 //! or `hello_err` — two processes may only exchange jobs and cache entries
 //! when **both** the protocol version and the cache-key version agree,
@@ -46,7 +46,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use etcs_core::{Diagnosis, EncodingStats, Instance, SolvedPlan, TrainPlan};
+use etcs_core::{Diagnosis, EncodingStats, SolvedPlan, TrainPlan};
 use etcs_lazy::SelectionStrategy;
 use etcs_network::{fixtures, parse_scenario, EdgeId, NodeId, Scenario, TrainId, VssLayout};
 use etcs_obs::json::{self, Json};
@@ -284,8 +284,8 @@ pub fn load_layout(spec: &str, scenario: &Scenario) -> Result<VssLayout, String>
     if spec == "pure_ttd" {
         Ok(VssLayout::pure_ttd())
     } else if spec == "full" {
-        let inst = Instance::new(scenario).map_err(|e| e.to_string())?;
-        Ok(VssLayout::full(&inst.net))
+        let net = scenario.discretise().map_err(|e| e.to_string())?;
+        Ok(VssLayout::full(&net))
     } else if let Some(list) = spec.strip_prefix("borders:") {
         let mut nodes = Vec::new();
         for part in list.split(',').filter(|p| !p.is_empty()) {
@@ -303,26 +303,31 @@ pub fn load_layout(spec: &str, scenario: &Scenario) -> Result<VssLayout, String>
     }
 }
 
-/// Parses one `served`-format request line from local input into a
-/// [`JobRequest`]; `file:PATH` scenarios are read. `label` prefixes error
-/// messages (`"line 7"`, `"job"`, …); `lazy_default` /
-/// `portfolio_default` are the service-wide CLI defaults applied to lines
-/// that do not carry their own fields.
+/// [`parse_request`] for [`Origin::Local`] input, under the old
+/// four-parameter signature.
+///
+/// The last argument was the service-wide default width of the deleted
+/// clause-sharing portfolio; it is ignored. New code calls
+/// [`parse_request`].
 ///
 /// # Errors
 ///
-/// A human-readable message for malformed JSON or unknown field values.
+/// As [`parse_request`].
 pub fn parse_request_line(
     line: &str,
     label: &str,
     lazy_default: bool,
-    portfolio_default: Option<usize>,
+    _ignored: Option<usize>,
 ) -> Result<JobRequest, String> {
-    parse_request(line, label, Origin::Local, lazy_default, portfolio_default)
+    parse_request(line, label, Origin::Local, lazy_default)
 }
 
-/// [`parse_request_line`] for a line from `origin`: a line from
-/// [`Origin::Peer`] that names a `file:` scenario is invalid.
+/// Parses one `served`-format request line from `origin` into a
+/// [`JobRequest`]. `label` prefixes error messages (`"line 7"`, `"job"`,
+/// …); `lazy_default` is the service-wide CLI default applied to lines
+/// without their own `lazy` field. A `file:PATH` scenario is read from
+/// [`Origin::Local`] input and invalid from [`Origin::Peer`]. Fields the
+/// parser does not know are ignored.
 ///
 /// # Errors
 ///
@@ -333,10 +338,9 @@ pub fn parse_request(
     label: &str,
     origin: Origin,
     lazy_default: bool,
-    portfolio_default: Option<usize>,
 ) -> Result<JobRequest, String> {
     let value = json::parse(line).map_err(|e| format!("{label}: {e}"))?;
-    request_from_json(&value, label, lazy_default, portfolio_default, |spec| {
+    request_from_json(&value, label, lazy_default, |spec| {
         load_scenario(spec, origin)
     })
 }
@@ -344,21 +348,20 @@ pub fn parse_request(
 /// Parses a local request line that is to be forwarded to a shard, which
 /// refuses `file:` scenarios. A `file:PATH` spec is read here, once, and
 /// the returned line carries its text inline as `rail:TEXT`; any other
-/// line is returned as it came. The request is the one
-/// [`parse_request_line`] gives, with the same error messages.
+/// line is returned as it came. The request is the one [`parse_request`]
+/// gives for [`Origin::Local`], with the same error messages.
 ///
 /// # Errors
 ///
-/// As [`parse_request_line`].
+/// As [`parse_request`].
 pub fn parse_forwarded_line(
     line: &str,
     label: &str,
     lazy_default: bool,
-    portfolio_default: Option<usize>,
 ) -> Result<(JobRequest, String), String> {
     let mut value = json::parse(line).map_err(|e| format!("{label}: {e}"))?;
     let mut inlined = None;
-    let request = request_from_json(&value, label, lazy_default, portfolio_default, |spec| {
+    let request = request_from_json(&value, label, lazy_default, |spec| {
         let Some(path) = spec.strip_prefix("file:") else {
             return load_scenario(spec, Origin::Local);
         };
@@ -383,7 +386,6 @@ fn request_from_json(
     value: &Json,
     label: &str,
     lazy_default: bool,
-    portfolio_default: Option<usize>,
     load: impl FnOnce(&str) -> Result<Scenario, String>,
 ) -> Result<JobRequest, String> {
     let str_field = |key: &str| value.get(key).and_then(Json::as_str);
@@ -417,16 +419,6 @@ fn request_from_json(
         request.lazy = Some(strategy);
     } else if lazy_default {
         request.lazy = Some(SelectionStrategy::AllViolated);
-    }
-    if let Some(n) = value.get("portfolio").and_then(Json::as_f64) {
-        if n.fract() != 0.0 || n < 2.0 {
-            return Err(format!(
-                "{label}: portfolio must be an integer of at least 2"
-            ));
-        }
-        request.portfolio = Some(n as usize);
-    } else {
-        request.portfolio = portfolio_default;
     }
     Ok(request)
 }
@@ -812,8 +804,6 @@ pub struct ShardServerConfig {
     pub name: String,
     /// Apply the lazy CEGAR default to jobs without their own `lazy` field.
     pub lazy_default: bool,
-    /// Portfolio width applied to jobs without their own field.
-    pub portfolio_default: Option<usize>,
     /// Optional per-job fault-injection hook.
     pub hook: Option<JobHook>,
 }
@@ -823,7 +813,6 @@ impl std::fmt::Debug for ShardServerConfig {
         f.debug_struct("ShardServerConfig")
             .field("name", &self.name)
             .field("lazy_default", &self.lazy_default)
-            .field("portfolio_default", &self.portfolio_default)
             .field("hook", &self.hook.is_some())
             .finish()
     }
@@ -838,7 +827,6 @@ struct ServerShared {
     conns: Mutex<Vec<TcpStream>>,
     jobs_seen: AtomicU64,
     lazy_default: bool,
-    portfolio_default: Option<usize>,
     hook: Option<JobHook>,
     // Replanning sessions live on the *shard*, not the connection: warm
     // solver state survives reconnects as long as the process does.
@@ -915,7 +903,6 @@ impl ShardServer {
             conns: Mutex::new(Vec::new()),
             jobs_seen: AtomicU64::new(0),
             lazy_default: config.lazy_default,
-            portfolio_default: config.portfolio_default,
             hook: config.hook,
             replan: Mutex::new(replan),
         });
@@ -1131,13 +1118,7 @@ fn handle_job(
     if let Some(hook) = &shared.hook {
         hook(seen);
     }
-    let request = match parse_request(
-        spec,
-        "job",
-        Origin::Peer,
-        shared.lazy_default,
-        shared.portfolio_default,
-    ) {
+    let request = match parse_request(spec, "job", Origin::Peer, shared.lazy_default) {
         Ok(request) => request,
         Err(message) => {
             let line = format!(
@@ -1516,22 +1497,47 @@ mod tests {
     }
 
     #[test]
-    fn parse_request_line_matches_served_semantics() {
-        let request = parse_request_line(
+    fn parse_request_matches_served_semantics() {
+        let request = parse_request(
             "{\"id\": \"x\", \"kind\": \"verify\", \"scenario\": \"fixture:running_example\", \
              \"priority\": \"high\"}",
             "line 1",
+            Origin::Local,
             false,
-            None,
         )
         .expect("parses");
         assert_eq!(request.id, "x");
         assert_eq!(request.kind, JobKind::Verify);
         assert_eq!(request.priority, Priority::High);
-        assert!(parse_request_line("{}", "line 2", false, None)
+        assert!(parse_request("{}", "line 2", Origin::Local, false)
             .unwrap_err()
             .contains("line 2"));
-        assert!(parse_request_line("not json", "line 3", false, None).is_err());
+        assert!(parse_request("not json", "line 3", Origin::Local, false).is_err());
+    }
+
+    #[test]
+    fn a_portfolio_field_is_ignored() {
+        // The clause-sharing portfolio is gone; lines written for it still
+        // mean the same job, whatever width they ask for.
+        let config = EncoderConfig::default();
+        let plain = "{\"id\": \"p\", \"kind\": \"generate\", \
+                     \"scenario\": \"fixture:running_example\"}";
+        let want = parse_request(plain, "l", Origin::Peer, false).expect("parses");
+        for width in ["2", "1"] {
+            let line = plain.replace('}', &format!(", \"portfolio\": {width}}}"));
+            let got = parse_request(&line, "l", Origin::Peer, false).expect("parses");
+            assert_eq!(
+                (&got.id, got.kind, &got.layout, got.priority, got.lazy),
+                (&want.id, want.kind, &want.layout, want.priority, want.lazy),
+                "{line}"
+            );
+            assert_eq!(got.cache_key(&config), want.cache_key(&config), "{line}");
+        }
+        // The old entry point ignores its last argument the same way.
+        let shim = parse_request_line(plain, "l", true, Some(4)).expect("parses");
+        let local = parse_request(plain, "l", Origin::Local, true).expect("parses");
+        assert_eq!(shim.lazy, local.lazy);
+        assert_eq!(shim.cache_key(&config), local.cache_key(&config));
     }
 
     #[test]
@@ -1545,8 +1551,9 @@ mod tests {
             json::quote(&format!("file:{path}"))
         );
         let config = EncoderConfig::default();
-        let local = parse_request_line(&line, "line 1", false, None).expect("local reads files");
-        let err = parse_request(&line, "job", Origin::Peer, false, None).unwrap_err();
+        let local =
+            parse_request(&line, "line 1", Origin::Local, false).expect("local reads files");
+        let err = parse_request(&line, "job", Origin::Peer, false).unwrap_err();
         assert!(
             err.starts_with("job: file: scenarios are read only"),
             "{err}"
@@ -1554,7 +1561,7 @@ mod tests {
 
         // A frontend inlines the file, and the inlined line means the same
         // job to a shard: same request fields, same cache key.
-        let (forwarded, spec) = parse_forwarded_line(&line, "line 1", false, None).expect("parses");
+        let (forwarded, spec) = parse_forwarded_line(&line, "line 1", false).expect("parses");
         assert_eq!(forwarded.cache_key(&config), local.cache_key(&config));
         let text = std::fs::read_to_string(path).expect("shipped scenario");
         let value = json::parse(&spec).expect("forwarded line is JSON");
@@ -1562,17 +1569,14 @@ mod tests {
             value.get("scenario").and_then(Json::as_str),
             Some(format!("rail:{text}").as_str())
         );
-        let shard = parse_request(&spec, "job", Origin::Peer, false, None).expect("no file left");
+        let shard = parse_request(&spec, "job", Origin::Peer, false).expect("no file left");
         assert_eq!(shard.cache_key(&config), local.cache_key(&config));
         assert_eq!((shard.id, shard.priority), (local.id, local.priority));
 
         // Lines without a file pass through as they came, and errors carry
         // the same text as the local parser's.
         let plain = "{\"kind\": \"verify\", \"scenario\": \"fixture:running_example\"}";
-        assert_eq!(
-            parse_forwarded_line(plain, "l", false, None).unwrap().1,
-            plain
-        );
+        assert_eq!(parse_forwarded_line(plain, "l", false).unwrap().1, plain);
         for bad in [
             "{\"kind\": \"fly\", \"scenario\": \"file:/nonexistent.rail\"}",
             "{\"kind\": \"verify\", \"scenario\": \"file:/nonexistent.rail\"}",
@@ -1580,8 +1584,8 @@ mod tests {
             "[1",
         ] {
             assert_eq!(
-                parse_forwarded_line(bad, "line 2", false, None).unwrap_err(),
-                parse_request_line(bad, "line 2", false, None).unwrap_err(),
+                parse_forwarded_line(bad, "line 2", false).unwrap_err(),
+                parse_request(bad, "line 2", Origin::Local, false).unwrap_err(),
             );
         }
     }

@@ -100,8 +100,8 @@ pub use etcs_core::{
     border_tradeoff, cache_key, certify, certify_diagnosis, diagnose, encode, generate, optimize,
     optimize_arrivals, optimize_incremental, optimize_with_budget, run, verify, Certification,
     CertifiedVerdict, CertifyError, DesignOutcome, Diagnosis, EncoderConfig, Encoding,
-    EncodingStats, EncodingTrace, ExitPolicy, Instance, LayoutExplorer, Run, SolveMode, SolvedPlan,
-    TaskError, TaskKind, TaskReport, TradeoffPoint, TrainPlan, TrainSpec, VerifyOutcome,
+    EncodingStats, EncodingTrace, ExitPolicy, Instance, LayoutExplorer, Run, SolvedPlan, TaskError,
+    TaskKind, TaskReport, TradeoffPoint, TrainPlan, TrainSpec, VerifyOutcome,
 };
 pub use etcs_network::{
     fixtures, parse_scenario, write_scenario, DiscreteNet, EdgeId, KmPerHour, Meters,
@@ -187,7 +187,7 @@ pub mod prelude {
         certify, certify_diagnosis, diagnose, fixtures, generate, optimize, optimize_arrivals,
         optimize_incremental, run, verify, Certification, CertifiedVerdict, DesignOutcome,
         Diagnosis, EncoderConfig, Instance, LayoutExplorer, NetworkBuilder, Run, Scenario,
-        Schedule, SolveMode, TaskKind, Train, TrainRun, VerifyOutcome, VssLayout,
+        Schedule, TaskKind, Train, TrainRun, VerifyOutcome, VssLayout,
     };
     pub use crate::{KmPerHour, Meters, Seconds};
 }

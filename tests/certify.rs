@@ -1,7 +1,7 @@
 //! Certifying answers end to end: `certify` and `certify_diagnosis`
-//! accept the answer of every driver — eager, incremental, lazy and a
-//! clause-sharing portfolio — on fresh proof-logged encodings, and a
-//! missed stop deadline is diagnosed as a conflict naming its train.
+//! accept the answer of every driver — eager, incremental and lazy — on
+//! fresh proof-logged encodings, and a missed stop deadline is diagnosed
+//! as a conflict naming its train.
 
 use etcs::lazy::SelectionStrategy;
 use etcs::parse_scenario;
@@ -57,14 +57,13 @@ fn full_layout(scenario: &Scenario) -> VssLayout {
 }
 
 /// Every driver's answer to `task` on `scenario`, labelled, with the task
-/// and config it ran under: eager, a 2-worker portfolio and lazy
-/// (`AllViolated`), plus the incremental loop for an optimisation.
+/// and config it ran under: eager and lazy (`AllViolated`), plus the
+/// incremental loop for an optimisation.
 fn answers(
     scenario: &Scenario,
     task: &TaskKind,
 ) -> Vec<(&'static str, TaskKind, EncoderConfig, DesignOutcome)> {
     let plain = EncoderConfig::default();
-    let raced = plain.with_solve_mode(SolveMode::Portfolio(2));
     let eager = |task: &TaskKind, config: EncoderConfig| {
         run(scenario, task, &config, &Run::default())
             .expect("well-formed")
@@ -80,7 +79,6 @@ fn answers(
     .expect("well-formed");
     let mut out = vec![
         ("eager", task.clone(), plain, eager(task, plain)),
-        ("portfolio", task.clone(), raced, eager(task, raced)),
         ("lazy", task.clone(), plain, lazy),
     ];
     if matches!(task, TaskKind::Optimize) {
@@ -114,7 +112,7 @@ fn every_driver_answer_certifies() {
 }
 
 #[test]
-fn every_diagnosis_certifies_in_both_solve_modes() {
+fn every_diagnosis_certifies() {
     let running = fixtures::running_example();
     let pure = VssLayout::pure_ttd();
     let cases = [
@@ -123,20 +121,17 @@ fn every_diagnosis_certifies_in_both_solve_modes() {
         (follower(), pure.clone(), "conflict"),
         (stop_case("0:01:00"), pure, "conflict"),
     ];
-    let plain = EncoderConfig::default();
-    for config in [plain, plain.with_solve_mode(SolveMode::Portfolio(2))] {
-        for (scenario, layout, expected) in &cases {
-            let (d, _) = diagnose(scenario, layout, &config, &Run::default()).expect("well-formed");
-            let kind = match d {
-                Diagnosis::Feasible => "feasible",
-                Diagnosis::Structural => "structural",
-                Diagnosis::Conflict { .. } => "conflict",
-            };
-            assert_eq!(kind, *expected, "{}", scenario.name);
-            certify_diagnosis(scenario, layout, &config, &d).unwrap_or_else(|e| {
-                panic!("{} {d:?} ({:?}): {e}", scenario.name, config.solve_mode)
-            });
-        }
+    let config = EncoderConfig::default();
+    for (scenario, layout, expected) in &cases {
+        let (d, _) = diagnose(scenario, layout, &config, &Run::default()).expect("well-formed");
+        let kind = match d {
+            Diagnosis::Feasible => "feasible",
+            Diagnosis::Structural => "structural",
+            Diagnosis::Conflict { .. } => "conflict",
+        };
+        assert_eq!(kind, *expected, "{}", scenario.name);
+        certify_diagnosis(scenario, layout, &config, &d)
+            .unwrap_or_else(|e| panic!("{} {d:?}: {e}", scenario.name));
     }
 }
 

@@ -514,9 +514,6 @@ fn request_line(request: &JobRequest) -> String {
     if let Some(strategy) = request.lazy {
         line.push_str(&format!(", \"lazy\": {}", json::quote(strategy.name())));
     }
-    if let Some(n) = request.portfolio {
-        line.push_str(&format!(", \"portfolio\": {n}"));
-    }
     line.push('}');
     line
 }
@@ -525,7 +522,7 @@ fn request_line(request: &JobRequest) -> String {
 /// that parses to the same request and the same cache key. A `file:` spec
 /// is always an error.
 fn check_job_line(line: &str) -> bool {
-    let request = match parse_request(line, "job", Origin::Peer, false, None) {
+    let request = match parse_request(line, "job", Origin::Peer, false) {
         Ok(request) => request,
         Err(e) => {
             assert!(e.starts_with("job: "), "{e}");
@@ -543,7 +540,7 @@ fn check_job_line(line: &str) -> bool {
         preview(line)
     );
     let written = request_line(&request);
-    let back = parse_request(&written, "job", Origin::Peer, false, None)
+    let back = parse_request(&written, "job", Origin::Peer, false)
         .unwrap_or_else(|e| panic!("written line does not parse: {e}\nfrom {}", preview(line)));
     let config = EncoderConfig::default();
     assert_eq!(
@@ -558,7 +555,6 @@ fn check_job_line(line: &str) -> bool {
     assert_eq!(back.priority, request.priority);
     assert_eq!(back.deadline, request.deadline);
     assert_eq!(back.lazy, request.lazy);
-    assert_eq!(back.portfolio, request.portfolio);
     check_rail(&write_scenario(&request.scenario))
 }
 
@@ -685,6 +681,7 @@ fn job_line_seeds() -> Vec<String> {
         r#"{"id": "bad", "kind": "fly", "scenario": "fixture:running_example"}"#,
         r#"{"id": "j1", "kind": "optimize", "scenario": "fixture:running_example", "layout": "pure_ttd", "priority": "normal", "deadline_ms": 30000}"#,
         r#"{"id": "j2", "kind": "verify", "scenario": "fixture:running_example", "layout": "full", "priority": "high"}"#,
+        // An ignored field: request lines once named a solver portfolio.
         r#"{"id": "j3", "kind": "diagnose", "scenario": "fixture:running_example", "layout": "borders:2,5,9", "lazy": "per-train", "portfolio": 2}"#,
         r#"{"id": "j4", "kind": "optimize_incremental", "scenario": "fixture:convoy", "lazy": "first-violated", "priority": "low"}"#,
         r#"{"kind": "generate", "scenario": "file:scenarios/branch_line.rail"}"#,
@@ -726,8 +723,8 @@ fn frame_seeds() -> Vec<String> {
     let key = "0123456789abcdef0123456789abcdef";
     let mut seeds: Vec<String> = [
         // From crates/fleet/tests/protocol.rs.
-        r#"{"type": "hello", "proto": 1, "cache_key": "etcs-cache-key-v4"}"#,
-        r#"{"type": "hello", "proto": 999, "cache_key": "etcs-cache-key-v4"}"#,
+        r#"{"type": "hello", "proto": 1, "cache_key": "etcs-cache-key-v5"}"#,
+        r#"{"type": "hello", "proto": 999, "cache_key": "etcs-cache-key-v5"}"#,
         "this is not json",
         r#"{"kind": "verify"}"#,
         r#"{"type": "teleport"}"#,
@@ -735,7 +732,7 @@ fn frame_seeds() -> Vec<String> {
         r#"{"type": "stats"}"#,
         r#"{"type": "job", "spec": "{\"id\": \"gone\", \"kind\": \"verify\", \"scenario\": \"fixture:running_example\"}"}"#,
         r#"{"type": "replan", "line": "{\"record\": \"delta\", \"session\": \"s1\", \"delta\": \"deadline Train 1 : arr 0:04:00\\ntick\"}"}"#,
-        r#"{"type": "histories", "shard": "s", "cache_key": "etcs-cache-key-v4", "events": [{"seq": 0, "op": "put", "key": "00", "digest": "ff"}]}"#,
+        r#"{"type": "histories", "shard": "s", "cache_key": "etcs-cache-key-v5", "events": [{"seq": 0, "op": "put", "key": "00", "digest": "ff"}]}"#,
     ]
     .map(str::to_owned)
     .to_vec();
@@ -913,7 +910,6 @@ fn known_hostile_inputs_get_typed_errors() {
         "job",
         Origin::Peer,
         false,
-        None,
     )
     .expect_err("a peer's file: spec");
     assert!(e.contains("read only from local input"), "{e}");

@@ -1,17 +1,17 @@
 //! The replanning differential contract, end to end: replaying a
 //! `.delta` trace through a warm [`ReplanSession`] must produce, at
 //! every tick, the **bit-identical verdict and proven optima** of a cold
-//! [`optimize_incremental`] solve of the same patched scenario — across
-//! the eager warm-core path, the lazy CEGAR path and the portfolio
-//! race. The witness plan may differ (stage 2 runs under assumptions on
-//! the warm solver); verdict and cost vector may not.
+//! [`optimize_incremental`] solve of the same patched scenario — on
+//! both the eager warm-core path and the lazy CEGAR path. The witness
+//! plan may differ (stage 2 runs under assumptions on the warm solver);
+//! verdict and cost vector may not.
 
 use etcs::corpus::{Family, InstanceSpec, SizeClass};
 use etcs::prelude::*;
 use etcs::replan::{parse_trace, ReplanConfig, ReplanSession, ScenarioDelta, TraceOp};
 use etcs::Seconds;
 
-/// The three session configurations under differential test.
+/// The two session configurations under differential test.
 fn modes() -> Vec<(&'static str, ReplanConfig)> {
     vec![
         ("eager", ReplanConfig::default()),
@@ -19,13 +19,6 @@ fn modes() -> Vec<(&'static str, ReplanConfig)> {
             "lazy",
             ReplanConfig {
                 lazy: true,
-                ..ReplanConfig::default()
-            },
-        ),
-        (
-            "portfolio",
-            ReplanConfig {
-                encoder: EncoderConfig::default().with_solve_mode(SolveMode::Portfolio(2)),
                 ..ReplanConfig::default()
             },
         ),
