@@ -191,6 +191,10 @@ cargo run --release -q -p etcs-bench --bin json_check -- \
 grep -q '"ordering_ok": true' target/BENCH_corpus_smoke.json || {
     echo "bench_corpus: percentile ordering flag missing or false"; exit 1;
 }
+# Wall-clock distributions mean little without the host they ran on.
+grep -q '"available_parallelism": [1-9]' target/BENCH_corpus_smoke.json || {
+    echo "bench_corpus: artifact lacks available_parallelism"; exit 1;
+}
 fam=$(grep -c '"instances": [1-9]' target/BENCH_corpus_smoke.json)
 test "$fam" -ge 2 || {
     echo "bench_corpus: fewer than two families with instances (got $fam)"
@@ -355,6 +359,9 @@ cargo run --release -q -p etcs-bench --bin json_check -- \
 grep -q '"warm_wins": true' target/BENCH_replan_smoke.json || {
     echo "bench_replan: warm replanning did not beat cold re-solves"; exit 1;
 }
+grep -q '"available_parallelism": [1-9]' target/BENCH_replan_smoke.json || {
+    echo "bench_replan: artifact lacks available_parallelism"; exit 1;
+}
 
 echo "==> served replan smoke (session records, warm ticks, digest parity)"
 REPLAN_IN=target/serve_replan.in.jsonl
@@ -380,6 +387,12 @@ test "$(grep -c '"record": "ticked"' "$REPLAN_OUT")" -eq 2 || {
 grep '"record": "ticked"' "$REPLAN_OUT" | grep -q '"warm": true' || {
     echo "served replan: the deadline delta did not warm-start"; exit 1;
 }
+# The warm tick lands on the core tick 1 answered: it is served from the
+# stored answer with no solver call, and hashes tick 1's verdict.
+warm_tick=$(grep '"record": "ticked"' "$REPLAN_OUT" | grep '"tick": 2')
+echo "$warm_tick" | grep -q '"solver_calls": 0,' || {
+    echo "served replan: the warm tick made solver calls"; exit 1;
+}
 # Digest parity: a streamed tick and the cold one-shot job over the same
 # scenario hash the same verdict + optima.
 tick_digest=$(grep '"record": "ticked"' "$REPLAN_OUT" | grep '"tick": 1' \
@@ -388,6 +401,11 @@ job_digest=$(grep '"id": "cold"' "$REPLAN_OUT" \
     | sed 's/.*"verdict_digest": "\([0-9a-f]*\)".*/\1/')
 test -n "$tick_digest" && test "$tick_digest" = "$job_digest" || {
     echo "served replan: streamed tick digest diverged from the cold job"
+    exit 1
+}
+warm_digest=$(echo "$warm_tick" | sed 's/.*"verdict_digest": "\([0-9a-f]*\)".*/\1/')
+test "$warm_digest" = "$tick_digest" || {
+    echo "served replan: the answered warm tick's digest diverged from tick 1"
     exit 1
 }
 # The terminal stats record covers the (closed) session, and the span

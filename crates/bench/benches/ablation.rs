@@ -69,7 +69,7 @@ fn ablation(c: &mut Criterion) {
                 let inst = Instance::new(&scenario).expect("valid");
                 let mut enc = encode(&inst, &default, &TaskKind::Generate);
                 let obj = enc.border_objective.clone();
-                let outcome = maxsat::minimize(&mut enc.solver, &obj, &[], strategy);
+                let outcome = maxsat::minimize(&mut enc.solver, &obj, &[], strategy, None);
                 assert!(outcome.optimal().is_some());
             })
         });
@@ -84,7 +84,8 @@ fn ablation(c: &mut Criterion) {
             let inst = Instance::new(&open).expect("valid");
             let mut enc = encode(&inst, &default, &TaskKind::Optimize);
             let obj = enc.step_objective.clone().expect("optimize builds it");
-            let outcome = maxsat::minimize(&mut enc.solver, &obj, &[], Strategy::LinearSatUnsat);
+            let outcome =
+                maxsat::minimize(&mut enc.solver, &obj, &[], Strategy::LinearSatUnsat, None);
             assert!(outcome.optimal().is_some());
         })
     });

@@ -106,7 +106,7 @@ fn solver_benches(c: &mut Criterion) {
                 let obj = Objective::count_of((0..30).map(|i| Var::from_index(i).positive()));
                 (s.solve().is_sat().then_some(()), s, obj)
             },
-            |(_, mut s, obj)| maxsat::minimize(&mut s, &obj, &[], Strategy::LinearSatUnsat),
+            |(_, mut s, obj)| maxsat::minimize(&mut s, &obj, &[], Strategy::LinearSatUnsat, None),
             BatchSize::SmallInput,
         )
     });

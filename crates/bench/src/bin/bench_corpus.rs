@@ -7,7 +7,8 @@
 //! p90 / max wall time and clause mass over all of the family's
 //! instances, plus verdict counts. Every instance is also a differential
 //! check — both configurations must agree on verdict and proven
-//! optima, and the harness asserts it before writing the artifact.
+//! optima, and the harness asserts it before writing the artifact. The
+//! host's `available_parallelism` is recorded next to the wall times.
 //!
 //! Usage: `bench_corpus [--smoke] [--out <path>] [--emit-exemplars]`
 //!
@@ -144,6 +145,8 @@ fn main() {
         "  \"mode\": \"{}\",",
         if smoke { "smoke" } else { "standard" }
     );
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let _ = writeln!(out, "  \"available_parallelism\": {cores},");
     let _ = writeln!(out, "  \"format_version\": {},", manifest.version);
     let _ = writeln!(out, "  \"manifest\": {{");
     let _ = writeln!(out, "    \"label\": \"{}\",", manifest.label);

@@ -8,14 +8,15 @@
 //! tick is solved twice:
 //!
 //! * **warm** — one [`etcs_replan::ReplanSession`] carried across the
-//!   whole trace, reusing cached solver cores where the delta allows;
+//!   whole trace, answering from cached cores where the delta allows;
 //! * **cold** — a fresh [`etcs_core::optimize_incremental`] of the same
 //!   patched scenario, as a baseline dispatcher would.
 //!
 //! Every tick is also a differential check — warm and cold must agree on
 //! verdict and proven optima — and the harness asserts the aggregate
 //! conflict count of the warm path undercuts the cold path before writing
-//! the artifact (the whole point of warm starts).
+//! the artifact (the whole point of warm starts). The host's
+//! `available_parallelism` is recorded next to the wall times.
 //!
 //! Usage: `bench_replan [--smoke] [--out <path>]`
 //!
@@ -282,6 +283,8 @@ fn main() {
         "  \"mode\": \"{}\",",
         if smoke { "smoke" } else { "standard" }
     );
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let _ = writeln!(out, "  \"available_parallelism\": {cores},");
     let _ = writeln!(out, "  \"scenarios\": [");
     out.push_str(&rows);
     let _ = writeln!(out, "  ],");

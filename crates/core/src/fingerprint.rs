@@ -297,8 +297,8 @@ fn write_task(c: &mut Canon, task: &TaskKind) {
 /// everything that determines the *open* (deadline-free) encoding — the
 /// formula a persistent incremental solver holds between re-solves. A
 /// delta that only tightens or relaxes deadlines leaves `core` unchanged,
-/// so the warm solver (whose deadlines travel as assumptions, never as
-/// clauses) remains sound; any other delta moves `core` and forces a
+/// so a warm core's encoding and stored answer (neither depends on the
+/// deadlines) stay valid; any other delta moves `core` and forces a
 /// re-encode.
 ///
 /// [`core`]: SubFingerprints::core

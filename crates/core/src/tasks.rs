@@ -225,11 +225,17 @@ pub enum Stage2 {
 /// loop for `min Σ border_v` on `enc`'s solver (keeping `assumptions`
 /// active throughout) and decodes an optimal model.
 ///
+/// `guess` is passed to [`maxsat::minimize`]: with `Some(g)` the first
+/// call asks for at most `g` borders instead of descending from the
+/// solver's first model (the phases favour every border on), and the
+/// `stage2` span closes with a `guess` field. `None`, which every design
+/// task passes, keeps the plain solve-then-descend sequence.
+///
 /// Returns `(Stage2::Solved(plan, cost), solver_calls)`, or `Stage2::Unsat`
-/// when the hard constraints plus assumptions are unsatisfiable. The
-/// objective is temporarily detached from the encoding instead of cloned
-/// (the old per-call `border_objective.clone()`), and restored before
-/// returning.
+/// when the hard constraints plus assumptions are unsatisfiable; the call
+/// count is the solver's own, so an interrupted loop reports what it
+/// spent. The objective is temporarily detached from the encoding instead
+/// of cloned, and restored before returning.
 ///
 /// Public so refinement loops built on top of the encoder (`etcs-lazy`)
 /// can rerun the border MaxSAT after adding clauses: the bounds are passed
@@ -238,52 +244,52 @@ pub fn minimize_borders(
     enc: &mut Encoding,
     inst: &Instance,
     assumptions: &[Lit],
+    guess: Option<u64>,
     obs: &Obs,
 ) -> (Stage2, usize) {
     let span = obs.span_with("stage2", &[("assumptions", assumptions.len().into())]);
-    let conflicts_before = enc.solver.stats().conflicts;
+    let before = *enc.solver.stats();
     let objective = std::mem::take(&mut enc.border_objective);
     let result = maxsat::minimize(
         &mut enc.solver,
         &objective,
         assumptions,
         Strategy::LinearSatUnsat,
+        guess,
     );
     enc.border_objective = objective;
-    let conflicts = enc.solver.stats().conflicts - conflicts_before;
+    let conflicts = enc.solver.stats().conflicts - before.conflicts;
+    let calls = (enc.solver.stats().solve_calls - before.solve_calls) as usize;
     obs.counter_add("conflicts", conflicts);
-    match result {
-        maxsat::OptimizeOutcome::Optimal(r) => {
-            span.close_with(&[
-                ("feasible", true.into()),
-                ("borders", r.cost.into()),
-                ("solver_calls", r.solver_calls.into()),
-                ("conflicts", conflicts.into()),
-            ]);
-            (
-                Stage2::Solved(SolvedPlan::decode(inst, &enc.vars, &r.model), r.cost),
-                r.solver_calls,
-            )
-        }
-        maxsat::OptimizeOutcome::Unsat => {
-            span.close_with(&[("feasible", false.into()), ("conflicts", conflicts.into())]);
-            (Stage2::Unsat, 1)
-        }
-        maxsat::OptimizeOutcome::Unknown { .. } => {
-            // Only reachable with an interrupt installed on the solver —
-            // the task loops never configure a conflict budget.
-            span.close_with(&[
-                ("interrupted", true.into()),
-                ("conflicts", conflicts.into()),
-            ]);
-            (Stage2::Interrupted, 1)
-        }
+    let mut fields = match &result {
+        maxsat::OptimizeOutcome::Optimal(r) => vec![
+            ("feasible", true.into()),
+            ("borders", r.cost.into()),
+            ("solver_calls", calls.into()),
+        ],
+        maxsat::OptimizeOutcome::Unsat => vec![("feasible", false.into())],
+        // Only reachable with an interrupt installed on the solver — the
+        // task loops never configure a conflict budget.
+        maxsat::OptimizeOutcome::Unknown { .. } => vec![("interrupted", true.into())],
+    };
+    fields.push(("conflicts", conflicts.into()));
+    if let Some(g) = guess {
+        fields.push(("guess", g.into()));
     }
+    span.close_with(&fields);
+    let stage2 = match result {
+        maxsat::OptimizeOutcome::Optimal(r) => {
+            Stage2::Solved(SolvedPlan::decode(inst, &enc.vars, &r.model), r.cost)
+        }
+        maxsat::OptimizeOutcome::Unsat => Stage2::Unsat,
+        maxsat::OptimizeOutcome::Unknown { .. } => Stage2::Interrupted,
+    };
+    (stage2, calls)
 }
 
 /// Outcome of [`walk_up_deadlines`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Stage1 {
+pub(crate) enum Stage1 {
     /// The first satisfiable deadline, which is the optimum: every
     /// deadline below it is refuted.
     Sat(usize),
@@ -304,9 +310,10 @@ pub enum Stage1 {
 ///
 /// A refuted deadline stays refuted on this encoding: its selector is
 /// killed at level 0 and `*floor` moves past it, so a caller that keeps
-/// the encoding (the replanning session) never probes it again. Returns
+/// the encoding after an interrupt (the replanning session) never probes
+/// it again. Stage 1 of [`optimize_encoding`], its only caller. Returns
 /// the verdict and the number of probes made.
-pub fn walk_up_deadlines(
+pub(crate) fn walk_up_deadlines(
     enc: &mut Encoding,
     inst: &Instance,
     floor: &mut usize,
@@ -347,6 +354,89 @@ pub fn walk_up_deadlines(
         }
     }
     (Stage1::Unsat, calls)
+}
+
+/// Outcome of [`optimize_encoding`].
+#[derive(Debug)]
+pub enum Optimized {
+    /// The optimal deadline and a plan meeting it with the fewest borders.
+    Solved {
+        /// The smallest satisfiable deadline step.
+        deadline: usize,
+        /// The decoded optimal plan.
+        plan: SolvedPlan,
+        /// The proven minimal border count at that deadline.
+        borders: u64,
+    },
+    /// Every deadline up to the horizon is refuted.
+    Infeasible,
+    /// The solver's [`Interrupt`] fired. What the encoding learnt stays: a
+    /// refuted deadline stays refuted and a committed one committed, so a
+    /// later call on the same encoding resumes.
+    Interrupted,
+}
+
+/// Solver calls one [`optimize_encoding`] made.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Calls {
+    /// Stage-1 deadline probes.
+    pub probes: usize,
+    /// Stage-2 border-minimisation calls.
+    pub stage2: usize,
+}
+
+impl Calls {
+    /// Every call, probes and stage 2.
+    pub fn total(self) -> usize {
+        self.probes + self.stage2
+    }
+}
+
+/// The incremental optimisation sequence on one persistent
+/// [`TaskKind::OptimizeIncremental`] encoding, shared by
+/// [`optimize_incremental`] and the replanning session: the stage-1 walk
+/// up the deadlines from `*floor` (each a `probe` child of `parent`, the
+/// first satisfiable one optimal, every refuted one killed at level 0 and
+/// moving `*floor` past it), then the winning deadline's probe
+/// assumptions committed as unit clauses, then [`minimize_borders`] on
+/// empty assumptions with `guess`.
+///
+/// The commit pins the encoding to that deadline for good: asserting the
+/// selector and its cone-pruning literals at level 0 beats re-propagating
+/// thousands of assumption literals on every descent call, and the
+/// encoding is never probed at another deadline afterwards. A caller that
+/// keeps the encoding past an [`Optimized::Interrupted`] call resumes at
+/// the committed deadline.
+pub fn optimize_encoding(
+    enc: &mut Encoding,
+    inst: &Instance,
+    floor: &mut usize,
+    guess: Option<u64>,
+    parent: &Span,
+    obs: &Obs,
+) -> (Optimized, Calls) {
+    let (stage1, probes) = walk_up_deadlines(enc, inst, floor, parent, obs);
+    let mut calls = Calls { probes, stage2: 0 };
+    let deadline = match stage1 {
+        Stage1::Sat(d) => d,
+        Stage1::Unsat => return (Optimized::Infeasible, calls),
+        Stage1::Interrupted => return (Optimized::Interrupted, calls),
+    };
+    for &lit in &enc.deadline_probe_assumptions(inst, deadline) {
+        enc.solver.add_clause([lit]);
+    }
+    let (result, stage2) = minimize_borders(enc, inst, &[], guess, obs);
+    calls.stage2 = stage2;
+    let outcome = match result {
+        Stage2::Solved(plan, borders) => Optimized::Solved {
+            deadline,
+            plan,
+            borders,
+        },
+        Stage2::Unsat => unreachable!("the probed deadline was satisfiable"),
+        Stage2::Interrupted => Optimized::Interrupted,
+    };
+    (outcome, calls)
 }
 
 /// The task driver: runs `task` on `scenario` under `run`'s observability
@@ -479,11 +569,11 @@ pub fn optimize(
 }
 
 /// [`optimize`] on **one persistent incremental solver**: the full horizon
-/// is encoded once ([`TaskKind::OptimizeIncremental`]), every candidate
-/// deadline is probed by [`walk_up_deadlines`] — learnt clauses, VSIDS
-/// activity and saved phases carry across probes — and the Stage-2
-/// border MaxSAT runs on the same warm solver with the optimal deadline
-/// committed, eliminating every re-encode.
+/// is encoded once ([`TaskKind::OptimizeIncremental`]) and
+/// [`optimize_encoding`] runs on it: every candidate deadline is probed —
+/// learnt clauses, VSIDS activity and saved phases carry across probes —
+/// and the Stage-2 border MaxSAT runs on the same warm solver with the
+/// optimal deadline committed, eliminating every re-encode.
 ///
 /// Returns the same optima as [`optimize`] (identical deadline and border
 /// count; the witness plans may differ).
@@ -566,7 +656,7 @@ fn run_generate(
     let inst = Instance::new(scenario)?;
     let mut enc = run.encode(&inst, config, task, ConstraintFamilies::ALL, &span);
     let stats = enc.stats;
-    let (result, calls) = minimize_borders(&mut enc, &inst, &[], &run.obs);
+    let (result, calls) = minimize_borders(&mut enc, &inst, &[], None, &run.obs);
     let search = *enc.solver.stats();
     drop(enc); // inside the task span, so teardown is attributed to it
     let outcome = match result {
@@ -682,7 +772,7 @@ fn run_optimize(
     // successful probe's encoding (its solver already holds a model and
     // learnt clauses for exactly this deadline — no third re-encode).
     let stats = enc.stats;
-    let (result, stage2_calls) = minimize_borders(&mut enc, &inst, &[], obs);
+    let (result, stage2_calls) = minimize_borders(&mut enc, &inst, &[], None, obs);
     calls += stage2_calls;
     search += enc.solver.stats();
     drop(enc); // inside the task span, so teardown is attributed to it
@@ -721,9 +811,9 @@ fn run_optimize(
 }
 
 /// [`run`] for [`TaskKind::OptimizeIncremental`]: one
-/// `task.optimize_incremental` span wrapping a single `encode` child, the
-/// `probe` children of [`walk_up_deadlines`], and the `stage2` span on
-/// the same warm solver.
+/// `task.optimize_incremental` span wrapping a single `encode` child and
+/// the `probe` and `stage2` spans of [`optimize_encoding`] on the same
+/// warm solver.
 fn run_incremental(
     scenario: &Scenario,
     task: &TaskKind,
@@ -741,73 +831,44 @@ fn run_incremental(
     let stats = enc.stats;
 
     let mut floor = inst.completion_lower_bound().min(inst.t_max - 1);
-    let (stage1, mut calls) = walk_up_deadlines(&mut enc, &inst, &mut floor, &span, &run.obs);
-    let best_deadline = match stage1 {
-        Stage1::Sat(d) => d,
-        Stage1::Unsat => {
-            let search = *enc.solver.stats();
-            drop(enc); // inside the task span, so teardown is attributed to it
-            span.close_with(&[("feasible", false.into()), ("probes", calls.into())]);
-            return Ok((
-                DesignOutcome::Infeasible,
-                TaskReport {
-                    stats,
-                    runtime: start.elapsed(),
-                    solver_calls: calls,
-                    search,
-                },
-            ));
-        }
-        Stage1::Interrupted => {
-            span.close_with(&[("interrupted", true.into())]);
-            return Err(TaskError::interrupted(&run.interrupt));
-        }
-    };
-
-    // Stage 2 — border MaxSAT on the same solver, the optimum committed as
-    // unit clauses (the same pin the lazy loop uses): the deadline is
-    // final, so asserting the selector and its cone-pruning literals at
-    // level 0 beats re-propagating thousands of assumption literals on
-    // every descent call of the border MaxSAT — the solver is never probed
-    // at another deadline after this point.
-    for &lit in &enc.deadline_probe_assumptions(&inst, best_deadline) {
-        enc.solver.add_clause([lit]);
-    }
-    let (result, stage2_calls) = minimize_borders(&mut enc, &inst, &[], &run.obs);
-    calls += stage2_calls;
-    let (plan, border_cost) = match result {
-        Stage2::Solved(plan, cost) => (plan, cost),
-        Stage2::Unsat => unreachable!("the probed deadline was satisfiable"),
-        Stage2::Interrupted => {
-            span.close_with(&[("interrupted", true.into())]);
-            return Err(TaskError::interrupted(&run.interrupt));
-        }
-    };
+    let (outcome, calls) = optimize_encoding(&mut enc, &inst, &mut floor, None, &span, &run.obs);
     let search = *enc.solver.stats();
     drop(enc); // inside the task span, so teardown is attributed to it
-
-    span.close_with(&[
-        ("feasible", true.into()),
-        ("deadline", best_deadline.into()),
-        ("borders", border_cost.into()),
-        ("probes", (calls - stage2_calls).into()),
-        ("solver_calls", calls.into()),
-        ("conflicts", search.conflicts.into()),
-    ]);
-
-    let outcome = DesignOutcome::Solved {
-        plan,
-        costs: vec![best_deadline as u64 + 1, border_cost],
+    let report = TaskReport {
+        stats,
+        runtime: start.elapsed(),
+        solver_calls: calls.total(),
+        search,
     };
-    Ok((
-        outcome,
-        TaskReport {
-            stats,
-            runtime: start.elapsed(),
-            solver_calls: calls,
-            search,
-        },
-    ))
+    match outcome {
+        Optimized::Solved {
+            deadline,
+            plan,
+            borders,
+        } => {
+            span.close_with(&[
+                ("feasible", true.into()),
+                ("deadline", deadline.into()),
+                ("borders", borders.into()),
+                ("probes", calls.probes.into()),
+                ("solver_calls", calls.total().into()),
+                ("conflicts", search.conflicts.into()),
+            ]);
+            let outcome = DesignOutcome::Solved {
+                plan,
+                costs: vec![deadline as u64 + 1, borders],
+            };
+            Ok((outcome, report))
+        }
+        Optimized::Infeasible => {
+            span.close_with(&[("feasible", false.into()), ("probes", calls.probes.into())]);
+            Ok((DesignOutcome::Infeasible, report))
+        }
+        Optimized::Interrupted => {
+            span.close_with(&[("interrupted", true.into())]);
+            Err(TaskError::interrupted(&run.interrupt))
+        }
+    }
 }
 
 #[cfg(test)]

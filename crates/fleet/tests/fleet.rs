@@ -311,8 +311,8 @@ fn replan_frames_keep_a_warm_session_across_connections() {
         )
         .expect("delta");
 
-    // Drop the connection entirely: the session (and its warm solver
-    // state) lives on the shard, so a fresh connection resumes it.
+    // Drop the connection entirely: the session (and its warm cores)
+    // lives on the shard, so a fresh connection resumes it.
     drop(client);
     let mut client = ShardClient::connect(&addr).expect("reconnect");
     let second = client

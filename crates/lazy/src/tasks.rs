@@ -292,7 +292,7 @@ fn generate(
         state.rounds += 1;
         obs.counter_add("lazy.rounds", 1);
         let round = span.child_with("lazy.round", &[("round", state.rounds.into())]);
-        let (result, stage_calls) = minimize_borders(&mut enc, &inst, &[], obs);
+        let (result, stage_calls) = minimize_borders(&mut enc, &inst, &[], None, obs);
         state.calls += stage_calls;
         match result {
             Stage2::Solved(plan, cost) => {
@@ -549,7 +549,7 @@ fn optimize(
                 ("deadline", best_deadline.into()),
             ],
         );
-        let (result, stage_calls) = minimize_borders(&mut enc, &inst, &[], obs);
+        let (result, stage_calls) = minimize_borders(&mut enc, &inst, &[], None, obs);
         state.calls += stage_calls;
         match result {
             Stage2::Solved(plan, cost) => {

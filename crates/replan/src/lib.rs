@@ -11,11 +11,12 @@
 //! * [`parse_trace`] / [`write_trace`] — the `.delta` plain-text trace
 //!   format with the scenario loader's line+column error reporting,
 //! * [`ReplanSession`] — the streaming session: per [`tick`] it
-//!   re-optimises the current scenario on persistent warm solver state
-//!   keyed by [`etcs_core::sub_fingerprints`], falls back to a cold
-//!   encode when a delta invalidates the core, and honours a per-tick
-//!   wall-clock budget by degrading to the last valid plan (flagged
-//!   stale) via [`etcs_sat::Interrupt`] cancellation.
+//!   re-optimises the current scenario, answering from a warm core keyed
+//!   by [`etcs_core::sub_fingerprints`] when a tick on the same core has
+//!   already finished, falls back to a cold encode when a delta
+//!   invalidates the core, and honours a per-tick wall-clock budget by
+//!   degrading to the last valid plan (flagged stale) via
+//!   [`etcs_sat::Interrupt`] cancellation.
 //!
 //! Verdicts and optima per tick are bit-identical to a cold
 //! [`etcs_core::optimize_incremental`] of the same patched scenario —
@@ -43,9 +44,10 @@
 //!     }
 //! }
 //! // A deadline delta leaves the scenario core untouched: the second
-//! // tick reuses the first tick's warm solver and agrees on the optima.
+//! // tick is answered from the core the first tick solved.
 //! assert!(reports.iter().all(|r| r.feasible && !r.stale));
 //! assert!(!reports[0].warm && reports[1].warm);
+//! assert_eq!(reports[1].solver_calls, 0);
 //! assert_eq!(reports[0].costs, reports[1].costs);
 //! # Ok::<(), etcs_replan::DeltaError>(())
 //! ```

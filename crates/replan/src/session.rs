@@ -1,27 +1,31 @@
 //! The streaming replanning session: warm-started re-solves per tick.
 //!
 //! A [`ReplanSession`] holds a [`LiveScenario`] and a small LRU of *warm
-//! cores* — persistent incremental encodings keyed by the
-//! [`etcs_core::sub_fingerprints`] `core` component of the scenario they
-//! encode. Every tick re-optimises the current scenario:
+//! cores*, keyed by the [`etcs_core::sub_fingerprints`] `core` component
+//! of the scenario they stand for. Two scenarios with equal `core` have
+//! literally the same CNF, so they have the same verdict and optima. Every
+//! tick re-optimises the current scenario:
 //!
-//! * **Warm hit** — the current core matches a cached encoding. The
-//!   solver still holds every learnt clause, the floor of refuted
-//!   deadlines, VSIDS activity and saved phases from earlier ticks, so
-//!   the probe walk restarts where it left off and the stage-2 border
-//!   MaxSAT descends on a hot solver. Deadline-only deltas land here by
-//!   construction (the open encoding never sees deadlines), as does any
-//!   delta sequence that returns to a previously-seen core (a closed
-//!   segment reopening, a delay being reverted).
+//! * **Answered warm hit** — a tick on this core has already finished.
+//!   The core keeps that tick's verdict, costs and plan and has dropped
+//!   its encoding, so the tick returns the stored answer with 0 solver
+//!   calls. Deadline-only deltas land here by construction (the open
+//!   encoding never sees deadlines), as does any delta sequence that
+//!   returns to a previously-seen core (a closed segment reopening, a
+//!   delay being reverted).
+//! * **Open warm hit** — the last tick on this core was interrupted. Its
+//!   encoding stayed in the cache with every learnt clause, refuted
+//!   deadline, VSIDS activity and saved phase, and this tick resumes on it.
 //! * **Cold fallback** — the core moved (departure, topology, train set,
-//!   horizon or config changed): the encoding is rebuilt from scratch,
-//!   exactly like [`etcs_core::optimize_incremental`], and cached for
-//!   later ticks.
+//!   horizon or config changed): the encoding is rebuilt from scratch and
+//!   solved.
 //!
-//! Unlike the one-shot incremental loop, the winning deadline's probe
-//! assumptions are *never* committed as unit clauses — stage 2 runs with
-//! them as assumptions so the solver stays reusable for the next tick.
-//! The optima are identical either way; only the witness plan may differ.
+//! An open core runs [`etcs_core::optimize_encoding`], the same sequence
+//! as [`etcs_core::optimize_incremental`]: walk up the deadlines, commit
+//! the winning deadline's probe assumptions as unit clauses, then stage 2
+//! on empty assumptions. Stage 2 starts from a cost guess: the border
+//! optimum of the session's last fresh answer, since one delta rarely
+//! moves it far.
 //!
 //! # Deadlines and staleness
 //!
@@ -29,15 +33,16 @@
 //! own token and armed with [`ReplanConfig::tick_budget`]. A tick that
 //! misses its budget degrades gracefully: the interrupted solver keeps
 //! all learnt state (interrupts roll back to decision level 0, nothing
-//! is lost), the warm core returns to the cache, and the tick reports
-//! the *last valid plan* flagged [`TickReport::stale`].
+//! is lost), the open core returns to the cache, and the tick reports
+//! the *last valid plan* flagged [`TickReport::stale`]. A fired token
+//! misses the tick on an answered core too.
 
 use std::collections::VecDeque;
 use std::time::Duration;
 
 use etcs_core::{
-    minimize_borders, sub_fingerprints, walk_up_deadlines, ConstraintFamilies, DesignOutcome,
-    EncoderConfig, Encoding, Instance, Run, SolvedPlan, Stage1, Stage2, TaskError, TaskKind,
+    optimize_encoding, sub_fingerprints, ConstraintFamilies, DesignOutcome, EncoderConfig,
+    Encoding, Instance, Optimized, Run, SolvedPlan, TaskError, TaskKind,
 };
 use etcs_lazy::SelectionStrategy;
 use etcs_network::Scenario;
@@ -59,8 +64,9 @@ pub struct ReplanConfig {
     /// Wall-clock budget per tick; `None` means unbounded. A tick that
     /// exceeds it returns the last valid plan flagged stale.
     pub tick_budget: Option<Duration>,
-    /// How many warm cores to keep (≥ 1). Oscillating delta sequences
-    /// (close/reopen, delay/revert) re-hit evicted-free cores.
+    /// How many warm cores to keep (≥ 1), answered or open. Oscillating
+    /// delta sequences (close/reopen, delay/revert) re-hit cores that have
+    /// not been evicted.
     pub warm_capacity: usize,
 }
 
@@ -80,7 +86,7 @@ impl Default for ReplanConfig {
 pub struct ReplanStats {
     /// Ticks requested.
     pub ticks: u64,
-    /// Ticks answered on a cached warm core.
+    /// Ticks that found their core cached, answered or open.
     pub warm_hits: u64,
     /// Ticks that (re)built an encoding from scratch (including every
     /// lazy-mode tick).
@@ -115,7 +121,7 @@ impl ReplanStats {
 pub struct TickReport {
     /// 1-based tick number within the session.
     pub tick: u64,
-    /// Whether the tick reused a cached warm core.
+    /// Whether the tick found its core cached (answered or open).
     pub warm: bool,
     /// Whether the tick missed its budget: `plan`/`costs`/`feasible`
     /// then echo the last valid result (if any) instead of the current
@@ -130,7 +136,8 @@ pub struct TickReport {
     /// no fresh search before the budget fired — the conflicts recorded
     /// are whatever the interrupted search consumed).
     pub conflicts: u64,
-    /// Solver invocations this tick made.
+    /// Solver invocations this tick made (0 when an answered core served
+    /// it).
     pub solver_calls: usize,
     /// Trains whose arrival deadline the fresh plan misses (empty for
     /// stale ticks: the echoed plan predates the current schedule).
@@ -139,27 +146,34 @@ pub struct TickReport {
     pub plan: Option<SolvedPlan>,
 }
 
-/// A persistent warm encoding of one scenario core.
+/// One scenario core in the warm cache.
 struct WarmCore {
     core: u128,
+    state: CoreState,
+}
+
+enum CoreState {
+    /// No tick on this core has finished: the encoding waits, with what
+    /// interrupted ticks learnt, for the next one.
+    Open(Box<OpenCore>),
+    /// A tick finished and proved this answer; the encoding is gone.
+    Answered(Answer),
+}
+
+/// A persistent incremental encoding of one scenario core.
+struct OpenCore {
     enc: Encoding,
     inst: Instance,
     /// Lowest deadline not yet refuted: every `d < floor` has been
-    /// proven UNSAT (and its selector killed at level 0), so later
-    /// probe walks start here.
+    /// proven UNSAT (and its selector killed at level 0), so a resumed
+    /// probe walk starts here.
     floor: usize,
 }
 
-impl WarmCore {
+impl OpenCore {
     /// Encodes the scenario cold, under an `encode` child of the tick's
     /// span (fields `vars`, `clauses`, as on the task paths).
-    fn build(
-        scenario: &Scenario,
-        config: &EncoderConfig,
-        core: u128,
-        obs: &Obs,
-        tick: &Span,
-    ) -> Self {
+    fn build(scenario: &Scenario, config: &EncoderConfig, obs: &Obs, tick: &Span) -> Self {
         let open = scenario.without_arrivals();
         let inst = Instance::new(&open).expect("live scenario discretises (checked on apply)");
         // No interrupt yet: each tick installs its own token.
@@ -176,12 +190,7 @@ impl WarmCore {
         );
         let max_deadline = inst.t_max - 1;
         let floor = inst.completion_lower_bound().min(max_deadline);
-        WarmCore {
-            core,
-            enc,
-            inst,
-            floor,
-        }
+        OpenCore { enc, inst, floor }
     }
 }
 
@@ -193,11 +202,12 @@ pub struct ReplanSession {
     interrupt: Interrupt,
     warm: VecDeque<WarmCore>,
     stats: ReplanStats,
-    last_good: Option<LastGood>,
+    last_good: Option<Answer>,
 }
 
+/// A fresh tick's verdict, proven optima and plan.
 #[derive(Clone)]
-struct LastGood {
+struct Answer {
     feasible: bool,
     costs: Vec<u64>,
     plan: Option<SolvedPlan>,
@@ -225,8 +235,9 @@ impl ReplanSession {
 
     /// Opens a session at `base` with observability: a `replan.open`
     /// span, a `replan.delta` span per delta, a `replan.tick` span per
-    /// tick (with `probe`/`stage2` children on the warm solver), and
-    /// `replan.*` counters mirroring [`ReplanStats`].
+    /// tick (with `probe`/`stage2` children when it solves; it closes
+    /// with `solver_calls` and `answered`), and `replan.*` counters
+    /// mirroring [`ReplanStats`].
     ///
     /// # Errors
     ///
@@ -316,159 +327,141 @@ impl ReplanSession {
         let solved = if self.config.lazy {
             self.tick_lazy(&token)
         } else {
-            self.tick_warm(&token, &span)
+            self.tick_eager(&token, &span)
         };
 
-        match solved {
-            Solve::Fresh {
-                warm,
-                feasible,
-                costs,
-                plan,
-                conflicts,
-                solver_calls,
-            } => {
-                if warm {
-                    self.stats.warm_hits += 1;
-                    self.obs.counter_add("replan.warm_hits", 1);
-                } else {
-                    self.stats.cold_fallbacks += 1;
-                    self.obs.counter_add("replan.cold_fallbacks", 1);
-                }
-                let late_trains = match &plan {
+        let warm = solved.warm;
+        if warm {
+            self.stats.warm_hits += 1;
+            self.obs.counter_add("replan.warm_hits", 1);
+        } else {
+            self.stats.cold_fallbacks += 1;
+            self.obs.counter_add("replan.cold_fallbacks", 1);
+        }
+        let answered = matches!(solved.verdict, Verdict::Answered(_));
+        let fresh = match solved.verdict {
+            Verdict::Fresh(answer) | Verdict::Answered(answer) => Some(answer),
+            Verdict::Missed => None,
+        };
+        let stale = fresh.is_none();
+        let mut fields = vec![
+            ("warm", warm.into()),
+            ("stale", stale.into()),
+            ("answered", answered.into()),
+            ("solver_calls", solved.solver_calls.into()),
+            ("conflicts", solved.conflicts.into()),
+        ];
+        let (answer, late_trains) = match fresh {
+            Some(answer) => {
+                let late_trains = match &answer.plan {
                     Some(p) => late_trains(self.live.current(), p),
                     None => Vec::new(),
                 };
-                self.last_good = Some(LastGood {
-                    feasible,
-                    costs: costs.clone(),
-                    plan: plan.clone(),
-                });
-                span.close_with(&[
-                    ("warm", warm.into()),
-                    ("stale", false.into()),
-                    ("feasible", feasible.into()),
-                    ("conflicts", conflicts.into()),
-                ]);
-                TickReport {
-                    tick: tick_no,
-                    warm,
-                    stale: false,
-                    feasible,
-                    costs,
-                    conflicts,
-                    solver_calls,
-                    late_trains,
-                    plan,
-                }
+                fields.push(("feasible", answer.feasible.into()));
+                self.last_good = Some(answer.clone());
+                (Some(answer), late_trains)
             }
-            Solve::Missed {
-                warm,
-                conflicts,
-                solver_calls,
-            } => {
-                if warm {
-                    self.stats.warm_hits += 1;
-                    self.obs.counter_add("replan.warm_hits", 1);
-                } else {
-                    self.stats.cold_fallbacks += 1;
-                    self.obs.counter_add("replan.cold_fallbacks", 1);
-                }
+            None => {
                 self.stats.deadline_misses += 1;
                 self.obs.counter_add("replan.deadline_misses", 1);
-                let last = self.last_good.clone();
-                span.close_with(&[
-                    ("warm", warm.into()),
-                    ("stale", true.into()),
-                    ("conflicts", conflicts.into()),
-                ]);
-                TickReport {
-                    tick: tick_no,
-                    warm,
-                    stale: true,
-                    feasible: last.as_ref().is_some_and(|l| l.feasible),
-                    costs: last.as_ref().map(|l| l.costs.clone()).unwrap_or_default(),
-                    conflicts,
-                    solver_calls,
-                    late_trains: Vec::new(),
-                    plan: last.and_then(|l| l.plan),
-                }
+                (self.last_good.clone(), Vec::new())
             }
+        };
+        span.close_with(&fields);
+        let (feasible, costs, plan) = match answer {
+            Some(a) => (a.feasible, a.costs, a.plan),
+            None => (false, Vec::new(), None),
+        };
+        TickReport {
+            tick: tick_no,
+            warm,
+            stale,
+            feasible,
+            costs,
+            conflicts: solved.conflicts,
+            solver_calls: solved.solver_calls,
+            late_trains,
+            plan,
         }
     }
 
-    /// The eager path: probe walk + assumption-scoped stage 2 on a warm
-    /// (or freshly built) persistent encoding.
-    fn tick_warm(&mut self, token: &Interrupt, span: &Span) -> Solve {
+    /// The eager path: the stored answer of an answered core, or
+    /// [`optimize_encoding`] on an open (or freshly built) one.
+    fn tick_eager(&mut self, token: &Interrupt, span: &Span) -> Solved {
         let fps = sub_fingerprints(self.live.current(), &self.config.encoder);
-        let (mut w, warm) = match self.warm.iter().position(|w| w.core == fps.core) {
-            Some(i) => (self.warm.remove(i).expect("position is in range"), true),
-            None => (
-                WarmCore::build(
-                    self.live.current(),
-                    &self.config.encoder,
-                    fps.core,
-                    &self.obs,
-                    span,
-                ),
-                false,
-            ),
+        let cached = self
+            .warm
+            .iter()
+            .position(|w| w.core == fps.core)
+            .and_then(|i| self.warm.remove(i));
+        let warm = cached.is_some();
+        let state = match cached {
+            Some(w) => w.state,
+            None => CoreState::Open(Box::new(OpenCore::build(
+                self.live.current(),
+                &self.config.encoder,
+                &self.obs,
+                span,
+            ))),
         };
-        w.enc.solver.set_interrupt(token.clone());
-        let conflicts_before = w.enc.solver.stats().conflicts;
-        let (stage1, mut calls) =
-            walk_up_deadlines(&mut w.enc, &w.inst, &mut w.floor, span, &self.obs);
-        let solve = match stage1 {
-            Stage1::Interrupted => Solve::Missed {
-                warm,
-                conflicts: w.enc.solver.stats().conflicts - conflicts_before,
-                solver_calls: calls,
-            },
-            Stage1::Sat(d) => {
-                // Stage 2 with the winning deadline as *assumptions* —
-                // never unit clauses — so the solver stays probe-able next
-                // tick.
-                let assumptions = w.enc.deadline_probe_assumptions(&w.inst, d);
-                let (result, stage2_calls) =
-                    minimize_borders(&mut w.enc, &w.inst, &assumptions, &self.obs);
-                calls += stage2_calls;
-                let conflicts = w.enc.solver.stats().conflicts - conflicts_before;
-                match result {
-                    Stage2::Solved(plan, borders) => Solve::Fresh {
-                        warm,
-                        feasible: true,
-                        costs: vec![d as u64 + 1, borders],
-                        plan: Some(plan),
-                        conflicts,
-                        solver_calls: calls,
-                    },
-                    Stage2::Unsat => unreachable!("the probed deadline was satisfiable"),
-                    Stage2::Interrupted => Solve::Missed {
-                        warm,
-                        conflicts,
-                        solver_calls: calls,
-                    },
-                }
+        let (state, solved) = match state {
+            // The answer is final, but a fired token still misses the tick.
+            CoreState::Answered(answer) => {
+                let verdict = if token.is_triggered() {
+                    Verdict::Missed
+                } else {
+                    Verdict::Answered(answer.clone())
+                };
+                (CoreState::Answered(answer), Solved::new(warm, verdict))
             }
-            // Every deadline refuted: the floor sits beyond the horizon
-            // and later ticks on this core answer infeasible instantly.
-            Stage1::Unsat => Solve::Fresh {
-                warm,
-                feasible: false,
-                costs: Vec::new(),
-                plan: None,
-                conflicts: w.enc.solver.stats().conflicts - conflicts_before,
-                solver_calls: calls,
-            },
+            CoreState::Open(mut open) => {
+                let guess = self
+                    .last_good
+                    .as_ref()
+                    .and_then(|a| a.costs.get(1).copied());
+                let OpenCore { enc, inst, floor } = &mut *open;
+                enc.solver.set_interrupt(token.clone());
+                let before = *enc.solver.stats();
+                let (outcome, calls) = optimize_encoding(enc, inst, floor, guess, span, &self.obs);
+                let answer = match outcome {
+                    Optimized::Solved {
+                        deadline,
+                        plan,
+                        borders,
+                    } => Some(Answer {
+                        feasible: true,
+                        costs: vec![deadline as u64 + 1, borders],
+                        plan: Some(plan),
+                    }),
+                    Optimized::Infeasible => Some(Answer {
+                        feasible: false,
+                        costs: Vec::new(),
+                        plan: None,
+                    }),
+                    Optimized::Interrupted => None,
+                };
+                let solved = Solved {
+                    warm,
+                    verdict: answer.clone().map_or(Verdict::Missed, Verdict::Fresh),
+                    conflicts: enc.solver.stats().conflicts - before.conflicts,
+                    solver_calls: calls.total(),
+                };
+                // A finished core keeps its answer and drops the encoding;
+                // an interrupted one stays open for the next tick.
+                let state = answer.map_or(CoreState::Open(open), CoreState::Answered);
+                (state, solved)
+            }
         };
-
-        self.warm.push_front(w);
+        self.warm.push_front(WarmCore {
+            core: fps.core,
+            state,
+        });
         self.warm.truncate(self.config.warm_capacity.max(1));
-        solve
+        solved
     }
 
     /// The lazy path: a cold CEGAR re-solve per tick.
-    fn tick_lazy(&mut self, token: &Interrupt) -> Solve {
+    fn tick_lazy(&mut self, token: &Interrupt) -> Solved {
         let run = Run {
             obs: self.obs.clone(),
             interrupt: token.clone(),
@@ -481,24 +474,28 @@ impl ReplanSession {
             SelectionStrategy::AllViolated,
         ) {
             Ok((outcome, report)) => {
-                let (feasible, costs, plan) = match outcome {
-                    DesignOutcome::Solved { plan, costs } => (true, costs, Some(plan)),
-                    DesignOutcome::Infeasible => (false, Vec::new(), None),
+                let answer = match outcome {
+                    DesignOutcome::Solved { plan, costs } => Answer {
+                        feasible: true,
+                        costs,
+                        plan: Some(plan),
+                    },
+                    DesignOutcome::Infeasible => Answer {
+                        feasible: false,
+                        costs: Vec::new(),
+                        plan: None,
+                    },
                 };
-                Solve::Fresh {
+                Solved {
                     warm: false,
-                    feasible,
-                    costs,
-                    plan,
+                    verdict: Verdict::Fresh(answer),
                     conflicts: report.report.search.conflicts,
                     solver_calls: report.report.solver_calls,
                 }
             }
-            Err(TaskError::Cancelled | TaskError::DeadlineExceeded) => Solve::Missed {
-                warm: false,
-                conflicts: 0,
-                solver_calls: 0,
-            },
+            Err(TaskError::Cancelled | TaskError::DeadlineExceeded) => {
+                Solved::new(false, Verdict::Missed)
+            }
             Err(TaskError::Network(e)) => {
                 unreachable!("live scenario validated on apply: {e}")
             }
@@ -506,20 +503,33 @@ impl ReplanSession {
     }
 }
 
-enum Solve {
-    Fresh {
-        warm: bool,
-        feasible: bool,
-        costs: Vec<u64>,
-        plan: Option<SolvedPlan>,
-        conflicts: u64,
-        solver_calls: usize,
-    },
-    Missed {
-        warm: bool,
-        conflicts: u64,
-        solver_calls: usize,
-    },
+/// What one tick's solve produced, before the session books it.
+struct Solved {
+    warm: bool,
+    verdict: Verdict,
+    conflicts: u64,
+    solver_calls: usize,
+}
+
+impl Solved {
+    /// A tick that made no solver call.
+    fn new(warm: bool, verdict: Verdict) -> Self {
+        Solved {
+            warm,
+            verdict,
+            conflicts: 0,
+            solver_calls: 0,
+        }
+    }
+}
+
+enum Verdict {
+    /// Solved by this tick.
+    Fresh(Answer),
+    /// Served from the core's stored answer.
+    Answered(Answer),
+    /// The tick's token fired first.
+    Missed,
 }
 
 /// Trains whose arrival deadline `plan` misses, in schedule order. The

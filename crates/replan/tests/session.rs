@@ -1,8 +1,12 @@
 //! Session-level behaviour: warm reuse, cold fallback, staleness, and
 //! agreement with the one-shot incremental loop.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
+
 use etcs_core::{optimize_incremental, DesignOutcome, EncoderConfig};
 use etcs_network::{fixtures, Seconds};
+use etcs_obs::{Event, EventKind, Obs, Sink};
 use etcs_replan::{ReplanConfig, ReplanSession, ScenarioDelta};
 
 fn cold_costs(scenario: &etcs_network::Scenario) -> Option<Vec<u64>> {
@@ -203,4 +207,84 @@ fn rejected_delta_counts_and_preserves_ticking() {
     let stats = s.stats();
     assert_eq!(stats.rejected_deltas, 1);
     assert_eq!(stats.deltas, 0);
+}
+
+#[test]
+fn a_tick_on_an_answered_core_makes_no_solver_call() {
+    let mut s = ReplanSession::new(fixtures::running_example(), ReplanConfig::default()).unwrap();
+    let first = s.tick();
+    assert!(first.feasible && !first.warm && first.solver_calls > 0);
+    for arrival in [Some(Seconds(240)), None] {
+        s.apply(&ScenarioDelta::Deadline {
+            train: "Train 1".into(),
+            arrival,
+        })
+        .unwrap();
+        let r = s.tick();
+        assert!(r.warm && !r.stale && r.feasible);
+        assert_eq!(r.solver_calls, 0, "the core's answer is stored");
+        assert_eq!(r.conflicts, 0);
+        assert_eq!(r.costs, first.costs, "the answering tick's costs");
+        assert_eq!(r.plan, first.plan, "the answering tick's plan");
+    }
+    assert_eq!(s.stats().warm_hits, 2);
+}
+
+/// Blocks the first `probe` span it sees for `stall`: a tick whose budget
+/// is at most `stall` then misses it at that probe, on any machine.
+struct StallFirstProbe {
+    stall: Duration,
+    stalled: AtomicBool,
+}
+
+impl Sink for StallFirstProbe {
+    fn record(&self, event: &Event) {
+        if event.kind == EventKind::SpanOpen
+            && event.name == "probe"
+            && !self.stalled.swap(true, Ordering::SeqCst)
+        {
+            std::thread::sleep(self.stall);
+        }
+    }
+}
+
+#[test]
+fn an_interrupted_tick_leaves_its_core_open_for_the_next_one() {
+    let budget = Duration::from_secs(1);
+    let obs = Obs::with_sink(StallFirstProbe {
+        stall: budget,
+        stalled: AtomicBool::new(false),
+    });
+    let config = ReplanConfig {
+        tick_budget: Some(budget),
+        ..ReplanConfig::default()
+    };
+    let mut s = ReplanSession::new_obs(fixtures::running_example(), config, &obs).unwrap();
+
+    let missed = s.tick();
+    assert!(
+        missed.stale && !missed.warm,
+        "the first probe outlasts the budget"
+    );
+    assert!(!missed.feasible && missed.plan.is_none(), "no earlier plan");
+
+    let resumed = s.tick();
+    assert!(resumed.warm, "the interrupted encoding stayed cached");
+    assert!(!resumed.stale && resumed.feasible);
+    assert!(resumed.solver_calls > 0, "an open core is solved");
+    assert_eq!(Some(resumed.costs.clone()), cold_costs(s.current()));
+
+    let answered = s.tick();
+    assert!(answered.warm && !answered.stale);
+    assert_eq!(
+        answered.solver_calls, 0,
+        "the resumed tick stored its answer"
+    );
+    assert_eq!(answered.conflicts, 0);
+    assert_eq!(answered.costs, resumed.costs);
+    assert_eq!(answered.plan, resumed.plan);
+
+    let stats = s.stats();
+    assert_eq!((stats.warm_hits, stats.cold_fallbacks), (2, 1));
+    assert_eq!(stats.deadline_misses, 1);
 }

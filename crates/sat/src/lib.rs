@@ -40,6 +40,7 @@
 //!     &objective,
 //!     &[],
 //!     maxsat::Strategy::LinearSatUnsat,
+//!     None,
 //! );
 //! let optimum = outcome.optimal().expect("satisfiable");
 //! assert_eq!(optimum.cost, 1);

@@ -73,6 +73,16 @@ impl OptimizeOutcome {
 /// Minimises `objective` subject to the clauses already in `solver` and the
 /// extra `assumptions` (which are kept active during the whole search).
 ///
+/// `guess` is the caller's estimate of the optimum. With `None` the search
+/// solves once, lowers the objective only when that first model costs
+/// more than 0, and descends from it. With `Some(g)` the objective is
+/// lowered first and the first call asks for a model of cost `≤ g` (no
+/// bound when `g` reaches the counter's capacity), so a guess at or just
+/// above the optimum skips the descent from an expensive first model. If
+/// that call is UNSAT, every cost `≤ g` is excluded and the descent
+/// continues from an unbounded model. The proven optimum does not depend
+/// on the guess; the models and the number of calls do.
+///
 /// The solver is left usable afterwards; the optimum is *not* asserted as a
 /// hard constraint (use the returned cost with
 /// [`Objective::lower`]-derived bounds if you need to pin it, as
@@ -82,75 +92,81 @@ pub fn minimize(
     objective: &Objective,
     assumptions: &[Lit],
     strategy: Strategy,
+    guess: Option<u64>,
 ) -> OptimizeOutcome {
     let mut calls = 0usize;
-    let first = {
-        calls += 1;
-        solver.solve_with(assumptions)
+    let mut counter = match guess {
+        Some(_) if !objective.is_empty() => Some(objective.lower(solver)),
+        _ => None,
     };
-    let mut best = match first {
-        SatResult::Sat(m) => {
-            let cost = objective.eval(&m);
-            OptimumResult {
-                model: m,
-                cost,
-                solver_calls: calls,
+    // The smallest cost not yet excluded.
+    let mut lo = 0u64;
+    let mut first = None;
+    if let (Some(g), Some(c)) = (guess, &counter) {
+        if let Some(bound) = c.at_most(g) {
+            calls += 1;
+            match solve_bounded(solver, assumptions, bound) {
+                SatResult::Sat(m) => first = Some(m),
+                SatResult::Unsat { .. } => lo = g + 1,
+                SatResult::Unknown => return OptimizeOutcome::Unknown { best: None },
             }
         }
-        SatResult::Unsat { .. } => return OptimizeOutcome::Unsat,
-        SatResult::Unknown => return OptimizeOutcome::Unknown { best: None },
+    }
+    let first = match first {
+        Some(m) => m,
+        None => {
+            calls += 1;
+            match solver.solve_with(assumptions) {
+                SatResult::Sat(m) => m,
+                SatResult::Unsat { .. } => return OptimizeOutcome::Unsat,
+                SatResult::Unknown => return OptimizeOutcome::Unknown { best: None },
+            }
+        }
     };
-    if objective.is_empty() || best.cost == 0 {
-        best.solver_calls = calls;
+    let mut best = OptimumResult {
+        cost: objective.eval(&first),
+        model: first,
+        solver_calls: calls,
+    };
+    if objective.is_empty() || best.cost == lo {
         return OptimizeOutcome::Optimal(best);
     }
 
-    let counter = objective.lower(solver);
+    let counter = counter.get_or_insert_with(|| objective.lower(solver));
     match strategy {
-        Strategy::LinearSatUnsat => loop {
-            let target = best.cost - 1;
-            let Some(bound) = counter.at_most(target) else {
-                // target >= capacity would be trivially true; cannot happen
-                // here because target < best.cost <= capacity.
-                unreachable!("bound below a witnessed cost always exists");
-            };
-            let mut assume: Vec<Lit> = assumptions.to_vec();
-            assume.push(bound);
-            calls += 1;
-            match solver.solve_with(&assume) {
-                SatResult::Sat(m) => {
-                    let cost = objective.eval(&m);
-                    debug_assert!(cost <= target, "bounded solve exceeded bound");
-                    best = OptimumResult {
-                        model: m,
-                        cost,
-                        solver_calls: calls,
-                    };
-                    if cost == 0 {
-                        return OptimizeOutcome::Optimal(best);
+        Strategy::LinearSatUnsat => {
+            while best.cost > lo {
+                let target = best.cost - 1;
+                let bound = counter
+                    .at_most(target)
+                    .expect("a bound below a witnessed cost always exists");
+                calls += 1;
+                match solve_bounded(solver, assumptions, bound) {
+                    SatResult::Sat(m) => {
+                        let cost = objective.eval(&m);
+                        debug_assert!(cost <= target, "bounded solve exceeded bound");
+                        best = OptimumResult {
+                            model: m,
+                            cost,
+                            solver_calls: calls,
+                        };
+                    }
+                    SatResult::Unsat { .. } => break,
+                    SatResult::Unknown => {
+                        best.solver_calls = calls;
+                        return OptimizeOutcome::Unknown { best: Some(best) };
                     }
                 }
-                SatResult::Unsat { .. } => {
-                    best.solver_calls = calls;
-                    return OptimizeOutcome::Optimal(best);
-                }
-                SatResult::Unknown => {
-                    best.solver_calls = calls;
-                    return OptimizeOutcome::Unknown { best: Some(best) };
-                }
             }
-        },
+        }
         Strategy::BinarySearch => {
-            let mut lo = 0u64; // smallest cost not yet excluded
             while lo < best.cost {
                 let mid = lo + (best.cost - lo) / 2;
                 let bound = counter
                     .at_most(mid)
                     .expect("mid < best.cost <= capacity, bound exists");
-                let mut assume: Vec<Lit> = assumptions.to_vec();
-                assume.push(bound);
                 calls += 1;
-                match solver.solve_with(&assume) {
+                match solve_bounded(solver, assumptions, bound) {
                     SatResult::Sat(m) => {
                         let cost = objective.eval(&m);
                         debug_assert!(cost <= mid);
@@ -169,10 +185,18 @@ pub fn minimize(
                     }
                 }
             }
-            best.solver_calls = calls;
-            OptimizeOutcome::Optimal(best)
         }
     }
+    best.solver_calls = calls;
+    OptimizeOutcome::Optimal(best)
+}
+
+/// One solve under `assumptions` plus the cost bound literal `bound`.
+fn solve_bounded(solver: &mut Solver, assumptions: &[Lit], bound: Lit) -> SatResult {
+    let mut assume = Vec::with_capacity(assumptions.len() + 1);
+    assume.extend_from_slice(assumptions);
+    assume.push(bound);
+    solver.solve_with(&assume)
 }
 
 /// Result of a lexicographic minimisation: one cost per objective.
@@ -202,7 +226,7 @@ pub fn minimize_lex(
     let mut model: Option<Model> = None;
 
     for obj in objectives {
-        match minimize(solver, obj, &pinned, strategy) {
+        match minimize(solver, obj, &pinned, strategy, None) {
             OptimizeOutcome::Optimal(r) => {
                 calls += r.solver_calls;
                 costs.push(r.cost);
@@ -267,7 +291,7 @@ pub fn minimize_lex_full(
     let mut model: Option<Model> = None;
 
     for obj in objectives {
-        match minimize(solver, obj, &pinned, strategy) {
+        match minimize(solver, obj, &pinned, strategy, None) {
             OptimizeOutcome::Optimal(r) => {
                 calls += r.solver_calls;
                 costs.push(r.cost);
@@ -333,7 +357,7 @@ mod tests {
     #[test]
     fn linear_finds_proven_optimum() {
         let (mut s, obj) = at_least_two_instance();
-        match minimize(&mut s, &obj, &[], Strategy::LinearSatUnsat) {
+        match minimize(&mut s, &obj, &[], Strategy::LinearSatUnsat, None) {
             OptimizeOutcome::Optimal(r) => {
                 assert_eq!(r.cost, 2);
                 assert_eq!(obj.eval(&r.model), 2);
@@ -345,7 +369,7 @@ mod tests {
     #[test]
     fn binary_finds_same_optimum() {
         let (mut s, obj) = at_least_two_instance();
-        match minimize(&mut s, &obj, &[], Strategy::BinarySearch) {
+        match minimize(&mut s, &obj, &[], Strategy::BinarySearch, None) {
             OptimizeOutcome::Optimal(r) => assert_eq!(r.cost, 2),
             other => panic!("expected optimal: {other:?}"),
         }
@@ -358,7 +382,7 @@ mod tests {
         s.assert_true(a);
         s.assert_false(a);
         let obj = Objective::count_of([a]);
-        assert!(minimize(&mut s, &obj, &[], Strategy::LinearSatUnsat).is_unsat());
+        assert!(minimize(&mut s, &obj, &[], Strategy::LinearSatUnsat, None).is_unsat());
     }
 
     #[test]
@@ -368,7 +392,7 @@ mod tests {
         let b = CnfSink::new_var(&mut s).positive();
         s.add_clause([a, b]); // satisfiable with both cost lits false? no: a∨b
         let obj = Objective::count_of([]); // empty objective
-        match minimize(&mut s, &obj, &[], Strategy::LinearSatUnsat) {
+        match minimize(&mut s, &obj, &[], Strategy::LinearSatUnsat, None) {
             OptimizeOutcome::Optimal(r) => assert_eq!(r.cost, 0),
             other => panic!("expected optimal: {other:?}"),
         }
@@ -382,7 +406,7 @@ mod tests {
         let b = CnfSink::new_var(&mut s).positive();
         s.add_clause([a, b]);
         let obj = Objective::new(vec![(a, 1), (b, 10)]);
-        match minimize(&mut s, &obj, &[], Strategy::LinearSatUnsat) {
+        match minimize(&mut s, &obj, &[], Strategy::LinearSatUnsat, None) {
             OptimizeOutcome::Optimal(r) => {
                 assert_eq!(r.cost, 1);
                 assert!(r.model.lit_is_true(a));
@@ -443,9 +467,97 @@ mod tests {
     #[test]
     fn solver_reusable_after_minimize() {
         let (mut s, obj) = at_least_two_instance();
-        let _ = minimize(&mut s, &obj, &[], Strategy::LinearSatUnsat);
+        let _ = minimize(&mut s, &obj, &[], Strategy::LinearSatUnsat, None);
         // The optimum was probed with assumptions only; the base formula is
         // still satisfiable with any count >= 2.
         assert!(s.solve().is_sat());
+    }
+
+    /// Minimises the at-least-two instance (optimum 2, capacity 5) with
+    /// `guess` and checks the optimum and that `solver_calls` counts the
+    /// solver's calls.
+    fn optimum_with_guess(strategy: Strategy, guess: Option<u64>) -> OptimumResult {
+        let (mut s, obj) = at_least_two_instance();
+        let outcome = minimize(&mut s, &obj, &[], strategy, guess);
+        let Some(r) = outcome.optimal().cloned() else {
+            panic!("expected optimal under {strategy:?} with {guess:?}: {outcome:?}");
+        };
+        assert_eq!(r.cost, 2, "{strategy:?} with {guess:?}");
+        assert_eq!(obj.eval(&r.model), 2);
+        assert_eq!(r.solver_calls as u64, s.stats().solve_calls);
+        r
+    }
+
+    #[test]
+    fn a_guess_at_the_optimum_is_confirmed_in_two_calls() {
+        for strategy in [Strategy::LinearSatUnsat, Strategy::BinarySearch] {
+            // Cost <= 2 is SAT, and the one call below it is UNSAT.
+            assert_eq!(optimum_with_guess(strategy, Some(2)).solver_calls, 2);
+        }
+    }
+
+    #[test]
+    fn a_guess_below_the_optimum_is_excluded_then_the_search_resumes() {
+        for strategy in [Strategy::LinearSatUnsat, Strategy::BinarySearch] {
+            for guess in [0, 1] {
+                // The bounded call is UNSAT and the unbounded one SAT; with
+                // every cost <= guess excluded, a first model of cost 2 is
+                // already proven optimal.
+                let r = optimum_with_guess(strategy, Some(guess));
+                assert!(r.solver_calls >= 2, "{strategy:?} {guess}: {r:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_guess_above_the_optimum_descends_from_the_bounded_model() {
+        for strategy in [Strategy::LinearSatUnsat, Strategy::BinarySearch] {
+            for guess in [3, 4] {
+                let r = optimum_with_guess(strategy, Some(guess));
+                assert!(r.solver_calls >= 2, "{strategy:?} {guess}: {r:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_guess_at_or_past_the_capacity_has_no_bound_literal() {
+        for strategy in [Strategy::LinearSatUnsat, Strategy::BinarySearch] {
+            for guess in [5, 6, u64::MAX] {
+                optimum_with_guess(strategy, Some(guess));
+            }
+        }
+    }
+
+    #[test]
+    fn a_guess_over_unsatisfiable_hard_constraints_reports_unsat() {
+        for strategy in [Strategy::LinearSatUnsat, Strategy::BinarySearch] {
+            for guess in [0, 1, 2] {
+                let mut s = Solver::new();
+                let xs: Vec<Lit> = (0..2)
+                    .map(|_| CnfSink::new_var(&mut s).positive())
+                    .collect();
+                s.assert_true(xs[0]);
+                s.assert_false(xs[0]);
+                let obj = Objective::count_of(xs);
+                let outcome = minimize(&mut s, &obj, &[], strategy, Some(guess));
+                assert!(outcome.is_unsat(), "{strategy:?} {guess}: {outcome:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_guess_keeps_the_assumptions_active() {
+        // Assuming x0 true on the at-least-two instance still gives 2, and
+        // every model returned keeps x0.
+        for strategy in [Strategy::LinearSatUnsat, Strategy::BinarySearch] {
+            for guess in [0, 1, 2, 3, 5] {
+                let (mut s, obj) = at_least_two_instance();
+                let x0 = obj.terms()[0].0;
+                let outcome = minimize(&mut s, &obj, &[x0], strategy, Some(guess));
+                let r = outcome.optimal().expect("satisfiable");
+                assert_eq!(r.cost, 2);
+                assert!(r.model.lit_is_true(x0));
+            }
+        }
     }
 }

@@ -312,11 +312,6 @@ impl Solver {
         self.interrupt = interrupt;
     }
 
-    /// The installed cancellation token ([`Interrupt::none`] by default).
-    pub fn interrupt(&self) -> &Interrupt {
-        &self.interrupt
-    }
-
     /// Sets the phase a variable is first tried with (`false` by default,
     /// which suits sparse encodings such as the ETCS occupancy variables).
     pub fn set_default_phase(&mut self, phase: bool) {

@@ -191,7 +191,7 @@ fn maxsat_linear_matches_brute_force() {
         let mut s = Solver::new();
         f.load_into(&mut s);
         let obj = Objective::count_of(obj_vars.iter().map(|&v| Var::from_index(v).positive()));
-        match maxsat::minimize(&mut s, &obj, &[], OptStrategy::LinearSatUnsat) {
+        match maxsat::minimize(&mut s, &obj, &[], OptStrategy::LinearSatUnsat, None) {
             maxsat::OptimizeOutcome::Optimal(r) => {
                 assert_eq!(Some(r.cost as u32), expected);
                 assert!(f.eval(&r.model));
@@ -213,7 +213,7 @@ fn maxsat_binary_matches_linear() {
         let run = |strategy: OptStrategy| {
             let mut s = Solver::new();
             f.load_into(&mut s);
-            match maxsat::minimize(&mut s, &obj, &[], strategy) {
+            match maxsat::minimize(&mut s, &obj, &[], strategy, None) {
                 maxsat::OptimizeOutcome::Optimal(r) => Some(r.cost),
                 maxsat::OptimizeOutcome::Unsat => None,
                 maxsat::OptimizeOutcome::Unknown { .. } => panic!("no budget was set"),
@@ -222,6 +222,43 @@ fn maxsat_binary_matches_linear() {
         assert_eq!(
             run(OptStrategy::LinearSatUnsat),
             run(OptStrategy::BinarySearch)
+        );
+    });
+}
+
+#[test]
+fn maxsat_guess_never_changes_the_optimum() {
+    cases(256, |rng| {
+        let (nv, clauses) = random_cnf(rng, 7, 20);
+        let obj_sel = rng.vec(7, Rng::bool);
+        let f = build_formula(nv, &clauses);
+        let obj_vars: Vec<usize> = (0..nv).filter(|&v| obj_sel[v]).collect();
+        let obj = Objective::count_of(obj_vars.iter().map(|&v| Var::from_index(v).positive()));
+        // Up to two past the capacity, so some guesses have no bound literal.
+        let guess = rng.range(0, obj_vars.len() + 3) as u64;
+        let strategy = if rng.bool() {
+            OptStrategy::LinearSatUnsat
+        } else {
+            OptStrategy::BinarySearch
+        };
+        let run = |guess: Option<u64>| {
+            let mut s = Solver::new();
+            f.load_into(&mut s);
+            match maxsat::minimize(&mut s, &obj, &[], strategy, guess) {
+                maxsat::OptimizeOutcome::Optimal(r) => {
+                    assert!(f.eval(&r.model), "the optimal model satisfies the formula");
+                    assert_eq!(obj.eval(&r.model), r.cost);
+                    assert_eq!(r.solver_calls as u64, s.stats().solve_calls);
+                    Some(r.cost)
+                }
+                maxsat::OptimizeOutcome::Unsat => None,
+                maxsat::OptimizeOutcome::Unknown { .. } => panic!("no budget was set"),
+            }
+        };
+        assert_eq!(
+            run(None),
+            run(Some(guess)),
+            "{strategy:?} with guess {guess}"
         );
     });
 }

@@ -177,7 +177,7 @@ fn weighted_maxsat_prefers_many_cheap_violations() {
     let mut terms = vec![(expensive, 5u64)];
     terms.extend(cheap.iter().map(|&c| (c, 1u64)));
     let obj = Objective::new(terms);
-    let outcome = maxsat::minimize(&mut s, &obj, &[], Strategy::LinearSatUnsat);
+    let outcome = maxsat::minimize(&mut s, &obj, &[], Strategy::LinearSatUnsat, None);
     let opt = outcome.optimal().expect("satisfiable");
     assert_eq!(opt.cost, 5, "both options cost 5; optimum is 5");
 }

@@ -27,7 +27,7 @@
 //! the same code path. A `replan` frame likewise carries one `served`
 //! batch session record (`open`/`delta`/`tick`/`close`, see
 //! [`crate::replan`]) and answers the record's response line verbatim —
-//! the shard keeps the replanning session (and its warm solver state)
+//! the shard keeps the replanning session (and its warm cores)
 //! alive across frames on any connection. A `done` response carries the shard's standard
 //! response line (written verbatim by the frontend, which is what makes
 //! fleet output bit-identical to single-process output), the job's

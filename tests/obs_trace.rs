@@ -313,11 +313,15 @@ fn replan_session_trace_agrees_with_its_stats() {
         "/scenarios/replay/running_example.delta"
     ))
     .expect("exemplar ships with the repo");
-    let mut reported_conflicts = 0;
+    let (mut reported_conflicts, mut reported_calls) = (0, 0);
     for op in &parse_trace(&text).expect("exemplar parses") {
         match op {
             TraceOp::Delta(d) => session.apply(d).expect("exemplar deltas apply"),
-            TraceOp::Tick => reported_conflicts += session.tick().conflicts,
+            TraceOp::Tick => {
+                let r = session.tick();
+                reported_conflicts += r.conflicts;
+                reported_calls += r.solver_calls;
+            }
         }
     }
     // One rejected delta, so that counter is exercised too.
@@ -369,6 +373,56 @@ fn replan_session_trace_agrees_with_its_stats() {
         .sum();
     assert_eq!(span_conflicts, reported_conflicts);
     assert_eq!(obs.metrics().counter("conflicts"), reported_conflicts);
+
+    // Per-tick solver_calls fields sum to the TickReports' sum, and every
+    // call is one `sat.solve` span.
+    let span_calls: u64 = tick_closes
+        .iter()
+        .filter_map(|e| e.field_u64("solver_calls"))
+        .sum();
+    assert_eq!(span_calls, reported_calls as u64);
+    let solves = events
+        .iter()
+        .filter(|e| e.kind == EventKind::SpanClose && e.name == "sat.solve")
+        .count();
+    assert_eq!(solves, reported_calls, "one sat.solve span per solver call");
+
+    // A tick served from its core's stored answer solves nothing: no
+    // `probe` or `stage2` span opens while it is open (spans nest by
+    // interval; `stage2` carries no parent link).
+    let answered: Vec<_> = tick_closes
+        .iter()
+        .filter(|e| e.field("answered") == Some(&Value::Bool(true)))
+        .collect();
+    assert!(
+        !answered.is_empty(),
+        "the exemplar's warm ticks are answered"
+    );
+    for close in &answered {
+        assert_eq!(close.field_u64("solver_calls"), Some(0), "{close:?}");
+        let open = events
+            .iter()
+            .find(|e| e.kind == EventKind::SpanOpen && e.span == close.span)
+            .expect("every closed span was opened");
+        assert!(
+            !events.iter().any(|e| e.kind == EventKind::SpanOpen
+                && (e.name == "probe" || e.name == "stage2")
+                && open.seq < e.seq
+                && e.seq < close.seq),
+            "an answered tick ran a probe or stage 2: {close:?}"
+        );
+    }
+
+    // Stage 2 guesses the last fresh answer's border count, so only the
+    // first tick's stage 2 runs without a guess.
+    let guesses: Vec<_> = events
+        .iter()
+        .filter(|e| e.kind == EventKind::SpanClose && e.name == "stage2")
+        .map(|e| e.field_u64("guess"))
+        .collect();
+    assert!(guesses.len() > 1, "{guesses:?}");
+    assert!(guesses[0].is_none(), "{guesses:?}");
+    assert!(guesses[1..].iter().all(Option::is_some), "{guesses:?}");
 
     // Every probe span is a child of some replan.tick span: the warm
     // solver's search is attributed to the tick that ran it.

@@ -3,7 +3,7 @@
 //! every tick, the **bit-identical verdict and proven optima** of a cold
 //! [`optimize_incremental`] solve of the same patched scenario — on
 //! both the eager warm-core path and the lazy CEGAR path. The witness
-//! plan may differ (stage 2 runs under assumptions on the warm solver);
+//! plan may differ (the session's stage 2 starts from a border guess);
 //! verdict and cost vector may not.
 
 use etcs::corpus::{Family, InstanceSpec, SizeClass};
