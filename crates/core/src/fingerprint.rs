@@ -294,12 +294,11 @@ fn write_task(c: &mut Canon, task: &TaskKind) {
 /// [`cache_key`] answers "is this the same *task*"; `SubFingerprints`
 /// answers the finer question "which *parts* changed". Each field hashes
 /// one independently-editable slice of the input, and [`core`] combines
-/// everything that determines the *open* (deadline-free) encoding — the
-/// formula a persistent incremental solver holds between re-solves. A
-/// delta that only tightens or relaxes deadlines leaves `core` unchanged,
-/// so a warm core's encoding and stored answer (neither depends on the
-/// deadlines) stay valid; any other delta moves `core` and forces a
-/// re-encode.
+/// everything that determines the *open* (deadline-free) encodings — the
+/// formulas the optimisation searches solve. A delta that only tightens
+/// or relaxes deadlines leaves `core` unchanged, so a warm core's search
+/// and stored answer (neither depends on the deadlines) stay valid; any
+/// other delta moves `core` and forces a cold search.
 ///
 /// [`core`]: SubFingerprints::core
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -87,8 +87,8 @@ pub use fingerprint::{cache_key, sub_fingerprints, SubFingerprints, CACHE_KEY_VE
 pub use instance::{ExitPolicy, Instance, TrainSpec};
 pub use objectives::optimize_arrivals;
 pub use tasks::{
-    generate, minimize_borders, optimize, optimize_encoding, optimize_incremental, run, verify,
-    Calls, DesignOutcome, Optimized, Run, Stage2, TaskError, TaskReport, VerifyOutcome,
+    generate, minimize_borders, optimize, optimize_incremental, run, verify, Calls, DesignOutcome,
+    Optimized, Run, ScratchSearch, Stage2, TaskError, TaskReport, VerifyOutcome, Walk,
 };
 pub use trace::EncodingTrace;
 pub use tradeoff::{border_tradeoff, optimize_with_budget, TradeoffPoint};

@@ -289,7 +289,7 @@ pub fn minimize_borders(
 
 /// Outcome of [`walk_up_deadlines`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Stage1 {
+enum Stage1 {
     /// The first satisfiable deadline, which is the optimum: every
     /// deadline below it is refuted.
     Sat(usize),
@@ -301,28 +301,25 @@ pub(crate) enum Stage1 {
 
 /// Stage-1 deadline search on one persistent
 /// [`TaskKind::OptimizeIncremental`] encoding: probes every candidate
-/// deadline `d` from `*floor` up to the horizon as
+/// deadline `d` from the completion lower bound up to the horizon as
 /// `solve_with(deadline_probe_assumptions(d))`, each under a `probe` child
 /// of `parent` (fields `deadline`, `sat`, `conflicts` — the delta on the
 /// persistent solver). Learnt clauses, VSIDS activity and saved phases
 /// carry across probes. Deadline feasibility is monotone, so the first
 /// satisfiable deadline is the optimum.
 ///
-/// A refuted deadline stays refuted on this encoding: its selector is
-/// killed at level 0 and `*floor` moves past it, so a caller that keeps
-/// the encoding after an interrupt (the replanning session) never probes
-/// it again. Stage 1 of [`optimize_encoding`], its only caller. Returns
-/// the verdict and the number of probes made.
-pub(crate) fn walk_up_deadlines(
+/// Stage 1 of [`optimize_encoding`], its only caller. Returns the verdict
+/// and the number of probes made.
+fn walk_up_deadlines(
     enc: &mut Encoding,
     inst: &Instance,
-    floor: &mut usize,
     parent: &Span,
     obs: &Obs,
 ) -> (Stage1, usize) {
     let max_deadline = inst.t_max - 1;
+    let lower = inst.completion_lower_bound().min(max_deadline);
     let mut calls = 0usize;
-    for d in *floor..=max_deadline {
+    for d in lower..=max_deadline {
         calls += 1;
         // Selector plus out-of-cone pruning literals; empty (an unguarded
         // probe of the base formula) only with an empty schedule.
@@ -348,7 +345,6 @@ pub(crate) fn walk_up_deadlines(
                 if let Some(&sel) = enc.step_selectors.get(d).and_then(|s| s.as_ref()) {
                     enc.solver.add_clause([!sel]);
                 }
-                *floor = d + 1;
             }
             SatResult::Unknown => return (Stage1::Interrupted, calls),
         }
@@ -356,7 +352,8 @@ pub(crate) fn walk_up_deadlines(
     (Stage1::Unsat, calls)
 }
 
-/// Outcome of [`optimize_encoding`].
+/// Outcome of one deadline search: a [`ScratchSearch::walk`] (or the
+/// incremental loop behind [`optimize_incremental`]).
 #[derive(Debug)]
 pub enum Optimized {
     /// The optimal deadline and a plan meeting it with the fewest borders.
@@ -370,13 +367,13 @@ pub enum Optimized {
     },
     /// Every deadline up to the horizon is refuted.
     Infeasible,
-    /// The solver's [`Interrupt`] fired. What the encoding learnt stays: a
-    /// refuted deadline stays refuted and a committed one committed, so a
-    /// later call on the same encoding resumes.
+    /// The solver's [`Interrupt`] fired. What the search learnt stays: a
+    /// refuted deadline stays refuted, so a later call on the same search
+    /// resumes.
     Interrupted,
 }
 
-/// Solver calls one [`optimize_encoding`] made.
+/// Solver calls one deadline search made.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Calls {
     /// Stage-1 deadline probes.
@@ -393,29 +390,24 @@ impl Calls {
 }
 
 /// The incremental optimisation sequence on one persistent
-/// [`TaskKind::OptimizeIncremental`] encoding, shared by
-/// [`optimize_incremental`] and the replanning session: the stage-1 walk
-/// up the deadlines from `*floor` (each a `probe` child of `parent`, the
-/// first satisfiable one optimal, every refuted one killed at level 0 and
-/// moving `*floor` past it), then the winning deadline's probe
+/// [`TaskKind::OptimizeIncremental`] encoding, the body of
+/// [`optimize_incremental`]: the stage-1 walk up the deadlines (each a
+/// `probe` child of `parent`, the first satisfiable one optimal, every
+/// refuted one killed at level 0), then the winning deadline's probe
 /// assumptions committed as unit clauses, then [`minimize_borders`] on
-/// empty assumptions with `guess`.
+/// empty assumptions.
 ///
 /// The commit pins the encoding to that deadline for good: asserting the
 /// selector and its cone-pruning literals at level 0 beats re-propagating
 /// thousands of assumption literals on every descent call, and the
-/// encoding is never probed at another deadline afterwards. A caller that
-/// keeps the encoding past an [`Optimized::Interrupted`] call resumes at
-/// the committed deadline.
-pub fn optimize_encoding(
+/// encoding is never probed at another deadline afterwards.
+fn optimize_encoding(
     enc: &mut Encoding,
     inst: &Instance,
-    floor: &mut usize,
-    guess: Option<u64>,
     parent: &Span,
     obs: &Obs,
 ) -> (Optimized, Calls) {
-    let (stage1, probes) = walk_up_deadlines(enc, inst, floor, parent, obs);
+    let (stage1, probes) = walk_up_deadlines(enc, inst, parent, obs);
     let mut calls = Calls { probes, stage2: 0 };
     let deadline = match stage1 {
         Stage1::Sat(d) => d,
@@ -425,7 +417,7 @@ pub fn optimize_encoding(
     for &lit in &enc.deadline_probe_assumptions(inst, deadline) {
         enc.solver.add_clause([lit]);
     }
-    let (result, stage2) = minimize_borders(enc, inst, &[], guess, obs);
+    let (result, stage2) = minimize_borders(enc, inst, &[], None, obs);
     calls.stage2 = stage2;
     let outcome = match result {
         Stage2::Solved(plan, borders) => Optimized::Solved {
@@ -437,6 +429,157 @@ pub fn optimize_encoding(
         Stage2::Interrupted => Optimized::Interrupted,
     };
     (outcome, calls)
+}
+
+/// The from-scratch optimisation as a resumable search, shared by
+/// [`optimize`] and the replanning session. Its state is the open
+/// [`Instance`] (arrival deadlines dropped), the lowest deadline not yet
+/// refuted, and the encoding an interrupt left behind, if any.
+///
+/// [`ScratchSearch::walk`] walks the deadlines up from that floor. Each
+/// probe encodes the instance under the uniform deadline as a
+/// [`TaskKind::Generate`] formula: the deadline tightens every train's
+/// time–space cone, so each probe is a small instance, and walking up
+/// from the lower bound keeps every probe tight (a loose deadline is what
+/// makes the instance hard). Deadline feasibility is monotone, so the
+/// first satisfiable probe is the optimum, and [`minimize_borders`] runs
+/// on its encoding. A probe or stage 2 that an interrupt stops keeps the
+/// floor and that one encoding, so the next walk resumes on its learnt
+/// state; at most one encoding is ever held between walks.
+#[derive(Debug)]
+pub struct ScratchSearch {
+    inst: Instance,
+    /// Lowest deadline not yet refuted: every `d < floor` is UNSAT.
+    floor: usize,
+    /// The encoding at `floor` whose probe or stage 2 was interrupted.
+    kept: Option<Encoding>,
+}
+
+/// What one [`ScratchSearch::walk`] found and spent.
+#[derive(Debug)]
+pub struct Walk {
+    /// The verdict, or [`Optimized::Interrupted`] if the token fired.
+    pub outcome: Optimized,
+    /// Solver calls this walk made.
+    pub calls: Calls,
+    /// Search statistics this walk added, over every encoding it solved.
+    pub search: Stats,
+    /// Size of the last encoding probed: the optimal deadline's when
+    /// solved.
+    pub stats: EncodingStats,
+}
+
+impl ScratchSearch {
+    /// Opens the search on `scenario` without its arrival deadlines, at
+    /// the completion lower bound.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetworkError`] if the scenario is malformed.
+    pub fn new(scenario: &Scenario) -> Result<Self, NetworkError> {
+        let inst = Instance::new(&scenario.without_arrivals())?;
+        let floor = inst.completion_lower_bound().min(inst.t_max - 1);
+        Ok(ScratchSearch {
+            inst,
+            floor,
+            kept: None,
+        })
+    }
+
+    /// The instance the search runs on: the scenario without its arrival
+    /// deadlines, under the last probed uniform deadline.
+    pub fn instance(&self) -> &Instance {
+        &self.inst
+    }
+
+    /// Walks the deadlines up from the floor under `run`'s handle and
+    /// token: one `probe` child of `parent` per deadline (fields
+    /// `deadline`, `sat`, `conflicts`), with an `encode` child when it
+    /// builds the encoding, then the `stage2` span of [`minimize_borders`]
+    /// with `guess` on the first satisfiable one.
+    pub fn walk(
+        &mut self,
+        config: &EncoderConfig,
+        guess: Option<u64>,
+        run: &Run,
+        parent: &Span,
+    ) -> Walk {
+        let obs = &run.obs;
+        let mut calls = Calls::default();
+        let mut search = Stats::default();
+        let mut stats = EncodingStats::default();
+        let outcome = loop {
+            let d = self.floor;
+            if d >= self.inst.t_max {
+                break Optimized::Infeasible;
+            }
+            calls.probes += 1;
+            self.inst.set_uniform_deadline(d);
+            let probe = parent.child_with("probe", &[("deadline", d.into())]);
+            // The walk that left an encoding behind reported its search.
+            let (mut enc, before) = match self.kept.take() {
+                Some(mut enc) => {
+                    enc.solver.set_obs(obs.clone());
+                    enc.solver.set_interrupt(run.interrupt.clone());
+                    let before = *enc.solver.stats();
+                    (enc, before)
+                }
+                None => {
+                    let enc = run.encode(
+                        &self.inst,
+                        config,
+                        &TaskKind::Generate,
+                        ConstraintFamilies::ALL,
+                        &probe,
+                    );
+                    (enc, Stats::default())
+                }
+            };
+            stats = enc.stats;
+            let verdict = enc.solver.solve();
+            let conflicts = enc.solver.stats().conflicts - before.conflicts;
+            obs.counter_add("probes", 1);
+            obs.counter_add("conflicts", conflicts);
+            probe.close_with(&[
+                ("deadline", d.into()),
+                ("sat", matches!(verdict, SatResult::Sat(_)).into()),
+                ("conflicts", conflicts.into()),
+            ]);
+            let outcome = match verdict {
+                SatResult::Unsat { .. } => None,
+                SatResult::Unknown => Some(Optimized::Interrupted),
+                SatResult::Sat(_) => {
+                    let (result, stage2) = minimize_borders(&mut enc, &self.inst, &[], guess, obs);
+                    calls.stage2 = stage2;
+                    Some(match result {
+                        Stage2::Solved(plan, borders) => Optimized::Solved {
+                            deadline: d,
+                            plan,
+                            borders,
+                        },
+                        Stage2::Unsat => unreachable!("the probed deadline was satisfiable"),
+                        Stage2::Interrupted => Optimized::Interrupted,
+                    })
+                }
+            };
+            search += &(*enc.solver.stats() - before);
+            match outcome {
+                None => self.floor = d + 1,
+                Some(outcome) => {
+                    if matches!(outcome, Optimized::Interrupted) {
+                        self.kept = Some(enc);
+                    }
+                    break outcome;
+                }
+            }
+        };
+        Walk {
+            outcome,
+            calls,
+            search,
+            stats,
+        }
+    }
 }
 
 /// The task driver: runs `task` on `scenario` under `run`'s observability
@@ -554,9 +697,10 @@ pub fn generate(
 /// The returned primary cost is the optimal completion time in steps
 /// (including the constant offset for the steps before the last departure).
 ///
-/// This is the *from-scratch* loop: every deadline probe builds a fresh
-/// cone-pruned encoding and discards the solver afterwards. See
-/// [`optimize_incremental`] for the same search on one persistent solver.
+/// This is the *from-scratch* loop, one [`ScratchSearch`] walked once:
+/// every deadline probe builds a fresh cone-pruned encoding and discards
+/// the solver afterwards. See [`optimize_incremental`] for the same search
+/// on one persistent solver.
 ///
 /// # Errors
 ///
@@ -569,11 +713,11 @@ pub fn optimize(
 }
 
 /// [`optimize`] on **one persistent incremental solver**: the full horizon
-/// is encoded once ([`TaskKind::OptimizeIncremental`]) and
-/// [`optimize_encoding`] runs on it: every candidate deadline is probed —
-/// learnt clauses, VSIDS activity and saved phases carry across probes —
-/// and the Stage-2 border MaxSAT runs on the same warm solver with the
-/// optimal deadline committed, eliminating every re-encode.
+/// is encoded once ([`TaskKind::OptimizeIncremental`], with step
+/// selectors) and every candidate deadline is probed on it — learnt
+/// clauses, VSIDS activity and saved phases carry across probes — then the
+/// Stage-2 border MaxSAT runs on the same warm solver with the optimal
+/// deadline committed, eliminating every re-encode.
 ///
 /// Returns the same optima as [`optimize`] (identical deadline and border
 /// count; the witness plans may differ).
@@ -690,124 +834,33 @@ fn run_generate(
 }
 
 /// [`run`] for [`TaskKind::Optimize`], the from-scratch loop: one
-/// `task.optimize` span wrapping a `probe` child per Stage-1 deadline
-/// candidate (each with its own `encode` child and `sat.solve`) and the
-/// `stage2` span. The span-close fields mirror the returned
-/// [`TaskReport`] — that agreement is asserted by `tests/obs_trace.rs`.
+/// `task.optimize` span wrapping one [`ScratchSearch::walk`], a `probe`
+/// child per Stage-1 deadline candidate (each with its own `encode` child
+/// and `sat.solve`) and the `stage2` span. The span-close fields mirror
+/// the returned [`TaskReport`] — that agreement is asserted by
+/// `tests/obs_trace.rs`.
+///
+/// The shrinking-horizon walk dominates the monolithic `Σ_t ¬done^t`
+/// cardinality objective by orders of magnitude (the `ablation` bench
+/// quantifies this).
 fn run_optimize(
     scenario: &Scenario,
     config: &EncoderConfig,
     run: &Run,
 ) -> Result<(DesignOutcome, TaskReport), TaskError> {
     let start = Instant::now();
-    let obs = &run.obs;
-    let span = obs.span_with(
+    let span = run.obs.span_with(
         "task.optimize",
         &[("scenario", scenario.name.as_str().into())],
     );
-    let open = scenario.without_arrivals();
-    let mut inst = Instance::new(&open)?;
-    let mut calls = 0usize;
-    let mut search = Stats::default();
-
-    // Stage 1 — shrinking-horizon search for the smallest common arrival
-    // deadline D. A deadline tightens every train's time–space cone, so
-    // each probe is a small instance; this dominates the monolithic
-    // `Σ_t ¬done^t` cardinality objective by orders of magnitude (the
-    // `ablation` bench quantifies this).
-    //
-    // Walk up from the lower bound: every probe keeps the cones tight (a
-    // loose deadline is what makes the instance hard), and the first SAT
-    // answer is the optimum.
-    let max_deadline = inst.t_max - 1;
-    let lower = inst.completion_lower_bound().min(max_deadline);
-    let mut found: Option<(usize, Encoding)> = None;
-    let mut last_stats = EncodingStats::default();
-    for d in lower..=max_deadline {
-        calls += 1;
-        inst.set_uniform_deadline(d);
-        let probe = span.child_with("probe", &[("deadline", d.into())]);
-        let mut enc = run.encode(
-            &inst,
-            config,
-            &TaskKind::Generate,
-            ConstraintFamilies::ALL,
-            &probe,
-        );
-        last_stats = enc.stats;
-        let verdict = enc.solver.solve();
-        let sat = matches!(verdict, SatResult::Sat(_));
-        let conflicts = enc.solver.stats().conflicts;
-        obs.counter_add("probes", 1);
-        obs.counter_add("conflicts", conflicts);
-        probe.close_with(&[
-            ("deadline", d.into()),
-            ("sat", sat.into()),
-            ("conflicts", conflicts.into()),
-        ]);
-        if matches!(verdict, SatResult::Unknown) {
-            span.close_with(&[("interrupted", true.into())]);
-            return Err(TaskError::interrupted(&run.interrupt));
-        }
-        if sat {
-            found = Some((d, enc));
-            break;
-        }
-        search += enc.solver.stats();
-    }
-    let Some((best_deadline, mut enc)) = found else {
-        span.close_with(&[("feasible", false.into()), ("probes", calls.into())]);
-        return Ok((
-            DesignOutcome::Infeasible,
-            TaskReport {
-                stats: last_stats,
-                runtime: start.elapsed(),
-                solver_calls: calls,
-                search,
-            },
-        ));
+    let walk = ScratchSearch::new(scenario)?.walk(config, None, run, &span);
+    let report = TaskReport {
+        stats: walk.stats,
+        runtime: start.elapsed(),
+        solver_calls: walk.calls.total(),
+        search: walk.search,
     };
-
-    // Stage 2 — minimise borders at the optimal completion, reusing the
-    // successful probe's encoding (its solver already holds a model and
-    // learnt clauses for exactly this deadline — no third re-encode).
-    let stats = enc.stats;
-    let (result, stage2_calls) = minimize_borders(&mut enc, &inst, &[], None, obs);
-    calls += stage2_calls;
-    search += enc.solver.stats();
-    drop(enc); // inside the task span, so teardown is attributed to it
-    let (plan, border_cost) = match result {
-        Stage2::Solved(plan, cost) => (plan, cost),
-        Stage2::Unsat => unreachable!("the probed deadline was satisfiable"),
-        Stage2::Interrupted => {
-            span.close_with(&[("interrupted", true.into())]);
-            return Err(TaskError::interrupted(&run.interrupt));
-        }
-    };
-
-    span.close_with(&[
-        ("feasible", true.into()),
-        ("deadline", best_deadline.into()),
-        ("borders", border_cost.into()),
-        ("probes", (calls - stage2_calls).into()),
-        ("solver_calls", calls.into()),
-        ("conflicts", search.conflicts.into()),
-    ]);
-
-    // Completion in steps: the last arrival step plus one.
-    let outcome = DesignOutcome::Solved {
-        plan,
-        costs: vec![best_deadline as u64 + 1, border_cost],
-    };
-    Ok((
-        outcome,
-        TaskReport {
-            stats,
-            runtime: start.elapsed(),
-            solver_calls: calls,
-            search,
-        },
-    ))
+    conclude(span, walk.outcome, walk.calls, report, run)
 }
 
 /// [`run`] for [`TaskKind::OptimizeIncremental`]: one
@@ -830,8 +883,7 @@ fn run_incremental(
     let mut enc = run.encode(&inst, config, task, ConstraintFamilies::ALL, &span);
     let stats = enc.stats;
 
-    let mut floor = inst.completion_lower_bound().min(inst.t_max - 1);
-    let (outcome, calls) = optimize_encoding(&mut enc, &inst, &mut floor, None, &span, &run.obs);
+    let (outcome, calls) = optimize_encoding(&mut enc, &inst, &span, &run.obs);
     let search = *enc.solver.stats();
     drop(enc); // inside the task span, so teardown is attributed to it
     let report = TaskReport {
@@ -840,6 +892,18 @@ fn run_incremental(
         solver_calls: calls.total(),
         search,
     };
+    conclude(span, outcome, calls, report, run)
+}
+
+/// Closes an optimisation task's `span` with fields mirroring `report`
+/// and maps the search's outcome to [`run`]'s result.
+fn conclude(
+    span: Span,
+    outcome: Optimized,
+    calls: Calls,
+    report: TaskReport,
+    run: &Run,
+) -> Result<(DesignOutcome, TaskReport), TaskError> {
     match outcome {
         Optimized::Solved {
             deadline,
@@ -852,8 +916,9 @@ fn run_incremental(
                 ("borders", borders.into()),
                 ("probes", calls.probes.into()),
                 ("solver_calls", calls.total().into()),
-                ("conflicts", search.conflicts.into()),
+                ("conflicts", report.search.conflicts.into()),
             ]);
+            // Completion in steps: the last arrival step plus one.
             let outcome = DesignOutcome::Solved {
                 plan,
                 costs: vec![deadline as u64 + 1, borders],

@@ -13,10 +13,12 @@
 //! * [`ReplanSession`] — the streaming session: per [`tick`] it
 //!   re-optimises the current scenario, answering from a warm core keyed
 //!   by [`etcs_core::sub_fingerprints`] when a tick on the same core has
-//!   already finished, falls back to a cold encode when a delta
-//!   invalidates the core, and honours a per-tick wall-clock budget by
-//!   degrading to the last valid plan (flagged stale) via
-//!   [`etcs_sat::Interrupt`] cancellation.
+//!   already finished, falls back to a cold [`etcs_core::ScratchSearch`]
+//!   (the deadline walk of [`etcs_core::optimize`], one tight-cone
+//!   encoding per probed deadline) when a delta invalidates the core, and
+//!   honours a per-tick wall-clock budget by degrading to the last valid
+//!   plan (flagged stale) via [`etcs_sat::Interrupt`] cancellation; an
+//!   interrupted search stays open for the next tick.
 //!
 //! Verdicts and optima per tick are bit-identical to a cold
 //! [`etcs_core::optimize_incremental`] of the same patched scenario —

@@ -3,29 +3,32 @@
 //! A [`ReplanSession`] holds a [`LiveScenario`] and a small LRU of *warm
 //! cores*, keyed by the [`etcs_core::sub_fingerprints`] `core` component
 //! of the scenario they stand for. Two scenarios with equal `core` have
-//! literally the same CNF, so they have the same verdict and optima. Every
-//! tick re-optimises the current scenario:
+//! literally the same formulas, so they have the same verdict and optima.
+//! Every tick re-optimises the current scenario:
 //!
 //! * **Answered warm hit** — a tick on this core has already finished.
-//!   The core keeps that tick's verdict, costs and plan and has dropped
-//!   its encoding, so the tick returns the stored answer with 0 solver
-//!   calls. Deadline-only deltas land here by construction (the open
-//!   encoding never sees deadlines), as does any delta sequence that
+//!   The core keeps that tick's verdict, costs, plan and the plan's
+//!   arrival steps and has dropped its search, so the tick returns the
+//!   stored answer with 0 solver calls and no instance build. Deadline-only
+//!   deltas land here by construction (the search runs on the scenario
+//!   without its deadlines), as does any delta sequence that
 //!   returns to a previously-seen core (a closed segment reopening, a
 //!   delay being reverted).
 //! * **Open warm hit** — the last tick on this core was interrupted. Its
-//!   encoding stayed in the cache with every learnt clause, refuted
-//!   deadline, VSIDS activity and saved phase, and this tick resumes on it.
+//!   search stayed in the cache: the deadlines it refuted, and the one
+//!   encoding whose probe or stage 2 the interrupt stopped, with every
+//!   learnt clause, VSIDS activity and saved phase. This tick resumes it.
 //! * **Cold fallback** — the core moved (departure, topology, train set,
-//!   horizon or config changed): the encoding is rebuilt from scratch and
-//!   solved.
+//!   horizon or config changed): the search starts from scratch.
 //!
-//! An open core runs [`etcs_core::optimize_encoding`], the same sequence
-//! as [`etcs_core::optimize_incremental`]: walk up the deadlines, commit
-//! the winning deadline's probe assumptions as unit clauses, then stage 2
-//! on empty assumptions. Stage 2 starts from a cost guess: the border
-//! optimum of the session's last fresh answer, since one delta rarely
-//! moves it far.
+//! An open core is an [`etcs_core::ScratchSearch`], the search behind
+//! [`etcs_core::optimize`]: walk up the deadlines from the completion
+//! lower bound, encoding one tight time–space cone per probed deadline,
+//! then run stage 2 on the first satisfiable probe's encoding. Stage 2
+//! starts from a cost guess: the border optimum of the session's last
+//! fresh answer, since one delta rarely moves it far. A refuted probe's
+//! encoding is dropped at once, so an open core holds at most one
+//! encoding, a tight cone, between ticks.
 //!
 //! # Deadlines and staleness
 //!
@@ -41,8 +44,8 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 use etcs_core::{
-    optimize_encoding, sub_fingerprints, ConstraintFamilies, DesignOutcome, EncoderConfig,
-    Encoding, Instance, Optimized, Run, SolvedPlan, TaskError, TaskKind,
+    sub_fingerprints, DesignOutcome, EncoderConfig, Instance, Optimized, Run, ScratchSearch,
+    SolvedPlan, TaskError, TaskKind,
 };
 use etcs_lazy::SelectionStrategy;
 use etcs_network::Scenario;
@@ -57,9 +60,9 @@ pub struct ReplanConfig {
     /// Encoder configuration every solve runs under.
     pub encoder: EncoderConfig,
     /// Solve each tick with the lazy CEGAR loop instead of the warm
-    /// incremental solver. The CEGAR loop re-encodes per tick, so every
-    /// lazy tick counts as a cold fallback; verdicts and optima are
-    /// bit-identical to the eager path.
+    /// cores. The CEGAR loop re-encodes per tick, so every lazy tick
+    /// counts as a cold fallback; verdicts and optima are bit-identical to
+    /// the eager path.
     pub lazy: bool,
     /// Wall-clock budget per tick; `None` means unbounded. A tick that
     /// exceeds it returns the last valid plan flagged stale.
@@ -88,7 +91,7 @@ pub struct ReplanStats {
     pub ticks: u64,
     /// Ticks that found their core cached, answered or open.
     pub warm_hits: u64,
-    /// Ticks that (re)built an encoding from scratch (including every
+    /// Ticks that started their search from scratch (including every
     /// lazy-mode tick).
     pub cold_fallbacks: u64,
     /// Ticks that missed their budget and degraded to a stale plan.
@@ -153,45 +156,11 @@ struct WarmCore {
 }
 
 enum CoreState {
-    /// No tick on this core has finished: the encoding waits, with what
-    /// interrupted ticks learnt, for the next one.
-    Open(Box<OpenCore>),
-    /// A tick finished and proved this answer; the encoding is gone.
+    /// No tick on this core has finished: the search waits, with what
+    /// interrupted ticks refuted and at most one encoding, for the next.
+    Open(Box<ScratchSearch>),
+    /// A tick finished and proved this answer; the search is gone.
     Answered(Answer),
-}
-
-/// A persistent incremental encoding of one scenario core.
-struct OpenCore {
-    enc: Encoding,
-    inst: Instance,
-    /// Lowest deadline not yet refuted: every `d < floor` has been
-    /// proven UNSAT (and its selector killed at level 0), so a resumed
-    /// probe walk starts here.
-    floor: usize,
-}
-
-impl OpenCore {
-    /// Encodes the scenario cold, under an `encode` child of the tick's
-    /// span (fields `vars`, `clauses`, as on the task paths).
-    fn build(scenario: &Scenario, config: &EncoderConfig, obs: &Obs, tick: &Span) -> Self {
-        let open = scenario.without_arrivals();
-        let inst = Instance::new(&open).expect("live scenario discretises (checked on apply)");
-        // No interrupt yet: each tick installs its own token.
-        let traced = Run {
-            obs: obs.clone(),
-            ..Run::default()
-        };
-        let enc = traced.encode(
-            &inst,
-            config,
-            &TaskKind::OptimizeIncremental,
-            ConstraintFamilies::ALL,
-            tick,
-        );
-        let max_deadline = inst.t_max - 1;
-        let floor = inst.completion_lower_bound().min(max_deadline);
-        OpenCore { enc, inst, floor }
-    }
 }
 
 /// A streaming replanning session over one base scenario.
@@ -211,6 +180,32 @@ struct Answer {
     feasible: bool,
     costs: Vec<u64>,
     plan: Option<SolvedPlan>,
+    /// Each train's arrival step in `plan`, in schedule order (empty
+    /// without a plan): what [`late_trains`] compares with the deadlines.
+    arrivals: Vec<Option<usize>>,
+}
+
+impl Answer {
+    /// The answer of a feasible solve, with the plan's arrival steps on
+    /// the open instance `inst`.
+    fn solved(costs: Vec<u64>, plan: SolvedPlan, inst: &Instance) -> Self {
+        Answer {
+            feasible: true,
+            costs,
+            arrivals: plan.arrival_steps(inst),
+            plan: Some(plan),
+        }
+    }
+
+    /// The answer of an infeasible solve.
+    fn infeasible() -> Self {
+        Answer {
+            feasible: false,
+            costs: Vec::new(),
+            plan: None,
+            arrivals: Vec::new(),
+        }
+    }
 }
 
 impl std::fmt::Debug for ReplanSession {
@@ -235,7 +230,8 @@ impl ReplanSession {
 
     /// Opens a session at `base` with observability: a `replan.open`
     /// span, a `replan.delta` span per delta, a `replan.tick` span per
-    /// tick (with `probe`/`stage2` children when it solves; it closes
+    /// tick (with `probe` children, each with an `encode` child when it
+    /// builds its encoding, and a `stage2` span when it solves; it closes
     /// with `solver_calls` and `answered`), and `replan.*` counters
     /// mirroring [`ReplanStats`].
     ///
@@ -353,10 +349,7 @@ impl ReplanSession {
         ];
         let (answer, late_trains) = match fresh {
             Some(answer) => {
-                let late_trains = match &answer.plan {
-                    Some(p) => late_trains(self.live.current(), p),
-                    None => Vec::new(),
-                };
+                let late_trains = late_trains(self.live.current(), &answer.arrivals);
                 fields.push(("feasible", answer.feasible.into()));
                 self.last_good = Some(answer.clone());
                 (Some(answer), late_trains)
@@ -385,8 +378,8 @@ impl ReplanSession {
         }
     }
 
-    /// The eager path: the stored answer of an answered core, or
-    /// [`optimize_encoding`] on an open (or freshly built) one.
+    /// The eager path: the stored answer of an answered core, or a
+    /// [`ScratchSearch::walk`] on an open (or freshly opened) one.
     fn tick_eager(&mut self, token: &Interrupt, span: &Span) -> Solved {
         let fps = sub_fingerprints(self.live.current(), &self.config.encoder);
         let cached = self
@@ -397,12 +390,10 @@ impl ReplanSession {
         let warm = cached.is_some();
         let state = match cached {
             Some(w) => w.state,
-            None => CoreState::Open(Box::new(OpenCore::build(
-                self.live.current(),
-                &self.config.encoder,
-                &self.obs,
-                span,
-            ))),
+            None => CoreState::Open(Box::new(
+                ScratchSearch::new(self.live.current())
+                    .expect("live scenario discretises (checked on apply)"),
+            )),
         };
         let (state, solved) = match state {
             // The answer is final, but a fired token still misses the tick.
@@ -414,41 +405,37 @@ impl ReplanSession {
                 };
                 (CoreState::Answered(answer), Solved::new(warm, verdict))
             }
-            CoreState::Open(mut open) => {
+            CoreState::Open(mut search) => {
                 let guess = self
                     .last_good
                     .as_ref()
                     .and_then(|a| a.costs.get(1).copied());
-                let OpenCore { enc, inst, floor } = &mut *open;
-                enc.solver.set_interrupt(token.clone());
-                let before = *enc.solver.stats();
-                let (outcome, calls) = optimize_encoding(enc, inst, floor, guess, span, &self.obs);
-                let answer = match outcome {
+                let run = Run {
+                    obs: self.obs.clone(),
+                    interrupt: token.clone(),
+                };
+                let walk = search.walk(&self.config.encoder, guess, &run, span);
+                let answer = match walk.outcome {
                     Optimized::Solved {
                         deadline,
                         plan,
                         borders,
-                    } => Some(Answer {
-                        feasible: true,
-                        costs: vec![deadline as u64 + 1, borders],
-                        plan: Some(plan),
-                    }),
-                    Optimized::Infeasible => Some(Answer {
-                        feasible: false,
-                        costs: Vec::new(),
-                        plan: None,
-                    }),
+                    } => {
+                        let costs = vec![deadline as u64 + 1, borders];
+                        Some(Answer::solved(costs, plan, search.instance()))
+                    }
+                    Optimized::Infeasible => Some(Answer::infeasible()),
                     Optimized::Interrupted => None,
                 };
                 let solved = Solved {
                     warm,
                     verdict: answer.clone().map_or(Verdict::Missed, Verdict::Fresh),
-                    conflicts: enc.solver.stats().conflicts - before.conflicts,
-                    solver_calls: calls.total(),
+                    conflicts: walk.search.conflicts,
+                    solver_calls: walk.calls.total(),
                 };
-                // A finished core keeps its answer and drops the encoding;
+                // A finished core keeps its answer and drops the search;
                 // an interrupted one stays open for the next tick.
-                let state = answer.map_or(CoreState::Open(open), CoreState::Answered);
+                let state = answer.map_or(CoreState::Open(search), CoreState::Answered);
                 (state, solved)
             }
         };
@@ -466,8 +453,9 @@ impl ReplanSession {
             obs: self.obs.clone(),
             interrupt: token.clone(),
         };
+        let scenario = self.live.current();
         match etcs_lazy::run(
-            self.live.current(),
+            scenario,
             &TaskKind::OptimizeIncremental,
             &self.config.encoder,
             &run,
@@ -475,16 +463,12 @@ impl ReplanSession {
         ) {
             Ok((outcome, report)) => {
                 let answer = match outcome {
-                    DesignOutcome::Solved { plan, costs } => Answer {
-                        feasible: true,
-                        costs,
-                        plan: Some(plan),
-                    },
-                    DesignOutcome::Infeasible => Answer {
-                        feasible: false,
-                        costs: Vec::new(),
-                        plan: None,
-                    },
+                    DesignOutcome::Solved { plan, costs } => {
+                        let inst = Instance::new(&scenario.without_arrivals())
+                            .expect("live scenario discretises (checked on apply)");
+                        Answer::solved(costs, plan, &inst)
+                    }
+                    DesignOutcome::Infeasible => Answer::infeasible(),
                 };
                 Solved {
                     warm: false,
@@ -532,20 +516,16 @@ enum Verdict {
     Missed,
 }
 
-/// Trains whose arrival deadline `plan` misses, in schedule order. The
-/// plan optimises the *open* scenario; this is the report that tells the
-/// operator which deadline commitments the optimum breaks.
-fn late_trains(scenario: &Scenario, plan: &SolvedPlan) -> Vec<String> {
-    let open = scenario.without_arrivals();
-    let Ok(inst) = Instance::new(&open) else {
-        return Vec::new();
-    };
-    let arrivals = plan.arrival_steps(&inst);
+/// Trains whose arrival deadline the plan with arrival steps `arrivals`
+/// misses, in schedule order. The plan optimises the *open* scenario; this
+/// is the report that tells the operator which deadline commitments the
+/// optimum breaks.
+fn late_trains(scenario: &Scenario, arrivals: &[Option<usize>]) -> Vec<String> {
     scenario
         .schedule
         .runs()
         .iter()
-        .zip(&arrivals)
+        .zip(arrivals)
         .filter_map(|(run, arrival)| {
             let deadline = run.arrival?;
             let deadline_step = scenario.step_of(deadline);

@@ -4,8 +4,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use etcs_core::{optimize_incremental, DesignOutcome, EncoderConfig};
-use etcs_network::{fixtures, Seconds};
+use etcs_core::{optimize_incremental, DesignOutcome, EncoderConfig, Instance, SolvedPlan};
+use etcs_network::{fixtures, Scenario, Seconds};
 use etcs_obs::{Event, EventKind, Obs, Sink};
 use etcs_replan::{ReplanConfig, ReplanSession, ScenarioDelta};
 
@@ -66,35 +66,64 @@ fn delay_falls_back_cold_and_matches_the_one_shot_loop() {
     assert_eq!(s.stats().cold_fallbacks, 2);
 }
 
+/// The trains whose arrival step in `plan`, computed on a fresh open
+/// instance of `scenario`, is past their deadline step, in schedule order.
+fn late_on_a_fresh_instance(scenario: &Scenario, plan: &SolvedPlan) -> Vec<String> {
+    let inst = Instance::new(&scenario.without_arrivals()).expect("valid");
+    scenario
+        .schedule
+        .runs()
+        .iter()
+        .zip(plan.arrival_steps(&inst))
+        .filter(|(run, arrival)| {
+            run.arrival
+                .is_some_and(|d| arrival.is_none_or(|a| a > scenario.step_of(d)))
+        })
+        .map(|(run, _)| run.train.name.clone())
+        .collect()
+}
+
 #[test]
 fn tightened_deadline_surfaces_late_trains() {
     let mut s = ReplanSession::new(fixtures::running_example(), ReplanConfig::default()).unwrap();
     let relaxed = s.tick();
     assert!(relaxed.feasible);
-    let completion = relaxed.costs[0];
-    // An arrival deadline one step before the proven optimum cannot be
-    // met: the plan stands, the report flags the train.
-    let impossible = (completion - 2) * s.current().r_t.as_u64();
+    let plan = relaxed
+        .plan
+        .clone()
+        .expect("a feasible tick carries its plan");
+    let train = "Train 1";
+    let index = s
+        .current()
+        .schedule
+        .runs()
+        .iter()
+        .position(|run| run.train.name == train)
+        .expect("the fixture schedules Train 1");
+    let inst = Instance::new(&s.current().without_arrivals()).unwrap();
+    let arrival = plan.arrival_steps(&inst)[index].expect("the plan delivers Train 1");
+    // A deadline one step before the planned arrival: the deadline does
+    // not move the core, so the plan stands and the report flags the train.
     s.apply(&ScenarioDelta::Deadline {
-        train: "Train 1".into(),
-        arrival: Some(Seconds(impossible.max(1))),
+        train: train.into(),
+        arrival: Some(s.current().time_of(arrival - 1)),
     })
     .unwrap();
     let r = s.tick();
-    assert!(r.feasible && r.warm);
-    // Whether "Train 1" specifically is late depends on which optimal
-    // plan the solver found; the report must at least be consistent:
-    // every reported train exists and holds a deadline.
-    for name in &r.late_trains {
-        let run = s
-            .current()
-            .schedule
-            .runs()
-            .iter()
-            .find(|run| run.train.name == *name)
-            .expect("late train is scheduled");
-        assert!(run.arrival.is_some(), "late train has a deadline");
-    }
+    assert!(r.feasible && r.warm && r.solver_calls == 0);
+    assert_eq!(r.plan.as_ref(), Some(&plan), "the answered core's plan");
+    assert!(r.late_trains.iter().any(|t| t == train), "{r:?}");
+    assert_eq!(r.late_trains, late_on_a_fresh_instance(s.current(), &plan));
+
+    s.apply(&ScenarioDelta::Deadline {
+        train: train.into(),
+        arrival: None,
+    })
+    .unwrap();
+    let r = s.tick();
+    assert!(r.feasible && r.warm && r.solver_calls == 0);
+    assert!(!r.late_trains.iter().any(|t| t == train), "{r:?}");
+    assert_eq!(r.late_trains, late_on_a_fresh_instance(s.current(), &plan));
 }
 
 #[test]
@@ -230,17 +259,18 @@ fn a_tick_on_an_answered_core_makes_no_solver_call() {
     assert_eq!(s.stats().warm_hits, 2);
 }
 
-/// Blocks the first `probe` span it sees for `stall`: a tick whose budget
-/// is at most `stall` then misses it at that probe, on any machine.
-struct StallFirstProbe {
+/// Blocks the first span named `span` it sees for `stall`: a tick whose
+/// budget is at most `stall` then misses it there, on any machine.
+struct StallFirst {
+    span: &'static str,
     stall: Duration,
     stalled: AtomicBool,
 }
 
-impl Sink for StallFirstProbe {
+impl Sink for StallFirst {
     fn record(&self, event: &Event) {
         if event.kind == EventKind::SpanOpen
-            && event.name == "probe"
+            && event.name == self.span
             && !self.stalled.swap(true, Ordering::SeqCst)
         {
             std::thread::sleep(self.stall);
@@ -251,7 +281,8 @@ impl Sink for StallFirstProbe {
 #[test]
 fn an_interrupted_tick_leaves_its_core_open_for_the_next_one() {
     let budget = Duration::from_secs(1);
-    let obs = Obs::with_sink(StallFirstProbe {
+    let obs = Obs::with_sink(StallFirst {
+        span: "probe",
         stall: budget,
         stalled: AtomicBool::new(false),
     });
@@ -270,6 +301,49 @@ fn an_interrupted_tick_leaves_its_core_open_for_the_next_one() {
 
     let resumed = s.tick();
     assert!(resumed.warm, "the interrupted encoding stayed cached");
+    assert!(!resumed.stale && resumed.feasible);
+    assert!(resumed.solver_calls > 0, "an open core is solved");
+    assert_eq!(Some(resumed.costs.clone()), cold_costs(s.current()));
+
+    let answered = s.tick();
+    assert!(answered.warm && !answered.stale);
+    assert_eq!(
+        answered.solver_calls, 0,
+        "the resumed tick stored its answer"
+    );
+    assert_eq!(answered.conflicts, 0);
+    assert_eq!(answered.costs, resumed.costs);
+    assert_eq!(answered.plan, resumed.plan);
+
+    let stats = s.stats();
+    assert_eq!((stats.warm_hits, stats.cold_fallbacks), (2, 1));
+    assert_eq!(stats.deadline_misses, 1);
+}
+
+#[test]
+fn a_tick_interrupted_in_stage_2_leaves_its_core_open_for_the_next_one() {
+    let budget = Duration::from_secs(1);
+    let obs = Obs::with_sink(StallFirst {
+        span: "stage2",
+        stall: budget,
+        stalled: AtomicBool::new(false),
+    });
+    let config = ReplanConfig {
+        tick_budget: Some(budget),
+        ..ReplanConfig::default()
+    };
+    let mut s = ReplanSession::new_obs(fixtures::running_example(), config, &obs).unwrap();
+
+    let missed = s.tick();
+    assert!(
+        missed.stale && !missed.warm,
+        "the first stage 2 outlasts the budget"
+    );
+    assert!(!missed.feasible && missed.plan.is_none(), "no earlier plan");
+    assert!(missed.solver_calls > 0, "the probes ran before stage 2");
+
+    let resumed = s.tick();
+    assert!(resumed.warm, "the interrupted search stayed cached");
     assert!(!resumed.stale && resumed.feasible);
     assert!(resumed.solver_calls > 0, "an open core is solved");
     assert_eq!(Some(resumed.costs.clone()), cold_costs(s.current()));

@@ -65,6 +65,25 @@ impl std::ops::AddAssign<&Stats> for Stats {
     }
 }
 
+/// Component-wise difference: what a solver did between two snapshots of
+/// its counters, `earlier` being the older one.
+impl std::ops::Sub for Stats {
+    type Output = Stats;
+
+    fn sub(self, earlier: Stats) -> Stats {
+        Stats {
+            decisions: self.decisions - earlier.decisions,
+            propagations: self.propagations - earlier.propagations,
+            conflicts: self.conflicts - earlier.conflicts,
+            restarts: self.restarts - earlier.restarts,
+            learnt_literals: self.learnt_literals - earlier.learnt_literals,
+            deleted_clauses: self.deleted_clauses - earlier.deleted_clauses,
+            solve_calls: self.solve_calls - earlier.solve_calls,
+            reused_learnts: self.reused_learnts - earlier.reused_learnts,
+        }
+    }
+}
+
 impl fmt::Display for Stats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -117,6 +136,23 @@ mod tests {
         assert_eq!(a.conflicts, 7);
         assert_eq!(a.solve_calls, 3);
         assert_eq!(a.reused_learnts, 5);
+    }
+
+    #[test]
+    fn sub_undoes_add_assign() {
+        let a = Stats {
+            conflicts: 3,
+            decisions: 9,
+            ..Stats::default()
+        };
+        let b = Stats {
+            conflicts: 4,
+            solve_calls: 2,
+            ..Stats::default()
+        };
+        let mut sum = a;
+        sum += &b;
+        assert_eq!(sum - b, a);
     }
 
     #[test]

@@ -388,8 +388,8 @@ fn replan_session_trace_agrees_with_its_stats() {
     assert_eq!(solves, reported_calls, "one sat.solve span per solver call");
 
     // A tick served from its core's stored answer solves nothing: no
-    // `probe` or `stage2` span opens while it is open (spans nest by
-    // interval; `stage2` carries no parent link).
+    // `encode`, `probe` or `stage2` span opens while it is open (spans
+    // nest by interval; `stage2` carries no parent link).
     let answered: Vec<_> = tick_closes
         .iter()
         .filter(|e| e.field("answered") == Some(&Value::Bool(true)))
@@ -406,10 +406,10 @@ fn replan_session_trace_agrees_with_its_stats() {
             .expect("every closed span was opened");
         assert!(
             !events.iter().any(|e| e.kind == EventKind::SpanOpen
-                && (e.name == "probe" || e.name == "stage2")
+                && ["encode", "probe", "stage2"].contains(&e.name)
                 && open.seq < e.seq
                 && e.seq < close.seq),
-            "an answered tick ran a probe or stage 2: {close:?}"
+            "an answered tick encoded, probed or ran stage 2: {close:?}"
         );
     }
 
@@ -434,21 +434,26 @@ fn replan_session_trace_agrees_with_its_stats() {
     assert!(!probes.is_empty());
     assert!(probes.iter().all(|e| tick_ids.contains(&e.parent)));
 
-    // Every cold tick rebuilds its encoding under exactly one `encode`
-    // child carrying the formula size; warm ticks encode nothing.
-    let cold_ids: std::collections::BTreeSet<_> = tick_closes
-        .iter()
-        .filter(|e| e.field("warm") == Some(&Value::Bool(false)))
-        .map(|e| e.span)
-        .collect();
+    // Each probe encodes its deadline's tight cone under one `encode`
+    // child carrying the formula size, unless it resumes the encoding an
+    // interrupted tick left behind. No tick here missed its budget, so
+    // every probe built a fresh one: one `encode` per probe, each under a
+    // `probe` under a `replan.tick`.
+    let probe_ticks: std::collections::BTreeMap<_, _> =
+        probes.iter().map(|e| (e.span, e.parent)).collect();
     let encodes: Vec<_> = events
         .iter()
         .filter(|e| e.kind == EventKind::SpanClose && e.name == "encode")
         .collect();
-    assert_eq!(encodes.len() as u64, stats.cold_fallbacks);
+    assert_eq!(encodes.len(), probes.len(), "one encode per fresh probe");
     let encode_parents: std::collections::BTreeSet<_> = encodes.iter().map(|e| e.parent).collect();
-    assert_eq!(encode_parents, cold_ids, "one encode span per cold tick");
+    assert_eq!(encode_parents.len(), probes.len(), "one encode per probe");
     for e in &encodes {
+        let tick = probe_ticks.get(&e.parent);
+        assert!(
+            tick.is_some_and(|t| tick_ids.contains(t)),
+            "an encode outside a tick's probe: {e:?}"
+        );
         assert!(e.field_u64("vars").is_some_and(|v| v > 0), "{e:?}");
         assert!(e.field_u64("clauses").is_some_and(|c| c > 0), "{e:?}");
     }

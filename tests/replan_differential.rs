@@ -148,3 +148,41 @@ fn synthesized_deadline_churn_agrees_on_every_corpus_family() {
         );
     }
 }
+
+/// Every corpus family at Small under delay churn, the shape of the
+/// `replan_churn` benchmark: 5 s delays rotating over the trains, each
+/// followed by a tick and then a deadline delta and a tick. A delay moves
+/// a departure, so every delay tick searches a new core from scratch; the
+/// deadline ticks are answered from it. Every tick agrees with the cold
+/// solve.
+#[test]
+fn delay_churn_agrees_on_every_corpus_family() {
+    const DELAYS: usize = 3;
+    for family in Family::ALL {
+        let scenario = InstanceSpec::new(family, SizeClass::Small, 0).build();
+        let runs = scenario.schedule.runs();
+        let mut ops = vec![TraceOp::Tick];
+        for k in 0..DELAYS {
+            let delayed = &runs[k % runs.len()];
+            let other = &runs[(k + 1) % runs.len()];
+            ops.push(TraceOp::Delta(ScenarioDelta::Delay {
+                train: delayed.train.name.clone(),
+                by: Seconds(5),
+            }));
+            ops.push(TraceOp::Tick);
+            ops.push(TraceOp::Delta(ScenarioDelta::Deadline {
+                train: other.train.name.clone(),
+                arrival: (k % 2 == 0).then_some(scenario.horizon),
+            }));
+            ops.push(TraceOp::Tick);
+        }
+        let warm =
+            assert_replay_matches_cold(family.name(), scenario, &ops, ReplanConfig::default());
+        assert_eq!(
+            warm,
+            DELAYS as u64,
+            "{}: every delay tick is cold, every deadline tick warm",
+            family.name()
+        );
+    }
+}

@@ -370,9 +370,9 @@ type ReplanRow = (&'static str, &'static str, u64, usize, u64, u64);
 type ReplanMeasured = (String, &'static str, u64, usize, u64, u64);
 
 const REPLAN_PINNED: &[ReplanRow] = &[
-    ("corpus_grid_ladder", "eager", 4298, 16, 3, 1),
+    ("corpus_grid_ladder", "eager", 2359, 16, 3, 1),
     ("corpus_grid_ladder", "lazy", 7120, 204, 0, 4),
-    ("running_example", "eager", 4612, 47, 3, 5),
+    ("running_example", "eager", 5575, 47, 3, 5),
     ("running_example", "lazy", 9963, 255, 0, 8),
 ];
 
