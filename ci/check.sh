@@ -55,13 +55,6 @@ for name in task.optimize task.optimize_incremental encode probe stage2 sat.solv
     }
 done
 
-echo "==> bench_serve smoke (release, throughput + cache bit-identity)"
-cargo run --release -q -p etcs-bench --bin bench_serve -- \
-    --smoke --out target/BENCH_serve_smoke.json
-test -s target/BENCH_serve_smoke.json || {
-    echo "missing bench artifact target/BENCH_serve_smoke.json"; exit 1;
-}
-
 echo "==> served smoke (JSONL batch, warm cache, digests match direct solves)"
 SERVE_IN=target/serve_smoke.in.jsonl
 SERVE_OUT=target/serve_smoke.out.jsonl
@@ -135,14 +128,23 @@ test "$(grep -c '"status": "invalid"' "$HOSTILE_OUT")" -eq 3 || {
     echo "served: not every hostile line came back invalid"; exit 1;
 }
 
-echo "==> every bench artifact has the bench that writes it"
+echo "==> every bench artifact has its bench, and every bench its artifact"
 # A checked-in BENCH_<name>.json must not outlive
-# crates/bench/src/bin/bench_<name>.rs: delete the artifact with its bench.
+# crates/bench/src/bin/bench_<name>.rs, and a bench must not exist without
+# the artifact it writes: add and delete the two together.
 for artifact in BENCH_*.json; do
     name=${artifact#BENCH_}
     name=${name%.json}
     test -f "crates/bench/src/bin/bench_$name.rs" || {
         echo "$artifact has no bench crates/bench/src/bin/bench_$name.rs"
+        exit 1
+    }
+done
+for bench in crates/bench/src/bin/bench_*.rs; do
+    name=${bench#crates/bench/src/bin/bench_}
+    name=${name%.rs}
+    test -f "BENCH_$name.json" || {
+        echo "$bench has no checked-in artifact BENCH_$name.json"
         exit 1
     }
 done
@@ -177,6 +179,9 @@ if grep -q '"rounds": 0' target/BENCH_lazy_smoke.json; then
     echo "bench_lazy smoke fixture converged in 0 rounds (refiner idle)"
     exit 1
 fi
+grep -q '"available_parallelism": [1-9]' target/BENCH_lazy_smoke.json || {
+    echo "bench_lazy: artifact lacks available_parallelism"; exit 1;
+}
 
 echo "==> bench_corpus smoke (release, corpus sweep + differential gate)"
 cargo run --release -q -p etcs-bench --bin bench_corpus -- \
@@ -336,15 +341,6 @@ grep -q '"record": "consistency", "verdict": "ok"' "$FLEET2_LOG" || {
 }
 grep -q '"record": "crash_injected"' target/fleet_crash_shard2.log || {
     echo "crash shard never recorded its injected exit"; exit 1;
-}
-
-echo "==> bench_fleet smoke (release, jobs/s vs shard count, digest gate)"
-cargo run --release -q -p etcs-bench --bin bench_fleet -- \
-    --smoke --out target/BENCH_fleet_smoke.json
-cargo run --release -q -p etcs-bench --bin json_check -- \
-    target/BENCH_fleet_smoke.json
-grep -q '"replicated_keys": [1-9]' target/BENCH_fleet_smoke.json || {
-    echo "bench_fleet: no run replicated a cache entry"; exit 1;
 }
 
 echo "==> bench_replan smoke (release, warm-vs-cold replanning, differential gate)"

@@ -11,7 +11,8 @@
 //! shipped fixtures, where the picture honestly inverts: on dense
 //! instances (`Running Example`, `Complex Layout`, the tight `Convoy`)
 //! nearly every family activates and the lazy loop *loses* to eager by up
-//! to ~3× — the artifact records both regimes.
+//! to ~6× — the artifact records both regimes. The host's
+//! `available_parallelism` is recorded next to the wall times.
 //!
 //! Usage: `bench_lazy [--smoke] [--out <path>] [--trace <path>]`
 //!
@@ -328,6 +329,8 @@ fn main() {
         if smoke { "smoke" } else { "full" }
     );
     let _ = writeln!(out, "  \"strategy\": \"{}\",", strategy.name());
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let _ = writeln!(out, "  \"available_parallelism\": {cores},");
     let _ = writeln!(out, "  \"fixtures\": [");
     let mut headline_speedups = Vec::new();
     for (i, scenario) in fixtures.iter().enumerate() {
@@ -399,7 +402,7 @@ fn main() {
     let _ = writeln!(out, "  ],");
 
     // The headline: geometric mean of the optimisation speedups on the
-    // interaction-dense fixtures. The checked-in artifact must show >= 1.5.
+    // interaction-sparse fixtures. The checked-in artifact must show >= 1.5.
     let geomean = (headline_speedups.iter().map(|s| s.ln()).sum::<f64>()
         / headline_speedups.len().max(1) as f64)
         .exp();

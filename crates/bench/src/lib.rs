@@ -1,6 +1,6 @@
-//! Harness regenerating the evaluation artefacts of the paper:
-//! Table I (all four case studies × three design tasks) and the Fig. 1/2
-//! running-example story.
+//! Harness regenerating the paper's Table I (all four case studies ×
+//! three design tasks) for the `table1` binary. The Fig. 1/2
+//! running-example story is `examples/quickstart.rs`.
 
 pub mod harness;
 

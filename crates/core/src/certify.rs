@@ -141,7 +141,7 @@ fn prove(
             let proof = proof.lock().expect("proof lock");
             CertifiedVerdict::ProofChecked(check_drat(trace.formula.clauses(), &proof, &target)?)
         }
-        SatResult::Unknown => unreachable!("no conflict budget or interrupt configured"),
+        SatResult::Unknown => unreachable!("no interrupt is installed"),
         _ => return Err(refuted()),
     };
     Ok(Certification {

@@ -90,7 +90,7 @@ impl LayoutExplorer {
                 Some(plan)
             }
             SatResult::Unsat { .. } => None,
-            SatResult::Unknown => unreachable!("no conflict budget configured"),
+            SatResult::Unknown => unreachable!("no interrupt is installed"),
         }
     }
 

@@ -71,7 +71,7 @@ pub fn optimize_arrivals(
         &[travel_objective, border_objective],
         Strategy::LinearSatUnsat,
     )
-    .unwrap_or_else(|_| unreachable!("no conflict budget configured"));
+    .unwrap_or_else(|_| unreachable!("no interrupt is installed"));
     let (outcome, calls) = match result {
         Some(r) => {
             let plan = SolvedPlan::decode(&inst, &enc.vars, &r.model);

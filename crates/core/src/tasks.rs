@@ -131,8 +131,8 @@ pub enum TaskError {
 
 impl TaskError {
     /// The error for a solve that returned `Unknown` under `interrupt`.
-    /// Task loops never configure a conflict budget, so the token must
-    /// have fired.
+    /// An interrupt is the only way a solve returns `Unknown`, so the token
+    /// must have fired.
     ///
     /// # Panics
     ///
@@ -268,8 +268,7 @@ pub fn minimize_borders(
             ("solver_calls", calls.into()),
         ],
         maxsat::OptimizeOutcome::Unsat => vec![("feasible", false.into())],
-        // Only reachable with an interrupt installed on the solver — the
-        // task loops never configure a conflict budget.
+        // Only reachable with an interrupt installed on the solver.
         maxsat::OptimizeOutcome::Unknown { .. } => vec![("interrupted", true.into())],
     };
     fields.push(("conflicts", conflicts.into()));

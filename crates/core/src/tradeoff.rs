@@ -77,7 +77,7 @@ pub fn optimize_with_budget(
             let plan = match enc.solver.solve() {
                 SatResult::Sat(model) => Some(SolvedPlan::decode(inst, &enc.vars, &model)),
                 SatResult::Unsat { .. } => None,
-                SatResult::Unknown => unreachable!("no conflict budget configured"),
+                SatResult::Unknown => unreachable!("no interrupt is installed"),
             };
             (plan, enc.stats, *enc.solver.stats())
         };

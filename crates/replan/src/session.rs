@@ -55,7 +55,7 @@ use etcs_sat::Interrupt;
 use crate::delta::{DeltaError, LiveScenario, ScenarioDelta};
 
 /// Configuration of a [`ReplanSession`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ReplanConfig {
     /// Encoder configuration every solve runs under.
     pub encoder: EncoderConfig,
@@ -67,22 +67,12 @@ pub struct ReplanConfig {
     /// Wall-clock budget per tick; `None` means unbounded. A tick that
     /// exceeds it returns the last valid plan flagged stale.
     pub tick_budget: Option<Duration>,
-    /// How many warm cores to keep (≥ 1), answered or open. Oscillating
-    /// delta sequences (close/reopen, delay/revert) re-hit cores that have
-    /// not been evicted.
-    pub warm_capacity: usize,
 }
 
-impl Default for ReplanConfig {
-    fn default() -> Self {
-        ReplanConfig {
-            encoder: EncoderConfig::default(),
-            lazy: false,
-            tick_budget: None,
-            warm_capacity: 4,
-        }
-    }
-}
+/// How many warm cores a session keeps, answered or open. Oscillating
+/// delta sequences (close/reopen, delay/revert) re-hit cores that have not
+/// been evicted.
+const WARM_CAPACITY: usize = 4;
 
 /// Monotonic counters of a session's lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -443,7 +433,7 @@ impl ReplanSession {
             core: fps.core,
             state,
         });
-        self.warm.truncate(self.config.warm_capacity.max(1));
+        self.warm.truncate(WARM_CAPACITY);
         solved
     }
 

@@ -7,7 +7,7 @@
 //! boundaries and every few dozen conflicts, returning
 //! [`SatResult::Unknown`](crate::SatResult::Unknown) promptly without
 //! poisoning its state: the trail is rolled back to level 0 and everything
-//! learnt is kept, exactly as for conflict-budget exhaustion.
+//! learnt is kept.
 //!
 //! The default token ([`Interrupt::none`]) carries no shared state at all,
 //! so solvers that never get interrupted pay a single branch per poll.

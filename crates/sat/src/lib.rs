@@ -68,8 +68,8 @@ pub use cnf::{CnfSink, Formula};
 pub use dimacs::{parse_dimacs, write_dimacs, ParseDimacsError};
 pub use interrupt::{Interrupt, InterruptReason};
 pub use maxsat::{
-    minimize, minimize_lex, minimize_lex_full, BudgetExhausted, LexOptimumResult, OptimizeOutcome,
-    OptimumResult, Strategy,
+    minimize, minimize_lex_full, BudgetExhausted, LexOptimumResult, OptimizeOutcome, OptimumResult,
+    Strategy,
 };
 pub use model::Model;
 pub use pb::{Objective, ObjectiveCounter};

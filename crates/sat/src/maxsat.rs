@@ -12,7 +12,7 @@
 //! probe and for subsequent objectives.
 
 use crate::model::Model;
-use crate::pb::{Objective, ObjectiveCounter};
+use crate::pb::Objective;
 use crate::solver::{SatResult, Solver};
 use crate::types::Lit;
 
@@ -40,15 +40,15 @@ pub struct OptimumResult {
     pub solver_calls: usize,
 }
 
-/// Outcome of [`minimize`] / [`minimize_lex`].
+/// Outcome of [`minimize`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum OptimizeOutcome {
     /// Optimum found and proven.
     Optimal(OptimumResult),
     /// The hard constraints are unsatisfiable.
     Unsat,
-    /// The conflict budget ran out; `best` holds the best model found so
-    /// far, if any (not proven optimal).
+    /// The solver's [`Interrupt`](crate::Interrupt) fired; `best` holds the
+    /// best model found so far, if any (not proven optimal).
     Unknown {
         /// Best (unproven) result so far.
         best: Option<OptimumResult>,
@@ -86,7 +86,7 @@ impl OptimizeOutcome {
 /// The solver is left usable afterwards; the optimum is *not* asserted as a
 /// hard constraint (use the returned cost with
 /// [`Objective::lower`]-derived bounds if you need to pin it, as
-/// [`minimize_lex`] does).
+/// [`minimize_lex_full`] does).
 pub fn minimize(
     solver: &mut Solver,
     objective: &Objective,
@@ -211,75 +211,8 @@ pub struct LexOptimumResult {
 }
 
 /// Lexicographically minimises `objectives[0]`, then `objectives[1]` subject
-/// to the first being at its optimum, and so on.
-///
-/// Used by the ETCS schedule-optimisation task: time steps first, VSS
-/// borders second.
-pub fn minimize_lex(
-    solver: &mut Solver,
-    objectives: &[Objective],
-    strategy: Strategy,
-) -> OptimizeOutcome {
-    let mut pinned: Vec<Lit> = Vec::new();
-    let mut costs: Vec<u64> = Vec::new();
-    let mut calls = 0usize;
-    let mut model: Option<Model> = None;
-
-    for obj in objectives {
-        match minimize(solver, obj, &pinned, strategy, None) {
-            OptimizeOutcome::Optimal(r) => {
-                calls += r.solver_calls;
-                costs.push(r.cost);
-                model = Some(r.model);
-                // Pin this objective at its optimum for the later stages.
-                if !obj.is_empty() && r.cost < obj.max_cost() {
-                    let counter: ObjectiveCounter = obj.lower(solver);
-                    if let Some(b) = counter.at_most(r.cost) {
-                        pinned.push(b);
-                    }
-                }
-            }
-            OptimizeOutcome::Unsat => return OptimizeOutcome::Unsat,
-            OptimizeOutcome::Unknown { best } => {
-                return OptimizeOutcome::Unknown {
-                    best: best.map(|mut r| {
-                        r.solver_calls += calls;
-                        r
-                    }),
-                }
-            }
-        }
-    }
-
-    match model {
-        Some(model) => {
-            // Represent the lexicographic result through OptimumResult of the
-            // *last* objective; full per-objective costs are attached via
-            // `LexOptimumResult` from `minimize_lex_full`.
-            let cost = *costs.last().unwrap_or(&0);
-            OptimizeOutcome::Optimal(OptimumResult {
-                model,
-                cost,
-                solver_calls: calls,
-            })
-        }
-        None => {
-            // No objectives: plain satisfiability.
-            calls += 1;
-            match solver.solve() {
-                SatResult::Sat(m) => OptimizeOutcome::Optimal(OptimumResult {
-                    model: m,
-                    cost: 0,
-                    solver_calls: calls,
-                }),
-                SatResult::Unsat { .. } => OptimizeOutcome::Unsat,
-                SatResult::Unknown => OptimizeOutcome::Unknown { best: None },
-            }
-        }
-    }
-}
-
-/// Like [`minimize_lex`] but reports every stage's optimal cost.
+/// to the first being at its optimum, and so on, and reports every stage's
+/// optimal cost. `Ok(None)` when the hard constraints are unsatisfiable.
 pub fn minimize_lex_full(
     solver: &mut Solver,
     objectives: &[Objective],
@@ -325,13 +258,14 @@ pub fn minimize_lex_full(
     }))
 }
 
-/// The conflict budget was exhausted before optimality could be proven.
+/// The solver's [`Interrupt`](crate::Interrupt) fired before optimality
+/// could be proven.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BudgetExhausted;
 
 impl std::fmt::Display for BudgetExhausted {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "conflict budget exhausted before proving optimality")
+        write!(f, "interrupted before proving optimality")
     }
 }
 
@@ -427,7 +361,7 @@ mod tests {
         let o1 = Objective::count_of([a]);
         let o2 = Objective::count_of([!b]);
         let r = minimize_lex_full(&mut s, &[o1, o2], Strategy::LinearSatUnsat)
-            .expect("budget unlimited")
+            .expect("no interrupt installed")
             .expect("satisfiable");
         assert_eq!(r.costs, vec![0, 0]);
         assert!(!r.model.lit_is_true(a));
@@ -447,7 +381,7 @@ mod tests {
         let o1 = Objective::count_of(xs.clone());
         let o2 = Objective::count_of([xs[0]]);
         let r = minimize_lex_full(&mut s, &[o1, o2], Strategy::LinearSatUnsat)
-            .expect("budget unlimited")
+            .expect("no interrupt installed")
             .expect("satisfiable");
         assert_eq!(r.costs, vec![2, 0]);
         assert!(!r.model.lit_is_true(xs[0]));
@@ -461,7 +395,8 @@ mod tests {
         s.assert_true(a);
         s.assert_false(a);
         let o = Objective::count_of([a]);
-        assert!(minimize_lex(&mut s, &[o], Strategy::LinearSatUnsat).is_unsat());
+        let r = minimize_lex_full(&mut s, &[o], Strategy::LinearSatUnsat);
+        assert_eq!(r, Ok(None));
     }
 
     #[test]

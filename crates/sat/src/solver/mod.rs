@@ -48,7 +48,7 @@ pub enum SatResult {
         /// Failed subset of the assumptions.
         core: Vec<Lit>,
     },
-    /// The conflict budget was exhausted before a verdict was reached.
+    /// The installed [`Interrupt`] fired before a verdict was reached.
     Unknown,
 }
 
@@ -136,7 +136,6 @@ pub struct Solver {
     /// clauses those facts were propagated from, so the facts must be pinned
     /// as lemmas first or later derivations stop being RUP for the checker.
     proof_units: usize,
-    conflict_budget: Option<u64>,
     /// Cooperative cancellation token; [`Interrupt::none`] by default, in
     /// which case every poll is a single branch.
     interrupt: Interrupt,
@@ -180,7 +179,6 @@ impl Solver {
             reduce_limit: 2000,
             last_simplify_trail: 0,
             proof_units: 0,
-            conflict_budget: None,
             interrupt: Interrupt::none(),
             default_phase: false,
             proof: None,
@@ -286,28 +284,14 @@ impl Solver {
         &self.stats
     }
 
-    /// Limits the next `solve` calls to roughly `budget` conflicts
-    /// (`None` = unlimited). When exhausted, [`SatResult::Unknown`] is
-    /// returned and the solver remains usable.
-    ///
-    /// The budget is counted per call, from that call's starting conflict
-    /// count, so a fixed budget gives every call the same slice. After an
-    /// `Unknown` return the trail is rolled back to level 0, no assumption
-    /// sticks, and everything learnt during the aborted call stays — a
-    /// later call (with a larger budget, or `None`) resumes from strictly
-    /// more information.
-    pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
-        self.conflict_budget = budget;
-    }
-
     /// Installs a cooperative cancellation token, polled at restart
     /// boundaries and every few dozen conflicts. Once the token fires,
-    /// `solve`/`solve_with` return [`SatResult::Unknown`] with the same
-    /// guarantees as conflict-budget exhaustion: the trail is rolled back
-    /// to level 0, no assumption sticks, learnt clauses are kept, and the
-    /// solver remains usable. Probe the token afterwards to distinguish
-    /// cancellation from an expired deadline (or from a plain budget
-    /// `Unknown`). Install [`Interrupt::none`] to detach.
+    /// `solve`/`solve_with` return [`SatResult::Unknown`]: the trail is
+    /// rolled back to level 0, no assumption sticks, everything learnt
+    /// during the aborted call stays, and the solver remains usable, so a
+    /// later call resumes from strictly more information. Probe the token
+    /// afterwards to distinguish cancellation from an expired deadline.
+    /// Install [`Interrupt::none`] to detach.
     pub fn set_interrupt(&mut self, interrupt: Interrupt) {
         self.interrupt = interrupt;
     }
@@ -525,7 +509,6 @@ impl Solver {
         // Size the learnt-clause budget to the problem: tiny limits thrash
         // on large encodings.
         self.reduce_limit = self.reduce_limit.max(self.db.num_problem() / 2);
-        let budget_start = self.stats.conflicts;
         let mut restart_num = 0u64;
         loop {
             // Restart-boundary poll: catches tokens triggered before the
@@ -536,7 +519,7 @@ impl Solver {
             }
             restart_num += 1;
             let limit = RESTART_BASE.saturating_mul(luby(restart_num));
-            match self.search(assumptions, limit, budget_start) {
+            match self.search(assumptions, limit) {
                 SearchOutcome::Sat => {
                     let model = Model::from_assignments(&self.assigns);
                     self.cancel_until(0);
@@ -561,7 +544,7 @@ impl Solver {
                         return SatResult::Unsat { core: Vec::new() };
                     }
                 }
-                SearchOutcome::BudgetExhausted | SearchOutcome::Interrupted => {
+                SearchOutcome::Interrupted => {
                     self.cancel_until(0);
                     return SatResult::Unknown;
                 }
@@ -898,12 +881,7 @@ impl Solver {
         None
     }
 
-    fn search(
-        &mut self,
-        assumptions: &[Lit],
-        conflict_limit: u64,
-        budget_start: u64,
-    ) -> SearchOutcome {
+    fn search(&mut self, assumptions: &[Lit], conflict_limit: u64) -> SearchOutcome {
         let mut conflicts_here = 0u64;
         loop {
             if let Some(conflict) = self.propagate() {
@@ -927,11 +905,6 @@ impl Solver {
                     self.enqueue(asserting, Some(cref));
                 }
                 self.decay_activities();
-                if let Some(budget) = self.conflict_budget {
-                    if self.stats.conflicts - budget_start >= budget {
-                        return SearchOutcome::BudgetExhausted;
-                    }
-                }
                 if conflicts_here & POLL_MASK == 0 && self.interrupt.is_triggered() {
                     return SearchOutcome::Interrupted;
                 }
@@ -1172,7 +1145,6 @@ enum SearchOutcome {
     Sat,
     Unsat(Vec<Lit>),
     Restart,
-    BudgetExhausted,
     Interrupted,
 }
 
@@ -1361,36 +1333,40 @@ mod tests {
         assert!(s.solve().is_unsat());
     }
 
-    #[test]
-    fn conflict_budget_returns_unknown_or_verdict() {
-        // A hard instance with a tiny budget must not loop forever.
-        let n = 8usize;
-        let mut s = Solver::new();
-        let p: Vec<Vec<Lit>> = (0..n)
-            .map(|_| (0..n - 1).map(|_| lit(&mut s)).collect())
-            .collect();
-        for row in &p {
-            s.add_clause(row.iter().copied());
-        }
-        for h in 0..n - 1 {
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    s.add_clause([!p[i][h], !p[j][h]]);
-                }
+    /// A proof sink that triggers whichever token `current` holds on every
+    /// `every`-th clause addition.
+    #[derive(Debug)]
+    struct TriggerEvery {
+        current: std::sync::Arc<std::sync::Mutex<crate::Interrupt>>,
+        added: usize,
+        every: usize,
+    }
+
+    impl ProofSink for TriggerEvery {
+        fn add_clause(&mut self, _lits: &[Lit]) {
+            self.added += 1;
+            if self.added.is_multiple_of(self.every) {
+                self.current.lock().expect("token slot").trigger();
             }
         }
-        s.set_conflict_budget(Some(10));
-        let r = s.solve();
-        assert!(matches!(r, SatResult::Unknown | SatResult::Unsat { .. }));
+
+        fn delete_clause(&mut self, _lits: &[Lit]) {}
     }
 
     #[test]
-    fn budget_sliced_solving_reaches_the_same_verdict() {
-        // Solver-state reuse audit: repeatedly solving with a tiny conflict
-        // budget must converge to the exact verdict an unbudgeted solve
-        // gives, because learnt clauses persist across Unknown returns.
+    fn interrupt_sliced_solving_reaches_the_same_verdict() {
+        // Solver-state reuse audit: repeatedly solving under a token that
+        // fires after a few lemmas must converge to the exact verdict an
+        // uninterrupted solve gives, because learnt clauses persist across
+        // Unknown returns.
         let n = 7usize;
+        let current = std::sync::Arc::new(std::sync::Mutex::new(crate::Interrupt::new()));
         let mut s = Solver::new();
+        s.set_proof_sink(Box::new(TriggerEvery {
+            current: current.clone(),
+            added: 0,
+            every: 10,
+        }));
         let p: Vec<Vec<Lit>> = (0..n)
             .map(|_| (0..n - 1).map(|_| lit(&mut s)).collect())
             .collect();
@@ -1404,20 +1380,22 @@ mod tests {
                 }
             }
         }
-        s.set_conflict_budget(Some(50));
         let mut slices = 0usize;
         let verdict = loop {
             slices += 1;
-            assert!(slices < 10_000, "budget-sliced loop must terminate");
+            assert!(slices < 10_000, "interrupt-sliced loop must terminate");
+            let token = crate::Interrupt::new();
+            *current.lock().expect("token slot") = token.clone();
+            s.set_interrupt(token);
             match s.solve() {
                 SatResult::Unknown => continue,
                 verdict => break verdict,
             }
         };
         assert!(verdict.is_unsat(), "pigeonhole is unsatisfiable");
-        assert!(slices > 1, "the budget must actually slice the search");
-        // And the solver is still usable without a budget.
-        s.set_conflict_budget(None);
+        assert!(slices > 1, "the token must actually slice the search");
+        // And the solver is still usable without a token.
+        s.set_interrupt(crate::Interrupt::none());
         assert!(s.solve().is_unsat());
     }
 

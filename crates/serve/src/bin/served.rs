@@ -64,7 +64,7 @@
 //! ```json
 //! {"record": "stats", "queue": {"submitted": 51, "admitted": 51,
 //!  "rejected": 0, "high_water": 51}, "jobs": {"done": 51, "cancelled": 0,
-//!  "deadline_exceeded": 0, "invalid": 0}, "cache": {"hits": 40,
+//!  "deadline_exceeded": 0, "invalid": 0, "failed": 0}, "cache": {"hits": 40,
 //!  "misses": 11, "insertions": 11, "evictions": 0}, "replan": {"ticks": 4,
 //!  "warm_hits": 2, "cold_fallbacks": 2, "deadline_misses": 0,
 //!  "deltas": 3, "rejected_deltas": 0}}

@@ -3,7 +3,9 @@
 //! path every worker and every "is the cache bit-identical?" test runs
 //! through.
 
+use std::any::Any;
 use std::fmt;
+use std::panic::AssertUnwindSafe;
 use std::time::Duration;
 
 use etcs_core::{
@@ -426,11 +428,14 @@ pub enum JobOutcome {
     DeadlineExceeded,
     /// The scenario was malformed ([`etcs_network::NetworkError`] text).
     Invalid(String),
+    /// The task panicked: a bug in this program, not in the request. Carries
+    /// the panic message. Never cached.
+    Failed(String),
 }
 
 impl JobOutcome {
     /// Stable wire name of the state (`done`, `rejected`, `cancelled`,
-    /// `deadline_exceeded`, `invalid`).
+    /// `deadline_exceeded`, `invalid`, `failed`).
     pub fn status(&self) -> &'static str {
         match self {
             JobOutcome::Done(_) => "done",
@@ -438,6 +443,7 @@ impl JobOutcome {
             JobOutcome::Cancelled => "cancelled",
             JobOutcome::DeadlineExceeded => "deadline_exceeded",
             JobOutcome::Invalid(_) => "invalid",
+            JobOutcome::Failed(_) => "failed",
         }
     }
 
@@ -467,7 +473,35 @@ pub struct JobResponse {
 /// a [`JobOutcome`]. This is the exact function the worker pool executes on
 /// cache misses, exposed so callers (and the bit-identical cache tests) can
 /// produce reference payloads.
+///
+/// A panic inside the task is caught here and becomes
+/// [`JobOutcome::Failed`], so neither a worker thread nor a direct caller
+/// unwinds.
 pub fn execute(
+    request: &JobRequest,
+    config: &EncoderConfig,
+    interrupt: &Interrupt,
+    obs: &Obs,
+) -> JobOutcome {
+    // Unwind safe in fact: the task's encoding and solver are dropped by
+    // the unwind, and `Obs` and `Interrupt` hold no lock across the task,
+    // so nothing half-updated is read afterwards.
+    std::panic::catch_unwind(AssertUnwindSafe(|| {
+        run_task(request, config, interrupt, obs)
+    }))
+    .unwrap_or_else(|panic| JobOutcome::Failed(panic_message(&*panic)))
+}
+
+/// The message a `panic!` carried (its payload is a `&str` or a `String`).
+pub(crate) fn panic_message(panic: &(dyn Any + Send)) -> String {
+    match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
+        (Some(message), _) => (*message).to_owned(),
+        (_, Some(message)) => message.clone(),
+        _ => "a panic without a message".to_owned(),
+    }
+}
+
+fn run_task(
     request: &JobRequest,
     config: &EncoderConfig,
     interrupt: &Interrupt,

@@ -18,7 +18,9 @@
 //! with the trace parser's line+column message) and rejected deltas all
 //! answer `{"record": "error", …}` and count as failures for the process
 //! exit code; the session itself — if one exists — stays usable, exactly
-//! like [`etcs_replan::ReplanSession::apply`] rejecting a delta.
+//! like [`etcs_replan::ReplanSession::apply`] rejecting a delta. A record
+//! that panics (a bug, not bad input) answers `error` too, but closes its
+//! session: its warm cores may be half-updated.
 //!
 //! A `ticked` response carries a `verdict_digest` computed with the same
 //! construction as [`crate::JobPayload::verdict_digest`] under the
@@ -27,13 +29,14 @@
 //! — which is how `ci/check.sh` proves warm replans change nothing.
 
 use std::collections::BTreeMap;
+use std::panic::AssertUnwindSafe;
 use std::time::Duration;
 
 use etcs_obs::json::{self, Json};
 use etcs_obs::Obs;
 use etcs_replan::{parse_trace, ReplanConfig, ReplanSession, ReplanStats, TickReport, TraceOp};
 
-use crate::job::{verdict_digest_of, JobKind};
+use crate::job::{panic_message, verdict_digest_of, JobKind};
 use crate::wire::{load_scenario, Origin};
 
 /// All open replanning sessions of one `served` process, keyed by the
@@ -81,8 +84,26 @@ impl ReplanManager {
 
     /// Handles one session record line; returns the response line and
     /// whether it counts as a failure for the process exit code.
+    ///
+    /// A panic while the record runs is caught here, so it never unwinds
+    /// into the caller (a shard holds its replan mutex around this call).
+    /// The record answers `error` and its session is closed, because its
+    /// warm cores may be half-updated; the session's counters join the
+    /// closed sessions' totals.
     pub fn handle(&mut self, line: &str, label: &str) -> (String, bool) {
-        match self.dispatch(line) {
+        let result = parse_record(line).and_then(|(value, record, session)| {
+            std::panic::catch_unwind(AssertUnwindSafe(|| {
+                self.dispatch(&value, &record, &session)
+            }))
+            .unwrap_or_else(|panic| {
+                if let Some(dropped) = self.sessions.remove(&session) {
+                    self.closed = self.closed.merged(dropped.stats());
+                }
+                let reason = format!("{record} panicked: {}", panic_message(&*panic));
+                Err((session, reason))
+            })
+        });
+        match result {
             Ok(response) => (response, false),
             Err((session, reason)) => (
                 format!(
@@ -95,22 +116,16 @@ impl ReplanManager {
         }
     }
 
-    fn dispatch(&mut self, line: &str) -> Result<String, (String, String)> {
-        let value = json::parse(line).map_err(|e| (String::new(), e.to_string()))?;
-        let record = value
-            .get("record")
-            .and_then(Json::as_str)
-            .ok_or_else(|| (String::new(), "missing \"record\"".to_string()))?
-            .to_owned();
-        let session = value
-            .get("session")
-            .and_then(Json::as_str)
-            .ok_or_else(|| (String::new(), "missing \"session\"".to_string()))?
-            .to_owned();
-        let err = |message: String| (session.clone(), message);
-        match record.as_str() {
+    fn dispatch(
+        &mut self,
+        value: &Json,
+        record: &str,
+        session: &str,
+    ) -> Result<String, (String, String)> {
+        let err = |message: String| (session.to_owned(), message);
+        match record {
             "open" => {
-                if self.sessions.contains_key(&session) {
+                if self.sessions.contains_key(session) {
                     return Err(err("session is already open".to_string()));
                 }
                 let spec = value
@@ -131,10 +146,10 @@ impl ReplanManager {
                 let trains = scenario.schedule.runs().len();
                 let opened = ReplanSession::new_obs(scenario, config, &self.obs)
                     .map_err(|e| err(e.to_string()))?;
-                self.sessions.insert(session.clone(), opened);
+                self.sessions.insert(session.to_owned(), opened);
                 Ok(format!(
                     "{{\"record\": \"opened\", \"session\": {}, \"trains\": {trains}}}",
-                    json::quote(&session)
+                    json::quote(session)
                 ))
             }
             "delta" => {
@@ -144,7 +159,7 @@ impl ReplanManager {
                     .ok_or_else(|| err("missing \"delta\"".to_string()))?;
                 let live = self
                     .sessions
-                    .get_mut(&session)
+                    .get_mut(session)
                     .ok_or_else(|| err("unknown session".to_string()))?;
                 let ops = parse_trace(text).map_err(|e| err(e.to_string()))?;
                 // Applied left to right; a rejection mid-record leaves the
@@ -166,33 +181,48 @@ impl ReplanManager {
                 }
                 Ok(format!(
                     "{{\"record\": \"delta_ok\", \"session\": {}, \"applied\": [{}]}}",
-                    json::quote(&session),
+                    json::quote(session),
                     applied.join(", ")
                 ))
             }
             "tick" => {
                 let live = self
                     .sessions
-                    .get_mut(&session)
+                    .get_mut(session)
                     .ok_or_else(|| err("unknown session".to_string()))?;
-                Ok(tick_json(&session, &live.tick()))
+                Ok(tick_json(session, &live.tick()))
             }
             "close" => {
                 let live = self
                     .sessions
-                    .remove(&session)
+                    .remove(session)
                     .ok_or_else(|| err("unknown session".to_string()))?;
                 let stats = live.stats();
                 self.closed = self.closed.merged(stats);
                 Ok(format!(
                     "{{\"record\": \"closed\", \"session\": {}, {}}}",
-                    json::quote(&session),
+                    json::quote(session),
                     replan_stats_json(&stats)
                 ))
             }
             other => Err(err(format!("unknown record {other:?}"))),
         }
     }
+}
+
+/// The parsed record line with its `record` and `session` fields; an
+/// error names no session.
+fn parse_record(line: &str) -> Result<(Json, String, String), (String, String)> {
+    let value = json::parse(line).map_err(|e| (String::new(), e.to_string()))?;
+    let field = |name: &str| {
+        value
+            .get(name)
+            .and_then(Json::as_str)
+            .map(str::to_owned)
+            .ok_or_else(|| (String::new(), format!("missing \"{name}\"")))
+    };
+    let (record, session) = (field("record")?, field("session")?);
+    Ok((value, record, session))
 }
 
 /// One `ticked` response line.

@@ -42,8 +42,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Result-cache entries (`0` disables caching entirely).
     pub cache_capacity: usize,
-    /// Deadline applied to jobs that do not carry their own.
-    pub default_deadline: Option<Duration>,
     /// Encoder configuration shared by every job (part of the cache key).
     pub encoder: EncoderConfig,
     /// Record a per-fingerprint history of cache put/hit events (see
@@ -58,7 +56,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_capacity: 64,
             cache_capacity: 128,
-            default_deadline: None,
             encoder: EncoderConfig::default(),
             record_history: false,
         }
@@ -77,6 +74,8 @@ pub struct TerminalStats {
     pub deadline_exceeded: u64,
     /// Jobs with malformed scenarios.
     pub invalid: u64,
+    /// Jobs whose task panicked ([`JobOutcome::Failed`]).
+    pub failed: u64,
 }
 
 #[derive(Default)]
@@ -85,6 +84,7 @@ struct TerminalCounters {
     cancelled: AtomicU64,
     deadline_exceeded: AtomicU64,
     invalid: AtomicU64,
+    failed: AtomicU64,
 }
 
 impl TerminalCounters {
@@ -94,6 +94,7 @@ impl TerminalCounters {
             JobOutcome::Cancelled => &self.cancelled,
             JobOutcome::DeadlineExceeded => &self.deadline_exceeded,
             JobOutcome::Invalid(_) => &self.invalid,
+            JobOutcome::Failed(_) => &self.failed,
             // Rejections resolve at admission, before any worker pops them.
             JobOutcome::Rejected(_) => return,
         }
@@ -106,6 +107,7 @@ impl TerminalCounters {
             cancelled: self.cancelled.load(Ordering::Relaxed),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
             invalid: self.invalid.load(Ordering::Relaxed),
+            failed: self.failed.load(Ordering::Relaxed),
         }
     }
 }
@@ -485,7 +487,7 @@ fn worker_loop(
         }
         // The deadline clock starts here: queueing time is free, riding on
         // another worker's in-flight solve of the same key is not.
-        if let Some(deadline) = request.deadline.or(config.default_deadline) {
+        if let Some(deadline) = request.deadline {
             interrupt.arm_deadline(deadline);
         }
         match &cache {
@@ -547,8 +549,8 @@ fn finish_job(
 /// leader's flight — its worker returns to the queue immediately — and is
 /// answered from the published result (a hit, bit-identical by
 /// construction). If the leader ends without a payload (cancelled,
-/// deadline, invalid), the first waiter whose own token has not fired is
-/// promoted to re-run the solve on the leader's thread rather than
+/// deadline, invalid, failed), the first waiter whose own token has not
+/// fired is promoted to re-run the solve on the leader's thread rather than
 /// inheriting the failure.
 ///
 /// The cache is probed *under the pending lock*, and a leader publishes

@@ -483,7 +483,7 @@ pub fn response_line(response: &JobResponse) -> (String, bool) {
                 json::quote(&reason.to_string())
             ));
         }
-        JobOutcome::Invalid(message) => {
+        JobOutcome::Invalid(message) | JobOutcome::Failed(message) => {
             failed = true;
             line.push_str(&format!(", \"reason\": {}", json::quote(message)));
         }
@@ -504,7 +504,8 @@ pub fn stats_body_json(
 ) -> String {
     format!(
         "\"queue\": {{\"submitted\": {}, \"admitted\": {}, \"rejected\": {}, \"high_water\": {}}}, \
-         \"jobs\": {{\"done\": {}, \"cancelled\": {}, \"deadline_exceeded\": {}, \"invalid\": {}}}, \
+         \"jobs\": {{\"done\": {}, \"cancelled\": {}, \"deadline_exceeded\": {}, \"invalid\": {}, \
+         \"failed\": {}}}, \
          \"cache\": {{\"hits\": {}, \"misses\": {}, \"insertions\": {}, \"evictions\": {}}}, {}",
         queue.submitted,
         queue.admitted,
@@ -514,6 +515,7 @@ pub fn stats_body_json(
         jobs.cancelled,
         jobs.deadline_exceeded,
         jobs.invalid,
+        jobs.failed,
         cache.hits,
         cache.misses,
         cache.insertions,

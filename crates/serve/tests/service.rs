@@ -1,5 +1,6 @@
 //! End-to-end tests of the job service: a mixed batch with a warm cache
-//! proven bit-identical to direct library calls, cancellation and
+//! proven bit-identical to direct library calls, the same identity for a
+//! duplicate-heavy batch at 1, 2 and 4 workers, cancellation and
 //! deadlines that never poison a worker, admission-control rejection,
 //! cache-key canonicalisation across reordered inputs, and the
 //! observability vocabulary.
@@ -81,6 +82,56 @@ fn mixed_batch_warm_cache_is_bit_identical_to_direct_calls() {
         cache.hits
     );
     assert_eq!(service.queue_stats().rejected, 0);
+}
+
+#[test]
+fn served_payloads_match_direct_calls_at_one_two_and_four_workers() {
+    // Every kind on the running example, three copies each: cheap jobs,
+    // and duplicates that park on a running leader or hit the cache.
+    let config = EncoderConfig::default();
+    let requests: Vec<JobRequest> = (0..3)
+        .flat_map(|copy| {
+            JobKind::ALL.map(|kind| {
+                JobRequest::new(format!("{kind}-{copy}"), kind, fixtures::running_example())
+            })
+        })
+        .collect();
+    let direct: Vec<JobOutcome> = JobKind::ALL
+        .iter()
+        .map(|&kind| {
+            let request = JobRequest::new("direct", kind, fixtures::running_example());
+            execute(&request, &config, &Interrupt::none(), &Obs::disabled())
+        })
+        .collect();
+
+    for workers in [1, 2, 4] {
+        let service = Service::new(ServeConfig {
+            workers,
+            queue_capacity: requests.len(),
+            cache_capacity: JobKind::ALL.len(),
+            ..ServeConfig::default()
+        });
+        let cold = service.run_batch(requests.clone());
+        let warm = service.run_batch(requests.clone());
+        for (i, request) in requests.iter().enumerate() {
+            let expected = direct[i % JobKind::ALL.len()]
+                .payload()
+                .expect("direct run completes");
+            for response in [&cold[i], &warm[i]] {
+                assert_eq!(
+                    response.outcome.payload(),
+                    Some(expected),
+                    "{} at {workers} workers: served != direct",
+                    request.id
+                );
+            }
+            assert!(
+                warm[i].cache_hit,
+                "{} at {workers} workers: the second pass must hit the cache",
+                request.id
+            );
+        }
+    }
 }
 
 #[test]
