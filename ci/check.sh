@@ -128,7 +128,7 @@ test "$(grep -c '"status": "invalid"' "$HOSTILE_OUT")" -eq 3 || {
     echo "served: not every hostile line came back invalid"; exit 1;
 }
 
-echo "==> every bench artifact has its bench, and every bench its artifact"
+echo "==> every bench artifact has its bench, every bench its artifact, no [[bench]] targets"
 # A checked-in BENCH_<name>.json must not outlive
 # crates/bench/src/bin/bench_<name>.rs, and a bench must not exist without
 # the artifact it writes: add and delete the two together.
@@ -148,6 +148,14 @@ for bench in crates/bench/src/bin/bench_*.rs; do
         exit 1
     }
 done
+# Timing code has one home: a bench_<name>.rs binary with its artifact, or
+# the benchmark/ package. Artifact-less `cargo bench` targets stay out.
+if grep -q '^\[\[bench\]\]' crates/bench/Cargo.toml || test -e crates/bench/benches; then
+    echo "crates/bench declares a [[bench]] target or has a benches/ directory;"
+    echo "add timing code as crates/bench/src/bin/bench_<name>.rs with its"
+    echo "BENCH_<name>.json, or to benchmark/"
+    exit 1
+fi
 
 echo "==> bench artifacts parse (in-repo JSON parser)"
 # Every checked-in BENCH_*.json must be readable by the workspace's own

@@ -11,8 +11,12 @@
 //! shipped fixtures, where the picture honestly inverts: on dense
 //! instances (`Running Example`, `Complex Layout`, the tight `Convoy`)
 //! nearly every family activates and the lazy loop *loses* to eager by up
-//! to ~6× — the artifact records both regimes. The host's
+//! to ~5.6× — the artifact records both regimes. The host's
 //! `available_parallelism` is recorded next to the wall times.
+//!
+//! Every solve is timed [`SAMPLES`] times, alternating eager and lazy, so
+//! both sides see the same drift of the host. The artifact records the
+//! median and the min–max of each side; speedups are ratios of medians.
 //!
 //! Usage: `bench_lazy [--smoke] [--out <path>] [--trace <path>]`
 //!
@@ -34,10 +38,60 @@ use etcs_network::generator::{branched_line, single_track_line, BranchConfig, Li
 use etcs_network::{fixtures, parse_scenario, Scenario, Schedule, VssLayout};
 use etcs_obs::{json, Obs};
 
+/// Timed runs of each solve per side. With one run per side, single rows
+/// moved by up to 45% between back-to-back sweeps.
+const SAMPLES: usize = 5;
+
+/// The wall-clock samples of one side, in milliseconds.
+struct Timing {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Timing {
+    fn of(mut ms: Vec<f64>) -> Timing {
+        ms.sort_by(f64::total_cmp);
+        Timing {
+            median: ms[ms.len() / 2],
+            min: ms[0],
+            max: ms[ms.len() - 1],
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"median\": {:.2}, \"min\": {:.2}, \"max\": {:.2}}}",
+            self.median, self.min, self.max
+        )
+    }
+}
+
+/// Runs `eager` and `lazy` [`SAMPLES`] times each, alternating, and
+/// returns each side's timing with its last result.
+fn alternate<E, L>(
+    mut eager: impl FnMut() -> E,
+    mut lazy: impl FnMut() -> L,
+) -> (Timing, E, Timing, L) {
+    let (mut eager_ms, mut lazy_ms) = (Vec::new(), Vec::new());
+    let mut last = None;
+    for _ in 0..SAMPLES {
+        let t = Instant::now();
+        let e = eager();
+        eager_ms.push(t.elapsed().as_secs_f64() * 1e3);
+        let t = Instant::now();
+        let l = lazy();
+        lazy_ms.push(t.elapsed().as_secs_f64() * 1e3);
+        last = Some((e, l));
+    }
+    let (e, l) = last.expect("SAMPLES is positive");
+    (Timing::of(eager_ms), e, Timing::of(lazy_ms), l)
+}
+
 /// One eager-vs-lazy optimisation comparison, flattened for JSON.
 struct Row {
-    eager_wall_ms: f64,
-    lazy_wall_ms: f64,
+    eager: Timing,
+    lazy: Timing,
     speedup: f64,
     eager_clauses: usize,
     lazy_clauses: usize,
@@ -59,21 +113,19 @@ fn compare_optimize(
     config: &EncoderConfig,
     strategy: SelectionStrategy,
 ) -> Row {
-    let t = Instant::now();
-    let (eager_outcome, eager_report) =
-        optimize_incremental(scenario, config).expect("well-formed");
-    let eager_wall_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    let t = Instant::now();
-    let (lazy_outcome, lazy_report) = etcs_lazy::run(
-        scenario,
-        &TaskKind::OptimizeIncremental,
-        config,
-        &Run::default(),
-        strategy,
-    )
-    .expect("well-formed");
-    let lazy_wall_ms = t.elapsed().as_secs_f64() * 1e3;
+    let (eager, (eager_outcome, eager_report), lazy, (lazy_outcome, lazy_report)) = alternate(
+        || optimize_incremental(scenario, config).expect("well-formed"),
+        || {
+            etcs_lazy::run(
+                scenario,
+                &TaskKind::OptimizeIncremental,
+                config,
+                &Run::default(),
+                strategy,
+            )
+            .expect("well-formed")
+        },
+    );
 
     let eager_costs = costs_of(&eager_outcome);
     let lazy_costs = costs_of(&lazy_outcome);
@@ -83,9 +135,9 @@ fn compare_optimize(
         scenario.name
     );
     Row {
-        eager_wall_ms,
-        lazy_wall_ms,
-        speedup: eager_wall_ms / lazy_wall_ms.max(1e-9),
+        speedup: eager.median / lazy.median.max(1e-9),
+        eager,
+        lazy,
         eager_clauses: eager_report.stats.clauses,
         lazy_clauses: lazy_report.report.stats.clauses,
         clauses_added: lazy_report.clauses_added,
@@ -105,20 +157,19 @@ fn compare_generate(
     config: &EncoderConfig,
     strategy: SelectionStrategy,
 ) -> Row {
-    let t = Instant::now();
-    let (eager_outcome, eager_report) = generate(scenario, config).expect("well-formed");
-    let eager_wall_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    let t = Instant::now();
-    let (lazy_outcome, lazy_report) = etcs_lazy::run(
-        scenario,
-        &TaskKind::Generate,
-        config,
-        &Run::default(),
-        strategy,
-    )
-    .expect("well-formed");
-    let lazy_wall_ms = t.elapsed().as_secs_f64() * 1e3;
+    let (eager, (eager_outcome, eager_report), lazy, (lazy_outcome, lazy_report)) = alternate(
+        || generate(scenario, config).expect("well-formed"),
+        || {
+            etcs_lazy::run(
+                scenario,
+                &TaskKind::Generate,
+                config,
+                &Run::default(),
+                strategy,
+            )
+            .expect("well-formed")
+        },
+    );
 
     let eager_costs = costs_of(&eager_outcome);
     let lazy_costs = costs_of(&lazy_outcome);
@@ -128,9 +179,9 @@ fn compare_generate(
         scenario.name
     );
     Row {
-        eager_wall_ms,
-        lazy_wall_ms,
-        speedup: eager_wall_ms / lazy_wall_ms.max(1e-9),
+        speedup: eager.median / lazy.median.max(1e-9),
+        eager,
+        lazy,
         eager_clauses: eager_report.stats.clauses,
         lazy_clauses: lazy_report.report.stats.clauses,
         clauses_added: lazy_report.clauses_added,
@@ -146,17 +197,14 @@ fn compare_verify(
     scenario: &Scenario,
     config: &EncoderConfig,
     strategy: SelectionStrategy,
-) -> (f64, f64) {
+) -> (Timing, Timing) {
     let inst = etcs_core::Instance::new(scenario).expect("valid");
     let layout = VssLayout::full(&inst.net);
-    let t = Instant::now();
-    let (eager, _) = verify(scenario, &layout, config).expect("well-formed");
-    let eager_ms = t.elapsed().as_secs_f64() * 1e3;
-    let t = Instant::now();
     let task = TaskKind::Verify(layout.clone());
-    let (relaxed, _) =
-        etcs_lazy::run(scenario, &task, config, &Run::default(), strategy).expect("well-formed");
-    let lazy_ms = t.elapsed().as_secs_f64() * 1e3;
+    let (eager_ms, (eager, _), lazy_ms, (relaxed, _)) = alternate(
+        || verify(scenario, &layout, config).expect("well-formed"),
+        || etcs_lazy::run(scenario, &task, config, &Run::default(), strategy).expect("well-formed"),
+    );
     assert_eq!(
         eager.is_feasible(),
         relaxed.is_feasible(),
@@ -331,17 +379,18 @@ fn main() {
     let _ = writeln!(out, "  \"strategy\": \"{}\",", strategy.name());
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let _ = writeln!(out, "  \"available_parallelism\": {cores},");
+    let _ = writeln!(out, "  \"samples\": {SAMPLES},");
     let _ = writeln!(out, "  \"fixtures\": [");
     let mut headline_speedups = Vec::new();
     for (i, scenario) in fixtures.iter().enumerate() {
         eprintln!("== {} ==", scenario.name);
         let row = compare_optimize(scenario, &config, strategy);
         let gen_row = compare_generate(scenario, &config, strategy);
-        let (verify_eager_ms, verify_lazy_ms) = compare_verify(scenario, &config, strategy);
+        let (verify_eager, verify_lazy) = compare_verify(scenario, &config, strategy);
         eprintln!(
             "   optimize: eager {:.1} ms | lazy {:.1} ms ({:.2}x) | {} rounds, {} of {} eager clauses",
-            row.eager_wall_ms,
-            row.lazy_wall_ms,
+            row.eager.median,
+            row.lazy.median,
             row.speedup,
             row.rounds,
             row.lazy_clauses + row.clauses_added,
@@ -349,7 +398,7 @@ fn main() {
         );
         eprintln!(
             "   generate: eager {:.1} ms | lazy {:.1} ms ({:.2}x) | {} rounds",
-            gen_row.eager_wall_ms, gen_row.lazy_wall_ms, gen_row.speedup, gen_row.rounds,
+            gen_row.eager.median, gen_row.lazy.median, gen_row.speedup, gen_row.rounds,
         );
         if HEADLINE.contains(&scenario.name.as_str()) {
             headline_speedups.push(row.speedup);
@@ -364,11 +413,11 @@ fn main() {
         let _ = writeln!(out, "      \"name\": \"{}\",", scenario.name);
         let _ = writeln!(
             out,
-            "      \"optimize\": {{\"eager_wall_ms\": {:.2}, \"lazy_wall_ms\": {:.2}, \
+            "      \"optimize\": {{\"eager_wall_ms\": {}, \"lazy_wall_ms\": {}, \
              \"speedup\": {:.2}, \"eager_clauses\": {}, \"lazy_clauses\": {}, \
              \"clauses_added\": {}, \"rounds\": {}, \"deadline_steps\": {}, \"borders\": {}}},",
-            row.eager_wall_ms,
-            row.lazy_wall_ms,
+            row.eager.json(),
+            row.lazy.json(),
             row.speedup,
             row.eager_clauses,
             row.lazy_clauses,
@@ -379,11 +428,11 @@ fn main() {
         );
         let _ = writeln!(
             out,
-            "      \"generate\": {{\"eager_wall_ms\": {:.2}, \"lazy_wall_ms\": {:.2}, \
+            "      \"generate\": {{\"eager_wall_ms\": {}, \"lazy_wall_ms\": {}, \
              \"speedup\": {:.2}, \"eager_clauses\": {}, \"lazy_clauses\": {}, \
              \"clauses_added\": {}, \"rounds\": {}, \"borders\": {}}},",
-            gen_row.eager_wall_ms,
-            gen_row.lazy_wall_ms,
+            gen_row.eager.json(),
+            gen_row.lazy.json(),
             gen_row.speedup,
             gen_row.eager_clauses,
             gen_row.lazy_clauses,
@@ -393,8 +442,9 @@ fn main() {
         );
         let _ = writeln!(
             out,
-            "      \"verify_full_layout\": {{\"eager_wall_ms\": {verify_eager_ms:.2}, \
-             \"lazy_wall_ms\": {verify_lazy_ms:.2}}}"
+            "      \"verify_full_layout\": {{\"eager_wall_ms\": {}, \"lazy_wall_ms\": {}}}",
+            verify_eager.json(),
+            verify_lazy.json(),
         );
         let _ = write!(out, "    }}");
         out.push_str(if i + 1 < fixtures.len() { ",\n" } else { "\n" });

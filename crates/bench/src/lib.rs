@@ -2,8 +2,6 @@
 //! three design tasks) for the `table1` binary. The Fig. 1/2
 //! running-example story is `examples/quickstart.rs`.
 
-pub mod harness;
-
 use std::fmt;
 use std::time::Duration;
 

@@ -17,7 +17,7 @@
 //! 4. *Collision*: a train moving `e → f` forbids every other train from
 //!    the segments on any `≤ v*`-hop path between them at both steps
 //!    (paper-literal: including the endpoints, which also rules out
-//!    immediate re-occupation; configurable).
+//!    immediate re-occupation).
 
 // Index-coupled loops over parallel tables are intentional here.
 #![allow(clippy::needless_range_loop)]
@@ -37,13 +37,6 @@ pub struct EncoderConfig {
     /// Prune occupancy variables that cannot reach the train's goal in the
     /// remaining time (sound; mandatory for the Nordlandsbanen scale).
     pub prune_to_goal: bool,
-    /// Exclude the move's endpoints from the collision constraint, allowing
-    /// a train to enter a segment in the same step another train leaves it.
-    /// The paper's formulation keeps the endpoints (conservative).
-    pub allow_immediate_reoccupation: bool,
-    /// Also require every newly occupied segment to be within reach of the
-    /// previous position (physically implied; strengthens propagation).
-    pub symmetric_movement: bool,
     /// Mirror the emitted formula plus full provenance (variable labels,
     /// constraint groups, gates, objective references) into
     /// [`Encoding::trace`] so the `etcs-lint` audit can inspect it. Costs
@@ -59,8 +52,6 @@ impl Default for EncoderConfig {
     fn default() -> Self {
         EncoderConfig {
             prune_to_goal: true,
-            allow_immediate_reoccupation: false,
-            symmetric_movement: true,
             trace: false,
             proof: false,
         }
@@ -147,13 +138,15 @@ pub enum TaskKind {
     Verify(VssLayout),
     /// Free layout, arrival deadlines enforced.
     Generate,
-    /// Free layout, deadlines dropped; completion objective added.
+    /// Free layout, deadlines dropped; every train must reach its goal by
+    /// the horizon. [`crate::run`] minimises the completion step by
+    /// probing [`TaskKind::Generate`] encodings under uniform deadlines
+    /// instead of encoding this task.
     Optimize,
     /// Free layout, deadlines dropped; one guarded-deadline selector per
     /// candidate completion step (see [`Encoding::step_selectors`]) so a
     /// single persistent solver can probe every deadline via
-    /// `solve_with(&[sel_d])` instead of re-encoding per probe. No step
-    /// objective is built — the selector search replaces it.
+    /// `solve_with(&[sel_d])` instead of re-encoding per probe.
     OptimizeIncremental,
     /// Like [`TaskKind::Verify`], but every train's arrival and stop
     /// deadlines are guarded by a selector literal (see
@@ -210,19 +203,6 @@ pub struct Encoding {
     /// `min Σ border_v` objective (layout generation; secondary objective of
     /// optimisation).
     pub border_objective: Objective,
-    /// `min Σ_t ¬done^t` objective (only for [`TaskKind::Optimize`]).
-    ///
-    /// Kept for the ablation study; [`Encoding::all_done`] enables the much
-    /// faster monotone binary search the tasks use by default.
-    pub step_objective: Option<Objective>,
-    /// Cost offset of `step_objective`: steps before the last departure can
-    /// never be all-done and are counted as a constant.
-    pub step_cost_offset: u64,
-    /// `all_done[t]` — literal true iff every train is done at step `t`
-    /// (`None` before the last departure). Because every `done` chain is
-    /// monotone, `Σ_t ¬done^t` equals the first `t` with `all_done[t]`,
-    /// so the optimum can be found by searching on these assumptions.
-    pub all_done: Vec<Option<Lit>>,
     /// For [`TaskKind::Diagnose`]: one selector literal per train, in
     /// schedule order; assuming a selector enforces that train's arrival
     /// and stop deadlines. Empty for the other tasks.
@@ -400,12 +380,6 @@ impl<'a> Encoder<'a> {
             Objective::count_of(self.border.iter().filter_map(|v| v.map(Var::positive)));
         self.solver
             .mark_objective(self.border.iter().filter_map(|v| v.map(Var::positive)));
-        let (step_objective, step_cost_offset, all_done) =
-            if matches!(self.task, TaskKind::Optimize) {
-                self.build_step_objective()
-            } else {
-                (None, 0, Vec::new())
-            };
 
         let (solver, trace, proof) = self.solver.finish();
         let stats = EncodingStats {
@@ -425,9 +399,6 @@ impl<'a> Encoder<'a> {
             },
             stats,
             border_objective,
-            step_objective,
-            step_cost_offset,
-            all_done,
             deadline_selectors,
             step_selectors,
             trace,
@@ -736,20 +707,18 @@ impl<'a> Encoder<'a> {
                 clause.extend(reach);
                 self.solver.add_clause(clause);
             }
-            if self.config.symmetric_movement {
-                for &f in &next {
-                    let occ_f = self.occ_lit(tr, t + 1, f).expect("active");
-                    let back = self.reachable_lits(f, tr, t, speed);
-                    // Same subsumption, against the presence clause at t —
-                    // but only for Park trains: the Leave presence clause
-                    // carries a `done` literal this clause does not.
-                    if single && !leave && back.len() == current.len() {
-                        continue;
-                    }
-                    let mut clause = vec![!occ_f];
-                    clause.extend(back);
-                    self.solver.add_clause(clause);
+            for &f in &next {
+                let occ_f = self.occ_lit(tr, t + 1, f).expect("active");
+                let back = self.reachable_lits(f, tr, t, speed);
+                // Same subsumption, against the presence clause at t — but
+                // only for Park trains: the Leave presence clause carries a
+                // `done` literal this clause does not.
+                if single && !leave && back.len() == current.len() {
+                    continue;
                 }
+                let mut clause = vec![!occ_f];
+                clause.extend(back);
+                self.solver.add_clause(clause);
             }
         }
     }
@@ -894,10 +863,7 @@ impl<'a> Encoder<'a> {
     ) {
         let key = (e, f, speed);
         if !self.path_cache.contains_key(&key) {
-            let mut path = self.inst.net.path_edges(e, f, speed);
-            if self.config.allow_immediate_reoccupation {
-                path.retain(|&g| g != e && g != f);
-            }
+            let path = self.inst.net.path_edges(e, f, speed);
             self.path_cache.insert(key, path);
         }
         let occ_e = self.occ_lit(mover, t, e).expect("active");
@@ -1195,36 +1161,6 @@ impl<'a> Encoder<'a> {
             }
         }
     }
-
-    fn build_step_objective(&mut self) -> (Option<Objective>, u64, Vec<Option<Lit>>) {
-        let max_dep = self
-            .inst
-            .trains
-            .iter()
-            .map(|t| t.dep_step)
-            .max()
-            .unwrap_or(0);
-        let mut cost_lits: Vec<Lit> = Vec::new();
-        let mut all_done: Vec<Option<Lit>> = vec![None; self.inst.t_max];
-        self.solver.begin_group(|| "step-objective".to_owned());
-        for t in max_dep..self.inst.t_max {
-            let done_lits: Vec<Lit> = (0..self.inst.trains.len())
-                .map(|tr| self.done[tr][t].expect("done allocated after departure"))
-                .collect();
-            let gate = self.solver.and_gate(&done_lits);
-            self.solver
-                .tag_var(gate.var(), || format!("all-done[t={t}]"));
-            all_done[t] = Some(gate);
-            cost_lits.push(!gate);
-        }
-        self.solver.mark_objective(cost_lits.iter().copied());
-        // Steps strictly before the last departure can never be all-done.
-        (
-            Some(Objective::count_of(cost_lits)),
-            max_dep as u64,
-            all_done,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -1240,17 +1176,6 @@ mod tests {
         assert!(enc.stats.occupies_vars > 0);
         assert!(enc.stats.clauses > 0);
         assert!(enc.stats.solver_vars >= enc.stats.border_vars + enc.stats.occupies_vars);
-        assert!(enc.step_objective.is_none());
-    }
-
-    #[test]
-    fn optimize_encoding_has_step_objective() {
-        let scenario = fixtures::running_example().without_arrivals();
-        let inst = Instance::new(&scenario).expect("valid");
-        let enc = encode(&inst, &EncoderConfig::default(), &TaskKind::Optimize);
-        let obj = enc.step_objective.expect("optimize builds the objective");
-        assert!(!obj.is_empty());
-        assert_eq!(enc.step_cost_offset, 2, "latest departure is step 2");
     }
 
     #[test]
@@ -1330,10 +1255,6 @@ mod tests {
         for (d, sel) in enc.step_selectors.iter().enumerate() {
             assert_eq!(sel.is_some(), d >= lower, "selector coverage at d={d}");
         }
-        assert!(
-            enc.step_objective.is_none(),
-            "the selector search replaces the cardinality objective"
-        );
         // The other tasks allocate no step selectors.
         let plain = encode(&inst, &EncoderConfig::default(), &TaskKind::Optimize);
         assert!(plain.step_selectors.is_empty());
@@ -1487,45 +1408,6 @@ mod shape_tests {
                 assert_eq!(w[1] - w[0], 1, "chain must be contiguous: {ix:?}");
             }
         }
-    }
-
-    #[test]
-    fn all_config_variants_agree_on_running_example_verdicts() {
-        let scenario = fixtures::running_example();
-        let variants = [
-            EncoderConfig::default(),
-            EncoderConfig {
-                prune_to_goal: false,
-                ..EncoderConfig::default()
-            },
-            EncoderConfig {
-                symmetric_movement: false,
-                ..EncoderConfig::default()
-            },
-        ];
-        for config in variants {
-            let (v, _) = verify(&scenario, &etcs_network::VssLayout::pure_ttd(), &config)
-                .expect("well-formed");
-            assert!(!v.is_feasible(), "verdict must not depend on {config:?}");
-        }
-    }
-
-    #[test]
-    fn relaxed_reoccupation_is_weaker() {
-        // Everything feasible under the paper-literal rule stays feasible
-        // when immediate re-occupation is allowed.
-        let scenario = fixtures::running_example();
-        let inst = Instance::new(&scenario).expect("valid");
-        let strict = EncoderConfig::default();
-        let relaxed = EncoderConfig {
-            allow_immediate_reoccupation: true,
-            ..strict
-        };
-        let full = etcs_network::VssLayout::full(&inst.net);
-        let (a, _) = verify(&scenario, &full, &strict).expect("well-formed");
-        assert!(a.is_feasible());
-        let (b, _) = verify(&scenario, &full, &relaxed).expect("well-formed");
-        assert!(b.is_feasible(), "relaxation must not lose solutions");
     }
 
     #[test]

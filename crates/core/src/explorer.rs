@@ -5,8 +5,8 @@
 //! ([`TaskKind::Generate`]); each candidate layout is then checked by
 //! passing the border assignment as solver *assumptions*. Learnt clauses
 //! carry over between queries, so sweeping dozens of layouts (e.g. in a
-//! design-space exploration GUI, or the `ablation` bench) costs a fraction
-//! of independent [`crate::verify`] calls.
+//! design-space exploration GUI) costs a fraction of independent
+//! [`crate::verify`] calls.
 
 use etcs_network::{NetworkError, NodeId, Scenario, VssLayout};
 use etcs_sat::{Lit, SatResult};

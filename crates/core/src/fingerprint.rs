@@ -27,8 +27,9 @@
 //! the encoding is built from and reordering them can legitimately change
 //! which optimal model the solver finds first.
 //!
-//! The fingerprint is two independently-seeded FNV-1a-64 lanes, each
-//! finished with a splitmix64-style avalanche that mixes in the other lane.
+//! The fingerprint is [`Fnv2`]: two independently-seeded FNV-1a-64 lanes,
+//! each finished with a splitmix64-style avalanche that mixes in the other
+//! lane.
 //! No cryptographic strength is claimed; the cache only needs collisions to
 //! be vanishingly unlikely across a service lifetime of jobs.
 
@@ -41,47 +42,77 @@ use crate::encoder::{EncoderConfig, TaskKind};
 /// stale persisted (or replicated) caches can never alias. Distributed
 /// components exchange this string in their handshakes: two processes may
 /// only share cache entries when their versions agree.
-pub const CACHE_KEY_VERSION: &str = "etcs-cache-key-v5";
+pub const CACHE_KEY_VERSION: &str = "etcs-cache-key-v6";
 
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 const OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
 const OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
 
-/// Incremental two-lane FNV-1a writer with length-prefixed framing, so
-/// adjacent variable-length fields can never alias each other.
-struct Canon {
+/// Incremental two-lane FNV-1a-64 writer with length-prefixed framing, so
+/// adjacent variable-length fields can never alias each other. Each lane
+/// is finished with a splitmix64-style avalanche that mixes in the other
+/// lane. [`cache_key`] hashes inputs with it; `etcs-serve` hashes job
+/// payloads with it.
+///
+/// # Examples
+///
+/// ```
+/// use etcs_core::Fnv2;
+///
+/// let mut a = Fnv2::new();
+/// a.str("ab");
+/// a.str("c");
+/// let mut b = Fnv2::new();
+/// b.str("a");
+/// b.str("bc");
+/// assert_ne!(a.finish(), b.finish(), "strings are length-prefixed");
+/// ```
+#[derive(Debug)]
+pub struct Fnv2 {
     a: u64,
     b: u64,
 }
 
-impl Canon {
-    fn new() -> Self {
-        Canon {
+impl Default for Fnv2 {
+    fn default() -> Self {
+        Fnv2 {
             a: OFFSET_A,
             b: OFFSET_B,
         }
     }
+}
 
-    fn byte(&mut self, x: u8) {
+impl Fnv2 {
+    /// A writer with both lanes at their offset basis.
+    pub fn new() -> Self {
+        Fnv2::default()
+    }
+
+    /// Hashes one byte into both lanes.
+    pub(crate) fn byte(&mut self, x: u8) {
         self.a = (self.a ^ u64::from(x)).wrapping_mul(FNV_PRIME);
         self.b = (self.b ^ u64::from(x)).wrapping_mul(FNV_PRIME);
     }
 
-    fn u64(&mut self, x: u64) {
+    /// Hashes the eight little-endian bytes of `x`.
+    pub fn u64(&mut self, x: u64) {
         for byte in x.to_le_bytes() {
             self.byte(byte);
         }
     }
 
-    fn usize(&mut self, x: usize) {
+    /// Hashes `x` as a `u64`.
+    pub(crate) fn usize(&mut self, x: usize) {
         self.u64(x as u64);
     }
 
-    fn bool(&mut self, x: bool) {
+    /// Hashes `x` as one byte.
+    pub(crate) fn bool(&mut self, x: bool) {
         self.byte(u8::from(x));
     }
 
-    fn str(&mut self, s: &str) {
+    /// Hashes the length of `s`, then its bytes.
+    pub fn str(&mut self, s: &str) {
         self.usize(s.len());
         for &byte in s.as_bytes() {
             self.byte(byte);
@@ -89,12 +120,14 @@ impl Canon {
     }
 
     /// A domain-separation tag between record kinds.
-    fn tag(&mut self, t: u8) {
+    pub(crate) fn tag(&mut self, t: u8) {
         self.byte(0xfe);
         self.byte(t);
     }
 
-    fn finish(self) -> u128 {
+    /// The 128-bit digest: the high half finishes lane `a`, the low half
+    /// lane `b`.
+    pub fn finish(self) -> u128 {
         fn avalanche(mut x: u64) -> u64 {
             x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -109,10 +142,10 @@ impl Canon {
 /// Computes the content-addressed cache key of a task over `scenario`.
 ///
 /// See the module docs for exactly what is (and is not) canonicalised.
-/// The key is versioned (`etcs-cache-key-v5`): any change to the encoding
+/// The key is versioned (`etcs-cache-key-v6`): any change to the encoding
 /// or decoding pipeline that can alter results must bump the version tag so
-/// stale persisted caches can never alias. v4 and v5 each dropped the
-/// bytes of a removed encoder setting, which changed every key value.
+/// stale persisted caches can never alias. v4, v5 and v6 each dropped the
+/// bytes of removed encoder settings, which changed every key value.
 ///
 /// # Examples
 ///
@@ -127,7 +160,7 @@ impl Canon {
 /// assert_ne!(a, b, "task kinds address distinct results");
 /// ```
 pub fn cache_key(scenario: &Scenario, task: &TaskKind, config: &EncoderConfig) -> u128 {
-    let mut c = Canon::new();
+    let mut c = Fnv2::new();
     c.str(CACHE_KEY_VERSION);
     write_config(&mut c, config);
     write_timing(&mut c, scenario);
@@ -138,17 +171,15 @@ pub fn cache_key(scenario: &Scenario, task: &TaskKind, config: &EncoderConfig) -
 }
 
 /// Hashes the encoder configuration (tag `0x01`).
-fn write_config(c: &mut Canon, config: &EncoderConfig) {
+fn write_config(c: &mut Fnv2, config: &EncoderConfig) {
     c.tag(0x01); // encoder configuration
     c.bool(config.prune_to_goal);
-    c.bool(config.allow_immediate_reoccupation);
-    c.bool(config.symmetric_movement);
     c.bool(config.trace);
     c.bool(config.proof);
 }
 
 /// Hashes the spatial/temporal resolutions and horizon (tag `0x02`).
-fn write_timing(c: &mut Canon, scenario: &Scenario) {
+fn write_timing(c: &mut Fnv2, scenario: &Scenario) {
     c.tag(0x02); // resolutions and horizon
     c.u64(scenario.r_s.as_u64());
     c.u64(scenario.r_t.as_u64());
@@ -156,7 +187,7 @@ fn write_timing(c: &mut Canon, scenario: &Scenario) {
 }
 
 /// Hashes the network topology: tracks, TTDs, stations (tags `0x03`–`0x05`).
-fn write_topology(c: &mut Canon, scenario: &Scenario) {
+fn write_topology(c: &mut Fnv2, scenario: &Scenario) {
     let net = &scenario.network;
     c.tag(0x03); // topology: declaration order is id order, hash as-is
     c.usize(net.num_nodes());
@@ -196,7 +227,7 @@ fn write_topology(c: &mut Canon, scenario: &Scenario) {
 /// the arrival and per-stop deadlines are hashed as if absent — the exact
 /// transformation [`Scenario::without_arrivals`] applies — so the masked
 /// hash is invariant under deadline-only edits.
-fn write_schedule(c: &mut Canon, scenario: &Scenario, mask_deadlines: bool) {
+fn write_schedule(c: &mut Fnv2, scenario: &Scenario, mask_deadlines: bool) {
     c.tag(0x06); // schedule, in run order (run order is train-id order)
     c.usize(scenario.schedule.len());
     for run in scenario.schedule.runs() {
@@ -230,7 +261,7 @@ fn write_schedule(c: &mut Canon, scenario: &Scenario, mask_deadlines: bool) {
 /// Hashes only the deadline-carrying schedule fields (tag `0x08`): per run,
 /// the arrival option and the per-stop deadline options. Together with the
 /// masked schedule hash this covers every schedule byte [`cache_key`] sees.
-fn write_deadlines(c: &mut Canon, scenario: &Scenario) {
+fn write_deadlines(c: &mut Fnv2, scenario: &Scenario) {
     c.tag(0x08); // deadlines only (arrivals + stop deadlines)
     c.usize(scenario.schedule.len());
     for run in scenario.schedule.runs() {
@@ -254,7 +285,7 @@ fn write_deadlines(c: &mut Canon, scenario: &Scenario) {
     }
 }
 
-fn write_task(c: &mut Canon, task: &TaskKind) {
+fn write_task(c: &mut Fnv2, task: &TaskKind) {
     c.tag(0x07); // task kind (+ layout where the task takes one)
     let layout = match task {
         TaskKind::Verify(layout) => {
@@ -341,14 +372,14 @@ pub struct SubFingerprints {
 /// assert_eq!(fps.core, open.core);
 /// ```
 pub fn sub_fingerprints(scenario: &Scenario, config: &EncoderConfig) -> SubFingerprints {
-    let component = |write: &dyn Fn(&mut Canon)| {
-        let mut c = Canon::new();
+    let component = |write: &dyn Fn(&mut Fnv2)| {
+        let mut c = Fnv2::new();
         c.str(CACHE_KEY_VERSION);
         write(&mut c);
         c.finish()
     };
     let core = {
-        let mut c = Canon::new();
+        let mut c = Fnv2::new();
         c.str(CACHE_KEY_VERSION);
         write_config(&mut c, config);
         write_timing(&mut c, scenario);
@@ -391,12 +422,12 @@ mod tests {
             (
                 "generate",
                 TaskKind::Generate,
-                0x6876139760c79c5b5b323496db82091e,
+                0x52fba080c1562060e47a4eecc3720063,
             ),
             (
                 "pure-TTD verify",
                 TaskKind::Verify(VssLayout::pure_ttd()),
-                0x9ae1e763a61d683c3aff975db59e4a20,
+                0x716b69de451f85f409653eed74853f88,
             ),
         ];
         for (label, task, want) in pinned {
@@ -443,13 +474,13 @@ mod tests {
     fn config_changes_the_key() {
         let s = fixtures::running_example();
         let mut other = config();
-        other.symmetric_movement = !other.symmetric_movement;
+        other.prune_to_goal = !other.prune_to_goal;
         assert_ne!(
             cache_key(&s, &TaskKind::Generate, &config()),
             cache_key(&s, &TaskKind::Generate, &other),
         );
         let mut both = other;
-        both.allow_immediate_reoccupation = !both.allow_immediate_reoccupation;
+        both.trace = !both.trace;
         assert_ne!(
             cache_key(&s, &TaskKind::Generate, &other),
             cache_key(&s, &TaskKind::Generate, &both),
@@ -524,10 +555,10 @@ mod tests {
     #[test]
     fn config_moves_core_but_not_topology() {
         let s = fixtures::running_example();
-        let mut asymmetric = config();
-        asymmetric.symmetric_movement = false;
+        let mut unpruned = config();
+        unpruned.prune_to_goal = false;
         let a = sub_fingerprints(&s, &config());
-        let b = sub_fingerprints(&s, &asymmetric);
+        let b = sub_fingerprints(&s, &unpruned);
         assert_ne!(a.config, b.config);
         assert_ne!(
             a.core, b.core,

@@ -839,9 +839,9 @@ fn run_generate(
 /// the returned [`TaskReport`] — that agreement is asserted by
 /// `tests/obs_trace.rs`.
 ///
-/// The shrinking-horizon walk dominates the monolithic `Σ_t ¬done^t`
-/// cardinality objective by orders of magnitude (the `ablation` bench
-/// quantifies this).
+/// The shrinking-horizon walk replaced the paper's monolithic
+/// `Σ_t ¬done^t` cardinality objective, whose first solve alone took more
+/// than 200 s on the Simple Layout (DESIGN.md §3).
 fn run_optimize(
     scenario: &Scenario,
     config: &EncoderConfig,

@@ -4,14 +4,12 @@
 //! The scan mirrors `etcs-sim`'s validator rules for the three lazy
 //! families — shared segments, missing VSS borders, trains passing through
 //! one another — but at *instance* granularity (the validator deduplicates
-//! per train pair and step, which is too coarse to drive refinement) and
-//! aware of the [`EncoderConfig`] in force: with
-//! `allow_immediate_reoccupation` the encoder excludes a move's endpoints
-//! from the swept path, so the detector must too, or it would report
-//! violations the refiner can never block and the loop would not
-//! terminate.
+//! per train pair and step, which is too coarse to drive refinement). A
+//! move's swept path includes its endpoints, exactly as in the encoder's
+//! collision constraint, so every reported instance is one the refiner
+//! can block.
 
-use etcs_core::{ConstraintFamilies, EncoderConfig, Instance, SolvedPlan};
+use etcs_core::{ConstraintFamilies, Instance, SolvedPlan};
 use etcs_network::EdgeId;
 
 /// One concrete violated instance of a deferred constraint family.
@@ -88,12 +86,7 @@ impl LazyViolation {
 ///
 /// Families that were emitted eagerly are skipped: the solver already
 /// enforced them, so scanning would only burn time proving the obvious.
-pub fn detect(
-    inst: &Instance,
-    plan: &SolvedPlan,
-    config: &EncoderConfig,
-    eager: ConstraintFamilies,
-) -> Vec<LazyViolation> {
+pub fn detect(inst: &Instance, plan: &SolvedPlan, eager: ConstraintFamilies) -> Vec<LazyViolation> {
     let mut out = Vec::new();
     let num_trains = plan.plans.len();
     if num_trains < 2 {
@@ -158,13 +151,9 @@ pub fn detect(
                         if !matches!(inst.dist(e, f), Some(d) if d >= 1 && d <= spec.speed) {
                             continue;
                         }
-                        let path = path_cache.entry((e, f, spec.speed)).or_insert_with(|| {
-                            let mut path = net.path_edges(e, f, spec.speed);
-                            if config.allow_immediate_reoccupation {
-                                path.retain(|&g| g != e && g != f);
-                            }
-                            path
-                        });
+                        let path = path_cache
+                            .entry((e, f, spec.speed))
+                            .or_insert_with(|| net.path_edges(e, f, spec.speed));
                         for &g in path.iter() {
                             for (other, q) in plan.plans.iter().enumerate() {
                                 if other == mover {

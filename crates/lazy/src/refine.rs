@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use etcs_core::{EncoderConfig, Encoding, Instance};
+use etcs_core::{Encoding, Instance};
 use etcs_network::{EdgeId, NodeKind, TtdId};
 use etcs_obs::Span;
 use etcs_sat::{CnfSink, Lit};
@@ -246,8 +246,7 @@ fn emit_separation(enc: &mut Encoding, inst: &Instance, ttd: u32, band: u32) -> 
 ///
 /// The per-mover guards replay the eager ones exactly: the move distance
 /// must be within the mover's speed, the swept path is *that* mover's
-/// (paths depend on speed, and on `allow_immediate_reoccupation`, which
-/// drops the endpoints), and uncontested segments are skipped. The
+/// (paths depend on speed), and uncontested segments are skipped. The
 /// auxiliary variables keep the loop sound: any model of the full eager
 /// encoding extends to them (set each sweep variable to `occ_from ∧
 /// occ_to` over its activated moves; the exclusivity binaries then hold
@@ -257,7 +256,6 @@ fn emit_separation(enc: &mut Encoding, inst: &Instance, ttd: u32, band: u32) -> 
 fn emit_pass(
     enc: &mut Encoding,
     inst: &Instance,
-    config: &EncoderConfig,
     state: &mut RefineState,
     from: EdgeId,
     to: EdgeId,
@@ -271,10 +269,7 @@ fn emit_pass(
         if !matches!(inst.dist(from, to), Some(d) if d >= 1 && d <= spec.speed) {
             continue;
         }
-        let mut path = inst.net.path_edges(from, to, spec.speed);
-        if config.allow_immediate_reoccupation {
-            path.retain(|&g| g != from && g != to);
-        }
+        let path = inst.net.path_edges(from, to, spec.speed);
         for t in steps.clone() {
             if t < spec.dep_step {
                 continue;
@@ -335,7 +330,6 @@ pub(crate) fn refine(
     round: &Span,
     enc: &mut Encoding,
     inst: &Instance,
-    config: &EncoderConfig,
     state: &mut RefineState,
     violations: &[LazyViolation],
     strategy: SelectionStrategy,
@@ -362,7 +356,7 @@ pub(crate) fn refine(
                 let LazyViolation::PassThrough { from, to, .. } = *v else {
                     unreachable!("pass signature from a pass violation")
                 };
-                emit_pass(enc, inst, config, state, from, to, band)
+                emit_pass(enc, inst, state, from, to, band)
             }
         };
     }

@@ -47,15 +47,8 @@ pub struct LazyReport {
     pub clauses_added: usize,
 }
 
-/// Final bit-check: a fixpoint plan must pass the eager validator. Skipped
-/// when `allow_immediate_reoccupation` is on, because `etcs-sim` implements
-/// the paper-literal pass-through rule (endpoints included in the swept
-/// path) and would reject plans the eager *encoder* accepts under that
-/// config — the check would compare against the wrong oracle.
-fn bit_check(inst: &Instance, plan: &SolvedPlan, enforce_deadlines: bool, config: &EncoderConfig) {
-    if config.allow_immediate_reoccupation {
-        return;
-    }
+/// Final bit-check: a fixpoint plan must pass the eager validator.
+fn bit_check(inst: &Instance, plan: &SolvedPlan, enforce_deadlines: bool) {
     let report = etcs_sim::validate(inst, plan, enforce_deadlines);
     assert!(
         report.is_valid(),
@@ -88,21 +81,12 @@ impl LoopState {
         round: Span,
         enc: &mut Encoding,
         inst: &Instance,
-        config: &EncoderConfig,
         violations: &[crate::LazyViolation],
         strategy: SelectionStrategy,
         obs: &Obs,
         extra: &[(&'static str, etcs_obs::Value)],
     ) {
-        let added = refine(
-            &round,
-            enc,
-            inst,
-            config,
-            &mut self.refine,
-            violations,
-            strategy,
-        );
+        let added = refine(&round, enc, inst, &mut self.refine, violations, strategy);
         self.clauses_added += added;
         obs.counter_add("lazy.clauses_added", added as u64);
         let mut fields: Vec<(&'static str, etcs_obs::Value)> = vec![
@@ -122,8 +106,7 @@ impl LoopState {
 /// [`TaskKind::OptimizeIncremental`] share one loop: the CEGAR walk is
 /// inherently incremental, and its optima match either eager loop.
 ///
-/// Every fixpoint plan is bit-checked against `etcs-sim`'s validator
-/// (except under `allow_immediate_reoccupation`, see `bit_check`).
+/// Every fixpoint plan is bit-checked against `etcs-sim`'s validator.
 ///
 /// # Errors
 ///
@@ -194,7 +177,7 @@ fn verify(
                 let mut plan = SolvedPlan::decode(&inst, &enc.vars, &model);
                 // The verification layout is an input, not a solver choice.
                 plan.layout = layout.clone();
-                let violations = detect(&inst, &plan, config, DEFERRED);
+                let violations = detect(&inst, &plan, DEFERRED);
                 if violations.is_empty() {
                     round.close_with(&[("sat", true.into()), ("violations", 0usize.into())]);
                     break DesignOutcome::Solved {
@@ -202,16 +185,7 @@ fn verify(
                         costs: Vec::new(),
                     };
                 }
-                state.refine_round(
-                    round,
-                    &mut enc,
-                    &inst,
-                    config,
-                    &violations,
-                    strategy,
-                    obs,
-                    &[],
-                );
+                state.refine_round(round, &mut enc, &inst, &violations, strategy, obs, &[]);
             }
             SatResult::Unsat { .. } => {
                 round.close_with(&[("sat", false.into())]);
@@ -227,7 +201,7 @@ fn verify(
     };
 
     if let Some(plan) = outcome.plan() {
-        bit_check(&inst, plan, true, config);
+        bit_check(&inst, plan, true);
     }
     let search = *enc.solver.stats();
     drop(enc); // inside the task span, so teardown is attributed to it
@@ -296,7 +270,7 @@ fn generate(
         state.calls += stage_calls;
         match result {
             Stage2::Solved(plan, cost) => {
-                let violations = detect(&inst, &plan, config, DEFERRED);
+                let violations = detect(&inst, &plan, DEFERRED);
                 if violations.is_empty() {
                     round.close_with(&[
                         ("sat", true.into()),
@@ -308,16 +282,7 @@ fn generate(
                         costs: vec![cost],
                     };
                 }
-                state.refine_round(
-                    round,
-                    &mut enc,
-                    &inst,
-                    config,
-                    &violations,
-                    strategy,
-                    obs,
-                    &[],
-                );
+                state.refine_round(round, &mut enc, &inst, &violations, strategy, obs, &[]);
             }
             Stage2::Unsat => {
                 round.close_with(&[("sat", false.into())]);
@@ -332,7 +297,7 @@ fn generate(
     };
 
     if let DesignOutcome::Solved { plan, .. } = &outcome {
-        bit_check(&inst, plan, true, config);
+        bit_check(&inst, plan, true);
     }
     let search = *enc.solver.stats();
     drop(enc); // inside the task span, so teardown is attributed to it
@@ -450,7 +415,7 @@ fn optimize(
         match verdict {
             SatResult::Sat(model) => {
                 let plan = SolvedPlan::decode(&inst, &enc.vars, &model);
-                let violations = detect(&inst, &plan, config, DEFERRED);
+                let violations = detect(&inst, &plan, DEFERRED);
                 if violations.is_empty() {
                     let achieved = plan.completion_steps(&inst).saturating_sub(1).min(d);
                     debug_assert!(achieved >= lower, "witness beats the lower bound");
@@ -470,7 +435,6 @@ fn optimize(
                         round,
                         &mut enc,
                         &inst,
-                        config,
                         &violations,
                         strategy,
                         obs,
@@ -553,7 +517,7 @@ fn optimize(
         state.calls += stage_calls;
         match result {
             Stage2::Solved(plan, cost) => {
-                let violations = detect(&inst, &plan, config, DEFERRED);
+                let violations = detect(&inst, &plan, DEFERRED);
                 if violations.is_empty() {
                     round.close_with(&[
                         ("sat", true.into()),
@@ -566,7 +530,6 @@ fn optimize(
                     round,
                     &mut enc,
                     &inst,
-                    config,
                     &violations,
                     strategy,
                     obs,
@@ -584,7 +547,7 @@ fn optimize(
         }
     };
 
-    bit_check(&inst, &plan, false, config);
+    bit_check(&inst, &plan, false);
     let search = *enc.solver.stats();
     drop(enc); // inside the task span, so teardown is attributed to it
     span.close_with(&[

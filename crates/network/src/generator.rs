@@ -6,8 +6,8 @@
 //! parallel sidings ([`station_throat`]).
 //!
 //! Used by the property-based test suites (random-but-reproducible
-//! topologies), the scaling benchmarks and the `etcs-corpus` scenario
-//! corpus; also a convenient starting point for custom experiments.
+//! topologies) and the `etcs-corpus` scenario corpus; also a convenient
+//! starting point for custom experiments.
 
 use crate::scenario::Scenario;
 use crate::schedule::{Schedule, TrainRun};

@@ -9,8 +9,8 @@ use std::panic::AssertUnwindSafe;
 use std::time::Duration;
 
 use etcs_core::{
-    cache_key, diagnose, DesignOutcome, Diagnosis, EncoderConfig, EncodingStats, Run, SolvedPlan,
-    TaskError, TaskKind, TaskReport,
+    cache_key, diagnose, DesignOutcome, Diagnosis, EncoderConfig, EncodingStats, Fnv2, Run,
+    SolvedPlan, TaskError, TaskKind, TaskReport,
 };
 use etcs_lazy::SelectionStrategy;
 use etcs_network::{Scenario, VssLayout};
@@ -339,53 +339,6 @@ pub(crate) fn verdict_digest_of(kind: JobKind, feasible: bool, costs: &[u64]) ->
     h.finish()
 }
 
-/// Two-lane FNV-1a-64 with an avalanche finish — the same construction as
-/// `etcs_core::cache_key`, here hashing *outputs* instead of inputs.
-struct Fnv2 {
-    a: u64,
-    b: u64,
-}
-
-impl Fnv2 {
-    const PRIME: u64 = 0x100_0000_01b3;
-
-    fn new() -> Self {
-        Fnv2 {
-            a: 0xcbf2_9ce4_8422_2325,
-            b: 0x6c62_272e_07bb_0142,
-        }
-    }
-
-    fn byte(&mut self, x: u8) {
-        self.a = (self.a ^ u64::from(x)).wrapping_mul(Self::PRIME);
-        self.b = (self.b ^ u64::from(x)).wrapping_mul(Self::PRIME);
-    }
-
-    fn u64(&mut self, x: u64) {
-        for byte in x.to_le_bytes() {
-            self.byte(byte);
-        }
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for &byte in s.as_bytes() {
-            self.byte(byte);
-        }
-    }
-
-    fn finish(self) -> u128 {
-        fn avalanche(mut x: u64) -> u64 {
-            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            x ^ (x >> 31)
-        }
-        let hi = avalanche(self.a ^ self.b.rotate_left(32));
-        let lo = avalanche(self.b ^ self.a.rotate_left(17));
-        (u128::from(hi) << 64) | u128::from(lo)
-    }
-}
-
 /// Why a job was refused at admission.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RejectReason {
@@ -670,6 +623,28 @@ mod tests {
         assert_eq!(payload.solver_calls, report.solver_calls);
         assert_eq!(payload.search, report.search);
         assert!(payload.stats.clauses > 0 && payload.solver_calls > 0);
+    }
+
+    #[test]
+    fn digest_values_are_pinned() {
+        let request = JobRequest::new("g", JobKind::Generate, fixtures::running_example());
+        let outcome = execute(
+            &request,
+            &EncoderConfig::default(),
+            &Interrupt::none(),
+            &Obs::disabled(),
+        );
+        let payload = outcome.payload().expect("runs to completion");
+        assert_eq!(
+            format!("{:032x}", payload.digest()),
+            "ce9498741f15a3105c30f4c5883a154c",
+            "the payload digest of the running example's generate job changed"
+        );
+        assert_eq!(
+            format!("{:032x}", payload.verdict_digest()),
+            "7b5b80c9f46fc6b3d7fba9723e4a4b16",
+            "the verdict digest of the running example's generate job changed"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! One JSON object per `\n`-terminated line, in both directions. Every
 //! connection starts with an explicit handshake: the client sends
-//! `{"type": "hello", "proto": 1, "cache_key": "etcs-cache-key-v5"}` and
+//! `{"type": "hello", "proto": 1, "cache_key": "etcs-cache-key-v6"}` and
 //! the server answers `hello_ok` (echoing its own versions and shard name)
 //! or `hello_err` — two processes may only exchange jobs and cache entries
 //! when **both** the protocol version and the cache-key version agree,

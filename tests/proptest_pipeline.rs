@@ -115,8 +115,14 @@ fn generation_monotone_in_layout() {
     });
 }
 
+/// `prune_to_goal` is the encoder's one semantic switch: every task must
+/// give the same verdict and the same optimum with and without it.
 #[test]
 fn pruning_does_not_change_answers() {
+    let costs = |o: &DesignOutcome| match o {
+        DesignOutcome::Solved { costs, .. } => Some(costs.clone()),
+        DesignOutcome::Infeasible => None,
+    };
     cases(24, |rng| {
         let scenario = small_topology(rng);
         let pruned = EncoderConfig::default();
@@ -127,6 +133,22 @@ fn pruning_does_not_change_answers() {
         let (a, _) = verify(&scenario, &VssLayout::pure_ttd(), &pruned).expect("well-formed");
         let (b, _) = verify(&scenario, &VssLayout::pure_ttd(), &unpruned).expect("well-formed");
         assert_eq!(a.is_feasible(), b.is_feasible(), "pruning must be sound");
+        let (a, _) = generate(&scenario, &pruned).expect("well-formed");
+        let (b, _) = generate(&scenario, &unpruned).expect("well-formed");
+        assert_eq!(
+            costs(&a),
+            costs(&b),
+            "generation optimum, {}",
+            scenario.name
+        );
+        let (a, _) = optimize(&scenario, &pruned).expect("well-formed");
+        let (b, _) = optimize(&scenario, &unpruned).expect("well-formed");
+        assert_eq!(
+            costs(&a),
+            costs(&b),
+            "optimisation optimum, {}",
+            scenario.name
+        );
     });
 }
 
