@@ -258,6 +258,26 @@ for kind in verify optimize optimize_incremental; do
     }
 done
 
+# Shards listen on OS-assigned ports (127.0.0.1:0): a fixed port may be
+# taken by any local socket. shard_addr waits, for about 10 s at most, for
+# the `listening` record a shard writes to its log ($1) and prints the
+# address it names; it stops both shards ($2, $3) if none appears.
+shard_addr() {
+    tries=0
+    while [ $tries -lt 100 ]; do
+        addr=$(sed -n 's/.*"record": "listening", "addr": "\([^"]*\)".*/\1/p' "$1")
+        if [ -n "$addr" ]; then
+            echo "$addr"
+            return 0
+        fi
+        sleep 0.1
+        tries=$((tries + 1))
+    done
+    echo "shard never recorded its listening address in $1" >&2
+    kill "$2" "$3" 2>/dev/null || true
+    return 1
+}
+
 echo "==> fleet smoke (two served --listen shards, digests bit-identical to served)"
 # The same 51-job batch the served smoke ran, now routed across two
 # loopback shards by fleetd. The fleet's core guarantee is that the
@@ -266,13 +286,15 @@ FLEET_OUT=target/fleet_smoke.out.jsonl
 FLEET_TRACE=target/fleet_smoke.trace.jsonl
 FLEET_LOG=target/fleet_smoke.fleetd.log
 cargo build --release -q -p etcs-serve -p etcs-fleet
-target/release/served --listen 127.0.0.1:47841 --name s1 --workers 2 \
+target/release/served --listen 127.0.0.1:0 --name s1 --workers 2 \
     2> target/fleet_shard1.log &
 FLEET_S1=$!
-target/release/served --listen 127.0.0.1:47842 --name s2 --workers 2 \
+target/release/served --listen 127.0.0.1:0 --name s2 --workers 2 \
     2> target/fleet_shard2.log &
 FLEET_S2=$!
-target/release/fleetd --shard 127.0.0.1:47841 --shard 127.0.0.1:47842 \
+ADDR1=$(shard_addr target/fleet_shard1.log $FLEET_S1 $FLEET_S2)
+ADDR2=$(shard_addr target/fleet_shard2.log $FLEET_S1 $FLEET_S2)
+target/release/fleetd --shard "$ADDR1" --shard "$ADDR2" \
     --input "$SERVE_IN" --output "$FLEET_OUT" --trace "$FLEET_TRACE" \
     --replicas 1 --check-histories --shutdown-shards 2> "$FLEET_LOG"
 wait $FLEET_S1
@@ -310,20 +332,22 @@ grep -q '"record": "stats"' target/fleet_shard1.log || {
 }
 
 echo "==> fleet crash smoke (one shard killed mid-batch, no job dropped)"
-# Same batch, fresh ports, and shard 2 deterministically exits (as if
+# Same batch, fresh shards, and shard 2 deterministically exits (as if
 # kill -9'd) after its 5th job. fleetd must mark it lost, re-dispatch the
 # in-flight jobs onto the survivor, still produce 51 bit-identical
 # responses, and the survivor's history must still pass the checker.
 FLEET2_OUT=target/fleet_crash.out.jsonl
 FLEET2_TRACE=target/fleet_crash.trace.jsonl
 FLEET2_LOG=target/fleet_crash.fleetd.log
-target/release/served --listen 127.0.0.1:47843 --name s1 --workers 2 \
+target/release/served --listen 127.0.0.1:0 --name s1 --workers 2 \
     2> target/fleet_crash_shard1.log &
 FLEET_S1=$!
-target/release/served --listen 127.0.0.1:47844 --name s2 --workers 2 \
+target/release/served --listen 127.0.0.1:0 --name s2 --workers 2 \
     --crash-after 5 2> target/fleet_crash_shard2.log &
 FLEET_S2=$!
-target/release/fleetd --shard 127.0.0.1:47843 --shard 127.0.0.1:47844 \
+ADDR1=$(shard_addr target/fleet_crash_shard1.log $FLEET_S1 $FLEET_S2)
+ADDR2=$(shard_addr target/fleet_crash_shard2.log $FLEET_S1 $FLEET_S2)
+target/release/fleetd --shard "$ADDR1" --shard "$ADDR2" \
     --input "$SERVE_IN" --output "$FLEET2_OUT" --trace "$FLEET2_TRACE" \
     --replicas 1 --check-histories --shutdown-shards 2> "$FLEET2_LOG"
 wait $FLEET_S1
@@ -362,6 +386,16 @@ cargo run --release -q -p etcs-bench --bin json_check -- \
 # cold re-solves on total conflicts.
 grep -q '"warm_wins": true' target/BENCH_replan_smoke.json || {
     echo "bench_replan: warm replanning did not beat cold re-solves"; exit 1;
+}
+# Each scenario's two delay ticks: the r_t/6 delay keeps every departure
+# step (the swept departures lie on their grid), so its tick is a warm
+# hit; the r_t delay moves a step to one no earlier tick had, so its tick
+# is cold. One warm hit of two is the sub-step tick.
+scenarios=$(grep -c '"scenario": ' target/BENCH_replan_smoke.json)
+delays=$(grep -c '"kind": "delay", "ticks": 2, "warm_hits": 1,' target/BENCH_replan_smoke.json)
+test "$delays" -eq "$scenarios" || {
+    echo "bench_replan: sub-step delay ticks were not all warm hits ($delays of $scenarios)"
+    exit 1
 }
 grep -q '"available_parallelism": [1-9]' target/BENCH_replan_smoke.json || {
     echo "bench_replan: artifact lacks available_parallelism"; exit 1;

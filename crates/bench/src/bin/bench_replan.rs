@@ -3,9 +3,9 @@
 //!
 //! Writes machine-readable results to `BENCH_replan.json`. Every corpus
 //! family contributes one Small instance driven through a fixed trace of
-//! scenario deltas (deadline edits that preserve the scenario core, plus
-//! a close/reopen excursion that invalidates and then restores it); each
-//! tick is solved twice:
+//! scenario deltas (deadline edits that preserve the scenario core, two
+//! delays of the first train, and a close/reopen excursion that
+//! invalidates and then restores the core); each tick is solved twice:
 //!
 //! * **warm** — one [`etcs_replan::ReplanSession`] carried across the
 //!   whole trace, answering from cached cores where the delta allows;
@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use etcs_core::{optimize_incremental, DesignOutcome, EncoderConfig};
 use etcs_corpus::{Family, InstanceSpec, SizeClass};
-use etcs_network::{fixtures, Scenario};
+use etcs_network::{fixtures, Scenario, Seconds};
 use etcs_replan::{ReplanConfig, ReplanSession, ScenarioDelta};
 
 /// One tick measured both ways.
@@ -45,8 +45,13 @@ struct TickSample {
 
 /// The deterministic trace for one scenario: `(kind, deltas-before-tick)`.
 /// Deadline edits pin two trains to the horizon (always satisfiable on a
-/// solvable instance) and then free one again; the topology excursion
-/// closes the first cleanly-closable track and reopens it.
+/// solvable instance) and then free one again; the delays move the first
+/// train by `r_t / 6` (5 s on a 30 s grid, as `replan_churn` delays) and
+/// then by `r_t`; the topology excursion closes the first cleanly-closable
+/// track and reopens it. Every departure of the swept scenarios lies on
+/// its time grid, so the sub-step delay keeps every departure step and is
+/// answered from the core before it, and the one-step delay searches a
+/// new core.
 fn trace_for(scenario: &Scenario, smoke: bool) -> Vec<(&'static str, Vec<ScenarioDelta>)> {
     let trains: Vec<String> = scenario
         .schedule
@@ -72,6 +77,16 @@ fn trace_for(scenario: &Scenario, smoke: bool) -> Vec<(&'static str, Vec<Scenari
             arrival: None,
         }],
     ));
+    let r_t = scenario.r_t.as_u64();
+    for by in [r_t / 6, r_t] {
+        trace.push((
+            "delay",
+            vec![ScenarioDelta::Delay {
+                train: trains[0].clone(),
+                by: Seconds(by),
+            }],
+        ));
+    }
     if !smoke {
         // Close/reopen: a cold fallback, then an LRU re-hit of the
         // original core. Which track closes cleanly is scenario-specific,
@@ -232,7 +247,7 @@ fn main() {
             stats.warm_hits, stats.cold_fallbacks, stats.deadline_misses, stats.deltas
         );
         let _ = writeln!(rows, "      \"by_kind\": [");
-        let kinds = ["baseline", "deadline", "topology"];
+        let kinds = ["baseline", "deadline", "delay", "topology"];
         let present: Vec<&str> = kinds
             .into_iter()
             .filter(|k| samples.iter().any(|s| s.kind == *k))

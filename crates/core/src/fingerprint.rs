@@ -223,11 +223,15 @@ fn write_topology(c: &mut Fnv2, scenario: &Scenario) {
     }
 }
 
-/// Hashes the schedule in run order (tag `0x06`). With `mask_deadlines`
-/// the arrival and per-stop deadlines are hashed as if absent — the exact
-/// transformation [`Scenario::without_arrivals`] applies — so the masked
-/// hash is invariant under deadline-only edits.
-fn write_schedule(c: &mut Fnv2, scenario: &Scenario, mask_deadlines: bool) {
+/// Hashes the schedule in run order (tag `0x06`). The `open` view is what
+/// the open (deadline-free) encoding reads: the arrival and per-stop
+/// deadlines are hashed as if absent — the exact transformation
+/// [`Scenario::without_arrivals`] applies — and each departure as its
+/// time step [`Scenario::step_of`], the only form in which a departure
+/// reaches an [`crate::Instance`]. The open hash is therefore invariant
+/// under deadline-only edits and under delays that keep every departure
+/// step. The full view hashes departures in seconds.
+fn write_schedule(c: &mut Fnv2, scenario: &Scenario, open: bool) {
     c.tag(0x06); // schedule, in run order (run order is train-id order)
     c.usize(scenario.schedule.len());
     for run in scenario.schedule.runs() {
@@ -236,8 +240,12 @@ fn write_schedule(c: &mut Fnv2, scenario: &Scenario, mask_deadlines: bool) {
         c.u64(u64::from(run.train.max_speed.as_u32()));
         c.usize(run.origin.index());
         c.usize(run.destination.index());
-        c.u64(run.departure.as_u64());
-        match run.arrival.filter(|_| !mask_deadlines) {
+        if open {
+            c.usize(scenario.step_of(run.departure));
+        } else {
+            c.u64(run.departure.as_u64());
+        }
+        match run.arrival.filter(|_| !open) {
             Some(a) => {
                 c.byte(1);
                 c.u64(a.as_u64());
@@ -247,7 +255,7 @@ fn write_schedule(c: &mut Fnv2, scenario: &Scenario, mask_deadlines: bool) {
         c.usize(run.stops.len());
         for (station, deadline) in &run.stops {
             c.usize(station.index());
-            match deadline.as_ref().filter(|_| !mask_deadlines) {
+            match deadline.as_ref().filter(|_| !open) {
                 Some(d) => {
                     c.byte(1);
                     c.u64(d.as_u64());
@@ -326,10 +334,16 @@ fn write_task(c: &mut Fnv2, task: &TaskKind) {
 /// answers the finer question "which *parts* changed". Each field hashes
 /// one independently-editable slice of the input, and [`core`] combines
 /// everything that determines the *open* (deadline-free) encodings — the
-/// formulas the optimisation searches solve. A delta that only tightens
-/// or relaxes deadlines leaves `core` unchanged, so a warm core's search
-/// and stored answer (neither depends on the deadlines) stay valid; any
-/// other delta moves `core` and forces a cold search.
+/// formulas the optimisation searches solve. It hashes departures as time
+/// steps, because the encoder sees time only on the grid of resolution
+/// `r_t`: a departure reaches the open [`crate::Instance`] only as
+/// `dep_step`, and every other input the instance reads (network,
+/// resolutions, horizon, train data, stations) is hashed as given. Equal
+/// `core` therefore means an equal open instance, equal formulas and equal
+/// optima. A delta that only moves deadlines, or delays a train without
+/// moving its departure step, leaves `core` unchanged, so a warm core's
+/// search and stored answer stay valid; any other delta moves `core` and
+/// forces a cold search. [`cache_key`] keeps departures in seconds.
 ///
 /// [`core`]: SubFingerprints::core
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -340,13 +354,16 @@ pub struct SubFingerprints {
     pub timing: u128,
     /// Network topology: tracks, TTDs, stations.
     pub topology: u128,
-    /// Schedule with deadlines masked: trains, routes, departures, stops.
+    /// Schedule with deadlines masked: trains, routes, departure steps,
+    /// stops.
     pub schedule: u128,
     /// Deadlines only: arrival and per-stop deadline options.
     pub deadlines: u128,
     /// Everything the open (deadline-free) encoding depends on: config +
     /// timing + topology + masked schedule. Equal to the `core` of
-    /// [`Scenario::without_arrivals`] applied to the same scenario.
+    /// [`Scenario::without_arrivals`] applied to the same scenario, and
+    /// of any scenario that differs only in deadlines and in departures
+    /// within the same time step.
     pub core: u128,
 }
 
@@ -355,13 +372,20 @@ pub struct SubFingerprints {
 ///
 /// The components share [`cache_key`]'s canonicalisation and version tag
 /// (a cache-key version bump invalidates warm-start keys too, which is
-/// exactly right: the encoding changed).
+/// exactly right: the encoding changed). `schedule` and `core` hash each
+/// departure as its time step; see [`SubFingerprints`] for why that is
+/// sound.
+///
+/// # Panics
+///
+/// Panics if `scenario.r_t` is zero: without a time grid a departure has
+/// no step.
 ///
 /// # Examples
 ///
 /// ```
 /// use etcs_core::{sub_fingerprints, EncoderConfig};
-/// use etcs_network::fixtures;
+/// use etcs_network::{fixtures, Schedule, Seconds};
 ///
 /// let scenario = fixtures::running_example();
 /// let config = EncoderConfig::default();
@@ -370,6 +394,12 @@ pub struct SubFingerprints {
 /// // unchanged) while the deadline component moves.
 /// let open = sub_fingerprints(&scenario.without_arrivals(), &config);
 /// assert_eq!(fps.core, open.core);
+/// // So does a 5 s delay on the 30 s grid: the departure step stays.
+/// let mut delayed = scenario.clone();
+/// let mut runs = delayed.schedule.runs().to_vec();
+/// runs[0].departure = Seconds(runs[0].departure.as_u64() + 5);
+/// delayed.schedule = Schedule::new(runs);
+/// assert_eq!(fps.core, sub_fingerprints(&delayed, &config).core);
 /// ```
 pub fn sub_fingerprints(scenario: &Scenario, config: &EncoderConfig) -> SubFingerprints {
     let component = |write: &dyn Fn(&mut Fnv2)| {
@@ -531,6 +561,45 @@ mod tests {
         assert_ne!(a.schedule, b.schedule);
         assert_eq!(a.topology, b.topology);
         assert_eq!(a.timing, b.timing);
+    }
+
+    /// The running example with Train 1's departure moved by `by` seconds.
+    fn delayed(by: u64) -> Scenario {
+        let mut s = fixtures::running_example();
+        let mut runs: Vec<_> = s.schedule.runs().to_vec();
+        runs[0].departure = etcs_network::Seconds(runs[0].departure.as_u64() + by);
+        s.schedule = etcs_network::Schedule::new(runs);
+        s
+    }
+
+    #[test]
+    fn sub_step_delays_keep_the_core_and_schedule() {
+        let base = sub_fingerprints(&fixtures::running_example(), &config());
+        assert_eq!(fixtures::running_example().r_t.as_u64(), 30);
+        for by in [5, 14] {
+            let fps = sub_fingerprints(&delayed(by), &config());
+            assert_eq!(fps.core, base.core, "+{by} s keeps the departure step");
+            assert_eq!(fps.schedule, base.schedule, "+{by} s");
+        }
+    }
+
+    #[test]
+    fn a_delay_that_rounds_to_the_next_step_moves_the_core_and_schedule() {
+        let base = sub_fingerprints(&fixtures::running_example(), &config());
+        let fps = sub_fingerprints(&delayed(15), &config());
+        assert_ne!(fps.core, base.core, "+15 s rounds to the next step");
+        assert_ne!(fps.schedule, base.schedule);
+        assert_eq!(fps.topology, base.topology);
+        assert_eq!(fps.timing, base.timing);
+    }
+
+    #[test]
+    fn every_departure_edit_moves_the_cache_key() {
+        let s = fixtures::running_example();
+        let key = |s: &Scenario| cache_key(s, &TaskKind::Optimize, &config());
+        for by in [1, 5, 14, 15, 30] {
+            assert_ne!(key(&s), key(&delayed(by)), "+{by} s");
+        }
     }
 
     #[test]

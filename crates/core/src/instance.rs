@@ -65,58 +65,10 @@ impl Instance {
     /// Propagates [`NetworkError`] from validation and discretisation, and
     /// reports dangling station references.
     pub fn new(scenario: &Scenario) -> Result<Self, NetworkError> {
-        scenario.validate()?;
-        let net = scenario.discretise()?;
-        let t_max = scenario.t_max();
-
-        let mut trains = Vec::new();
-        for (id, run) in scenario.schedule.iter() {
-            let origin_edges = net.station_edges(run.origin).to_vec();
-            let goal_edges = net.station_edges(run.destination).to_vec();
-            if origin_edges.is_empty() || goal_edges.is_empty() {
-                return Err(NetworkError::UnknownReference {
-                    what: format!(
-                        "train `{}` starts or ends at a station with no tracks",
-                        run.train.name
-                    ),
-                });
-            }
-            let stops = run
-                .stops
-                .iter()
-                .map(|&(s, deadline)| {
-                    (
-                        net.station_edges(s).to_vec(),
-                        deadline.map(|d| scenario.step_of(d)),
-                    )
-                })
-                .collect();
-            let exit = if scenario.network.stations()[run.destination.index()].boundary {
-                ExitPolicy::Leave
-            } else {
-                ExitPolicy::Park
-            };
-            trains.push(TrainSpec {
-                id,
-                name: run.train.name.clone(),
-                dep_step: scenario.step_of(run.departure),
-                deadline_step: run.arrival.map(|a| scenario.step_of(a)),
-                length: run.train.discrete_length(scenario.r_s) as usize,
-                // Any speed past the network's size moves a train the
-                // same way, so a huge one saturates.
-                speed: u32::try_from(run.train.discrete_speed(scenario.r_s, scenario.r_t))
-                    .unwrap_or(u32::MAX),
-                origin_edges,
-                goal_edges,
-                stops,
-                exit,
-            });
-        }
-
+        let (net, t_max, trains) = lift(scenario)?;
         let dist = (0..net.num_edges())
             .map(|e| net.edge_distances(EdgeId::from_index(e)))
             .collect();
-
         Ok(Instance {
             scenario: scenario.clone(),
             net,
@@ -124,6 +76,31 @@ impl Instance {
             trains,
             dist,
         })
+    }
+
+    /// Checks that `scenario` would prepare: runs every fallible step of
+    /// [`Instance::new`] (validation, discretisation, each run's station
+    /// edges) and skips the all-pairs distance table, which cannot fail
+    /// and costs `num_edges²` entries. `check` is `Ok` exactly when `new`
+    /// is. A scenario that checks also prepares without its deadlines:
+    /// dropping them only drops the arrival-before-departure rule.
+    ///
+    /// # Errors
+    ///
+    /// The error [`Instance::new`] would return.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use etcs_core::Instance;
+    /// use etcs_network::fixtures;
+    ///
+    /// let scenario = fixtures::running_example();
+    /// assert!(Instance::check(&scenario).is_ok());
+    /// assert!(Instance::check(&scenario.without_arrivals()).is_ok());
+    /// ```
+    pub fn check(scenario: &Scenario) -> Result<(), NetworkError> {
+        lift(scenario).map(drop)
     }
 
     /// Hop distance between two segments.
@@ -213,6 +190,59 @@ impl Instance {
     }
 }
 
+/// The fallible part of [`Instance::new`]: validates `scenario`,
+/// discretises its network, counts its time steps and resolves each run's
+/// station edges into its discrete [`TrainSpec`].
+fn lift(scenario: &Scenario) -> Result<(DiscreteNet, usize, Vec<TrainSpec>), NetworkError> {
+    scenario.validate()?;
+    let net = scenario.discretise()?;
+    let t_max = scenario.t_max();
+    let mut trains = Vec::with_capacity(scenario.schedule.len());
+    for (id, run) in scenario.schedule.iter() {
+        let origin_edges = net.station_edges(run.origin).to_vec();
+        let goal_edges = net.station_edges(run.destination).to_vec();
+        if origin_edges.is_empty() || goal_edges.is_empty() {
+            return Err(NetworkError::UnknownReference {
+                what: format!(
+                    "train `{}` starts or ends at a station with no tracks",
+                    run.train.name
+                ),
+            });
+        }
+        let stops = run
+            .stops
+            .iter()
+            .map(|&(s, deadline)| {
+                (
+                    net.station_edges(s).to_vec(),
+                    deadline.map(|d| scenario.step_of(d)),
+                )
+            })
+            .collect();
+        let exit = if scenario.network.stations()[run.destination.index()].boundary {
+            ExitPolicy::Leave
+        } else {
+            ExitPolicy::Park
+        };
+        trains.push(TrainSpec {
+            id,
+            name: run.train.name.clone(),
+            dep_step: scenario.step_of(run.departure),
+            deadline_step: run.arrival.map(|a| scenario.step_of(a)),
+            length: run.train.discrete_length(scenario.r_s) as usize,
+            // Any speed past the network's size moves a train the
+            // same way, so a huge one saturates.
+            speed: u32::try_from(run.train.discrete_speed(scenario.r_s, scenario.r_t))
+                .unwrap_or(u32::MAX),
+            origin_edges,
+            goal_edges,
+            stops,
+            exit,
+        });
+    }
+    Ok((net, t_max, trains))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,6 +273,25 @@ mod tests {
         assert_eq!(inst.trains.len(), 2);
         for train in &inst.trains {
             assert_eq!(train.speed, u32::MAX, "{}", train.name);
+        }
+    }
+
+    #[test]
+    fn check_rejects_exactly_what_new_rejects() {
+        let good = fixtures::running_example();
+        let mut zero_resolution = good.clone();
+        zero_resolution.r_s = etcs_network::Meters::ZERO;
+        let mut runs = good.schedule.runs().to_vec();
+        runs[0].origin = etcs_network::StationId(99);
+        let mut unknown_station = good.clone();
+        unknown_station.schedule = etcs_network::Schedule::new(runs);
+        for scenario in [good, zero_resolution, unknown_station] {
+            assert_eq!(
+                Instance::check(&scenario).err(),
+                Instance::new(&scenario).err(),
+                "{}",
+                scenario.name
+            );
         }
     }
 

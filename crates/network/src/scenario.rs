@@ -84,10 +84,7 @@ impl Scenario {
     /// Returns a copy with all arrival deadlines dropped (the optimisation
     /// task's input).
     pub fn without_arrivals(&self) -> Scenario {
-        Scenario {
-            schedule: self.schedule.without_arrivals(),
-            ..self.clone()
-        }
+        self.with_schedule(self.schedule.without_arrivals())
     }
 
     /// Returns a copy where every run without an arrival deadline is given
@@ -108,9 +105,19 @@ impl Scenario {
                 ..r.clone()
             })
             .collect();
+        self.with_schedule(Schedule::new(runs))
+    }
+
+    /// A copy on `schedule`: the network is shared, the old schedule is
+    /// not copied.
+    fn with_schedule(&self, schedule: Schedule) -> Scenario {
         Scenario {
-            schedule: Schedule::new(runs),
-            ..self.clone()
+            name: self.name.clone(),
+            network: self.network.clone(),
+            schedule,
+            r_s: self.r_s,
+            r_t: self.r_t,
+            horizon: self.horizon,
         }
     }
 }

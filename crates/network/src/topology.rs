@@ -8,6 +8,7 @@
 //! Section III-A.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use crate::error::NetworkError;
 use crate::units::Meters;
@@ -106,7 +107,10 @@ pub struct Station {
 
 /// A validated macroscopic railway network.
 ///
-/// Construct via [`NetworkBuilder`].
+/// Construct via [`NetworkBuilder`]. A network is immutable once built, so
+/// its clones share one copy of the topology: cloning a network (or a
+/// [`crate::Scenario`] holding one) copies a pointer, not the tracks,
+/// TTDs and stations.
 ///
 /// # Examples
 ///
@@ -124,6 +128,12 @@ pub struct Station {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RailwayNetwork {
+    topology: Arc<Topology>,
+}
+
+/// The validated contents of a [`RailwayNetwork`], shared by its clones.
+#[derive(Debug, PartialEq, Eq)]
+struct Topology {
     num_nodes: usize,
     tracks: Vec<Track>,
     ttds: Vec<Ttd>,
@@ -135,32 +145,32 @@ pub struct RailwayNetwork {
 impl RailwayNetwork {
     /// Number of topology nodes.
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.topology.num_nodes
     }
 
     /// All tracks, indexable by [`TrackId`].
     pub fn tracks(&self) -> &[Track] {
-        &self.tracks
+        &self.topology.tracks
     }
 
     /// All TTD sections, indexable by [`TtdId`].
     pub fn ttds(&self) -> &[Ttd] {
-        &self.ttds
+        &self.topology.ttds
     }
 
     /// All stations, indexable by [`StationId`].
     pub fn stations(&self) -> &[Station] {
-        &self.stations
+        &self.topology.stations
     }
 
     /// The TTD owning a track.
     pub fn ttd_of(&self, track: TrackId) -> TtdId {
-        self.track_ttd[track.index()]
+        self.topology.track_ttd[track.index()]
     }
 
     /// Looks a station up by name.
     pub fn station_by_name(&self, name: &str) -> Option<StationId> {
-        self.stations
+        self.stations()
             .iter()
             .position(|s| s.name == name)
             .map(StationId::from_index)
@@ -168,7 +178,7 @@ impl RailwayNetwork {
 
     /// Looks a TTD up by name.
     pub fn ttd_by_name(&self, name: &str) -> Option<TtdId> {
-        self.ttds
+        self.ttds()
             .iter()
             .position(|t| t.name == name)
             .map(TtdId::from_index)
@@ -176,15 +186,15 @@ impl RailwayNetwork {
 
     /// Total track length of the network.
     pub fn total_length(&self) -> Meters {
-        self.tracks
+        self.tracks()
             .iter()
             .fold(Meters::ZERO, |acc, t| acc + t.length)
     }
 
     /// Degree of each topology node (number of incident tracks).
     pub fn node_degrees(&self) -> Vec<usize> {
-        let mut deg = vec![0usize; self.num_nodes];
-        for t in &self.tracks {
+        let mut deg = vec![0usize; self.num_nodes()];
+        for t in self.tracks() {
             deg[t.from.index()] += 1;
             deg[t.to.index()] += 1;
         }
@@ -367,11 +377,13 @@ impl NetworkBuilder {
             }
         }
         Ok(RailwayNetwork {
-            num_nodes: self.num_nodes,
-            tracks: self.tracks,
-            ttds: self.ttds,
-            stations: self.stations,
-            track_ttd,
+            topology: Arc::new(Topology {
+                num_nodes: self.num_nodes,
+                tracks: self.tracks,
+                ttds: self.ttds,
+                stations: self.stations,
+                track_ttd,
+            }),
         })
     }
 }
@@ -513,6 +525,30 @@ mod tests {
         b.ttd("TTD1", [t1, t2, t3]);
         let net = b.build().expect("valid");
         assert_eq!(net.node_degrees(), vec![1, 3, 1, 1]);
+    }
+
+    #[test]
+    fn clones_share_the_topology_and_equality_compares_contents() {
+        let build = || {
+            let mut b = NetworkBuilder::new();
+            let n = b.nodes(2);
+            let t = b.track(n[0], n[1], km(1.0), "t");
+            b.ttd("TTD1", [t]);
+            b.station("A", [t], true);
+            b.build().expect("valid")
+        };
+        let net = build();
+        let copy = net.clone();
+        assert!(
+            std::ptr::eq(net.tracks().as_ptr(), copy.tracks().as_ptr()),
+            "a clone copies a pointer, not the tracks"
+        );
+        let rebuilt = build();
+        assert!(!std::ptr::eq(
+            net.tracks().as_ptr(),
+            rebuilt.tracks().as_ptr()
+        ));
+        assert_eq!(net, rebuilt, "separately built equal networks are equal");
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! produces a *valid* patched scenario (the network rebuilds, the
 //! schedule still resolves, the instance still discretises) and commits,
 //! or it is rejected with a [`DeltaError`] and the live state is
-//! untouched.
+//! untouched. [`LiveScenario::apply`] re-checks only what the delta can
+//! break: a delay, deadline or removal keeps the network and every
+//! remaining run's stations, so it only re-validates the schedule.
 //!
 //! Node and station identities are stable across topology deltas: the
 //! rebuilt network keeps every node and every station (in declaration
@@ -20,7 +22,8 @@ use std::fmt;
 
 use etcs_core::Instance;
 use etcs_network::{
-    KmPerHour, Meters, NetworkBuilder, Scenario, Schedule, Seconds, TrackId, Train, TrainRun,
+    KmPerHour, Meters, NetworkBuilder, NetworkError, RailwayNetwork, Scenario, Schedule, Seconds,
+    TrackId, Train, TrainRun,
 };
 
 /// One operational event in a replanning stream.
@@ -121,9 +124,9 @@ impl std::error::Error for DeltaError {}
 /// A base scenario plus the cumulative effect of every accepted delta.
 #[derive(Clone, Debug)]
 pub struct LiveScenario {
-    base: Scenario,
+    /// The base scenario's network: every closure is cut from it.
+    base: RailwayNetwork,
     closed: BTreeSet<String>,
-    runs: Vec<TrainRun>,
     current: Scenario,
 }
 
@@ -132,16 +135,15 @@ impl LiveScenario {
     ///
     /// # Errors
     ///
-    /// Rejects a base that does not validate or discretise — a session
-    /// must start from a solvable state.
+    /// Rejects a base that [`Instance::check`] rejects (it does not
+    /// validate, discretise or resolve its stations) — a session must
+    /// start from a solvable state.
     pub fn new(base: Scenario) -> Result<Self, DeltaError> {
         check(&base)?;
-        let runs = base.schedule.runs().to_vec();
         Ok(LiveScenario {
-            current: base.clone(),
-            base,
+            base: base.network.clone(),
             closed: BTreeSet::new(),
-            runs,
+            current: base,
         })
     }
 
@@ -155,17 +157,39 @@ impl LiveScenario {
         self.closed.iter().map(String::as_str)
     }
 
-    /// Applies one delta transactionally.
+    /// Applies one delta transactionally, re-checking only what the delta
+    /// can break. `Delay`, `Deadline` and `Remove` keep the network and
+    /// every remaining run's stations, so the discretisation and station
+    /// edges the last check resolved still hold: the patched scenario is
+    /// only re-validated. `Close`, `Reopen` and `Add` change the network
+    /// or bring a new run, so the patched scenario runs the full
+    /// [`Instance::check`]. Either way a delta is accepted exactly when
+    /// the patched scenario validates and prepares.
     ///
     /// # Errors
     ///
     /// Returns [`DeltaError`] — and leaves the live state unchanged — if
     /// the delta references unknown entities, would empty a TTD or
-    /// station, or would leave a scenario that no longer validates or
-    /// discretises.
+    /// station, or would leave a scenario that no longer validates,
+    /// discretises or resolves its stations.
     pub fn apply(&mut self, delta: &ScenarioDelta) -> Result<(), DeltaError> {
+        let next = self.patched(delta)?;
+        match delta {
+            ScenarioDelta::Delay { .. }
+            | ScenarioDelta::Deadline { .. }
+            | ScenarioDelta::Remove { .. } => next.current.validate().map_err(invalid)?,
+            ScenarioDelta::Close { .. } | ScenarioDelta::Reopen { .. } | ScenarioDelta::Add(_) => {
+                check(&next.current)?
+            }
+        }
+        *self = next;
+        Ok(())
+    }
+
+    /// The live state after `delta`, before its scenario is checked.
+    fn patched(&self, delta: &ScenarioDelta) -> Result<LiveScenario, DeltaError> {
         let mut closed = self.closed.clone();
-        let mut runs = self.runs.clone();
+        let mut runs = self.current.schedule.runs().to_vec();
         match delta {
             ScenarioDelta::Delay { train, by } => {
                 let shift = |t: Seconds| match t.as_u64().checked_add(by.as_u64()) {
@@ -198,7 +222,7 @@ impl LiveScenario {
                 run.arrival = *arrival;
             }
             ScenarioDelta::Close { track } => {
-                let exists = self.base.network.tracks().iter().any(|t| t.name == *track);
+                let exists = self.base.tracks().iter().any(|t| t.name == *track);
                 if !exists {
                     return Err(DeltaError::new(format!("unknown track `{track}`")));
                 }
@@ -227,33 +251,40 @@ impl LiveScenario {
                 }
                 // Stations are resolved against the *base* network: the
                 // rebuild keeps every station, so the ids transfer.
-                let origin = self
-                    .base
-                    .network
-                    .station_by_name(&spec.origin)
-                    .ok_or_else(|| DeltaError::new(format!("unknown station `{}`", spec.origin)))?;
-                let destination = self
-                    .base
-                    .network
-                    .station_by_name(&spec.destination)
-                    .ok_or_else(|| {
-                        DeltaError::new(format!("unknown station `{}`", spec.destination))
-                    })?;
+                let station = |name: &str| {
+                    self.base
+                        .station_by_name(name)
+                        .ok_or_else(|| DeltaError::new(format!("unknown station `{name}`")))
+                };
                 runs.push(TrainRun::new(
                     Train::new(&spec.train, spec.length, spec.max_speed),
-                    origin,
-                    destination,
+                    station(&spec.origin)?,
+                    station(&spec.destination)?,
                     spec.departure,
                     spec.arrival,
                 ));
             }
         }
-        let current = materialize(&self.base, &closed, &runs)?;
-        check(&current)?;
-        self.closed = closed;
-        self.runs = runs;
-        self.current = current;
-        Ok(())
+        // Only a closure or reopening changes the network; every other
+        // delta keeps the live one, shared.
+        let network = match delta {
+            ScenarioDelta::Close { .. } | ScenarioDelta::Reopen { .. } => {
+                materialize(&self.base, &closed)?
+            }
+            _ => self.current.network.clone(),
+        };
+        Ok(LiveScenario {
+            base: self.base.clone(),
+            closed,
+            current: Scenario {
+                name: self.current.name.clone(),
+                network,
+                schedule: Schedule::new(runs),
+                r_s: self.current.r_s,
+                r_t: self.current.r_t,
+                horizon: self.current.horizon,
+            },
+        })
     }
 }
 
@@ -263,80 +294,73 @@ fn find_run_mut<'a>(runs: &'a mut [TrainRun], train: &str) -> Result<&'a mut Tra
         .ok_or_else(|| DeltaError::new(format!("unknown train `{train}`")))
 }
 
-/// Rebuilds the base network without the closed tracks and re-attaches
-/// the schedule. Every node and every station survives (in declaration
-/// order), so node and station ids are stable; track ids compact.
+/// Rebuilds the base network without the closed tracks (the base network
+/// itself, shared, when none is closed). Every node and every station
+/// survives (in declaration order), so node and station ids are stable;
+/// track ids compact.
 fn materialize(
-    base: &Scenario,
+    net: &RailwayNetwork,
     closed: &BTreeSet<String>,
-    runs: &[TrainRun],
-) -> Result<Scenario, DeltaError> {
-    let network = if closed.is_empty() {
-        base.network.clone()
-    } else {
-        let net = &base.network;
-        let mut b = NetworkBuilder::new();
-        b.nodes(net.num_nodes());
-        let mut kept: Vec<Option<TrackId>> = Vec::with_capacity(net.tracks().len());
-        for t in net.tracks() {
-            if closed.contains(&t.name) {
-                kept.push(None);
-            } else {
-                kept.push(Some(b.track(t.from, t.to, t.length, &t.name)));
-            }
+) -> Result<RailwayNetwork, DeltaError> {
+    if closed.is_empty() {
+        return Ok(net.clone());
+    }
+    let mut b = NetworkBuilder::new();
+    b.nodes(net.num_nodes());
+    let mut kept: Vec<Option<TrackId>> = Vec::with_capacity(net.tracks().len());
+    for t in net.tracks() {
+        if closed.contains(&t.name) {
+            kept.push(None);
+        } else {
+            kept.push(Some(b.track(t.from, t.to, t.length, &t.name)));
         }
-        let survivors = |members: &[TrackId]| -> Vec<TrackId> {
-            members.iter().filter_map(|t| kept[t.index()]).collect()
-        };
-        for ttd in net.ttds() {
-            let members = survivors(&ttd.tracks);
-            if members.is_empty() {
-                return Err(DeltaError::new(format!(
-                    "closing every track of ttd `{}` is an infrastructure change, not a delta",
-                    ttd.name
-                )));
-            }
-            b.ttd(&ttd.name, members);
-        }
-        for station in net.stations() {
-            let members = survivors(&station.tracks);
-            if members.is_empty() {
-                return Err(DeltaError::new(format!(
-                    "closure would leave station `{}` without tracks",
-                    station.name
-                )));
-            }
-            b.station(&station.name, members, station.boundary);
-        }
-        b.build()
-            .map_err(|e| DeltaError::new(format!("patched network invalid: {e}")))?
+    }
+    let survivors = |members: &[TrackId]| -> Vec<TrackId> {
+        members.iter().filter_map(|t| kept[t.index()]).collect()
     };
-    Ok(Scenario {
-        name: base.name.clone(),
-        network,
-        schedule: Schedule::new(runs.to_vec()),
-        r_s: base.r_s,
-        r_t: base.r_t,
-        horizon: base.horizon,
-    })
+    for ttd in net.ttds() {
+        let members = survivors(&ttd.tracks);
+        if members.is_empty() {
+            return Err(DeltaError::new(format!(
+                "closing every track of ttd `{}` is an infrastructure change, not a delta",
+                ttd.name
+            )));
+        }
+        b.ttd(&ttd.name, members);
+    }
+    for station in net.stations() {
+        let members = survivors(&station.tracks);
+        if members.is_empty() {
+            return Err(DeltaError::new(format!(
+                "closure would leave station `{}` without tracks",
+                station.name
+            )));
+        }
+        b.station(&station.name, members, station.boundary);
+    }
+    b.build()
+        .map_err(|e| DeltaError::new(format!("patched network invalid: {e}")))
 }
 
-/// A patched scenario must still validate *and* discretise: a delta that
-/// strands a train (no path from origin to destination) is rejected at
-/// apply time instead of poisoning every later tick.
+/// A patched scenario must still validate, discretise and resolve its
+/// stations ([`Instance::check`]): a delta that breaks any of these is
+/// rejected at apply time instead of poisoning every later tick.
 fn check(scenario: &Scenario) -> Result<(), DeltaError> {
-    scenario
-        .validate()
-        .map_err(|e| DeltaError::new(format!("patched scenario invalid: {e}")))?;
-    Instance::new(&scenario.without_arrivals())
-        .map_err(|e| DeltaError::new(format!("patched scenario does not discretise: {e}")))?;
-    Ok(())
+    Instance::check(scenario).map_err(invalid)
+}
+
+fn invalid(e: NetworkError) -> DeltaError {
+    DeltaError::new(format!("patched scenario invalid: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+
+    use etcs_corpus::{Family, InstanceSpec, SizeClass};
     use etcs_network::fixtures;
+    use etcs_testkit::Rng;
 
     fn live() -> LiveScenario {
         LiveScenario::new(fixtures::running_example()).expect("valid base")
@@ -504,6 +528,181 @@ mod tests {
         assert_eq!(added.train, run.train);
         assert_eq!(added.origin, run.origin);
         assert_eq!(added.destination, run.destination);
+    }
+
+    /// The check every delta ran before `apply` re-checked per kind:
+    /// validate, then prepare the open instance, distance table and all.
+    fn full_check(scenario: &Scenario) -> bool {
+        scenario.validate().is_ok() && Instance::new(&scenario.without_arrivals()).is_ok()
+    }
+
+    /// A random delta of any kind against `live`, often one that fails.
+    fn random_delta(live: &LiveScenario, rng: &mut Rng) -> ScenarioDelta {
+        let scenario = live.current();
+        let mut trains: Vec<String> = scenario
+            .schedule
+            .runs()
+            .iter()
+            .map(|r| r.train.name.clone())
+            .collect();
+        trains.push("ghost".into());
+        let tracks: Vec<&str> = live.base.tracks().iter().map(|t| t.name.as_str()).collect();
+        let stations: Vec<&str> = live
+            .base
+            .stations()
+            .iter()
+            .map(|s| s.name.as_str())
+            .collect();
+        let horizon = scenario.horizon.as_u64() as usize;
+        let time = |rng: &mut Rng| Seconds(rng.below(horizon + 1) as u64);
+        let train = rng.pick(&trains).clone();
+        match rng.below(6) {
+            0 => ScenarioDelta::Delay {
+                train,
+                by: Seconds(*rng.pick(&[5, 15, 30, 300, u64::MAX])),
+            },
+            1 => ScenarioDelta::Deadline {
+                train,
+                arrival: rng.bool().then(|| time(rng)),
+            },
+            2 => ScenarioDelta::Close {
+                track: (*rng.pick(&tracks)).to_owned(),
+            },
+            3 => ScenarioDelta::Reopen {
+                track: match live.closed().next() {
+                    Some(closed) if rng.bool() => closed.to_owned(),
+                    _ => (*rng.pick(&tracks)).to_owned(),
+                },
+            },
+            4 => ScenarioDelta::Remove { train },
+            _ => ScenarioDelta::Add(DeltaRun {
+                train: if rng.bool() { "Extra".into() } else { train },
+                length: Meters(rng.range(100, 800) as u64),
+                max_speed: KmPerHour(rng.range(20, 200) as u32),
+                origin: (*rng.pick(&stations)).to_owned(),
+                destination: (*rng.pick(&stations)).to_owned(),
+                departure: time(rng),
+                arrival: rng.bool().then(|| time(rng)),
+            }),
+        }
+    }
+
+    /// A line A–B–C–D whose three tracks form one TTD, with train T1
+    /// from A to D. With `bypass`, a second B–C track in a TTD of its own:
+    /// closing the line's B–C track then splits the TTD while the network
+    /// stays connected, so only discretisation rejects it. Without it, a
+    /// boundary station E with no tracks: a train added there validates
+    /// and resolves no edges.
+    fn line(bypass: bool) -> Scenario {
+        let mut b = NetworkBuilder::new();
+        let n = b.nodes(4);
+        let km = Meters::from_km;
+        let ab = b.track(n[0], n[1], km(1.0), "AB");
+        let bc = b.track(n[1], n[2], km(1.0), "BC");
+        let cd = b.track(n[2], n[3], km(1.0), "CD");
+        b.ttd("X", [ab, bc, cd]);
+        let a = b.station("A", [ab], true);
+        let d = b.station("D", [cd], true);
+        if bypass {
+            let by = b.track(n[1], n[2], km(1.0), "bypass");
+            b.ttd("Y", [by]);
+        } else {
+            b.station("E", [], true);
+        }
+        Scenario {
+            name: format!("line (bypass: {bypass})"),
+            network: b.build().expect("valid network"),
+            schedule: Schedule::new(vec![TrainRun::new(
+                Train::new("T1", Meters(200), KmPerHour(120)),
+                a,
+                d,
+                Seconds::ZERO,
+                None,
+            )]),
+            r_s: Meters(500),
+            r_t: Seconds(30),
+            horizon: Seconds::from_minutes(10),
+        }
+    }
+
+    /// Seeded delta sequences of every kind, on the running example,
+    /// every corpus family's Small scenario and the two [`line`]s (whose
+    /// closure and addition only the full check refuses): `apply` accepts
+    /// a delta exactly when the full check accepts the patched scenario,
+    /// and a rejected delta leaves the live state as it was.
+    #[test]
+    fn apply_accepts_exactly_what_the_full_check_accepts() {
+        let mut bases = vec![fixtures::running_example(), line(true), line(false)];
+        bases.extend(
+            Family::ALL
+                .into_iter()
+                .map(|family| InstanceSpec::new(family, SizeClass::Small, 0).build()),
+        );
+        // Which kinds were accepted, and which kinds patched cleanly but
+        // failed the check: both sides of the equivalence must occur.
+        let accepted = RefCell::new(BTreeSet::new());
+        let refused_by_check = RefCell::new(BTreeSet::new());
+        for base in bases {
+            etcs_testkit::cases(24, |rng| {
+                let mut live = LiveScenario::new(base.clone()).expect("valid base");
+                for step in 0..16 {
+                    let delta = random_delta(&live, rng);
+                    let patched = live.patched(&delta);
+                    let before = live.clone();
+                    let applied = live.apply(&delta);
+                    let want = patched.as_ref().is_ok_and(|p| full_check(&p.current));
+                    assert_eq!(
+                        applied.is_ok(),
+                        want,
+                        "{}: step {step}: {delta:?}",
+                        base.name
+                    );
+                    let expect = match (&applied, patched) {
+                        (Ok(()), Ok(patched)) => {
+                            accepted.borrow_mut().insert(delta.kind());
+                            patched
+                        }
+                        (Err(_), Ok(_)) => {
+                            refused_by_check.borrow_mut().insert(delta.kind());
+                            before
+                        }
+                        _ => before,
+                    };
+                    assert_eq!(live.current().network, expect.current.network);
+                    assert_eq!(live.current().schedule, expect.current.schedule);
+                    assert!(live.closed().eq(expect.closed()));
+                }
+            });
+        }
+        assert_eq!(
+            accepted.into_inner().len(),
+            6,
+            "every delta kind was accepted at least once"
+        );
+        assert_eq!(
+            refused_by_check.into_inner(),
+            BTreeSet::from(["add", "close"]),
+            "the check refused some added train and some closure"
+        );
+    }
+
+    #[test]
+    fn closing_a_ttd_or_station_empty_is_rejected_without_state_change() {
+        let mut l = live();
+        l.apply(&ScenarioDelta::Close { track: "Ca".into() })
+            .expect("station C keeps Cb, TTD2 keeps P-Ca");
+        let before = l.current().clone();
+        for (track, why) in [("P-Ca", "infrastructure change"), ("A", "without tracks")] {
+            let err = l
+                .apply(&ScenarioDelta::Close {
+                    track: track.into(),
+                })
+                .expect_err("rejected");
+            assert!(err.message.contains(why), "{track}: {err}");
+            assert_eq!(l.current().network, before.network);
+            assert_eq!(l.current().schedule, before.schedule);
+            assert_eq!(l.closed().collect::<Vec<_>>(), ["Ca"]);
+        }
     }
 
     #[test]

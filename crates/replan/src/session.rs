@@ -2,24 +2,27 @@
 //!
 //! A [`ReplanSession`] holds a [`LiveScenario`] and a small LRU of *warm
 //! cores*, keyed by the [`etcs_core::sub_fingerprints`] `core` component
-//! of the scenario they stand for. Two scenarios with equal `core` have
-//! literally the same formulas, so they have the same verdict and optima.
-//! Every tick re-optimises the current scenario:
+//! of the scenario they stand for. That key hashes departures as time
+//! steps, the only form in which the encoder sees them, so two scenarios
+//! with equal `core` have literally the same formulas, and the same
+//! verdict and optima. Every tick re-optimises the current scenario:
 //!
 //! * **Answered warm hit** — a tick on this core has already finished.
 //!   The core keeps that tick's verdict, costs, plan and the plan's
 //!   arrival steps and has dropped its search, so the tick returns the
 //!   stored answer with 0 solver calls and no instance build. Deadline-only
 //!   deltas land here by construction (the search runs on the scenario
-//!   without its deadlines), as does any delta sequence that
-//!   returns to a previously-seen core (a closed segment reopening, a
-//!   delay being reverted).
+//!   without its deadlines), as do delays that leave every departure on
+//!   its time step (a 5 s delay on a 30 s grid, mostly) and any delta
+//!   sequence that returns to a previously-seen core (a closed segment
+//!   reopening, a delay being reverted).
 //! * **Open warm hit** — the last tick on this core was interrupted. Its
 //!   search stayed in the cache: the deadlines it refuted, and the one
 //!   encoding whose probe or stage 2 the interrupt stopped, with every
 //!   learnt clause, VSIDS activity and saved phase. This tick resumes it.
-//! * **Cold fallback** — the core moved (departure, topology, train set,
-//!   horizon or config changed): the search starts from scratch.
+//! * **Cold fallback** — the core moved (a departure *step*, the
+//!   topology, the train set, the horizon or the config changed): the
+//!   search starts from scratch.
 //!
 //! An open core is an [`etcs_core::ScratchSearch`], the search behind
 //! [`etcs_core::optimize`]: walk up the deadlines from the completion

@@ -83,6 +83,54 @@ fn late_on_a_fresh_instance(scenario: &Scenario, plan: &SolvedPlan) -> Vec<Strin
         .collect()
 }
 
+/// The warm key hashes departure steps: on the running example's 30 s
+/// grid, Train 1's first two 5 s delays keep its departure on step 0 and
+/// are answered from the stored answer; the third brings it to 15 s,
+/// which rounds to step 1, and the tick falls back cold (and finds the
+/// open scenario infeasible, as the cold solve does).
+#[test]
+fn sub_step_delays_are_answered_until_the_departure_step_moves() {
+    let mut s = ReplanSession::new(fixtures::running_example(), ReplanConfig::default()).unwrap();
+    assert_eq!(s.current().r_t, Seconds(30));
+    let first = s.tick();
+    assert!(first.feasible && !first.warm);
+    let plan = first
+        .plan
+        .as_ref()
+        .expect("a feasible tick carries its plan");
+    assert_eq!(
+        first.late_trains,
+        late_on_a_fresh_instance(s.current(), plan)
+    );
+    for total in [5, 10, 15] {
+        s.apply(&ScenarioDelta::Delay {
+            train: "Train 1".into(),
+            by: Seconds(5),
+        })
+        .unwrap();
+        let r = s.tick();
+        assert!(!r.stale, "+{total} s");
+        let cold = cold_costs(s.current());
+        assert_eq!(r.feasible, cold.is_some(), "+{total} s");
+        assert_eq!(r.costs, cold.unwrap_or_default(), "+{total} s");
+        let late = r
+            .plan
+            .as_ref()
+            .map_or_else(Vec::new, |plan| late_on_a_fresh_instance(s.current(), plan));
+        assert_eq!(r.late_trains, late, "+{total} s");
+        if total < 15 {
+            assert!(r.warm, "+{total} s keeps every departure step");
+            assert_eq!(r.solver_calls, 0, "+{total} s: the core's answer is stored");
+            assert_eq!(r.plan, first.plan, "+{total} s: the answering tick's plan");
+        } else {
+            assert!(!r.warm, "+15 s rounds Train 1's departure to step 1");
+            assert!(r.solver_calls > 0);
+        }
+    }
+    let stats = s.stats();
+    assert_eq!((stats.warm_hits, stats.cold_fallbacks), (2, 2));
+}
+
 #[test]
 fn tightened_deadline_surfaces_late_trains() {
     let mut s = ReplanSession::new(fixtures::running_example(), ReplanConfig::default()).unwrap();

@@ -8,7 +8,9 @@
 
 use etcs::corpus::{Family, InstanceSpec, SizeClass};
 use etcs::prelude::*;
-use etcs::replan::{parse_trace, ReplanConfig, ReplanSession, ScenarioDelta, TraceOp};
+use etcs::replan::{
+    parse_trace, LiveScenario, ReplanConfig, ReplanSession, ScenarioDelta, TraceOp,
+};
 use etcs::Seconds;
 
 /// The two session configurations under differential test.
@@ -149,38 +151,106 @@ fn synthesized_deadline_churn_agrees_on_every_corpus_family() {
     }
 }
 
+/// The warm ticks a replay of `ops` over `base` must count under the
+/// session's step key, for a trace of delay and deadline deltas only (so
+/// the network and the trains stay fixed): a tick is warm exactly when
+/// its open scenario's departure steps match a core the session still
+/// holds, that is, one an earlier tick already had. The traces below
+/// visit at most four cores, and the session keeps four.
+fn warm_ticks_by_departure_steps(base: Scenario, ops: &[TraceOp]) -> u64 {
+    let mut live = LiveScenario::new(base).expect("base scenario is valid");
+    let mut cores: Vec<Vec<usize>> = Vec::new();
+    let mut warm = 0;
+    for op in ops {
+        match op {
+            TraceOp::Delta(d) => live.apply(d).expect("trace deltas apply"),
+            TraceOp::Tick => {
+                let s = live.current();
+                let steps: Vec<usize> = s
+                    .schedule
+                    .runs()
+                    .iter()
+                    .map(|r| s.step_of(r.departure))
+                    .collect();
+                if cores.contains(&steps) {
+                    warm += 1;
+                } else {
+                    cores.push(steps);
+                }
+            }
+        }
+    }
+    assert!(cores.len() <= 4, "the trace outgrows the session's cores");
+    warm
+}
+
+/// Delays in each [`delay_churn`] trace.
+const DELAYS: u64 = 3;
+
 /// Every corpus family at Small under delay churn, the shape of the
-/// `replan_churn` benchmark: 5 s delays rotating over the trains, each
-/// followed by a tick and then a deadline delta and a tick. A delay moves
-/// a departure, so every delay tick searches a new core from scratch; the
-/// deadline ticks are answered from it. Every tick agrees with the cold
-/// solve.
+/// `replan_churn` benchmark: `DELAYS` delays of `delay(scenario)` rotating
+/// over the trains, each followed by a tick and then a deadline delta and
+/// a tick. Every tick agrees with the cold solve. Returns each family's
+/// warm ticks and the count [`warm_ticks_by_departure_steps`] derives.
+fn delay_churn(delay: impl Fn(&Scenario) -> Seconds) -> Vec<(Family, u64, u64)> {
+    Family::ALL
+        .into_iter()
+        .map(|family| {
+            let scenario = InstanceSpec::new(family, SizeClass::Small, 0).build();
+            let runs = scenario.schedule.runs();
+            let mut ops = vec![TraceOp::Tick];
+            for k in 0..DELAYS as usize {
+                let delayed = &runs[k % runs.len()];
+                let other = &runs[(k + 1) % runs.len()];
+                ops.push(TraceOp::Delta(ScenarioDelta::Delay {
+                    train: delayed.train.name.clone(),
+                    by: delay(&scenario),
+                }));
+                ops.push(TraceOp::Tick);
+                ops.push(TraceOp::Delta(ScenarioDelta::Deadline {
+                    train: other.train.name.clone(),
+                    arrival: (k % 2 == 0).then_some(scenario.horizon),
+                }));
+                ops.push(TraceOp::Tick);
+            }
+            let want = warm_ticks_by_departure_steps(scenario.clone(), &ops);
+            let warm =
+                assert_replay_matches_cold(family.name(), scenario, &ops, ReplanConfig::default());
+            (family, warm, want)
+        })
+        .collect()
+}
+
+/// 5 s delays, as `replan_churn` sends them. A delay that keeps every
+/// departure step is answered from the core it left; one that moves a
+/// step searches a new core from scratch; the deadline ticks are answered
+/// from the core before them.
 #[test]
 fn delay_churn_agrees_on_every_corpus_family() {
-    const DELAYS: usize = 3;
-    for family in Family::ALL {
-        let scenario = InstanceSpec::new(family, SizeClass::Small, 0).build();
-        let runs = scenario.schedule.runs();
-        let mut ops = vec![TraceOp::Tick];
-        for k in 0..DELAYS {
-            let delayed = &runs[k % runs.len()];
-            let other = &runs[(k + 1) % runs.len()];
-            ops.push(TraceOp::Delta(ScenarioDelta::Delay {
-                train: delayed.train.name.clone(),
-                by: Seconds(5),
-            }));
-            ops.push(TraceOp::Tick);
-            ops.push(TraceOp::Delta(ScenarioDelta::Deadline {
-                train: other.train.name.clone(),
-                arrival: (k % 2 == 0).then_some(scenario.horizon),
-            }));
-            ops.push(TraceOp::Tick);
-        }
-        let warm =
-            assert_replay_matches_cold(family.name(), scenario, &ops, ReplanConfig::default());
+    let mut answered_delays = 0;
+    for (family, warm, want) in delay_churn(|_| Seconds(5)) {
         assert_eq!(
             warm,
-            DELAYS as u64,
+            want,
+            "{}: a tick is warm exactly when its departure steps are cached",
+            family.name()
+        );
+        answered_delays += want - DELAYS;
+    }
+    assert!(
+        answered_delays > 0,
+        "some 5 s delay keeps every departure step"
+    );
+}
+
+/// Delays of one time step `r_t`: each moves a departure step, so every
+/// delay tick is cold and every deadline tick warm.
+#[test]
+fn one_step_delay_churn_is_cold_on_every_delay() {
+    for (family, warm, want) in delay_churn(|s| s.r_t) {
+        assert_eq!(
+            (warm, want),
+            (DELAYS, DELAYS),
             "{}: every delay tick is cold, every deadline tick warm",
             family.name()
         );
