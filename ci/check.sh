@@ -228,32 +228,48 @@ test "$(grep -c '"status": "done"' "$CORPUS_OUT")" -eq 3 || {
     echo "served: corpus exemplars did not all solve"; exit 1;
 }
 
-echo "==> served --lazy smoke (verdict digests identical to eager solves)"
+echo "==> served lazy smoke (\"lazy\": true runs the CEGAR loop, verdicts match eager)"
+# Every kind with a lazy form twice in one traced batch: once eager, once
+# with "lazy": true. Equal verdict digests alone would also hold if the
+# switch were ignored and both lines ran eagerly, so the trace must show
+# exactly one task.*_lazy root span per lazy line as well.
 LAZY_IN=target/serve_lazy.in.jsonl
-EAGER_OUT=target/serve_lazy.eager.jsonl
-LAZY_OUT=target/serve_lazy.lazy.jsonl
+LAZY_OUT=target/serve_lazy.out.jsonl
+LAZY_SERVE_TRACE=target/serve_lazy.trace.jsonl
 : > "$LAZY_IN"
-for kind in verify optimize optimize_incremental; do
-    printf '{"id": "%s", "kind": "%s", "scenario": "fixture:running_example"}\n' \
+for kind in verify generate optimize optimize_incremental; do
+    printf '{"id": "%s-eager", "kind": "%s", "scenario": "fixture:running_example"}\n' \
+        "$kind" "$kind" >> "$LAZY_IN"
+    printf '{"id": "%s-lazy", "kind": "%s", "scenario": "fixture:running_example", "lazy": true}\n' \
         "$kind" "$kind" >> "$LAZY_IN"
 done
 cargo run --release -q -p etcs-serve --bin served -- \
-    --input "$LAZY_IN" --output "$EAGER_OUT" --workers 2
-cargo run --release -q -p etcs-serve --bin served -- \
-    --input "$LAZY_IN" --output "$LAZY_OUT" --workers 2 --lazy
-test "$(grep -c '"status": "done"' "$LAZY_OUT")" -eq 3 || {
-    echo "served --lazy: not every job completed"; exit 1;
+    --input "$LAZY_IN" --output "$LAZY_OUT" --trace "$LAZY_SERVE_TRACE" --workers 2
+test "$(grep -c '"status": "done"' "$LAZY_OUT")" -eq 8 || {
+    echo "served lazy: not every job completed"; exit 1;
 }
 # The CEGAR loop must reach the same verdict and the same optimal costs:
 # payload.verdict_digest hashes exactly that (the witness plan may
 # legitimately differ, the verdict must not).
-for kind in verify optimize optimize_incremental; do
-    eager_digest=$(grep "\"id\": \"$kind\"" "$EAGER_OUT" \
+for kind in verify generate optimize optimize_incremental; do
+    eager_digest=$(grep "\"id\": \"$kind-eager\"" "$LAZY_OUT" \
         | sed 's/.*"verdict_digest": "\([0-9a-f]*\)".*/\1/')
-    lazy_digest=$(grep "\"id\": \"$kind\"" "$LAZY_OUT" \
+    lazy_digest=$(grep "\"id\": \"$kind-lazy\"" "$LAZY_OUT" \
         | sed 's/.*"verdict_digest": "\([0-9a-f]*\)".*/\1/')
     test -n "$eager_digest" && test "$eager_digest" = "$lazy_digest" || {
-        echo "served --lazy: $kind verdict digest diverged from eager"
+        echo "served lazy: $kind verdict digest diverged from eager"
+        exit 1
+    }
+done
+# One root span per lazy line; both optimisation kinds run the one lazy
+# optimisation loop, task.optimize_lazy.
+for span in verify_lazy generate_lazy optimize_lazy; do
+    want=1
+    test "$span" = optimize_lazy && want=2
+    n=$(grep -c "\"kind\":\"span_open\",\"name\":\"task\.$span\",\"span\":[0-9]*,\"parent\":null" \
+        "$LAZY_SERVE_TRACE" || true)
+    test "$n" -eq "$want" || {
+        echo "served lazy: expected $want task.$span root span(s), found $n"
         exit 1
     }
 done

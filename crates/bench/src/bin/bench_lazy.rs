@@ -33,7 +33,6 @@ use std::time::Instant;
 use etcs_core::{
     generate, optimize_incremental, verify, DesignOutcome, EncoderConfig, Run, TaskKind,
 };
-use etcs_lazy::SelectionStrategy;
 use etcs_network::generator::{branched_line, single_track_line, BranchConfig, LineConfig};
 use etcs_network::{fixtures, parse_scenario, Scenario, Schedule, VssLayout};
 use etcs_obs::{json, Obs};
@@ -108,11 +107,7 @@ fn costs_of(outcome: &DesignOutcome) -> (Option<u64>, Option<u64>) {
     }
 }
 
-fn compare_optimize(
-    scenario: &Scenario,
-    config: &EncoderConfig,
-    strategy: SelectionStrategy,
-) -> Row {
+fn compare_optimize(scenario: &Scenario, config: &EncoderConfig) -> Row {
     let (eager, (eager_outcome, eager_report), lazy, (lazy_outcome, lazy_report)) = alternate(
         || optimize_incremental(scenario, config).expect("well-formed"),
         || {
@@ -121,7 +116,6 @@ fn compare_optimize(
                 &TaskKind::OptimizeIncremental,
                 config,
                 &Run::default(),
-                strategy,
             )
             .expect("well-formed")
         },
@@ -152,22 +146,12 @@ fn compare_optimize(
 /// regime the optimisation rows cannot see — stage 1 (deadline search) is
 /// absent, so the comparison isolates the border-MaxSAT interaction with
 /// lazy separation.
-fn compare_generate(
-    scenario: &Scenario,
-    config: &EncoderConfig,
-    strategy: SelectionStrategy,
-) -> Row {
+fn compare_generate(scenario: &Scenario, config: &EncoderConfig) -> Row {
     let (eager, (eager_outcome, eager_report), lazy, (lazy_outcome, lazy_report)) = alternate(
         || generate(scenario, config).expect("well-formed"),
         || {
-            etcs_lazy::run(
-                scenario,
-                &TaskKind::Generate,
-                config,
-                &Run::default(),
-                strategy,
-            )
-            .expect("well-formed")
+            etcs_lazy::run(scenario, &TaskKind::Generate, config, &Run::default())
+                .expect("well-formed")
         },
     );
 
@@ -193,17 +177,13 @@ fn compare_generate(
 
 /// Verification head-to-head on the full VSS layout (always feasible, so
 /// the lazy loop has real violations to refine).
-fn compare_verify(
-    scenario: &Scenario,
-    config: &EncoderConfig,
-    strategy: SelectionStrategy,
-) -> (Timing, Timing) {
+fn compare_verify(scenario: &Scenario, config: &EncoderConfig) -> (Timing, Timing) {
     let inst = etcs_core::Instance::new(scenario).expect("valid");
     let layout = VssLayout::full(&inst.net);
     let task = TaskKind::Verify(layout.clone());
     let (eager_ms, (eager, _), lazy_ms, (relaxed, _)) = alternate(
         || verify(scenario, &layout, config).expect("well-formed"),
-        || etcs_lazy::run(scenario, &task, config, &Run::default(), strategy).expect("well-formed"),
+        || etcs_lazy::run(scenario, &task, config, &Run::default()).expect("well-formed"),
     );
     assert_eq!(
         eager.is_feasible(),
@@ -218,25 +198,15 @@ fn compare_verify(
 /// every line parses, `lazy.round` spans nest under the task span and
 /// agree with the report's round counter, and the refine spans sum to the
 /// clauses-added figure.
-fn traced_cross_check(
-    scenario: &Scenario,
-    config: &EncoderConfig,
-    strategy: SelectionStrategy,
-    path: &str,
-) {
+fn traced_cross_check(scenario: &Scenario, config: &EncoderConfig, path: &str) {
     let obs = Obs::jsonl(path).expect("create trace file");
     let traced = Run {
         obs: obs.clone(),
         ..Run::default()
     };
-    let (outcome, report) = etcs_lazy::run(
-        scenario,
-        &TaskKind::OptimizeIncremental,
-        config,
-        &traced,
-        strategy,
-    )
-    .expect("well-formed");
+    let (outcome, report) =
+        etcs_lazy::run(scenario, &TaskKind::OptimizeIncremental, config, &traced)
+            .expect("well-formed");
     obs.flush_metrics();
     obs.flush();
     assert!(matches!(outcome, DesignOutcome::Solved { .. }));
@@ -352,7 +322,6 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned();
     let config = EncoderConfig::default();
-    let strategy = SelectionStrategy::AllViolated;
 
     const HEADLINE: [&str; 2] = ["convoy_line", "branched_line"];
     let fixtures: Vec<Scenario> = if smoke {
@@ -376,7 +345,6 @@ fn main() {
         "  \"mode\": \"{}\",",
         if smoke { "smoke" } else { "full" }
     );
-    let _ = writeln!(out, "  \"strategy\": \"{}\",", strategy.name());
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let _ = writeln!(out, "  \"available_parallelism\": {cores},");
     let _ = writeln!(out, "  \"samples\": {SAMPLES},");
@@ -384,9 +352,9 @@ fn main() {
     let mut headline_speedups = Vec::new();
     for (i, scenario) in fixtures.iter().enumerate() {
         eprintln!("== {} ==", scenario.name);
-        let row = compare_optimize(scenario, &config, strategy);
-        let gen_row = compare_generate(scenario, &config, strategy);
-        let (verify_eager, verify_lazy) = compare_verify(scenario, &config, strategy);
+        let row = compare_optimize(scenario, &config);
+        let gen_row = compare_generate(scenario, &config);
+        let (verify_eager, verify_lazy) = compare_verify(scenario, &config);
         eprintln!(
             "   optimize: eager {:.1} ms | lazy {:.1} ms ({:.2}x) | {} rounds, {} of {} eager clauses",
             row.eager.median,
@@ -405,7 +373,7 @@ fn main() {
         }
         if i + 1 == fixtures.len() {
             if let Some(path) = &trace_path {
-                traced_cross_check(scenario, &config, strategy, path);
+                traced_cross_check(scenario, &config, path);
             }
         }
         let opt = |v: Option<u64>| v.map_or("null".to_owned(), |x| x.to_string());

@@ -1,5 +1,5 @@
 //! Decoding SAT models back into designer artefacts: VSS layouts and
-//! per-train movement plans.
+//! the movement plan of each train.
 
 use etcs_network::{EdgeId, NodeId, VssLayout};
 use etcs_sat::Model;

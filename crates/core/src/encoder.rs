@@ -58,76 +58,48 @@ impl Default for EncoderConfig {
     }
 }
 
-/// Which of the encoder's *deferrable* constraint families to emit.
+/// Whether the encoder emits its *deferrable* constraint families.
 ///
 /// The eager core — train shape chains, movement/speed, completion
 /// tracking and the task goals — is always emitted: dropping any of it
 /// changes what a "plan" even is. The three pairwise-interaction families
-/// below are the ones a lazy refinement loop (`etcs-lazy`) can instead add
-/// on demand, one violated concrete instance at a time, following Engels &
-/// Wille's lazy constraint selection:
+/// are the ones a lazy refinement loop (`etcs-lazy`) instead adds on
+/// demand, following Engels & Wille's lazy constraint selection:
 ///
-/// * [`shared`](Self::shared) — two trains must never occupy the same
+/// * shared-segment exclusion — two trains must never occupy the same
 ///   segment (the `e == f` case of the separation constraint);
-/// * [`separation`](Self::separation) — two trains inside one TTD force an
-///   active VSS border on the chain between them;
-/// * [`collision`](Self::collision) — a moving train's swept path is
-///   exclusive against every other train at both end steps (trains cannot
-///   pass through one another).
+/// * separation — two trains inside one TTD force an active VSS border
+///   on the chain between them;
+/// * collision — a moving train's swept path is exclusive against every
+///   other train at both end steps (trains cannot pass through one
+///   another).
 ///
-/// With a family disabled its constraint group is still *declared* (under
+/// There are two values: [`ALL`](Self::ALL) emits every family (the
+/// paper's formula) and [`CORE_ONLY`](Self::CORE_ONLY) defers all three.
+/// A deferred family's constraint group is still *declared* (under
 /// [`EncoderConfig::trace`]) but left empty, so the `etcs-lint` audit sees
 /// — and, unless given a matching `LazyProfile` allowlist — flags exactly
-/// which families the relaxation dropped.
+/// which groups the relaxation dropped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ConstraintFamilies {
-    /// Emit shared-segment mutual exclusion eagerly.
-    pub shared: bool,
-    /// Emit same-TTD VSS separation (border-between clauses) eagerly.
-    pub separation: bool,
-    /// Emit the no-passing sweep constraints eagerly.
-    pub collision: bool,
+    deferred: bool,
 }
 
 impl ConstraintFamilies {
     /// Every family eager — the paper's monolithic encoding.
-    pub const ALL: ConstraintFamilies = ConstraintFamilies {
-        shared: true,
-        separation: true,
-        collision: true,
-    };
+    pub const ALL: ConstraintFamilies = ConstraintFamilies { deferred: false };
 
     /// Only the eager core; all three pairwise families deferred.
-    pub const CORE_ONLY: ConstraintFamilies = ConstraintFamilies {
-        shared: false,
-        separation: false,
-        collision: false,
-    };
+    pub const CORE_ONLY: ConstraintFamilies = ConstraintFamilies { deferred: true };
 
-    /// `true` when nothing is deferred (the relaxation is the full
-    /// encoding).
-    pub fn is_all(&self) -> bool {
-        *self == ConstraintFamilies::ALL
-    }
-
-    /// Names of the constraint groups this selection leaves (fully or
-    /// partially) relaxed — the allowlist a lint profile needs to accept
-    /// the relaxed formula.
+    /// Names of the constraint groups this selection leaves empty — the
+    /// allowlist a lint profile needs to accept the relaxed formula.
     pub fn relaxed_groups(&self) -> Vec<&'static str> {
-        let mut groups = Vec::new();
-        if !self.shared || !self.separation {
-            groups.push("separation");
+        if self.deferred {
+            vec!["separation", "collision"]
+        } else {
+            Vec::new()
         }
-        if !self.collision {
-            groups.push("collision");
-        }
-        groups
-    }
-}
-
-impl Default for ConstraintFamilies {
-    fn default() -> Self {
-        ConstraintFamilies::ALL
     }
 }
 
@@ -209,7 +181,7 @@ pub struct Encoding {
     pub deadline_selectors: Vec<Lit>,
     /// For [`TaskKind::OptimizeIncremental`]: `step_selectors[d]` is a
     /// selector literal whose assumption forces every train to reach its
-    /// goal by step `d` — exactly the per-train goal the from-scratch
+    /// goal by step `d` — exactly the goal of each train the from-scratch
     /// optimisation loop asserts when probing deadline `d`, so both paths
     /// find the same optimum. Allocated for
     /// `d ∈ [completion_lower_bound, t_max)` (earlier deadlines are
@@ -733,7 +705,7 @@ impl<'a> Encoder<'a> {
             return;
         }
         self.solver.begin_group(|| "separation".to_owned());
-        if !self.families.shared && !self.families.separation {
+        if self.families.deferred {
             return; // deferred to the lazy loop; the group stays declared
         }
         // Only pairs inside one TTD (`e == f` included) can emit a clause,
@@ -758,13 +730,8 @@ impl<'a> Encoder<'a> {
             return;
         };
         if e == f {
-            if self.families.shared {
-                self.solver.add_clause([!occ_i, !occ_j]);
-            }
+            self.solver.add_clause([!occ_i, !occ_j]);
             return;
-        }
-        if !self.families.separation {
-            return; // deferred to the lazy loop
         }
         if self.inst.net.segment(e).ttd != self.inst.net.segment(f).ttd {
             return; // separated by a TTD border by construction
@@ -816,7 +783,7 @@ impl<'a> Encoder<'a> {
             return; // nothing to collide with
         }
         self.solver.begin_group(|| "collision".to_owned());
-        if !self.families.collision {
+        if self.families.deferred {
             return; // deferred to the lazy loop; the group stays declared
         }
         for mover in 0..num_trains {
@@ -1283,17 +1250,10 @@ mod tests {
     #[test]
     fn relaxed_groups_name_the_deferred_families() {
         assert!(ConstraintFamilies::ALL.relaxed_groups().is_empty());
-        assert!(ConstraintFamilies::ALL.is_all());
         assert_eq!(
             ConstraintFamilies::CORE_ONLY.relaxed_groups(),
             vec!["separation", "collision"]
         );
-        let partial = ConstraintFamilies {
-            shared: true,
-            separation: true,
-            collision: false,
-        };
-        assert_eq!(partial.relaxed_groups(), vec!["collision"]);
     }
 
     #[test]

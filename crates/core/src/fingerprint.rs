@@ -266,33 +266,6 @@ fn write_schedule(c: &mut Fnv2, scenario: &Scenario, open: bool) {
     }
 }
 
-/// Hashes only the deadline-carrying schedule fields (tag `0x08`): per run,
-/// the arrival option and the per-stop deadline options. Together with the
-/// masked schedule hash this covers every schedule byte [`cache_key`] sees.
-fn write_deadlines(c: &mut Fnv2, scenario: &Scenario) {
-    c.tag(0x08); // deadlines only (arrivals + stop deadlines)
-    c.usize(scenario.schedule.len());
-    for run in scenario.schedule.runs() {
-        match run.arrival {
-            Some(a) => {
-                c.byte(1);
-                c.u64(a.as_u64());
-            }
-            None => c.byte(0),
-        }
-        c.usize(run.stops.len());
-        for (_, deadline) in &run.stops {
-            match deadline {
-                Some(d) => {
-                    c.byte(1);
-                    c.u64(d.as_u64());
-                }
-                None => c.byte(0),
-            }
-        }
-    }
-}
-
 fn write_task(c: &mut Fnv2, task: &TaskKind) {
     c.tag(0x07); // task kind (+ layout where the task takes one)
     let layout = match task {
@@ -327,54 +300,27 @@ fn write_task(c: &mut Fnv2, task: &TaskKind) {
     }
 }
 
-/// Component-wise fingerprints of a scenario under one encoder
-/// configuration, for warm-start keying in the online replanner.
+/// The warm-start key of `scenario` under `config`, for the online
+/// replanner: a hash of everything that determines the *open*
+/// (deadline-free) encodings, the formulas the optimisation searches
+/// solve — encoder configuration, resolutions and horizon, topology, and
+/// the schedule with its deadlines masked and each departure hashed as its
+/// time step.
 ///
-/// [`cache_key`] answers "is this the same *task*"; `SubFingerprints`
-/// answers the finer question "which *parts* changed". Each field hashes
-/// one independently-editable slice of the input, and [`core`] combines
-/// everything that determines the *open* (deadline-free) encodings — the
-/// formulas the optimisation searches solve. It hashes departures as time
-/// steps, because the encoder sees time only on the grid of resolution
-/// `r_t`: a departure reaches the open [`crate::Instance`] only as
-/// `dep_step`, and every other input the instance reads (network,
+/// [`cache_key`] answers "is this the same *task*"; this key answers "is
+/// this the same open *instance*". The encoder sees time only on the grid
+/// of resolution `r_t`: a departure reaches the open [`crate::Instance`]
+/// only as `dep_step`, and every other input the instance reads (network,
 /// resolutions, horizon, train data, stations) is hashed as given. Equal
-/// `core` therefore means an equal open instance, equal formulas and equal
+/// keys therefore mean an equal open instance, equal formulas and equal
 /// optima. A delta that only moves deadlines, or delays a train without
-/// moving its departure step, leaves `core` unchanged, so a warm core's
-/// search and stored answer stay valid; any other delta moves `core` and
+/// moving its departure step, leaves the key unchanged, so a warm core's
+/// search and stored answer stay valid; any other delta moves it and
 /// forces a cold search. [`cache_key`] keeps departures in seconds.
 ///
-/// [`core`]: SubFingerprints::core
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SubFingerprints {
-    /// Encoder configuration (flags + solve mode).
-    pub config: u128,
-    /// Spatial/temporal resolutions and horizon.
-    pub timing: u128,
-    /// Network topology: tracks, TTDs, stations.
-    pub topology: u128,
-    /// Schedule with deadlines masked: trains, routes, departure steps,
-    /// stops.
-    pub schedule: u128,
-    /// Deadlines only: arrival and per-stop deadline options.
-    pub deadlines: u128,
-    /// Everything the open (deadline-free) encoding depends on: config +
-    /// timing + topology + masked schedule. Equal to the `core` of
-    /// [`Scenario::without_arrivals`] applied to the same scenario, and
-    /// of any scenario that differs only in deadlines and in departures
-    /// within the same time step.
-    pub core: u128,
-}
-
-/// Computes the component-wise [`SubFingerprints`] of `scenario` under
-/// `config`.
-///
-/// The components share [`cache_key`]'s canonicalisation and version tag
-/// (a cache-key version bump invalidates warm-start keys too, which is
-/// exactly right: the encoding changed). `schedule` and `core` hash each
-/// departure as its time step; see [`SubFingerprints`] for why that is
-/// sound.
+/// The key shares [`cache_key`]'s canonicalisation and version tag (a
+/// cache-key version bump invalidates warm-start keys too, which is
+/// exactly right: the encoding changed).
 ///
 /// # Panics
 ///
@@ -389,42 +335,25 @@ pub struct SubFingerprints {
 ///
 /// let scenario = fixtures::running_example();
 /// let config = EncoderConfig::default();
-/// let fps = sub_fingerprints(&scenario, &config);
-/// // Dropping every deadline keeps the core (the open encoding is
-/// // unchanged) while the deadline component moves.
-/// let open = sub_fingerprints(&scenario.without_arrivals(), &config);
-/// assert_eq!(fps.core, open.core);
+/// let core = sub_fingerprints(&scenario, &config);
+/// // Dropping every deadline keeps the key: the open encoding is
+/// // unchanged.
+/// assert_eq!(core, sub_fingerprints(&scenario.without_arrivals(), &config));
 /// // So does a 5 s delay on the 30 s grid: the departure step stays.
 /// let mut delayed = scenario.clone();
 /// let mut runs = delayed.schedule.runs().to_vec();
 /// runs[0].departure = Seconds(runs[0].departure.as_u64() + 5);
 /// delayed.schedule = Schedule::new(runs);
-/// assert_eq!(fps.core, sub_fingerprints(&delayed, &config).core);
+/// assert_eq!(core, sub_fingerprints(&delayed, &config));
 /// ```
-pub fn sub_fingerprints(scenario: &Scenario, config: &EncoderConfig) -> SubFingerprints {
-    let component = |write: &dyn Fn(&mut Fnv2)| {
-        let mut c = Fnv2::new();
-        c.str(CACHE_KEY_VERSION);
-        write(&mut c);
-        c.finish()
-    };
-    let core = {
-        let mut c = Fnv2::new();
-        c.str(CACHE_KEY_VERSION);
-        write_config(&mut c, config);
-        write_timing(&mut c, scenario);
-        write_topology(&mut c, scenario);
-        write_schedule(&mut c, scenario, true);
-        c.finish()
-    };
-    SubFingerprints {
-        config: component(&|c| write_config(c, config)),
-        timing: component(&|c| write_timing(c, scenario)),
-        topology: component(&|c| write_topology(c, scenario)),
-        schedule: component(&|c| write_schedule(c, scenario, true)),
-        deadlines: component(&|c| write_deadlines(c, scenario)),
-        core,
-    }
+pub fn sub_fingerprints(scenario: &Scenario, config: &EncoderConfig) -> u128 {
+    let mut c = Fnv2::new();
+    c.str(CACHE_KEY_VERSION);
+    write_config(&mut c, config);
+    write_timing(&mut c, scenario);
+    write_topology(&mut c, scenario);
+    write_schedule(&mut c, scenario, true);
+    c.finish()
 }
 
 #[cfg(test)]
@@ -532,35 +461,13 @@ mod tests {
     }
 
     #[test]
-    fn deadline_edits_keep_the_core_sub_fingerprint() {
+    fn deadline_edits_keep_the_core_key() {
         let s = fixtures::running_example();
-        let fps = sub_fingerprints(&s, &config());
-        let open = sub_fingerprints(&s.without_arrivals(), &config());
-        assert_eq!(fps.core, open.core, "core ignores deadlines");
-        assert_eq!(fps.schedule, open.schedule, "masked schedule too");
-        assert_ne!(
-            fps.deadlines, open.deadlines,
-            "the running example carries arrivals; dropping them must move \
-             the deadline component"
+        assert_eq!(
+            sub_fingerprints(&s, &config()),
+            sub_fingerprints(&s.without_arrivals(), &config()),
+            "the core key ignores deadlines"
         );
-        assert_eq!(fps.config, open.config);
-        assert_eq!(fps.timing, open.timing);
-        assert_eq!(fps.topology, open.topology);
-    }
-
-    #[test]
-    fn departure_edits_move_the_core_sub_fingerprint() {
-        let s = fixtures::running_example();
-        let mut delayed = s.clone();
-        let mut runs: Vec<_> = delayed.schedule.runs().to_vec();
-        runs[0].departure = etcs_network::Seconds(runs[0].departure.as_u64() + 60);
-        delayed.schedule = etcs_network::Schedule::new(runs);
-        let a = sub_fingerprints(&s, &config());
-        let b = sub_fingerprints(&delayed, &config());
-        assert_ne!(a.core, b.core, "departures shape the open encoding");
-        assert_ne!(a.schedule, b.schedule);
-        assert_eq!(a.topology, b.topology);
-        assert_eq!(a.timing, b.timing);
     }
 
     /// The running example with Train 1's departure moved by `by` seconds.
@@ -573,24 +480,30 @@ mod tests {
     }
 
     #[test]
-    fn sub_step_delays_keep_the_core_and_schedule() {
+    fn departure_edits_move_the_core_key() {
+        let base = sub_fingerprints(&fixtures::running_example(), &config());
+        assert_ne!(
+            base,
+            sub_fingerprints(&delayed(60), &config()),
+            "departures shape the open encoding"
+        );
+    }
+
+    #[test]
+    fn sub_step_delays_keep_the_core_key() {
         let base = sub_fingerprints(&fixtures::running_example(), &config());
         assert_eq!(fixtures::running_example().r_t.as_u64(), 30);
         for by in [5, 14] {
-            let fps = sub_fingerprints(&delayed(by), &config());
-            assert_eq!(fps.core, base.core, "+{by} s keeps the departure step");
-            assert_eq!(fps.schedule, base.schedule, "+{by} s");
+            let core = sub_fingerprints(&delayed(by), &config());
+            assert_eq!(core, base, "+{by} s keeps the departure step");
         }
     }
 
     #[test]
-    fn a_delay_that_rounds_to_the_next_step_moves_the_core_and_schedule() {
+    fn a_delay_that_rounds_to_the_next_step_moves_the_core_key() {
         let base = sub_fingerprints(&fixtures::running_example(), &config());
-        let fps = sub_fingerprints(&delayed(15), &config());
-        assert_ne!(fps.core, base.core, "+15 s rounds to the next step");
-        assert_ne!(fps.schedule, base.schedule);
-        assert_eq!(fps.topology, base.topology);
-        assert_eq!(fps.timing, base.timing);
+        let core = sub_fingerprints(&delayed(15), &config());
+        assert_ne!(core, base, "+15 s rounds to the next step");
     }
 
     #[test]
@@ -603,38 +516,15 @@ mod tests {
     }
 
     #[test]
-    fn sub_fingerprint_components_are_pairwise_distinct() {
-        let s = fixtures::running_example();
-        let fps = sub_fingerprints(&s, &config());
-        let keys = [
-            fps.config,
-            fps.timing,
-            fps.topology,
-            fps.schedule,
-            fps.deadlines,
-            fps.core,
-        ];
-        for i in 0..keys.len() {
-            for j in (i + 1)..keys.len() {
-                assert_ne!(keys[i], keys[j], "components {i} and {j} collide");
-            }
-        }
-    }
-
-    #[test]
-    fn config_moves_core_but_not_topology() {
+    fn config_moves_the_core_key() {
         let s = fixtures::running_example();
         let mut unpruned = config();
         unpruned.prune_to_goal = false;
-        let a = sub_fingerprints(&s, &config());
-        let b = sub_fingerprints(&s, &unpruned);
-        assert_ne!(a.config, b.config);
         assert_ne!(
-            a.core, b.core,
+            sub_fingerprints(&s, &config()),
+            sub_fingerprints(&s, &unpruned),
             "the encoder config reaches the warm-start key"
         );
-        assert_eq!(a.topology, b.topology);
-        assert_eq!(a.deadlines, b.deadlines);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Problem instances: a scenario lifted onto the discrete grid, with all
-//! per-train data and distance tables the encoder needs.
+//! train data and distance tables the encoder needs.
 
 use etcs_network::{DiscreteNet, EdgeId, NetworkError, Scenario, TrainId};
 
@@ -16,7 +16,7 @@ pub enum ExitPolicy {
     Park,
 }
 
-/// Discrete per-train data.
+/// Discrete data of one train.
 #[derive(Clone, Debug)]
 pub struct TrainSpec {
     /// Dense train id (index into [`Instance::trains`]).
@@ -41,7 +41,7 @@ pub struct TrainSpec {
     pub exit: ExitPolicy,
 }
 
-/// A scenario prepared for encoding: discrete network, per-train specs and
+/// A scenario prepared for encoding: discrete network, train specs and
 /// the all-pairs segment distance table.
 #[derive(Debug, Clone)]
 pub struct Instance {

@@ -83,7 +83,7 @@ pub use encoder::{
     VarMap,
 };
 pub use explorer::LayoutExplorer;
-pub use fingerprint::{cache_key, sub_fingerprints, Fnv2, SubFingerprints, CACHE_KEY_VERSION};
+pub use fingerprint::{cache_key, sub_fingerprints, Fnv2, CACHE_KEY_VERSION};
 pub use instance::{ExitPolicy, Instance, TrainSpec};
 pub use objectives::optimize_arrivals;
 pub use tasks::{

@@ -18,7 +18,7 @@ use crate::encoder::{encode, EncoderConfig, TaskKind};
 use crate::instance::Instance;
 use crate::tasks::{DesignOutcome, TaskReport};
 
-/// *Schedule optimisation, per-train variant*: free the arrivals and
+/// *Schedule optimisation, train-by-train variant*: free the arrivals and
 /// minimise the **total travel time** `Σ_tr (arrival_tr − departure_tr)`
 /// in steps, then the number of VSS borders.
 ///

@@ -8,7 +8,6 @@
 use std::time::Duration;
 
 use etcs_core::{optimize_incremental, DesignOutcome, EncoderConfig, Run, TaskError, TaskKind};
-use etcs_lazy::SelectionStrategy;
 use etcs_network::Scenario;
 
 /// One solve configuration of the corpus sweep.
@@ -17,7 +16,7 @@ pub enum SolveSetup {
     /// The eager incremental optimisation loop (`optimize_incremental`
     /// with the default encoder config).
     Eager,
-    /// The lazy CEGAR loop (`etcs_lazy::run`, `AllViolated` selection).
+    /// The lazy CEGAR loop (`etcs_lazy::run`).
     Lazy,
 }
 
@@ -48,7 +47,6 @@ impl SolveSetup {
                     &TaskKind::OptimizeIncremental,
                     &config,
                     &Run::default(),
-                    SelectionStrategy::AllViolated,
                 )?;
                 Ok(OptimizeOutcome {
                     outcome,

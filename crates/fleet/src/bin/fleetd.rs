@@ -18,10 +18,6 @@
 //! * `--replicas N` — copies of each completed cold solve pushed to the
 //!   next-ranked shards (default 1).
 //! * `--streams N` — concurrent connections per shard (default 2).
-//! * `--lazy` — the same job default as `served`, applied when computing
-//!   routing fingerprints; start the shards with the same flag so their
-//!   keys agree (routing stays correct either way — the shard's own key
-//!   is authoritative).
 //! * `--check-histories` — after the batch (or standalone, with no
 //!   `--input` on a tty-less stdin use `--no-jobs`), fetch every shard's
 //!   recorded cache history and run the dbcop-style consistency checker;
@@ -51,7 +47,6 @@ struct Args {
     trace: Option<String>,
     replicas: usize,
     streams: usize,
-    lazy: bool,
     check_histories: bool,
     shutdown_shards: bool,
     no_jobs: bool,
@@ -59,7 +54,7 @@ struct Args {
 
 const USAGE: &str = "usage: fleetd --shard ADDR [--shard ADDR …] [--shards A,B,…] \
 [--input FILE] [--output FILE] [--trace FILE] [--replicas N] [--streams N] \
-[--lazy] [--check-histories] [--shutdown-shards] [--no-jobs]\n\
+[--check-histories] [--shutdown-shards] [--no-jobs]\n\
 Routes served-format JSONL jobs across a fleet of `served --listen` shards\n\
 by canonical cache fingerprint (rendezvous hashing), replicates completed\n\
 cache entries, survives shard loss, and can audit the fleet's recorded\n\
@@ -75,7 +70,6 @@ fn parse_args() -> Result<Args, String> {
         trace: None,
         replicas: 1,
         streams: 2,
-        lazy: false,
         check_histories: false,
         shutdown_shards: false,
         no_jobs: false,
@@ -107,7 +101,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--streams must be a positive integer".to_string())?
             }
-            "--lazy" => args.lazy = true,
             "--check-histories" => args.check_histories = true,
             "--shutdown-shards" => args.shutdown_shards = true,
             "--no-jobs" => args.no_jobs = true,
@@ -196,7 +189,7 @@ fn main() -> ExitCode {
                 continue;
             }
             let index = lines.len();
-            match parse_forwarded_line(&line, &format!("line {lineno}"), args.lazy) {
+            match parse_forwarded_line(&line, &format!("line {lineno}")) {
                 Ok((request, spec)) => {
                     let key = request.cache_key(&encoder);
                     lines.push(None);

@@ -86,8 +86,7 @@ fn fleet_jobs(lines: &[String]) -> Vec<FleetJob> {
         .iter()
         .enumerate()
         .map(|(index, line)| {
-            let request =
-                parse_request(line, "test", Origin::Local, false).expect("test lines are valid");
+            let request = parse_request(line, "test", Origin::Local).expect("test lines are valid");
             FleetJob {
                 index,
                 id: request.id.clone(),
@@ -105,8 +104,7 @@ fn reference_digests(lines: &[String]) -> Vec<String> {
     lines
         .iter()
         .map(|line| {
-            let request =
-                parse_request(line, "ref", Origin::Local, false).expect("test lines are valid");
+            let request = parse_request(line, "ref", Origin::Local).expect("test lines are valid");
             match execute(&request, &encoder, &Interrupt::none(), &Obs::disabled()) {
                 JobOutcome::Done(payload) => format!("{:032x}", payload.digest()),
                 other => panic!("reference execution did not finish: {other:?}"),

@@ -67,63 +67,48 @@ impl LazyViolation {
             LazyViolation::PassThrough { .. } => "pass",
         }
     }
-
-    /// The primary train of the instance — the lower-indexed train of a
-    /// pairwise conflict, or the mover of a pass-through. The per-train
-    /// selection strategy buckets instances by this index.
-    pub fn primary_train(&self) -> usize {
-        match self {
-            LazyViolation::Shared { trains, .. } | LazyViolation::MissingBorder { trains, .. } => {
-                trains.0
-            }
-            LazyViolation::PassThrough { mover, .. } => *mover,
-        }
-    }
 }
 
-/// Scans `plan` for violated instances of every family `eager` defers,
-/// in deterministic order (time-major, then train pairs, then segments).
+/// Scans `plan` for violated instances of the deferred families, in
+/// deterministic order (time-major, then train pairs, then segments).
 ///
-/// Families that were emitted eagerly are skipped: the solver already
-/// enforced them, so scanning would only burn time proving the obvious.
+/// Under [`ConstraintFamilies::ALL`] nothing was deferred: the solver
+/// already enforced every family, so the scan is skipped and the list is
+/// empty.
 pub fn detect(inst: &Instance, plan: &SolvedPlan, eager: ConstraintFamilies) -> Vec<LazyViolation> {
     let mut out = Vec::new();
     let num_trains = plan.plans.len();
-    if num_trains < 2 {
-        return out; // every lazy family is pairwise
+    if eager == ConstraintFamilies::ALL || num_trains < 2 {
+        return out; // nothing deferred, or every lazy family is pairwise
     }
     let net = &inst.net;
     let layout = &plan.layout;
 
-    if !eager.shared || !eager.separation {
-        for t in 0..inst.t_max {
-            for i in 0..num_trains {
-                for j in (i + 1)..num_trains {
-                    let pi = &plan.plans[i].positions[t];
-                    let pj = &plan.plans[j].positions[t];
-                    for &e in pi {
-                        for &f in pj {
-                            if e == f {
-                                if !eager.shared {
-                                    out.push(LazyViolation::Shared {
-                                        step: t,
-                                        edge: e,
-                                        trains: (i, j),
-                                    });
-                                }
-                                continue;
-                            }
-                            if eager.separation || net.segment(e).ttd != net.segment(f).ttd {
-                                continue;
-                            }
-                            let between = net.between(e, f).expect("same-TTD edges connect");
-                            if !between.iter().any(|&n| layout.is_border(net, n)) {
-                                out.push(LazyViolation::MissingBorder {
-                                    step: t,
-                                    trains: (i, j),
-                                    edges: (e, f),
-                                });
-                            }
+    for t in 0..inst.t_max {
+        for i in 0..num_trains {
+            for j in (i + 1)..num_trains {
+                let pi = &plan.plans[i].positions[t];
+                let pj = &plan.plans[j].positions[t];
+                for &e in pi {
+                    for &f in pj {
+                        if e == f {
+                            out.push(LazyViolation::Shared {
+                                step: t,
+                                edge: e,
+                                trains: (i, j),
+                            });
+                            continue;
+                        }
+                        if net.segment(e).ttd != net.segment(f).ttd {
+                            continue;
+                        }
+                        let between = net.between(e, f).expect("same-TTD edges connect");
+                        if !between.iter().any(|&n| layout.is_border(net, n)) {
+                            out.push(LazyViolation::MissingBorder {
+                                step: t,
+                                trains: (i, j),
+                                edges: (e, f),
+                            });
                         }
                     }
                 }
@@ -131,46 +116,44 @@ pub fn detect(inst: &Instance, plan: &SolvedPlan, eager: ConstraintFamilies) -> 
         }
     }
 
-    if !eager.collision {
-        // The same (from, to) move pairs recur at every step, and
-        // `path_edges` is the expensive part of the scan — cache per call.
-        let mut path_cache: std::collections::BTreeMap<(EdgeId, EdgeId, u32), Vec<EdgeId>> =
-            std::collections::BTreeMap::new();
-        for (mover, (p, spec)) in plan.plans.iter().zip(&inst.trains).enumerate() {
-            for t in spec.dep_step..inst.t_max.saturating_sub(1) {
-                let now = &p.positions[t];
-                let next = &p.positions[t + 1];
-                if now.is_empty() || next.is_empty() {
-                    continue;
-                }
-                for &e in now {
-                    for &f in next {
-                        if e == f {
-                            continue;
-                        }
-                        if !matches!(inst.dist(e, f), Some(d) if d >= 1 && d <= spec.speed) {
-                            continue;
-                        }
-                        let path = path_cache
-                            .entry((e, f, spec.speed))
-                            .or_insert_with(|| net.path_edges(e, f, spec.speed));
-                        for &g in path.iter() {
-                            for (other, q) in plan.plans.iter().enumerate() {
-                                if other == mover {
-                                    continue;
-                                }
-                                for at in [t, t + 1] {
-                                    if q.positions[at].contains(&g) {
-                                        out.push(LazyViolation::PassThrough {
-                                            step: t,
-                                            mover,
-                                            other,
-                                            from: e,
-                                            to: f,
-                                            edge: g,
-                                            at,
-                                        });
-                                    }
+    // The same (from, to) move pairs recur at every step, and
+    // `path_edges` is the expensive part of the scan — cache per call.
+    let mut path_cache: std::collections::BTreeMap<(EdgeId, EdgeId, u32), Vec<EdgeId>> =
+        std::collections::BTreeMap::new();
+    for (mover, (p, spec)) in plan.plans.iter().zip(&inst.trains).enumerate() {
+        for t in spec.dep_step..inst.t_max.saturating_sub(1) {
+            let now = &p.positions[t];
+            let next = &p.positions[t + 1];
+            if now.is_empty() || next.is_empty() {
+                continue;
+            }
+            for &e in now {
+                for &f in next {
+                    if e == f {
+                        continue;
+                    }
+                    if !matches!(inst.dist(e, f), Some(d) if d >= 1 && d <= spec.speed) {
+                        continue;
+                    }
+                    let path = path_cache
+                        .entry((e, f, spec.speed))
+                        .or_insert_with(|| net.path_edges(e, f, spec.speed));
+                    for &g in path.iter() {
+                        for (other, q) in plan.plans.iter().enumerate() {
+                            if other == mover {
+                                continue;
+                            }
+                            for at in [t, t + 1] {
+                                if q.positions[at].contains(&g) {
+                                    out.push(LazyViolation::PassThrough {
+                                        step: t,
+                                        mover,
+                                        other,
+                                        from: e,
+                                        to: f,
+                                        edge: g,
+                                        at,
+                                    });
                                 }
                             }
                         }

@@ -25,13 +25,12 @@
 //!
 //! ## Quick start
 //!
-//! [`run`] takes the same task, configuration and [`etcs_core::Run`] as
-//! [`etcs_core::run`], plus the [`SelectionStrategy`] deciding which
-//! violated instances each round encodes:
+//! [`run`] takes the same scenario, task, configuration and
+//! [`etcs_core::Run`] as [`etcs_core::run`]; each round activates the
+//! constraint families behind every violated instance it found:
 //!
 //! ```
 //! use etcs_core::{EncoderConfig, Run, TaskKind};
-//! use etcs_lazy::SelectionStrategy;
 //! use etcs_network::{fixtures, VssLayout};
 //!
 //! let scenario = fixtures::running_example();
@@ -40,7 +39,6 @@
 //!     &TaskKind::Verify(VssLayout::pure_ttd()),
 //!     &EncoderConfig::default(),
 //!     &Run::default(),
-//!     SelectionStrategy::AllViolated,
 //! )?;
 //! assert!(!outcome.is_feasible(), "same verdict as eager verification");
 //! assert!(report.rounds >= 1);
@@ -56,7 +54,6 @@ mod refine;
 mod tasks;
 
 pub use detect::{detect, LazyViolation};
-pub use refine::{select, SelectionStrategy};
 pub use tasks::{run, LazyReport};
 
 use etcs_core::ConstraintFamilies;

@@ -1,6 +1,5 @@
-//! Refinement: activating the constraint families behind violated
-//! instances, and the Engels–Wille selection strategies deciding *which*
-//! instances drive activation each round.
+//! Refinement: activating the constraint family slice behind every
+//! violated instance a round's detector found.
 //!
 //! Every emitted clause is one the eager encoder would have emitted for
 //! the same family (separation) or mirrors its sweep-variable factoring
@@ -16,74 +15,6 @@ use etcs_obs::Span;
 use etcs_sat::{CnfSink, Lit};
 
 use crate::detect::LazyViolation;
-
-/// Which violated instances to encode per refinement round — the three
-/// strategies of the lazy-evaluation literature (Engels & Wille).
-///
-/// All three are sound and complete (each refinement clause blocks the
-/// current model, so every round makes progress); they trade rounds
-/// against clauses. Adding everything converges in the fewest rounds but
-/// can over-constrain with clauses that never matter again; adding one
-/// instance keeps the formula minimal at the cost of many cheap re-solves.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SelectionStrategy {
-    /// Encode every violated instance found this round (the default).
-    #[default]
-    AllViolated,
-    /// Encode only the first violated instance (scan order: time-major).
-    FirstViolated,
-    /// Encode the first violated instance of each primary train.
-    PerTrain,
-}
-
-impl SelectionStrategy {
-    /// All strategies, for exhaustive differential testing.
-    pub const ALL: [SelectionStrategy; 3] = [
-        SelectionStrategy::AllViolated,
-        SelectionStrategy::FirstViolated,
-        SelectionStrategy::PerTrain,
-    ];
-
-    /// Stable kebab-case name, used in obs fields and the `served` schema.
-    pub fn name(self) -> &'static str {
-        match self {
-            SelectionStrategy::AllViolated => "all-violated",
-            SelectionStrategy::FirstViolated => "first-violated",
-            SelectionStrategy::PerTrain => "per-train",
-        }
-    }
-
-    /// Inverse of [`SelectionStrategy::name`], for CLI parsing.
-    pub fn parse(s: &str) -> Option<SelectionStrategy> {
-        match s {
-            "all-violated" => Some(SelectionStrategy::AllViolated),
-            "first-violated" => Some(SelectionStrategy::FirstViolated),
-            "per-train" => Some(SelectionStrategy::PerTrain),
-            _ => None,
-        }
-    }
-}
-
-/// Applies `strategy` to the round's violation list (which is in
-/// deterministic scan order), returning the instances to encode.
-pub fn select(violations: &[LazyViolation], strategy: SelectionStrategy) -> Vec<&LazyViolation> {
-    match strategy {
-        SelectionStrategy::AllViolated => violations.iter().collect(),
-        SelectionStrategy::FirstViolated => violations.iter().take(1).collect(),
-        SelectionStrategy::PerTrain => {
-            let mut seen = Vec::new();
-            let mut picked = Vec::new();
-            for v in violations {
-                let tr = v.primary_train();
-                if !seen.contains(&tr) {
-                    seen.push(tr);
-                    picked.push(v);
-                }
-            }
-            picked
-        }
-    }
-}
 
 /// The constraint *family slice* a violated instance activates.
 /// Refinement is family × time-band granular: one shared/missing-border
@@ -317,9 +248,9 @@ fn emit_pass(
     added
 }
 
-/// One refinement round: selects instances per `strategy`, activates the
-/// families they belong to on the persistent solver, and emits a
-/// `lazy.refine` span under `round`. Returns the number of clauses added.
+/// One refinement round: activates the family slice of every violation
+/// on the persistent solver and emits a `lazy.refine` span under
+/// `round`. Returns the number of clauses added.
 ///
 /// Panics if no clause could be emitted for a non-empty violation list —
 /// that would mean the loop cannot make progress and would spin forever,
@@ -332,19 +263,10 @@ pub(crate) fn refine(
     inst: &Instance,
     state: &mut RefineState,
     violations: &[LazyViolation],
-    strategy: SelectionStrategy,
 ) -> usize {
-    let selected = select(violations, strategy);
-    let span = round.child_with(
-        "lazy.refine",
-        &[
-            ("strategy", strategy.name().into()),
-            ("violations", violations.len().into()),
-            ("selected", selected.len().into()),
-        ],
-    );
+    let span = round.child_with("lazy.refine", &[("violations", violations.len().into())]);
     let mut added = 0usize;
-    for v in selected {
+    for v in violations {
         let sig = signature(inst, v);
         if state.encoded.contains(&sig) {
             continue; // the family is already fully active

@@ -5,14 +5,14 @@
 //! Every loop follows the same CEGAR skeleton on one persistent
 //! incremental solver:
 //!
-//! 1. encode the *relaxed* formula (`encode_with` + a [`ConstraintFamilies`]
-//!    mask deferring separation/collision);
+//! 1. encode the *relaxed* formula (`encode_with` under
+//!    [`ConstraintFamilies::CORE_ONLY`], deferring separation/collision);
 //! 2. solve; UNSAT of the relaxation is final UNSAT (the relaxation is a
 //!    subset of the full formula, so its unsatisfiability transfers);
 //! 3. decode the candidate plan and run the violation detector;
 //! 4. no violations: the model satisfies the full eager semantics — done,
 //!    with a final bit-check against `etcs-sim`'s validator;
-//! 5. otherwise encode the selected violated instances as blocking clauses
+//! 5. otherwise activate the family slice of every violated instance
 //!    and go to 2. Termination: each round adds a clause the current model
 //!    falsifies, and the instance space is finite.
 
@@ -27,7 +27,7 @@ use etcs_obs::{Obs, Span};
 use etcs_sat::SatResult;
 
 use crate::detect::detect;
-use crate::refine::{refine, RefineState, SelectionStrategy};
+use crate::refine::{refine, RefineState};
 
 /// The families every lazy loop defers to the refinement rounds: all
 /// three pairwise ones (shared-segment exclusion, same-TTD separation and
@@ -75,18 +75,16 @@ impl LoopState {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn refine_round(
         &mut self,
         round: Span,
         enc: &mut Encoding,
         inst: &Instance,
         violations: &[crate::LazyViolation],
-        strategy: SelectionStrategy,
         obs: &Obs,
         extra: &[(&'static str, etcs_obs::Value)],
     ) {
-        let added = refine(&round, enc, inst, &mut self.refine, violations, strategy);
+        let added = refine(&round, enc, inst, &mut self.refine, violations);
         self.clauses_added += added;
         obs.counter_add("lazy.clauses_added", added as u64);
         let mut fields: Vec<(&'static str, etcs_obs::Value)> = vec![
@@ -100,7 +98,7 @@ impl LoopState {
 }
 
 /// The lazy task driver: [`etcs_core::run`] as a CEGAR loop over the
-/// relaxed encoding, refining the violated instances `strategy` selects.
+/// relaxed encoding, refining every violated instance each round finds.
 /// Verdicts and optima are bit-identical to the eager driver; witness
 /// plans and search statistics may differ. [`TaskKind::Optimize`] and
 /// [`TaskKind::OptimizeIncremental`] share one loop: the CEGAR walk is
@@ -122,14 +120,11 @@ pub fn run(
     task: &TaskKind,
     config: &EncoderConfig,
     run: &Run,
-    strategy: SelectionStrategy,
 ) -> Result<(DesignOutcome, LazyReport), TaskError> {
     match task {
-        TaskKind::Verify(layout) => verify(scenario, layout, task, config, run, strategy),
-        TaskKind::Generate => generate(scenario, task, config, run, strategy),
-        TaskKind::Optimize | TaskKind::OptimizeIncremental => {
-            optimize(scenario, config, run, strategy)
-        }
+        TaskKind::Verify(layout) => verify(scenario, layout, task, config, run),
+        TaskKind::Generate => generate(scenario, task, config, run),
+        TaskKind::Optimize | TaskKind::OptimizeIncremental => optimize(scenario, config, run),
         TaskKind::Diagnose(_) => panic!("diagnosis has no lazy form; use `etcs_core::diagnose`"),
     }
 }
@@ -151,16 +146,12 @@ fn verify(
     task: &TaskKind,
     config: &EncoderConfig,
     run: &Run,
-    strategy: SelectionStrategy,
 ) -> Result<(DesignOutcome, LazyReport), TaskError> {
     let start = Instant::now();
     let obs = &run.obs;
     let span = obs.span_with(
         "task.verify_lazy",
-        &[
-            ("scenario", scenario.name.as_str().into()),
-            ("strategy", strategy.name().into()),
-        ],
+        &[("scenario", scenario.name.as_str().into())],
     );
     let inst = Instance::new(scenario)?;
     let mut enc = run.encode(&inst, config, task, DEFERRED, &span);
@@ -185,7 +176,7 @@ fn verify(
                         costs: Vec::new(),
                     };
                 }
-                state.refine_round(round, &mut enc, &inst, &violations, strategy, obs, &[]);
+                state.refine_round(round, &mut enc, &inst, &violations, obs, &[]);
             }
             SatResult::Unsat { .. } => {
                 round.close_with(&[("sat", false.into())]);
@@ -246,16 +237,12 @@ fn generate(
     task: &TaskKind,
     config: &EncoderConfig,
     run: &Run,
-    strategy: SelectionStrategy,
 ) -> Result<(DesignOutcome, LazyReport), TaskError> {
     let start = Instant::now();
     let obs = &run.obs;
     let span = obs.span_with(
         "task.generate_lazy",
-        &[
-            ("scenario", scenario.name.as_str().into()),
-            ("strategy", strategy.name().into()),
-        ],
+        &[("scenario", scenario.name.as_str().into())],
     );
     let inst = Instance::new(scenario)?;
     let mut enc = run.encode(&inst, config, task, DEFERRED, &span);
@@ -282,7 +269,7 @@ fn generate(
                         costs: vec![cost],
                     };
                 }
-                state.refine_round(round, &mut enc, &inst, &violations, strategy, obs, &[]);
+                state.refine_round(round, &mut enc, &inst, &violations, obs, &[]);
             }
             Stage2::Unsat => {
                 round.close_with(&[("sat", false.into())]);
@@ -355,16 +342,12 @@ fn optimize(
     scenario: &Scenario,
     config: &EncoderConfig,
     run: &Run,
-    strategy: SelectionStrategy,
 ) -> Result<(DesignOutcome, LazyReport), TaskError> {
     let start = Instant::now();
     let obs = &run.obs;
     let span = obs.span_with(
         "task.optimize_lazy",
-        &[
-            ("scenario", scenario.name.as_str().into()),
-            ("strategy", strategy.name().into()),
-        ],
+        &[("scenario", scenario.name.as_str().into())],
     );
     let open = scenario.without_arrivals();
     let inst = Instance::new(&open)?;
@@ -436,7 +419,6 @@ fn optimize(
                         &mut enc,
                         &inst,
                         &violations,
-                        strategy,
                         obs,
                         &[("deadline", d.into())],
                     );
@@ -531,7 +513,6 @@ fn optimize(
                     &mut enc,
                     &inst,
                     &violations,
-                    strategy,
                     obs,
                     &[("deadline", best_deadline.into())],
                 );

@@ -5,23 +5,15 @@
 use etcs_core::{
     generate, optimize_incremental, verify, DesignOutcome, EncoderConfig, Run, TaskError, TaskKind,
 };
-use etcs_lazy::{LazyReport, SelectionStrategy};
+use etcs_lazy::LazyReport;
 use etcs_network::{fixtures, Scenario, VssLayout};
 use etcs_obs::{EventKind, Obs};
 use etcs_sat::Interrupt;
 
-/// [`etcs_lazy::run`] untraced and uninterruptible, under `AllViolated`.
+/// [`etcs_lazy::run`] untraced and uninterruptible.
 fn lazy(scenario: &Scenario, task: TaskKind) -> (DesignOutcome, LazyReport) {
-    lazy_with(scenario, task, SelectionStrategy::AllViolated)
-}
-
-fn lazy_with(
-    scenario: &Scenario,
-    task: TaskKind,
-    strategy: SelectionStrategy,
-) -> (DesignOutcome, LazyReport) {
     let config = EncoderConfig::default();
-    etcs_lazy::run(scenario, &task, &config, &Run::default(), strategy).expect("well-formed")
+    etcs_lazy::run(scenario, &task, &config, &Run::default()).expect("well-formed")
 }
 
 fn costs(outcome: &DesignOutcome) -> Option<&[u64]> {
@@ -89,18 +81,6 @@ fn lazy_optimization_matches_eager_optima() {
 }
 
 #[test]
-fn all_selection_strategies_agree() {
-    let scenario = fixtures::running_example();
-    let mut optima = Vec::new();
-    for strategy in SelectionStrategy::ALL {
-        let (outcome, _) = lazy_with(&scenario, TaskKind::OptimizeIncremental, strategy);
-        optima.push(costs(&outcome).expect("feasible").to_vec());
-    }
-    assert_eq!(optima[0], optima[1], "all-violated vs first-violated");
-    assert_eq!(optima[0], optima[2], "all-violated vs per-train");
-}
-
-#[test]
 fn traced_lazy_run_emits_the_round_and_refine_vocabulary() {
     let scenario = fixtures::running_example();
     let config = EncoderConfig::default();
@@ -112,9 +92,8 @@ fn traced_lazy_run_emits_the_round_and_refine_vocabulary() {
         ..Run::default()
     };
     let task = TaskKind::Verify(layout.clone());
-    let strategy = SelectionStrategy::AllViolated;
     let (outcome, report) =
-        etcs_lazy::run(&scenario, &task, &config, &traced, strategy).expect("well-formed");
+        etcs_lazy::run(&scenario, &task, &config, &traced).expect("well-formed");
     assert!(outcome.is_feasible());
 
     let events = sink.events();
@@ -166,7 +145,6 @@ fn pre_fired_interrupt_cancels_the_lazy_loop() {
         &TaskKind::OptimizeIncremental,
         &EncoderConfig::default(),
         &cancelled,
-        SelectionStrategy::AllViolated,
     )
     .expect_err("must cancel");
     assert_eq!(err, TaskError::Cancelled);

@@ -183,16 +183,6 @@ impl Obs {
             .counter_add(name, delta);
     }
 
-    /// Sets a named gauge in the metrics registry.
-    pub fn gauge_set(&self, name: &'static str, value: f64) {
-        let Some(inner) = &self.inner else { return };
-        inner
-            .metrics
-            .lock()
-            .expect("metrics poisoned")
-            .gauge_set(name, value);
-    }
-
     /// Records a histogram sample in the metrics registry.
     pub fn histogram_record(&self, name: &'static str, value: u64) {
         let Some(inner) = &self.inner else { return };
@@ -212,21 +202,12 @@ impl Obs {
     }
 
     /// Emits one [`EventKind::Metric`] event per registered metric
-    /// (counters: `value`; gauges: `value`; histograms: `count`, `sum`,
-    /// `min`, `max`) and leaves the registry intact.
+    /// (counters: `value`; histograms: `count`, `sum`, `min`, `max`) and
+    /// leaves the registry intact.
     pub fn flush_metrics(&self) {
         let Some(inner) = &self.inner else { return };
         let snapshot = inner.metrics.lock().expect("metrics poisoned").clone();
         for (name, value) in snapshot.counters() {
-            self.emit(
-                EventKind::Metric,
-                name,
-                None,
-                None,
-                &[("value", value.into())],
-            );
-        }
-        for (name, value) in snapshot.gauges() {
             self.emit(
                 EventKind::Metric,
                 name,
@@ -412,7 +393,6 @@ mod tests {
         let (obs, sink) = Obs::memory();
         obs.counter_add("probes", 2);
         obs.counter_add("probes", 1);
-        obs.gauge_set("speedup", 2.5);
         obs.histogram_record("conflicts", 7);
         obs.histogram_record("conflicts", 9);
         obs.flush_metrics();
@@ -421,7 +401,7 @@ mod tests {
             .into_iter()
             .filter(|e| e.kind == EventKind::Metric)
             .collect();
-        assert_eq!(metrics.len(), 3);
+        assert_eq!(metrics.len(), 2);
         let probes = metrics.iter().find(|e| e.name == "probes").expect("row");
         assert_eq!(probes.field_u64("value"), Some(3));
         let conflicts = metrics.iter().find(|e| e.name == "conflicts").expect("row");

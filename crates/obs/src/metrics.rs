@@ -1,4 +1,4 @@
-//! Named counters, gauges and histograms.
+//! Named counters and histograms.
 //!
 //! The registry is plain data — the [`Obs`](crate::Obs) handle wraps one in
 //! a mutex and exposes lock-free-when-disabled update helpers, but the
@@ -95,7 +95,6 @@ impl Histogram {
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
     histograms: BTreeMap<&'static str, Histogram>,
 }
 
@@ -115,16 +114,6 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Sets a gauge to an absolute value.
-    pub fn gauge_set(&mut self, name: &'static str, value: f64) {
-        self.gauges.insert(name, value);
-    }
-
-    /// Reads a gauge.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
     /// Records a sample into a histogram (creating it empty).
     pub fn histogram_record(&mut self, name: &'static str, value: u64) {
         self.histograms.entry(name).or_default().record(value);
@@ -137,7 +126,7 @@ impl MetricsRegistry {
 
     /// `true` when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
     /// Iterates counters in name order.
@@ -145,24 +134,16 @@ impl MetricsRegistry {
         self.counters.iter().map(|(k, v)| (*k, *v))
     }
 
-    /// Iterates gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
-        self.gauges.iter().map(|(k, v)| (*k, *v))
-    }
-
     /// Iterates histograms in name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
         self.histograms.iter().map(|(k, v)| (*k, v))
     }
 
-    /// Folds another registry into this one (counters add, gauges take the
-    /// other's value, histograms merge).
+    /// Folds another registry into this one (counters add, histograms
+    /// merge).
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (name, v) in &other.counters {
             *self.counters.entry(name).or_insert(0) += v;
-        }
-        for (name, v) in &other.gauges {
-            self.gauges.insert(name, *v);
         }
         for (name, h) in &other.histograms {
             self.histograms.entry(name).or_default().merge(h);
@@ -182,15 +163,6 @@ mod tests {
         m.counter_add("probes", 3);
         assert_eq!(m.counter("probes"), 5);
         assert_eq!(m.counters().collect::<Vec<_>>(), vec![("probes", 5)]);
-    }
-
-    #[test]
-    fn gauges_overwrite() {
-        let mut m = MetricsRegistry::new();
-        assert_eq!(m.gauge("load"), None);
-        m.gauge_set("load", 0.5);
-        m.gauge_set("load", 0.75);
-        assert_eq!(m.gauge("load"), Some(0.75));
     }
 
     #[test]
@@ -235,11 +207,9 @@ mod tests {
         a.histogram_record("conflicts", 8);
         let mut b = MetricsRegistry::new();
         b.counter_add("probes", 2);
-        b.gauge_set("speedup", 2.0);
         b.histogram_record("conflicts", 16);
         a.merge(&b);
         assert_eq!(a.counter("probes"), 3);
-        assert_eq!(a.gauge("speedup"), Some(2.0));
         assert_eq!(a.histogram("conflicts").expect("present").count, 2);
         assert!(!a.is_empty());
     }

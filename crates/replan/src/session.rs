@@ -1,8 +1,8 @@
 //! The streaming replanning session: warm-started re-solves per tick.
 //!
 //! A [`ReplanSession`] holds a [`LiveScenario`] and a small LRU of *warm
-//! cores*, keyed by the [`etcs_core::sub_fingerprints`] `core` component
-//! of the scenario they stand for. That key hashes departures as time
+//! cores*, keyed by the [`etcs_core::sub_fingerprints`] core key of the
+//! scenario they stand for. That key hashes departures as time
 //! steps, the only form in which the encoder sees them, so two scenarios
 //! with equal `core` have literally the same formulas, and the same
 //! verdict and optima. Every tick re-optimises the current scenario:
@@ -50,7 +50,6 @@ use etcs_core::{
     sub_fingerprints, DesignOutcome, EncoderConfig, Instance, Optimized, Run, ScratchSearch,
     SolvedPlan, TaskError, TaskKind,
 };
-use etcs_lazy::SelectionStrategy;
 use etcs_network::Scenario;
 use etcs_obs::{Obs, Span};
 use etcs_sat::Interrupt;
@@ -374,11 +373,11 @@ impl ReplanSession {
     /// The eager path: the stored answer of an answered core, or a
     /// [`ScratchSearch::walk`] on an open (or freshly opened) one.
     fn tick_eager(&mut self, token: &Interrupt, span: &Span) -> Solved {
-        let fps = sub_fingerprints(self.live.current(), &self.config.encoder);
+        let core = sub_fingerprints(self.live.current(), &self.config.encoder);
         let cached = self
             .warm
             .iter()
-            .position(|w| w.core == fps.core)
+            .position(|w| w.core == core)
             .and_then(|i| self.warm.remove(i));
         let warm = cached.is_some();
         let state = match cached {
@@ -432,10 +431,7 @@ impl ReplanSession {
                 (state, solved)
             }
         };
-        self.warm.push_front(WarmCore {
-            core: fps.core,
-            state,
-        });
+        self.warm.push_front(WarmCore { core, state });
         self.warm.truncate(WARM_CAPACITY);
         solved
     }
@@ -452,7 +448,6 @@ impl ReplanSession {
             &TaskKind::OptimizeIncremental,
             &self.config.encoder,
             &run,
-            SelectionStrategy::AllViolated,
         ) {
             Ok((outcome, report)) => {
                 let answer = match outcome {

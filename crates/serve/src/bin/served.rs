@@ -35,10 +35,9 @@
 //!   `full`, or `borders:2,5,9` (discrete-node indices).
 //! * `priority` (optional) — `high` | `normal` (default) | `low`.
 //! * `deadline_ms` (optional) — wall-clock budget, armed at worker pickup.
-//! * `lazy` (optional) — `all-violated` | `first-violated` | `per-train`:
-//!   route the job through the `etcs-lazy` CEGAR loop with that selection
-//!   strategy. The `--lazy` CLI flag applies `all-violated` to every job
-//!   that does not carry its own `lazy` field (diagnose jobs ignore it).
+//! * `lazy` (optional) — `true` routes the job through the `etcs-lazy`
+//!   CEGAR loop; `false` (default) runs it eagerly. Any other value makes
+//!   the line invalid. Diagnose jobs ignore it: they have no lazy form.
 //!
 //! Fields the parser does not know are ignored.
 //!
@@ -56,7 +55,8 @@
 //! mean bit-identical results, which is how the CI smoke test proves
 //! cache hits match fresh solves. `payload.verdict_digest` hashes only
 //! (kind, feasible, costs), the slice guaranteed identical between eager
-//! and lazy runs of the same request — CI compares it across `--lazy`.
+//! and lazy runs of the same request — CI compares it between a line and
+//! its `"lazy": true` twin.
 //!
 //! On shutdown (both modes) the process emits one machine-readable summary
 //! record on stderr:
@@ -89,18 +89,16 @@ struct Args {
     workers: usize,
     queue: usize,
     cache: usize,
-    lazy: bool,
     listen: Option<String>,
     name: Option<String>,
     crash_after: Option<u64>,
 }
 
 const USAGE: &str = "usage: served [--input FILE] [--output FILE] [--trace FILE] \
-[--workers N] [--queue N] [--cache N] [--lazy] \
+[--workers N] [--queue N] [--cache N] \
 [--listen ADDR] [--name NAME] [--crash-after N]\n\
 Reads one JSON job request per line, writes one JSON response per line.\n\
---lazy routes every job through the CEGAR loop (strategy all-violated)\n\
-unless the request line carries its own \"lazy\" field.\n\
+A line with \"lazy\": true runs through the CEGAR loop.\n\
 --listen ADDR serves the fleet wire protocol on a TCP socket instead of\n\
 reading a batch (a fleet shard); --name labels the shard; --crash-after N\n\
 aborts the whole process after N jobs (deterministic fault injection for\n\
@@ -118,7 +116,6 @@ fn parse_args() -> Result<Args, String> {
         workers: 2,
         queue: 256,
         cache: 128,
-        lazy: false,
         listen: None,
         name: None,
         crash_after: None,
@@ -148,7 +145,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--cache must be an integer".to_string())?
             }
-            "--lazy" => args.lazy = true,
             "--listen" => args.listen = Some(value("--listen")?),
             "--name" => args.name = Some(value("--name")?),
             "--crash-after" => {
@@ -210,7 +206,6 @@ fn run_shard(args: &Args, addr: &str, obs: Obs) -> ExitCode {
     });
     let config = ShardServerConfig {
         name: args.name.clone().unwrap_or_default(),
-        lazy_default: args.lazy,
         hook,
     };
     let server = match ShardServer::spawn(addr, service, config, obs) {
@@ -300,7 +295,7 @@ fn main() -> ExitCode {
             });
             continue;
         }
-        match parse_request(&line, &format!("line {lineno}"), Origin::Local, args.lazy) {
+        match parse_request(&line, &format!("line {lineno}"), Origin::Local) {
             Ok(request) => order.push(Entry::Job(Box::new(request))),
             Err(message) => order.push(Entry::Invalid(format!("line-{lineno}"), message)),
         }
@@ -315,14 +310,7 @@ fn main() -> ExitCode {
         },
         obs.clone(),
     );
-    let mut replan = ReplanManager::new(
-        ReplanConfig {
-            lazy: args.lazy,
-            ..ReplanConfig::default()
-        },
-        Origin::Local,
-        obs,
-    );
+    let mut replan = ReplanManager::new(ReplanConfig::default(), Origin::Local, obs);
 
     // Submit every job up front, then collect in input order; session
     // records execute inline during collection.

@@ -12,7 +12,6 @@ use etcs_core::{
     cache_key, diagnose, DesignOutcome, Diagnosis, EncoderConfig, EncodingStats, Fnv2, Run,
     SolvedPlan, TaskError, TaskKind, TaskReport,
 };
-use etcs_lazy::SelectionStrategy;
 use etcs_network::{Scenario, VssLayout};
 use etcs_obs::Obs;
 use etcs_sat::{Interrupt, Stats};
@@ -131,14 +130,13 @@ pub struct JobRequest {
     /// Per-job wall-clock budget, armed when a worker picks the job up
     /// (queueing time does not count). `None` = the service default.
     pub deadline: Option<Duration>,
-    /// Run the task through the `etcs-lazy` CEGAR loop with the given
-    /// selection strategy instead of the eager encoder. Verdicts and
-    /// optima are identical (compare [`JobPayload::verdict_digest`]); the
-    /// payload's statistics and witness plan may differ, so lazy and eager
-    /// runs cache under different keys. Ignored by [`JobKind::Diagnose`],
-    /// which has no lazy variant (its MUS extraction needs the full eager
-    /// formula).
-    pub lazy: Option<SelectionStrategy>,
+    /// Run the task through the `etcs-lazy` CEGAR loop instead of the
+    /// eager encoder. Verdicts and optima are identical (compare
+    /// [`JobPayload::verdict_digest`]); the payload's statistics and
+    /// witness plan may differ, so lazy and eager runs cache under
+    /// different keys. Ignored by [`JobKind::Diagnose`], which has no lazy
+    /// variant (its MUS extraction needs the full eager formula).
+    pub lazy: bool,
 }
 
 impl JobRequest {
@@ -151,7 +149,7 @@ impl JobRequest {
             layout: VssLayout::pure_ttd(),
             priority: Priority::Normal,
             deadline: None,
-            lazy: None,
+            lazy: false,
         }
     }
 
@@ -173,9 +171,9 @@ impl JobRequest {
         self
     }
 
-    /// Routes the job through the lazy CEGAR loop with the given strategy.
-    pub fn with_lazy(mut self, strategy: SelectionStrategy) -> Self {
-        self.lazy = Some(strategy);
+    /// Routes the job through the lazy CEGAR loop.
+    pub fn with_lazy(mut self) -> Self {
+        self.lazy = true;
         self
     }
 
@@ -193,24 +191,24 @@ impl JobRequest {
     /// The content-addressed cache key of this request under `config`
     /// (see [`etcs_core::cache_key`] for the canonicalisation contract).
     ///
-    /// Lazy jobs mix the strategy into the key: their payloads carry
+    /// Lazy jobs key apart from eager ones: their payloads carry
     /// different statistics (and possibly different witness plans) than
     /// eager runs of the same request, and the cache's bit-identical
     /// guarantee must keep holding per key. A diagnose job runs eagerly
     /// whatever its `lazy` field says, so it keys as the eager job.
     pub fn cache_key(&self, config: &EncoderConfig) -> u128 {
         let base = cache_key(&self.scenario, &self.task_kind(), config);
-        match self.lazy.filter(|_| self.kind != JobKind::Diagnose) {
-            None => base,
-            Some(strategy) => {
-                let mut h = Fnv2::new();
-                h.str("etcs-lazy-job-v1");
-                h.u64(base as u64);
-                h.u64((base >> 64) as u64);
-                h.str(strategy.name());
-                h.finish()
-            }
+        if !self.lazy || self.kind == JobKind::Diagnose {
+            return base;
         }
+        let mut h = Fnv2::new();
+        h.str("etcs-lazy-job-v1");
+        h.u64(base as u64);
+        h.u64((base >> 64) as u64);
+        // The CEGAR loop's name from when it had selection strategies:
+        // hashed as before, so lazy keys (and fleet routing) stay put.
+        h.str("all-violated");
+        h.finish()
     }
 }
 
@@ -316,7 +314,7 @@ impl JobPayload {
     /// the proven optimal costs. This is the part of a payload that is
     /// guaranteed identical between eager and lazy runs of the same
     /// request (witness plans and solver statistics legitimately differ),
-    /// so it is what `ci/check.sh` compares across the `--lazy` boundary.
+    /// so it is what `ci/check.sh` compares between eager and lazy lines.
     pub fn verdict_digest(&self) -> u128 {
         verdict_digest_of(self.kind, self.feasible, &self.costs)
     }
@@ -470,15 +468,9 @@ fn run_task(
         (JobKind::Diagnose, _) => {
             diagnose(&request.scenario, &request.layout, config, &run).map(diagnosis_payload)
         }
-        (_, Some(strategy)) => etcs_lazy::run(
-            &request.scenario,
-            &request.task_kind(),
-            config,
-            &run,
-            strategy,
-        )
-        .map(|(outcome, lr)| design_payload(request.kind, outcome, lr.report)),
-        (_, None) => etcs_core::run(&request.scenario, &request.task_kind(), config, &run)
+        (_, true) => etcs_lazy::run(&request.scenario, &request.task_kind(), config, &run)
+            .map(|(outcome, lr)| design_payload(request.kind, outcome, lr.report)),
+        (_, false) => etcs_core::run(&request.scenario, &request.task_kind(), config, &run)
             .map(|(outcome, report)| design_payload(request.kind, outcome, report)),
     };
     match result {
@@ -556,8 +548,7 @@ mod tests {
         let scenario = fixtures::running_example();
         let config = EncoderConfig::default();
         let eager = JobRequest::new("e", JobKind::OptimizeIncremental, scenario.clone());
-        let lazy = JobRequest::new("l", JobKind::OptimizeIncremental, scenario)
-            .with_lazy(SelectionStrategy::AllViolated);
+        let lazy = JobRequest::new("l", JobKind::OptimizeIncremental, scenario).with_lazy();
         assert_ne!(
             eager.cache_key(&config),
             lazy.cache_key(&config),
@@ -575,38 +566,39 @@ mod tests {
     }
 
     #[test]
-    fn lazy_strategies_key_separately() {
-        let scenario = fixtures::simple_layout();
+    fn lazy_job_keys_are_pinned() {
+        // Shards route and replicate by these keys, so a frontend and its
+        // shards must keep computing the same lazy key for the same line.
         let config = EncoderConfig::default();
-        let mut keys: Vec<u128> = SelectionStrategy::ALL
-            .into_iter()
-            .map(|s| {
-                JobRequest::new("k", JobKind::Generate, scenario.clone())
-                    .with_lazy(s)
-                    .cache_key(&config)
-            })
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        assert_eq!(keys.len(), SelectionStrategy::ALL.len());
+        let pinned: [(JobKind, u128); 2] = [
+            (JobKind::Generate, 0x36eef0422b0970de3e173060bfe67c77),
+            (JobKind::Verify, 0x5e6e9fddc34e26978ffa9759dffa3454),
+        ];
+        for (kind, want) in pinned {
+            let request = JobRequest::new("k", kind, fixtures::running_example()).with_lazy();
+            assert_eq!(
+                format!("{:032x}", request.cache_key(&config)),
+                format!("{want:032x}"),
+                "the running example's lazy {kind:?} key changed"
+            );
+        }
     }
 
     #[test]
     fn lazy_keys_only_kinds_with_a_lazy_form() {
         let scenario = fixtures::running_example();
         let config = EncoderConfig::default();
-        let key = |kind, lazy: Option<SelectionStrategy>| {
+        let key = |kind, lazy: bool| {
             let mut request = JobRequest::new("k", kind, scenario.clone());
             request.lazy = lazy;
             request.cache_key(&config)
         };
-        let lazy = Some(SelectionStrategy::AllViolated);
         assert_eq!(
-            key(JobKind::Diagnose, None),
-            key(JobKind::Diagnose, lazy),
+            key(JobKind::Diagnose, false),
+            key(JobKind::Diagnose, true),
             "diagnosis ignores `lazy`, so both requests address one cache line"
         );
-        assert_ne!(key(JobKind::Verify, None), key(JobKind::Verify, lazy));
+        assert_ne!(key(JobKind::Verify, false), key(JobKind::Verify, true));
     }
 
     #[test]

@@ -54,7 +54,3 @@ pub use job::{
 pub use queue::{JobQueue, QueueStats};
 pub use replan::ReplanManager;
 pub use service::{JobTicket, ServeConfig, Service, TerminalStats};
-
-// Re-exported so wire-level callers can name the lazy strategy without
-// depending on `etcs-lazy` directly.
-pub use etcs_lazy::SelectionStrategy;

@@ -37,7 +37,7 @@ use etcs_obs::Obs;
 use etcs_replan::{parse_trace, ReplanConfig, ReplanSession, ReplanStats, TickReport, TraceOp};
 
 use crate::job::{panic_message, verdict_digest_of, JobKind};
-use crate::wire::{load_scenario, Origin};
+use crate::wire::{lazy_field, load_scenario, Origin};
 
 /// All open replanning sessions of one `served` process, keyed by the
 /// client-chosen session id, plus the accumulated counters of sessions
@@ -60,10 +60,10 @@ impl std::fmt::Debug for ReplanManager {
 }
 
 impl ReplanManager {
-    /// A manager whose sessions default to `base` (service encoder config,
-    /// CLI `--lazy` default); `open` records override `lazy` and
-    /// `tick_budget_ms` per session. Records come from `origin`: an `open`
-    /// record from [`Origin::Peer`] may not name a `file:` scenario.
+    /// A manager whose sessions run under `base` (the service's encoder
+    /// config); `open` records set `lazy` and `tick_budget_ms` per
+    /// session. Records come from `origin`: an `open` record from
+    /// [`Origin::Peer`] may not name a `file:` scenario.
     pub fn new(base: ReplanConfig, origin: Origin, obs: Obs) -> ReplanManager {
         ReplanManager {
             base,
@@ -134,9 +134,7 @@ impl ReplanManager {
                     .ok_or_else(|| err("missing \"scenario\"".to_string()))?;
                 let scenario = load_scenario(spec, self.origin).map_err(err)?;
                 let mut config = self.base.clone();
-                if let Some(Json::Bool(lazy)) = value.get("lazy") {
-                    config.lazy = *lazy;
-                }
+                config.lazy = lazy_field(value).map_err(err)?;
                 if let Some(ms) = value.get("tick_budget_ms").and_then(Json::as_f64) {
                     if ms <= 0.0 {
                         return Err(err("tick_budget_ms must be positive".to_string()));

@@ -47,7 +47,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use etcs_core::{Diagnosis, EncodingStats, SolvedPlan, TrainPlan};
-use etcs_lazy::SelectionStrategy;
 use etcs_network::{fixtures, parse_scenario, EdgeId, NodeId, Scenario, TrainId, VssLayout};
 use etcs_obs::json::{self, Json};
 use etcs_obs::Obs;
@@ -306,9 +305,10 @@ pub fn load_layout(spec: &str, scenario: &Scenario) -> Result<VssLayout, String>
 /// [`parse_request`] for [`Origin::Local`] input, under the old
 /// four-parameter signature.
 ///
-/// The last argument was the service-wide default width of the deleted
-/// clause-sharing portfolio; it is ignored. New code calls
-/// [`parse_request`].
+/// The last two arguments are ignored: they were the service-wide
+/// defaults of the deleted `--lazy` flag and of the deleted clause-sharing
+/// portfolio. A line asks for the lazy loop with its own `"lazy": true`.
+/// New code calls [`parse_request`].
 ///
 /// # Errors
 ///
@@ -316,33 +316,25 @@ pub fn load_layout(spec: &str, scenario: &Scenario) -> Result<VssLayout, String>
 pub fn parse_request_line(
     line: &str,
     label: &str,
-    lazy_default: bool,
-    _ignored: Option<usize>,
+    _ignored: bool,
+    _also_ignored: Option<usize>,
 ) -> Result<JobRequest, String> {
-    parse_request(line, label, Origin::Local, lazy_default)
+    parse_request(line, label, Origin::Local)
 }
 
 /// Parses one `served`-format request line from `origin` into a
 /// [`JobRequest`]. `label` prefixes error messages (`"line 7"`, `"job"`,
-/// …); `lazy_default` is the service-wide CLI default applied to lines
-/// without their own `lazy` field. A `file:PATH` scenario is read from
-/// [`Origin::Local`] input and invalid from [`Origin::Peer`]. Fields the
-/// parser does not know are ignored.
+/// …). A `file:PATH` scenario is read from [`Origin::Local`] input and
+/// invalid from [`Origin::Peer`]. Fields the parser does not know are
+/// ignored.
 ///
 /// # Errors
 ///
-/// A human-readable message for malformed JSON, unknown field values, and
-/// a peer's `file:` spec.
-pub fn parse_request(
-    line: &str,
-    label: &str,
-    origin: Origin,
-    lazy_default: bool,
-) -> Result<JobRequest, String> {
+/// A human-readable message for malformed JSON, unknown or mistyped field
+/// values, and a peer's `file:` spec.
+pub fn parse_request(line: &str, label: &str, origin: Origin) -> Result<JobRequest, String> {
     let value = json::parse(line).map_err(|e| format!("{label}: {e}"))?;
-    request_from_json(&value, label, lazy_default, |spec| {
-        load_scenario(spec, origin)
-    })
+    request_from_json(&value, label, |spec| load_scenario(spec, origin))
 }
 
 /// Parses a local request line that is to be forwarded to a shard, which
@@ -354,14 +346,10 @@ pub fn parse_request(
 /// # Errors
 ///
 /// As [`parse_request`].
-pub fn parse_forwarded_line(
-    line: &str,
-    label: &str,
-    lazy_default: bool,
-) -> Result<(JobRequest, String), String> {
+pub fn parse_forwarded_line(line: &str, label: &str) -> Result<(JobRequest, String), String> {
     let mut value = json::parse(line).map_err(|e| format!("{label}: {e}"))?;
     let mut inlined = None;
-    let request = request_from_json(&value, label, lazy_default, |spec| {
+    let request = request_from_json(&value, label, |spec| {
         let Some(path) = spec.strip_prefix("file:") else {
             return load_scenario(spec, Origin::Local);
         };
@@ -385,7 +373,6 @@ pub fn parse_forwarded_line(
 fn request_from_json(
     value: &Json,
     label: &str,
-    lazy_default: bool,
     load: impl FnOnce(&str) -> Result<Scenario, String>,
 ) -> Result<JobRequest, String> {
     let str_field = |key: &str| value.get(key).and_then(Json::as_str);
@@ -413,14 +400,19 @@ fn request_from_json(
         }
         request.deadline = Some(Duration::from_millis(ms as u64));
     }
-    if let Some(strategy_name) = str_field("lazy") {
-        let strategy = SelectionStrategy::parse(strategy_name)
-            .ok_or_else(|| format!("{label}: unknown lazy strategy {strategy_name:?}"))?;
-        request.lazy = Some(strategy);
-    } else if lazy_default {
-        request.lazy = Some(SelectionStrategy::AllViolated);
-    }
+    request.lazy = lazy_field(value).map_err(|e| format!("{label}: {e}"))?;
     Ok(request)
+}
+
+/// The optional `"lazy": true|false` field of a job line or a replan
+/// `open` record; absent means eager. Any other value is an error naming
+/// the field, so a misspelt switch never silently runs eager.
+pub(crate) fn lazy_field(value: &Json) -> Result<bool, String> {
+    match value.get("lazy") {
+        None => Ok(false),
+        Some(Json::Bool(lazy)) => Ok(*lazy),
+        Some(other) => Err(format!("\"lazy\" must be true or false, not {other}")),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -804,8 +796,6 @@ pub type JobHook = Arc<dyn Fn(u64) + Send + Sync>;
 pub struct ShardServerConfig {
     /// The shard's self-reported name (defaults to the listen address).
     pub name: String,
-    /// Apply the lazy CEGAR default to jobs without their own `lazy` field.
-    pub lazy_default: bool,
     /// Optional per-job fault-injection hook.
     pub hook: Option<JobHook>,
 }
@@ -814,7 +804,6 @@ impl std::fmt::Debug for ShardServerConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardServerConfig")
             .field("name", &self.name)
-            .field("lazy_default", &self.lazy_default)
             .field("hook", &self.hook.is_some())
             .finish()
     }
@@ -828,7 +817,6 @@ struct ServerShared {
     addr: SocketAddr,
     conns: Mutex<Vec<TcpStream>>,
     jobs_seen: AtomicU64,
-    lazy_default: bool,
     hook: Option<JobHook>,
     // Replanning sessions live on the *shard*, not the connection: warm
     // solver state survives reconnects as long as the process does.
@@ -886,7 +874,6 @@ impl ShardServer {
         let replan = ReplanManager::new(
             ReplanConfig {
                 encoder: service.config().encoder,
-                lazy: config.lazy_default,
                 ..ReplanConfig::default()
             },
             Origin::Peer,
@@ -904,7 +891,6 @@ impl ShardServer {
             addr: local,
             conns: Mutex::new(Vec::new()),
             jobs_seen: AtomicU64::new(0),
-            lazy_default: config.lazy_default,
             hook: config.hook,
             replan: Mutex::new(replan),
         });
@@ -1120,7 +1106,7 @@ fn handle_job(
     if let Some(hook) = &shared.hook {
         hook(seen);
     }
-    let request = match parse_request(spec, "job", Origin::Peer, shared.lazy_default) {
+    let request = match parse_request(spec, "job", Origin::Peer) {
         Ok(request) => request,
         Err(message) => {
             let line = format!(
@@ -1505,16 +1491,15 @@ mod tests {
              \"priority\": \"high\"}",
             "line 1",
             Origin::Local,
-            false,
         )
         .expect("parses");
         assert_eq!(request.id, "x");
         assert_eq!(request.kind, JobKind::Verify);
         assert_eq!(request.priority, Priority::High);
-        assert!(parse_request("{}", "line 2", Origin::Local, false)
+        assert!(parse_request("{}", "line 2", Origin::Local)
             .unwrap_err()
             .contains("line 2"));
-        assert!(parse_request("not json", "line 3", Origin::Local, false).is_err());
+        assert!(parse_request("not json", "line 3", Origin::Local).is_err());
     }
 
     #[test]
@@ -1524,10 +1509,10 @@ mod tests {
         let config = EncoderConfig::default();
         let plain = "{\"id\": \"p\", \"kind\": \"generate\", \
                      \"scenario\": \"fixture:running_example\"}";
-        let want = parse_request(plain, "l", Origin::Peer, false).expect("parses");
+        let want = parse_request(plain, "l", Origin::Peer).expect("parses");
         for width in ["2", "1"] {
             let line = plain.replace('}', &format!(", \"portfolio\": {width}}}"));
-            let got = parse_request(&line, "l", Origin::Peer, false).expect("parses");
+            let got = parse_request(&line, "l", Origin::Peer).expect("parses");
             assert_eq!(
                 (&got.id, got.kind, &got.layout, got.priority, got.lazy),
                 (&want.id, want.kind, &want.layout, want.priority, want.lazy),
@@ -1535,10 +1520,11 @@ mod tests {
             );
             assert_eq!(got.cache_key(&config), want.cache_key(&config), "{line}");
         }
-        // The old entry point ignores its last argument the same way.
+        // The old entry point ignores its last two arguments: only the
+        // line's own `lazy` field asks for the lazy loop.
         let shim = parse_request_line(plain, "l", true, Some(4)).expect("parses");
-        let local = parse_request(plain, "l", Origin::Local, true).expect("parses");
-        assert_eq!(shim.lazy, local.lazy);
+        let local = parse_request(plain, "l", Origin::Local).expect("parses");
+        assert!(!shim.lazy && !local.lazy);
         assert_eq!(shim.cache_key(&config), local.cache_key(&config));
     }
 
@@ -1553,9 +1539,8 @@ mod tests {
             json::quote(&format!("file:{path}"))
         );
         let config = EncoderConfig::default();
-        let local =
-            parse_request(&line, "line 1", Origin::Local, false).expect("local reads files");
-        let err = parse_request(&line, "job", Origin::Peer, false).unwrap_err();
+        let local = parse_request(&line, "line 1", Origin::Local).expect("local reads files");
+        let err = parse_request(&line, "job", Origin::Peer).unwrap_err();
         assert!(
             err.starts_with("job: file: scenarios are read only"),
             "{err}"
@@ -1563,7 +1548,7 @@ mod tests {
 
         // A frontend inlines the file, and the inlined line means the same
         // job to a shard: same request fields, same cache key.
-        let (forwarded, spec) = parse_forwarded_line(&line, "line 1", false).expect("parses");
+        let (forwarded, spec) = parse_forwarded_line(&line, "line 1").expect("parses");
         assert_eq!(forwarded.cache_key(&config), local.cache_key(&config));
         let text = std::fs::read_to_string(path).expect("shipped scenario");
         let value = json::parse(&spec).expect("forwarded line is JSON");
@@ -1571,14 +1556,14 @@ mod tests {
             value.get("scenario").and_then(Json::as_str),
             Some(format!("rail:{text}").as_str())
         );
-        let shard = parse_request(&spec, "job", Origin::Peer, false).expect("no file left");
+        let shard = parse_request(&spec, "job", Origin::Peer).expect("no file left");
         assert_eq!(shard.cache_key(&config), local.cache_key(&config));
         assert_eq!((shard.id, shard.priority), (local.id, local.priority));
 
         // Lines without a file pass through as they came, and errors carry
         // the same text as the local parser's.
         let plain = "{\"kind\": \"verify\", \"scenario\": \"fixture:running_example\"}";
-        assert_eq!(parse_forwarded_line(plain, "l", false).unwrap().1, plain);
+        assert_eq!(parse_forwarded_line(plain, "l").unwrap().1, plain);
         for bad in [
             "{\"kind\": \"fly\", \"scenario\": \"file:/nonexistent.rail\"}",
             "{\"kind\": \"verify\", \"scenario\": \"file:/nonexistent.rail\"}",
@@ -1586,8 +1571,8 @@ mod tests {
             "[1",
         ] {
             assert_eq!(
-                parse_forwarded_line(bad, "line 2", false).unwrap_err(),
-                parse_request(bad, "line 2", Origin::Local, false).unwrap_err(),
+                parse_forwarded_line(bad, "line 2").unwrap_err(),
+                parse_request(bad, "line 2", Origin::Local).unwrap_err(),
             );
         }
     }

@@ -35,7 +35,7 @@
 //! Every task goes through one driver: [`run`] takes the task as a
 //! [`TaskKind`] and a [`Run`] holding an observability handle and a
 //! cancellation token, both off by default; [`lazy::run`] takes the same
-//! arguments plus the CEGAR selection strategy. [`verify`], [`generate`],
+//! arguments. [`verify`], [`generate`],
 //! [`optimize`] and [`optimize_incremental`] are one-line calls of [`run`];
 //! [`diagnose`] takes the same [`Run`].
 //!
@@ -65,7 +65,6 @@
 //! The same generation, traced and then re-run lazily:
 //!
 //! ```
-//! use etcs::lazy::SelectionStrategy;
 //! use etcs::obs::Obs;
 //! use etcs::prelude::*;
 //!
@@ -76,13 +75,8 @@
 //! let (eager, _) = run(&scenario, &TaskKind::Generate, &config, &traced)?;
 //! assert!(sink.events().iter().any(|e| e.name == "task.generate"));
 //!
-//! let (lazy, report) = etcs::lazy::run(
-//!     &scenario,
-//!     &TaskKind::Generate,
-//!     &config,
-//!     &Run::default(),
-//!     SelectionStrategy::AllViolated,
-//! )?;
+//! let (lazy, report) =
+//!     etcs::lazy::run(&scenario, &TaskKind::Generate, &config, &Run::default())?;
 //! assert!(report.rounds >= 1);
 //! // Same minimal border count, whichever loop found it.
 //! let borders = |o: &DesignOutcome| match o {

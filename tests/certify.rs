@@ -3,7 +3,6 @@
 //! fresh proof-logged encodings, and a missed stop deadline is diagnosed
 //! as a conflict naming its train.
 
-use etcs::lazy::SelectionStrategy;
 use etcs::parse_scenario;
 use etcs::prelude::*;
 
@@ -57,7 +56,7 @@ fn full_layout(scenario: &Scenario) -> VssLayout {
 }
 
 /// Every driver's answer to `task` on `scenario`, labelled, with the task
-/// and config it ran under: eager and lazy (`AllViolated`), plus the
+/// and config it ran under: eager and lazy, plus the
 /// incremental loop for an optimisation.
 fn answers(
     scenario: &Scenario,
@@ -69,14 +68,7 @@ fn answers(
             .expect("well-formed")
             .0
     };
-    let (lazy, _) = etcs::lazy::run(
-        scenario,
-        task,
-        &plain,
-        &Run::default(),
-        SelectionStrategy::AllViolated,
-    )
-    .expect("well-formed");
+    let (lazy, _) = etcs::lazy::run(scenario, task, &plain, &Run::default()).expect("well-formed");
     let mut out = vec![
         ("eager", task.clone(), plain, eager(task, plain)),
         ("lazy", task.clone(), plain, lazy),

@@ -1,14 +1,12 @@
 //! Corpus-wide differential tests: on ≥30 generated instances of *every*
-//! corpus family, the eager incremental loop and the lazy CEGAR loop
-//! under every Engels–Wille selection strategy must return
-//! **bit-identical** verdicts and proven optima — and every SAT model is
-//! re-validated by the independent `etcs-sim` validator. The corpus
+//! corpus family, the eager incremental loop and the lazy CEGAR loop must
+//! return **bit-identical** verdicts and proven optima — and every SAT
+//! model is re-validated by the independent `etcs-sim` validator. The corpus
 //! generators are seeded and deterministic
 //! (`etcs_corpus::InstanceSpec::build` is pure), so any failure here is
 //! replayable from the instance name in the assertion message.
 
 use etcs::corpus::{sample_specs, Family, InstanceSpec, SizeClass};
-use etcs::lazy::SelectionStrategy;
 use etcs::prelude::*;
 use etcs::serve::wire::load_layout;
 
@@ -38,7 +36,7 @@ fn assert_sim_valid(scenario: &Scenario, outcome: &DesignOutcome, label: &str) {
     }
 }
 
-/// One corpus instance through all four solve configurations.
+/// One corpus instance through both solve configurations.
 fn assert_instance_agrees(spec: &InstanceSpec) {
     let scenario = spec.build();
     let config = EncoderConfig::default();
@@ -47,19 +45,16 @@ fn assert_instance_agrees(spec: &InstanceSpec) {
     let baseline = optimum(&eager);
     assert_sim_valid(&scenario, &eager, "eager");
 
-    for strategy in SelectionStrategy::ALL {
-        let task = TaskKind::OptimizeIncremental;
-        let (outcome, _) = etcs::lazy::run(&scenario, &task, &config, &Run::default(), strategy)
-            .expect("well-formed");
-        assert_eq!(
-            optimum(&outcome),
-            baseline,
-            "{}: lazy optimize ({}) diverged from eager",
-            scenario.name,
-            strategy.name()
-        );
-        assert_sim_valid(&scenario, &outcome, strategy.name());
-    }
+    let task = TaskKind::OptimizeIncremental;
+    let (outcome, _) =
+        etcs::lazy::run(&scenario, &task, &config, &Run::default()).expect("well-formed");
+    assert_eq!(
+        optimum(&outcome),
+        baseline,
+        "{}: lazy optimize diverged from eager",
+        scenario.name
+    );
+    assert_sim_valid(&scenario, &outcome, "lazy");
 }
 
 fn assert_family_agrees(family: Family) {
@@ -94,7 +89,7 @@ fn moving_block_all_modes_agree() {
 }
 
 /// Verification differential on a corpus slice: the fully subdivided
-/// layout verified eagerly and lazily under every strategy (the verify
+/// layout verified eagerly and lazily (the verify
 /// analogue of the optimisation sweep above, on fewer instances — the
 /// optimisation loop already exercises the encoder once per deadline).
 #[test]
@@ -115,18 +110,14 @@ fn verify_full_layout_agrees_across_families() {
                 );
             }
             let task = TaskKind::Verify(layout.clone());
-            for strategy in SelectionStrategy::ALL {
-                let (relaxed, _) =
-                    etcs::lazy::run(&scenario, &task, &config, &Run::default(), strategy)
-                        .expect("well-formed");
-                assert_eq!(
-                    eager.is_feasible(),
-                    relaxed.is_feasible(),
-                    "{}: lazy verify ({}) diverged",
-                    scenario.name,
-                    strategy.name()
-                );
-            }
+            let (relaxed, _) =
+                etcs::lazy::run(&scenario, &task, &config, &Run::default()).expect("well-formed");
+            assert_eq!(
+                eager.is_feasible(),
+                relaxed.is_feasible(),
+                "{}: lazy verify diverged",
+                scenario.name
+            );
         }
     }
 }

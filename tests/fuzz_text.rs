@@ -511,8 +511,8 @@ fn request_line(request: &JobRequest) -> String {
     if let Some(deadline) = request.deadline {
         line.push_str(&format!(", \"deadline_ms\": {}", deadline.as_millis()));
     }
-    if let Some(strategy) = request.lazy {
-        line.push_str(&format!(", \"lazy\": {}", json::quote(strategy.name())));
+    if request.lazy {
+        line.push_str(", \"lazy\": true");
     }
     line.push('}');
     line
@@ -522,7 +522,7 @@ fn request_line(request: &JobRequest) -> String {
 /// that parses to the same request and the same cache key. A `file:` spec
 /// is always an error.
 fn check_job_line(line: &str) -> bool {
-    let request = match parse_request(line, "job", Origin::Peer, false) {
+    let request = match parse_request(line, "job", Origin::Peer) {
         Ok(request) => request,
         Err(e) => {
             assert!(e.starts_with("job: "), "{e}");
@@ -540,7 +540,7 @@ fn check_job_line(line: &str) -> bool {
         preview(line)
     );
     let written = request_line(&request);
-    let back = parse_request(&written, "job", Origin::Peer, false)
+    let back = parse_request(&written, "job", Origin::Peer)
         .unwrap_or_else(|e| panic!("written line does not parse: {e}\nfrom {}", preview(line)));
     let config = EncoderConfig::default();
     assert_eq!(
@@ -682,8 +682,8 @@ fn job_line_seeds() -> Vec<String> {
         r#"{"id": "j1", "kind": "optimize", "scenario": "fixture:running_example", "layout": "pure_ttd", "priority": "normal", "deadline_ms": 30000}"#,
         r#"{"id": "j2", "kind": "verify", "scenario": "fixture:running_example", "layout": "full", "priority": "high"}"#,
         // An ignored field: request lines once named a solver portfolio.
-        r#"{"id": "j3", "kind": "diagnose", "scenario": "fixture:running_example", "layout": "borders:2,5,9", "lazy": "per-train", "portfolio": 2}"#,
-        r#"{"id": "j4", "kind": "optimize_incremental", "scenario": "fixture:convoy", "lazy": "first-violated", "priority": "low"}"#,
+        r#"{"id": "j3", "kind": "diagnose", "scenario": "fixture:running_example", "layout": "borders:2,5,9", "lazy": true, "portfolio": 2}"#,
+        r#"{"id": "j4", "kind": "optimize_incremental", "scenario": "fixture:convoy", "lazy": true, "priority": "low"}"#,
         r#"{"kind": "generate", "scenario": "file:scenarios/branch_line.rail"}"#,
         // Regressions: a lone surrogate, a signed \u escape and a surrogate
         // pair in the id.
@@ -909,7 +909,6 @@ fn known_hostile_inputs_get_typed_errors() {
         r#"{"kind": "verify", "scenario": "file:scenarios/branch_line.rail"}"#,
         "job",
         Origin::Peer,
-        false,
     )
     .expect_err("a peer's file: spec");
     assert!(e.contains("read only from local input"), "{e}");

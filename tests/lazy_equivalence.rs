@@ -1,14 +1,13 @@
 //! Differential tests for the lazy (CEGAR) task loops: on random testkit
 //! topologies and on the interaction-dense fixtures, lazy verification
 //! must return **bit-identical** verdicts and lazy optimisation
-//! **bit-identical** optima `(deadline, borders)` to the eager loops — under every
-//! Engels–Wille selection strategy. The lazy loops differ from the eager
+//! **bit-identical** optima `(deadline, borders)` to the eager loops. The
+//! lazy loops differ from the eager
 //! ones in *what* they encode (a relaxation refined on demand), so any
 //! soundness gap in the refiner — a blocking clause not implied by the
 //! full formula, a violation the detector misses — surfaces here as a
 //! verdict or cost divergence.
 
-use etcs::lazy::SelectionStrategy;
 use etcs::network::generator::{branched_line, single_track_line, BranchConfig, LineConfig};
 use etcs::prelude::*;
 use etcs_testkit::{cases, Rng};
@@ -63,40 +62,34 @@ fn optimum(outcome: &DesignOutcome) -> Option<(u64, u64)> {
     }
 }
 
-/// Verifies `scenario` on `layout` both eagerly and lazily under every
-/// strategy, asserting bit-identical verdicts.
+/// Verifies `scenario` on `layout` both eagerly and lazily, asserting
+/// bit-identical verdicts.
 fn assert_verify_agrees(scenario: &Scenario, layout: &VssLayout) {
     let (eager, _) = verify(scenario, layout, &config()).expect("well-formed");
     let task = TaskKind::Verify(layout.clone());
-    for strategy in SelectionStrategy::ALL {
-        let (relaxed, _) = etcs::lazy::run(scenario, &task, &config(), &Run::default(), strategy)
-            .expect("well-formed");
-        assert_eq!(
-            eager.is_feasible(),
-            relaxed.is_feasible(),
-            "{}: lazy verify ({}) diverged from verify",
-            scenario.name,
-            strategy.name()
-        );
-    }
+    let (relaxed, _) =
+        etcs::lazy::run(scenario, &task, &config(), &Run::default()).expect("well-formed");
+    assert_eq!(
+        eager.is_feasible(),
+        relaxed.is_feasible(),
+        "{}: lazy verify diverged from verify",
+        scenario.name
+    );
 }
 
-/// Optimises `scenario` both eagerly and lazily under every strategy,
-/// asserting bit-identical `(deadline, borders)` optima.
+/// Optimises `scenario` both eagerly and lazily, asserting bit-identical
+/// `(deadline, borders)` optima.
 fn assert_optimize_agrees(scenario: &Scenario) {
     let (eager, _) = optimize_incremental(scenario, &config()).expect("well-formed");
-    for strategy in SelectionStrategy::ALL {
-        let task = TaskKind::OptimizeIncremental;
-        let (relaxed, _) = etcs::lazy::run(scenario, &task, &config(), &Run::default(), strategy)
-            .expect("well-formed");
-        assert_eq!(
-            optimum(&eager),
-            optimum(&relaxed),
-            "{}: lazy optimize ({}) diverged from optimize_incremental",
-            scenario.name,
-            strategy.name()
-        );
-    }
+    let task = TaskKind::OptimizeIncremental;
+    let (relaxed, _) =
+        etcs::lazy::run(scenario, &task, &config(), &Run::default()).expect("well-formed");
+    assert_eq!(
+        optimum(&eager),
+        optimum(&relaxed),
+        "{}: lazy optimize diverged from optimize_incremental",
+        scenario.name
+    );
 }
 
 #[test]

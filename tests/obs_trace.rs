@@ -6,7 +6,6 @@
 
 use std::time::Duration;
 
-use etcs::lazy::SelectionStrategy;
 use etcs::obs::{EventKind, Obs, Value};
 use etcs::prelude::*;
 use etcs::sat::Interrupt;
@@ -169,8 +168,7 @@ fn interrupted_verify_still_counts_its_conflicts() {
         let result = if span_name == "task.verify" {
             run(&scenario, &task, &config, &deadline).map(|_| ())
         } else {
-            let strategy = SelectionStrategy::AllViolated;
-            etcs::lazy::run(&scenario, &task, &config, &deadline, strategy).map(|_| ())
+            etcs::lazy::run(&scenario, &task, &config, &deadline).map(|_| ())
         };
         assert_eq!(
             result.err(),

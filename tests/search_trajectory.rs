@@ -17,7 +17,7 @@
 //! conflicts and solver calls, warm hits, cold fallbacks).
 
 use etcs::corpus::{Family, InstanceSpec, SizeClass};
-use etcs::lazy::{LazyReport, SelectionStrategy};
+use etcs::lazy::LazyReport;
 use etcs::prelude::*;
 use etcs::replan::{parse_trace, ReplanConfig, ReplanSession, TraceOp};
 use etcs::sat::{Lit, Solver};
@@ -269,7 +269,7 @@ fn random_3sat_rows() -> Vec<Measured> {
 }
 
 /// `(instance, task, conflicts, propagations, decisions, restarts,
-/// cegar_rounds, clauses_added)` of the lazy loops under `AllViolated`.
+/// cegar_rounds, clauses_added)` of the lazy loops.
 type LazyRow = (&'static str, &'static str, u64, u64, u64, u64, usize, usize);
 /// A measured [`LazyRow`], owning its instance name.
 type LazyMeasured = (String, &'static str, u64, u64, u64, u64, usize, usize);
@@ -334,8 +334,7 @@ fn measure_lazy() -> Vec<LazyMeasured> {
     for (name, scenario) in scenarios() {
         let inst = Instance::new(&scenario).expect("valid scenario");
         let lazy = |task: TaskKind| -> LazyReport {
-            let strategy = SelectionStrategy::AllViolated;
-            etcs::lazy::run(&scenario, &task, &config, &Run::default(), strategy)
+            etcs::lazy::run(&scenario, &task, &config, &Run::default())
                 .expect("well-formed")
                 .1
         };
