@@ -15,12 +15,20 @@
 //! on the same instances, and every `scenarios/replay/*.delta` exemplar
 //! replayed through a replanning session, eager and lazy (summed tick
 //! conflicts and solver calls, warm hits, cold fallbacks).
+//!
+//! Counters only imply that the formula is unchanged. A last table pins it
+//! directly: an FNV-1a digest of every traced encoding (its variable
+//! count, then each clause's length and literal codes in emission order)
+//! for the same instances under every task encoding, plus one Medium
+//! scenario of each family the `design_encode` benchmark workload draws
+//! from.
 
 use etcs::corpus::{Family, InstanceSpec, SizeClass};
 use etcs::lazy::LazyReport;
 use etcs::prelude::*;
 use etcs::replan::{parse_trace, ReplanConfig, ReplanSession, TraceOp};
 use etcs::sat::{Lit, Solver};
+use etcs_core::{encode_with, ConstraintFamilies};
 
 /// `(instance, task, solver_vars, clauses, conflicts, propagations,
 /// decisions, restarts)`.
@@ -430,6 +438,297 @@ fn measure_replan() -> Vec<ReplanMeasured> {
     rows
 }
 
+/// `(instance, task, num_vars, num_clauses, digest)` of a traced
+/// encoding; the digest is [`formula_digest`] in hex.
+type FormulaRow = (&'static str, &'static str, usize, usize, &'static str);
+/// A measured [`FormulaRow`], owning its strings.
+type FormulaMeasured = (String, &'static str, usize, usize, String);
+
+const FORMULA_PINNED: &[FormulaRow] = &[
+    (
+        "running_example",
+        "verify_ttd",
+        846,
+        8441,
+        "a425360e2cd5c165",
+    ),
+    ("running_example", "verify", 846, 8441, "5bc4df232c4ef800"),
+    ("running_example", "generate", 846, 8434, "7c3b2ab0c6f921e3"),
+    (
+        "running_example",
+        "optimize_incremental",
+        1096,
+        11492,
+        "cb4cb1ae2504ea33",
+    ),
+    (
+        "running_example",
+        "diagnose",
+        1089,
+        11458,
+        "aea4b769facafdef",
+    ),
+    (
+        "running_example",
+        "core_only",
+        593,
+        1706,
+        "c3e203faab7fd776",
+    ),
+    ("grid_ladder", "verify_ttd", 6923, 68295, "66b651bc47249281"),
+    ("grid_ladder", "verify", 6923, 68295, "3274b717068d7e81"),
+    ("grid_ladder", "generate", 6923, 68285, "afc9bc5451835117"),
+    (
+        "grid_ladder",
+        "optimize_incremental",
+        6943,
+        68385,
+        "feaf3c8897e70cd3",
+    ),
+    ("grid_ladder", "diagnose", 6928, 68295, "a54407b977424930"),
+    ("grid_ladder", "core_only", 4635, 13935, "60681a5eb566c22e"),
+    (
+        "convoy_chain",
+        "verify_ttd",
+        3457,
+        26673,
+        "295b5ed325848210",
+    ),
+    ("convoy_chain", "verify", 3457, 26673, "13edefb5c1be6e10"),
+    ("convoy_chain", "generate", 3457, 26663, "14fa53032895d52a"),
+    (
+        "convoy_chain",
+        "optimize_incremental",
+        3472,
+        26708,
+        "bea6a6d085d5f342",
+    ),
+    ("convoy_chain", "diagnose", 3460, 26673, "a335e8adcdd2b4e2"),
+    ("convoy_chain", "core_only", 2347, 7035, "3e3c9629442c2727"),
+    (
+        "branched_mesh",
+        "verify_ttd",
+        2268,
+        14968,
+        "cb12c3ac33d7eba7",
+    ),
+    ("branched_mesh", "verify", 2268, 14968, "e325b072a3e0d7a7"),
+    ("branched_mesh", "generate", 2268, 14958, "9d7afcf1a51199ad"),
+    (
+        "branched_mesh",
+        "optimize_incremental",
+        2286,
+        14994,
+        "8cfb92134741065f",
+    ),
+    ("branched_mesh", "diagnose", 2270, 14968, "516abe12201ae773"),
+    ("branched_mesh", "core_only", 1524, 4560, "484852474653f014"),
+    (
+        "station_throat",
+        "verify_ttd",
+        1753,
+        12392,
+        "fd1a2638fa03fecd",
+    ),
+    ("station_throat", "verify", 1753, 12392, "659cbc00dae524dc"),
+    (
+        "station_throat",
+        "generate",
+        1753,
+        12385,
+        "310fe990fc6461f7",
+    ),
+    (
+        "station_throat",
+        "optimize_incremental",
+        1773,
+        12425,
+        "4973978305a3c337",
+    ),
+    (
+        "station_throat",
+        "diagnose",
+        1755,
+        12392,
+        "eea654c7e11b3995",
+    ),
+    (
+        "station_throat",
+        "core_only",
+        1217,
+        3654,
+        "2e600862f0851f79",
+    ),
+    (
+        "moving_block",
+        "verify_ttd",
+        1967,
+        25533,
+        "178ac8d4b6bb5be9",
+    ),
+    ("moving_block", "verify", 1967, 25533, "d8e26cf9aa380adc"),
+    ("moving_block", "generate", 1967, 25524, "66136f4846372c79"),
+    (
+        "moving_block",
+        "optimize_incremental",
+        1986,
+        25562,
+        "0c3f72b0ea7dcf49",
+    ),
+    ("moving_block", "diagnose", 1969, 25533, "293aba035de5601d"),
+    ("moving_block", "core_only", 1333, 3966, "761155fd7380cb05"),
+    (
+        "convoy_chain_medium",
+        "verify_ttd",
+        23375,
+        239689,
+        "564eea57d248c90d",
+    ),
+    (
+        "convoy_chain_medium",
+        "generate",
+        23375,
+        239665,
+        "1fc4c920cdc1c10d",
+    ),
+    (
+        "moving_block_medium",
+        "verify_ttd",
+        14019,
+        233181,
+        "cc87da9c621b4c07",
+    ),
+    (
+        "moving_block_medium",
+        "generate",
+        14019,
+        233164,
+        "d2a77961502d0507",
+    ),
+    (
+        "station_throat_medium",
+        "verify_ttd",
+        9205,
+        90613,
+        "dbbb139b05655a49",
+    ),
+    (
+        "station_throat_medium",
+        "generate",
+        9205,
+        90600,
+        "202f106ee4d50ef1",
+    ),
+    (
+        "branched_mesh_medium",
+        "verify_ttd",
+        20734,
+        228310,
+        "ccb48f27d0781026",
+    ),
+    (
+        "branched_mesh_medium",
+        "generate",
+        20734,
+        228288,
+        "e82c98a25c14b44c",
+    ),
+];
+
+/// 64-bit FNV-1a over the variable count, then every clause's length and
+/// literal codes in emission order (all as little-endian `u64`).
+fn formula_digest(formula: &etcs::sat::Formula) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut fold = |x: u64| {
+        for b in x.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    fold(formula.num_vars() as u64);
+    for clause in formula.clauses() {
+        fold(clause.len() as u64);
+        for l in clause {
+            fold(u64::from(l.code()));
+        }
+    }
+    format!("{h:016x}")
+}
+
+fn traced_row(
+    name: &str,
+    task_name: &'static str,
+    inst: &Instance,
+    task: &TaskKind,
+    families: ConstraintFamilies,
+) -> FormulaMeasured {
+    let config = EncoderConfig {
+        trace: true,
+        ..EncoderConfig::default()
+    };
+    let enc = encode_with(inst, &config, task, families);
+    let formula = &enc.trace.expect("tracing on").formula;
+    (
+        name.to_owned(),
+        task_name,
+        formula.num_vars(),
+        formula.num_clauses(),
+        formula_digest(formula),
+    )
+}
+
+fn measure_formulas() -> Vec<FormulaMeasured> {
+    let all = ConstraintFamilies::ALL;
+    let mut rows = Vec::new();
+    for (name, scenario) in scenarios() {
+        let inst = Instance::new(&scenario).expect("valid scenario");
+        let open = Instance::new(&scenario.without_arrivals()).expect("valid scenario");
+        let ttd = VssLayout::pure_ttd();
+        let full = VssLayout::full(&inst.net);
+        let tasks: [(&'static str, &Instance, TaskKind, ConstraintFamilies); 6] = [
+            ("verify_ttd", &inst, TaskKind::Verify(ttd.clone()), all),
+            ("verify", &inst, TaskKind::Verify(full), all),
+            ("generate", &inst, TaskKind::Generate, all),
+            (
+                "optimize_incremental",
+                &open,
+                TaskKind::OptimizeIncremental,
+                all,
+            ),
+            ("diagnose", &inst, TaskKind::Diagnose(ttd), all),
+            (
+                "core_only",
+                &inst,
+                TaskKind::Generate,
+                ConstraintFamilies::CORE_ONLY,
+            ),
+        ];
+        for (task_name, inst, task, families) in tasks {
+            rows.push(traced_row(&name, task_name, inst, &task, families));
+        }
+    }
+    for family in [
+        Family::ConvoyChain,
+        Family::MovingBlock,
+        Family::StationThroat,
+        Family::BranchedMesh,
+    ] {
+        let scenario = InstanceSpec::new(family, SizeClass::Medium, 1).build();
+        let inst = Instance::new(&scenario).expect("valid scenario");
+        let name = format!("{}_medium", family.name());
+        let verify = TaskKind::Verify(VssLayout::pure_ttd());
+        rows.push(traced_row(&name, "verify_ttd", &inst, &verify, all));
+        rows.push(traced_row(
+            &name,
+            "generate",
+            &inst,
+            &TaskKind::Generate,
+            all,
+        ));
+    }
+    rows
+}
+
 /// Compares measured rows against a pinned table, printing the measured
 /// table on any mismatch so a deliberate change can re-record it.
 fn assert_pinned<M: std::fmt::Debug, P: std::fmt::Debug>(
@@ -496,4 +795,13 @@ fn encodings_and_search_counters_match_the_pinned_trajectory() {
             rendered.join("\n")
         );
     }
+}
+
+#[test]
+fn traced_formulas_match_the_pinned_digests() {
+    assert_pinned(
+        &measure_formulas(),
+        FORMULA_PINNED,
+        |(i, t, v, c, d), pin| (i.as_str(), *t, *v, *c, d.as_str()) == *pin,
+    );
 }
