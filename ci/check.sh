@@ -22,6 +22,12 @@ cargo build -q --examples
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> search trajectory and solver tests in release"
+# The benchmark measures release builds, where the solver's debug_assert!s
+# compile out: the formula and search pins must hold there too.
+cargo test -q --release --test search_trajectory
+cargo test -q --release -p etcs-sat
+
 echo "==> benchmark crate graph is pinned (benchmark/Cargo.lock is not rewritten)"
 # The benchmark builds the repository's crates by path under its own lock
 # file. With --locked, cargo exits 101 instead of silently rewriting

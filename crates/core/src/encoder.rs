@@ -22,10 +22,11 @@
 // Index-coupled loops over parallel tables are intentional here.
 #![allow(clippy::needless_range_loop)]
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
-use etcs_network::{EdgeId, NodeId, NodeKind, VssLayout};
+use etcs_network::{EdgeId, NodeKind, VssLayout};
 use etcs_sat::{CnfSink, DratProof, Lit, Objective, Solver, Var};
 
 use crate::instance::{ExitPolicy, Instance};
@@ -285,11 +286,11 @@ struct Encoder<'a> {
     /// `occupants[t][g]`: how many trains have an occupancy variable on
     /// segment `g` at step `t` (the collision sweep's `contested` test).
     occupants: Vec<Vec<u32>>,
-    /// Memoised `paths(e, f, v)` results.
-    path_cache: HashMap<(EdgeId, EdgeId, u32), Vec<EdgeId>>,
-    /// Memoised `between(e, f)` border-literal lists; `None` = the pair is
-    /// already separated by a forced TTD border.
-    between_cache: HashMap<(EdgeId, EdgeId), Option<Vec<Lit>>>,
+    /// `between[e][n]`, aligned with `same_ttd[e]` and filled on first use
+    /// for `e < same_ttd[e][n]` only: the border literals of
+    /// `between(e, f)`, or `None` when a forced TTD border already
+    /// separates the pair.
+    between: Vec<Vec<OnceCell<Option<Vec<Lit>>>>>,
     /// Chains of each needed length.
     chain_cache: HashMap<usize, Vec<Vec<EdgeId>>>,
 }
@@ -315,8 +316,7 @@ impl<'a> Encoder<'a> {
             near: Vec::new(),
             same_ttd: Vec::new(),
             occupants: Vec::new(),
-            path_cache: HashMap::new(),
-            between_cache: HashMap::new(),
+            between: Vec::new(),
             chain_cache: HashMap::new(),
         }
     }
@@ -465,6 +465,11 @@ impl<'a> Encoder<'a> {
         self.same_ttd = (0..num_edges)
             .map(|e| by_ttd[&inst.net.segment(EdgeId::from_index(e)).ttd].clone())
             .collect();
+        self.between = self
+            .same_ttd
+            .iter()
+            .map(|partners| partners.iter().map(|_| OnceCell::new()).collect())
+            .collect();
         self.occupants = vec![vec![0; num_edges]; inst.t_max];
         for per_train in &self.occ {
             for (t, row) in per_train.iter().enumerate() {
@@ -475,24 +480,30 @@ impl<'a> Encoder<'a> {
         }
     }
 
-    /// Occupancy literals of train `tr` at step `t` on the neighbours of
-    /// `e` within `speed` hops, ascending by edge.
-    fn reachable_lits(&self, e: EdgeId, tr: usize, t: usize, speed: u32) -> Vec<Lit> {
-        self.near[e.index()]
-            .iter()
-            .filter(|&&(_, d)| d <= speed)
-            .filter_map(|&(f, _)| self.occ_lit(tr, t, f))
-            .collect()
+    /// Appends to `out` the occupancy literals of train `tr` at step `t`
+    /// on the neighbours of `e` within `speed` hops, ascending by edge;
+    /// returns how many it appended.
+    fn push_reachable(
+        &self,
+        out: &mut Vec<Lit>,
+        e: EdgeId,
+        tr: usize,
+        t: usize,
+        speed: u32,
+    ) -> usize {
+        let before = out.len();
+        let row = &self.occ[tr][t];
+        out.extend(
+            self.near[e.index()]
+                .iter()
+                .filter(|&&(_, d)| d <= speed)
+                .filter_map(|&(f, _)| row[f.index()].map(Var::positive)),
+        );
+        out.len() - before
     }
 
     fn occ_lit(&self, tr: usize, t: usize, e: EdgeId) -> Option<Lit> {
         self.occ[tr][t][e.index()].map(Var::positive)
-    }
-
-    /// Literal of a candidate border node; `None` when the node is a forced
-    /// TTD border (constant true).
-    fn border_lit(&self, n: NodeId) -> Option<Lit> {
-        self.border[n.index()].map(Var::positive)
     }
 
     // ------------------------------------------------------------------
@@ -525,7 +536,6 @@ impl<'a> Encoder<'a> {
     /// Length-1 trains: the occupancy variables are the chain selectors.
     fn encode_shape_single(&mut self, tr: usize, t: usize) {
         let spec = &self.inst.trains[tr];
-        let dep = spec.dep_step;
         let lits: Vec<Lit> = self.active[tr][t]
             .iter()
             .filter_map(|&e| self.occ_lit(tr, t, e))
@@ -534,46 +544,40 @@ impl<'a> Encoder<'a> {
         // At departure the at-least side sharpens to the origin edges (the
         // train must start at its origin); emitting the weaker full-row
         // clause alongside would be immediately self-subsumed.
-        let at_least: Vec<Lit> = if t == dep {
-            self.inst.trains[tr]
+        if t == spec.dep_step {
+            let at_least: Vec<Lit> = spec
                 .origin_edges
-                .clone()
                 .iter()
                 .filter_map(|&e| self.occ_lit(tr, t, e))
-                .collect()
+                .collect();
+            self.presence_clause(tr, t, &at_least, &lits);
         } else {
-            lits.clone()
-        };
-        self.presence_clause(tr, t, &at_least, &lits);
+            self.presence_clause(tr, t, &lits, &lits);
+        }
     }
 
     /// Longer trains: one selector per candidate chain.
     fn encode_shape_chains(&mut self, tr: usize, t: usize) {
-        let spec = &self.inst.trains[tr];
-        let length = spec.length;
-        let dep = spec.dep_step;
-        let origin_edges = spec.origin_edges.clone();
-        let active_row: Vec<bool> = {
-            let mut row = vec![false; self.inst.net.num_edges()];
-            for &e in &self.active[tr][t] {
-                row[e.index()] = true;
-            }
-            row
-        };
-        let chains: Vec<Vec<EdgeId>> = self.chain_cache[&length]
+        let inst = self.inst;
+        let spec = &inst.trains[tr];
+        let mut active_row = vec![false; inst.net.num_edges()];
+        for &e in &self.active[tr][t] {
+            active_row[e.index()] = true;
+        }
+        let chains: Vec<&Vec<EdgeId>> = self.chain_cache[&spec.length]
             .iter()
             .filter(|c| c.iter().all(|e| active_row[e.index()]))
-            .filter(|c| t != dep || c.iter().any(|e| origin_edges.contains(e)))
-            .cloned()
+            .filter(|c| t != spec.dep_step || c.iter().any(|e| spec.origin_edges.contains(e)))
             .collect();
 
+        let row = &self.occ[tr][t];
         let mut selectors: Vec<Lit> = Vec::with_capacity(chains.len());
         let mut covering: HashMap<EdgeId, Vec<Lit>> = HashMap::new();
-        for chain in &chains {
+        for chain in chains {
             let sel = CnfSink::new_var(&mut self.solver).positive();
             selectors.push(sel);
             for &e in chain {
-                let occ = self.occ_lit(tr, t, e).expect("chain edges are active");
+                let occ = row[e.index()].expect("chain edges are active").positive();
                 self.solver.implies(sel, occ);
                 covering.entry(e).or_default().push(sel);
             }
@@ -581,16 +585,20 @@ impl<'a> Encoder<'a> {
         // Occupied edges must be covered by the selected chain. For Park
         // trains, an edge every candidate chain covers needs no clause: the
         // presence clause over all selectors subsumes it.
-        let park = self.inst.trains[tr].exit == ExitPolicy::Park;
+        let park = spec.exit == ExitPolicy::Park;
+        let mut clause = Vec::new();
         for &e in &self.active[tr][t] {
             let cov = covering.get(&e).map(|v| v.as_slice()).unwrap_or(&[]);
             if park && cov.len() == selectors.len() {
                 continue;
             }
-            let occ = self.occ_lit(tr, t, e).expect("active edge has a variable");
-            let mut clause = vec![!occ];
+            let occ = row[e.index()]
+                .expect("active edge has a variable")
+                .positive();
+            clause.clear();
+            clause.push(!occ);
             clause.extend_from_slice(cov);
-            self.solver.add_clause(clause);
+            self.solver.add_clause_from(&clause);
         }
         etcs_sat::card::at_most_one_sequential(&mut self.solver, &selectors);
         self.presence_clause(tr, t, &selectors, &selectors);
@@ -611,11 +619,10 @@ impl<'a> Encoder<'a> {
                 // done[t] is allocated later in encode_completion; allocate
                 // eagerly here via the done table.
                 let done = self.done_lit_or_alloc(tr, t);
-                let mut clause = vec![done];
-                clause.extend_from_slice(at_least);
-                self.solver.add_clause(clause);
+                self.solver
+                    .add_clause(std::iter::once(done).chain(at_least.iter().copied()));
                 for &sel in all {
-                    self.solver.add_clause([!done, !sel]);
+                    self.solver.add_clause_from(&[!done, !sel]);
                 }
             }
         }
@@ -661,36 +668,37 @@ impl<'a> Encoder<'a> {
             let name = &self.inst.trains[tr].name;
             self.solver.begin_group(|| format!("movement[{name}]"));
         }
+        let mut clause = Vec::new();
         for t in dep..self.inst.t_max.saturating_sub(1) {
-            let current = self.active[tr][t].clone();
-            let next = self.active[tr][t + 1].clone();
-            for &e in &current {
+            // Shape's presence clauses allocated every `done` of a Leave
+            // train already, so this allocates nothing.
+            let done_next = leave.then(|| self.done_lit_or_alloc(tr, t + 1));
+            let (current, next) = (&self.active[tr][t], &self.active[tr][t + 1]);
+            for &e in current {
                 let occ_e = self.occ_lit(tr, t, e).expect("active");
-                let reach = self.reachable_lits(e, tr, t + 1, speed);
+                clause.clear();
+                clause.push(!occ_e);
+                clause.extend(done_next);
+                let reach = self.push_reachable(&mut clause, e, tr, t + 1, speed);
                 // When every next-step position is reachable from `e`, the
                 // presence clause at t+1 subsumes this one — skip it.
-                if single && reach.len() == next.len() {
+                if single && reach == next.len() {
                     continue;
                 }
-                let mut clause = vec![!occ_e];
-                if leave {
-                    clause.push(self.done_lit_or_alloc(tr, t + 1));
-                }
-                clause.extend(reach);
-                self.solver.add_clause(clause);
+                self.solver.add_clause_from(&clause);
             }
-            for &f in &next {
+            for &f in next {
                 let occ_f = self.occ_lit(tr, t + 1, f).expect("active");
-                let back = self.reachable_lits(f, tr, t, speed);
+                clause.clear();
+                clause.push(!occ_f);
+                let back = self.push_reachable(&mut clause, f, tr, t, speed);
                 // Same subsumption, against the presence clause at t — but
                 // only for Park trains: the Leave presence clause carries a
                 // `done` literal this clause does not.
-                if single && !leave && back.len() == current.len() {
+                if single && !leave && back == current.len() {
                     continue;
                 }
-                let mut clause = vec![!occ_f];
-                clause.extend(back);
-                self.solver.add_clause(clause);
+                self.solver.add_clause_from(&clause);
             }
         }
     }
@@ -710,59 +718,45 @@ impl<'a> Encoder<'a> {
         }
         // Only pairs inside one TTD (`e == f` included) can emit a clause,
         // so each edge of `i` meets just its own TTD's edges of `j`.
-        for t in 0..self.inst.t_max {
+        let inst = self.inst;
+        let mut clause = Vec::new();
+        for t in 0..inst.t_max {
             for i in 0..num_trains {
                 for j in (i + 1)..num_trains {
-                    for k in 0..self.active[i][t].len() {
-                        let e = self.active[i][t][k];
-                        for n in 0..self.same_ttd[e.index()].len() {
-                            let f = self.same_ttd[e.index()][n];
-                            self.encode_separation_pair(i, j, t, e, f);
+                    let row_j = &self.occ[j][t];
+                    for &e in &self.active[i][t] {
+                        let occ_i = self.occ[i][t][e.index()].expect("active").positive();
+                        for (n, &f) in self.same_ttd[e.index()].iter().enumerate() {
+                            let Some(occ_j) = row_j[f.index()].map(Var::positive) else {
+                                continue;
+                            };
+                            if e == f {
+                                self.solver.add_clause_from(&[!occ_i, !occ_j]);
+                                continue;
+                            }
+                            // The table holds each pair once, at its lower
+                            // edge, so both orders read one border list.
+                            let cell = if e < f {
+                                &self.between[e.index()][n]
+                            } else {
+                                let m = self.same_ttd[f.index()]
+                                    .binary_search(&e)
+                                    .expect("same-TTD partners are symmetric");
+                                &self.between[f.index()][m]
+                            };
+                            let border = &self.border;
+                            let borders = cell
+                                .get_or_init(|| between_borders(inst, border, e.min(f), e.max(f)));
+                            // `None`: a forced border already separates the pair.
+                            if let Some(borders) = borders {
+                                clause.clear();
+                                clause.extend([!occ_i, !occ_j]);
+                                clause.extend_from_slice(borders);
+                                self.solver.add_clause_from(&clause);
+                            }
                         }
                     }
                 }
-            }
-        }
-    }
-
-    fn encode_separation_pair(&mut self, i: usize, j: usize, t: usize, e: EdgeId, f: EdgeId) {
-        let (Some(occ_i), Some(occ_j)) = (self.occ_lit(i, t, e), self.occ_lit(j, t, f)) else {
-            return;
-        };
-        if e == f {
-            self.solver.add_clause([!occ_i, !occ_j]);
-            return;
-        }
-        if self.inst.net.segment(e).ttd != self.inst.net.segment(f).ttd {
-            return; // separated by a TTD border by construction
-        }
-        let key = if e < f { (e, f) } else { (f, e) };
-        if !self.between_cache.contains_key(&key) {
-            let nodes = self
-                .inst
-                .net
-                .between(key.0, key.1)
-                .expect("same-TTD edges are connected");
-            let mut lits = Vec::with_capacity(nodes.len());
-            let mut forced = false;
-            for n in nodes {
-                if self.inst.net.node_kind(n) == NodeKind::TtdBorder {
-                    forced = true;
-                    break;
-                }
-                if let Some(l) = self.border_lit(n) {
-                    lits.push(l);
-                }
-            }
-            self.between_cache
-                .insert(key, if forced { None } else { Some(lits) });
-        }
-        match &self.between_cache[&key] {
-            None => {} // a forced border already separates the pair
-            Some(borders) => {
-                let mut clause = vec![!occ_i, !occ_j];
-                clause.extend_from_slice(borders);
-                self.solver.add_clause(clause);
             }
         }
     }
@@ -786,56 +780,67 @@ impl<'a> Encoder<'a> {
         if self.families.deferred {
             return; // deferred to the lazy loop; the group stays declared
         }
+        // Sweep variables of one (mover, t), allocated on first use:
+        // `sweep[g]` plus the list of the segments it set, sorted once so
+        // the exclusivity clauses come out in ascending segment order.
+        let mut sweep: Vec<Option<Lit>> = vec![None; self.inst.net.num_edges()];
+        let mut swept: Vec<EdgeId> = Vec::new();
         for mover in 0..num_trains {
             let speed = self.inst.trains[mover].speed;
             for t in self.inst.trains[mover].dep_step..self.inst.t_max.saturating_sub(1) {
-                // Sweep variables for this (mover, t), lazily allocated.
-                // BTreeMap: the map is iterated below to emit clauses, and
-                // clause order must be deterministic for result caching.
-                let mut sweep: BTreeMap<EdgeId, Lit> = BTreeMap::new();
                 for k in 0..self.active[mover][t].len() {
                     let e = self.active[mover][t][k];
                     for n in 0..self.near[e.index()].len() {
                         let (f, d) = self.near[e.index()][n];
                         if d >= 1 && d <= speed && self.occ[mover][t + 1][f.index()].is_some() {
-                            self.encode_collision_move(mover, t, e, f, speed, &mut sweep);
+                            self.encode_collision_move(mover, t, e, f, &mut sweep, &mut swept);
                         }
                     }
                 }
                 // Swept segments are exclusive against every other train.
-                for (&g, &s) in &sweep {
+                swept.sort_unstable();
+                for &g in &swept {
+                    let s = sweep[g.index()]
+                        .take()
+                        .expect("swept segments have a variable");
                     for other in 0..num_trains {
                         if other == mover {
                             continue;
                         }
                         for step in [t, t + 1] {
-                            if let Some(occ_g) = self.occ_lit(other, step, g) {
-                                self.solver.add_clause([!s, !occ_g]);
+                            if let Some(occ_g) = self.occ[other][step][g.index()] {
+                                self.solver.add_clause_from(&[!s, !occ_g.positive()]);
                             }
                         }
                     }
                 }
+                swept.clear();
             }
         }
     }
 
+    /// Ternary sweep clauses of one move `e → f` of `mover` over `t → t+1`:
+    /// one per segment `g` of `paths(e, f, speed)`, the segments with
+    /// `dist(e, g) + dist(f, g) <= speed`. Every such `g` is within
+    /// `speed` of `e`, so filtering `near[e]` yields the path in
+    /// ascending order without a search per move.
     fn encode_collision_move(
         &mut self,
         mover: usize,
         t: usize,
         e: EdgeId,
         f: EdgeId,
-        speed: u32,
-        sweep: &mut BTreeMap<EdgeId, Lit>,
+        sweep: &mut [Option<Lit>],
+        swept: &mut Vec<EdgeId>,
     ) {
-        let key = (e, f, speed);
-        if !self.path_cache.contains_key(&key) {
-            let path = self.inst.net.path_edges(e, f, speed);
-            self.path_cache.insert(key, path);
-        }
+        let inst = self.inst;
+        let speed = inst.trains[mover].speed;
         let occ_e = self.occ_lit(mover, t, e).expect("active");
         let occ_f = self.occ_lit(mover, t + 1, f).expect("active");
-        for &g in &self.path_cache[&key] {
+        for &(g, de) in &self.near[e.index()] {
+            if de > speed || !matches!(inst.dist(f, g), Some(df) if de + df <= speed) {
+                continue;
+            }
             // A sweep variable only earns its keep if some other train could
             // be on `g` around the move; otherwise the exclusivity side
             // would never materialise and the ternary clauses dangle.
@@ -846,18 +851,19 @@ impl<'a> Encoder<'a> {
             if !others(t) && !others(t + 1) {
                 continue;
             }
-            let s = match sweep.get(&g) {
-                Some(&s) => s,
+            let s = match sweep[g.index()] {
+                Some(s) => s,
                 None => {
                     let s = CnfSink::new_var(&mut self.solver).positive();
                     self.solver.tag_var(s.var(), || {
                         format!("sweep[train={mover},t={t},seg={}]", g.index())
                     });
-                    sweep.insert(g, s);
+                    sweep[g.index()] = Some(s);
+                    swept.push(g);
                     s
                 }
             };
-            self.solver.add_clause([!occ_e, !occ_f, s]);
+            self.solver.add_clause_from(&[!occ_e, !occ_f, s]);
         }
     }
 
@@ -883,7 +889,7 @@ impl<'a> Encoder<'a> {
     }
 
     fn encode_completion(&mut self, tr: usize) {
-        let spec = self.inst.trains[tr].clone();
+        let spec = &self.inst.trains[tr];
         let dep = spec.dep_step;
         if self.visited.len() <= tr || self.visited[tr].is_empty() {
             // Ensure tables exist even for Park trains (done_lit_or_alloc
@@ -926,15 +932,15 @@ impl<'a> Encoder<'a> {
 
         // visited[t] ↔ goal occupied at t ∨ visited[t-1]
         let mut prev: Option<Lit> = None;
+        let mut inputs = Vec::new();
         for t in dep..=last_visited {
-            let mut inputs: Vec<Lit> = spec
-                .goal_edges
-                .iter()
-                .filter_map(|&g| self.occ_lit(tr, t, g))
-                .collect();
-            if let Some(p) = prev {
-                inputs.push(p);
-            }
+            inputs.clear();
+            inputs.extend(
+                spec.goal_edges
+                    .iter()
+                    .filter_map(|&g| self.occ_lit(tr, t, g)),
+            );
+            inputs.extend(prev);
             let v = self.solver.or_gate(&inputs);
             {
                 let name = &spec.name;
@@ -953,7 +959,7 @@ impl<'a> Encoder<'a> {
                 }
                 for t in dep..=last_visited.min(final_step.saturating_sub(1)) {
                     let vis = self.visited[tr][t].expect("allocated above");
-                    for &e in &self.active[tr][t].clone() {
+                    for &e in &self.active[tr][t] {
                         let occ_now = self.occ_lit(tr, t, e).expect("active");
                         if self.pinned_in_place(tr, t, e, spec.speed) {
                             // The movement clause already forces the train
@@ -963,11 +969,11 @@ impl<'a> Encoder<'a> {
                         }
                         match self.occ_lit(tr, t + 1, e) {
                             Some(occ_next) => {
-                                self.solver.add_clause([!vis, !occ_now, occ_next]);
+                                self.solver.add_clause_from(&[!vis, !occ_now, occ_next]);
                             }
                             None => {
                                 // Frozen position must stay representable.
-                                self.solver.add_clause([!vis, !occ_now]);
+                                self.solver.add_clause_from(&[!vis, !occ_now]);
                             }
                         }
                     }
@@ -1128,6 +1134,29 @@ impl<'a> Encoder<'a> {
             }
         }
     }
+}
+
+/// The border literals on the chain between two edges of one TTD
+/// (`e < f`), in [`etcs_network::DiscreteNet::between`] order, or `None`
+/// when a forced TTD border lies on it and already separates the pair.
+fn between_borders(
+    inst: &Instance,
+    border: &[Option<Var>],
+    e: EdgeId,
+    f: EdgeId,
+) -> Option<Vec<Lit>> {
+    let nodes = inst
+        .net
+        .between(e, f)
+        .expect("same-TTD edges are connected");
+    let mut lits = Vec::with_capacity(nodes.len());
+    for n in nodes {
+        if inst.net.node_kind(n) == NodeKind::TtdBorder {
+            return None;
+        }
+        lits.extend(border[n.index()].map(Var::positive));
+    }
+    Some(lits)
 }
 
 #[cfg(test)]

@@ -123,33 +123,44 @@ impl ClauseDb {
         self.mem[r.offset()].0
     }
 
-    /// Arena index of the first literal.
+    /// Arena range of a clause's literals, given its header word.
     #[inline]
-    fn lits_start(&self, r: ClauseRef) -> usize {
-        let extra = if self.header(r) & LEARNT != 0 {
+    fn lits_range(r: ClauseRef, header: u32) -> std::ops::Range<usize> {
+        let extra = if header & LEARNT != 0 {
             LEARNT_EXTRA
         } else {
             0
         };
-        r.offset() + 1 + extra
+        let start = r.offset() + 1 + extra;
+        start..start + (header & LEN_MASK) as usize
     }
 
     /// Words the clause occupies now (header, metadata, literals).
     fn words(&self, r: ClauseRef) -> usize {
-        self.lits_start(r) - r.offset() + self.len(r)
+        Self::lits_range(r, self.header(r)).end - r.offset()
     }
 
     #[inline]
     pub(crate) fn lits(&self, r: ClauseRef) -> &[Lit] {
-        let start = self.lits_start(r);
-        &self.mem[start..start + self.len(r)]
+        &self.mem[Self::lits_range(r, self.header(r))]
     }
 
     #[inline]
     pub(crate) fn lits_mut(&mut self, r: ClauseRef) -> &mut [Lit] {
-        let start = self.lits_start(r);
-        let len = self.len(r);
-        &mut self.mem[start..start + len]
+        let range = Self::lits_range(r, self.header(r));
+        &mut self.mem[range]
+    }
+
+    /// The literals of a clause, or `None` if it is deleted, from a single
+    /// read of its header (the propagation loop's clause visit).
+    #[inline]
+    pub(crate) fn live_lits_mut(&mut self, r: ClauseRef) -> Option<&mut [Lit]> {
+        let header = self.header(r);
+        if header & DELETED != 0 {
+            return None;
+        }
+        let range = Self::lits_range(r, header);
+        Some(&mut self.mem[range])
     }
 
     #[inline]

@@ -148,6 +148,15 @@ pub struct Solver {
     obs: Obs,
     /// Reused buffer for normalising clauses in [`Solver::add_clause`].
     add_buf: Vec<Lit>,
+    /// Reused buffers of conflict analysis: the learnt clause (asserting
+    /// literal first) and its literals below the conflict level before
+    /// minimisation.
+    learnt_buf: Vec<Lit>,
+    lower_buf: Vec<Lit>,
+    /// `level_stamp[l] == stamp` marks decision level `l` as counted by
+    /// the LBD of the clause being learnt; `stamp` grows per clause.
+    level_stamp: Vec<u32>,
+    stamp: u32,
 }
 
 impl Default for Solver {
@@ -184,6 +193,10 @@ impl Solver {
             proof: None,
             obs: Obs::disabled(),
             add_buf: Vec::new(),
+            learnt_buf: Vec::new(),
+            lower_buf: Vec::new(),
+            level_stamp: Vec::new(),
+            stamp: 0,
         }
     }
 
@@ -314,14 +327,13 @@ impl Solver {
     /// first, early time steps before late ones); VSIDS takes over as
     /// conflicts accumulate.
     pub fn boost_activity(&mut self, v: Var, amount: f64) {
-        self.activity[v.index()] += amount;
-        if self.activity[v.index()] > RESCALE_LIMIT {
-            for a in &mut self.activity {
-                *a *= 1e-100;
-            }
-            self.var_inc *= 1e-100;
-        }
-        self.heap.update(v, &self.activity);
+        bump_activity(
+            &mut self.activity,
+            &mut self.var_inc,
+            &mut self.heap,
+            v,
+            amount,
+        );
     }
 
     /// Adds a clause (a disjunction of literals).
@@ -557,7 +569,11 @@ impl Solver {
     /// After `solve` returned, the trail is rolled back to level 0, so this
     /// reports only facts fixed by the formula itself.
     pub fn lit_value(&self, l: Lit) -> LBool {
-        value_of(&self.assigns, l)
+        match truth(&self.assigns, l) {
+            TRUE => LBool::True,
+            FALSE => LBool::False,
+            _ => LBool::Undef,
+        }
     }
 
     /// `true` once the formula is known unsatisfiable at level 0.
@@ -604,8 +620,8 @@ impl Solver {
             let mut conflict = None;
             'watchers: while i < ws.len() {
                 let w = ws[i];
-                let blocker = value_of(&self.assigns, w.blocker);
-                if blocker == LBool::True {
+                let blocker = truth(&self.assigns, w.blocker);
+                if blocker == TRUE {
                     i += 1;
                     continue;
                 }
@@ -613,7 +629,7 @@ impl Solver {
                     // The blocker is the other literal: unit or conflict
                     // without loading the clause.
                     let cref = w.cref.plain();
-                    if blocker == LBool::False {
+                    if blocker == FALSE {
                         // Analysis reads the conflict clause in the
                         // `[other, !p]` order a full visit would leave.
                         let lits = self.db.lits_mut(cref);
@@ -628,38 +644,38 @@ impl Solver {
                     i += 1;
                     continue;
                 }
-                if self.db.is_deleted(w.cref) {
+                let Some(lits) = self.db.live_lits_mut(w.cref) else {
                     ws.swap_remove(i);
                     continue;
-                }
+                };
                 // Ensure the falsified watched literal (!p) sits at slot 1.
-                let lits = self.db.lits_mut(w.cref);
                 if lits[0] == false_lit {
                     lits.swap(0, 1);
                 }
                 debug_assert_eq!(lits[1], false_lit);
                 let first = lits[0];
-                let first_value = value_of(&self.assigns, first);
-                if first_value == LBool::True {
+                let first_value = truth(&self.assigns, first);
+                if first_value == TRUE {
                     ws[i].blocker = first;
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                for k in 2..lits.len() {
-                    let cand = lits[k];
-                    if value_of(&self.assigns, cand) != LBool::False {
-                        lits.swap(1, k);
-                        self.watches[(!cand).index()].push(Watcher {
-                            cref: w.cref,
-                            blocker: first,
-                        });
-                        ws.swap_remove(i);
-                        continue 'watchers;
-                    }
+                if let Some(k) = lits[2..]
+                    .iter()
+                    .position(|&cand| truth(&self.assigns, cand) != FALSE)
+                {
+                    let cand = lits[k + 2];
+                    lits.swap(1, k + 2);
+                    self.watches[(!cand).index()].push(Watcher {
+                        cref: w.cref,
+                        blocker: first,
+                    });
+                    ws.swap_remove(i);
+                    continue 'watchers;
                 }
                 // No replacement: unit or conflicting.
-                if first_value == LBool::False {
+                if first_value == FALSE {
                     conflict = Some(w.cref);
                     self.qhead = self.trail.len();
                     break;
@@ -693,17 +709,6 @@ impl Solver {
         self.qhead = bound;
     }
 
-    fn bump_var(&mut self, v: Var) {
-        self.activity[v.index()] += self.var_inc;
-        if self.activity[v.index()] > RESCALE_LIMIT {
-            for a in &mut self.activity {
-                *a *= 1e-100;
-            }
-            self.var_inc *= 1e-100;
-        }
-        self.heap.update(v, &self.activity);
-    }
-
     /// Bumps a learnt clause's activity. Problem clauses carry no
     /// activity: only learnt clauses are ranked by `reduce_learnt`, and a
     /// bumped problem clause would cross the rescale limit again on every
@@ -731,9 +736,12 @@ impl Solver {
     /// First-UIP conflict analysis.
     ///
     /// Returns the learnt clause (asserting literal first), the backtrack
-    /// level, and the clause's literal-block distance.
+    /// level, and the clause's literal-block distance. The clause is the
+    /// solver's reusable buffer: hand it back through `learnt_buf` once
+    /// it is stored.
     fn analyze(&mut self, conflict: ClauseRef) -> (Vec<Lit>, u32, u32) {
-        let mut learnt: Vec<Lit> = Vec::with_capacity(8);
+        let mut lower = std::mem::take(&mut self.lower_buf);
+        lower.clear();
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
@@ -742,8 +750,7 @@ impl Solver {
 
         loop {
             self.bump_clause(cref);
-            for k in 0..self.db.len(cref) {
-                let q = self.db.lits(cref)[k];
+            for &q in self.db.lits(cref) {
                 // Skip the implied literal itself when traversing its reason.
                 if Some(q) == p {
                     continue;
@@ -751,11 +758,18 @@ impl Solver {
                 let v = q.var();
                 if !self.seen[v.index()] && self.levels[v.index()] > 0 {
                     self.seen[v.index()] = true;
-                    self.bump_var(v);
+                    let inc = self.var_inc;
+                    bump_activity(
+                        &mut self.activity,
+                        &mut self.var_inc,
+                        &mut self.heap,
+                        v,
+                        inc,
+                    );
                     if self.levels[v.index()] >= current_level {
                         counter += 1;
                     } else {
-                        learnt.push(q);
+                        lower.push(q);
                     }
                 }
             }
@@ -769,54 +783,65 @@ impl Solver {
             let lit = self.trail[index];
             self.seen[lit.var().index()] = false;
             counter -= 1;
+            p = Some(lit);
             if counter == 0 {
-                p = Some(lit);
                 break;
             }
-            p = Some(lit);
             cref = self.reasons[lit.var().index()]
                 .expect("non-decision literal on conflict side must have a reason");
         }
 
-        let asserting = !p.expect("analysis always reaches the first UIP");
+        let mut out = std::mem::take(&mut self.learnt_buf);
+        out.clear();
+        out.push(!p.expect("analysis always reaches the first UIP"));
         // Clause minimisation: drop literals whose reason is subsumed by the
-        // remainder of the learnt clause (one-step self-subsumption).
-        for &l in &learnt {
-            self.seen[l.var().index()] = true;
+        // remainder of the learnt clause (one-step self-subsumption). Every
+        // literal of `lower` is still marked `seen` from the walk above.
+        for &l in &lower {
+            if !self.literal_redundant(l) {
+                out.push(l);
+            }
         }
-        let minimised: Vec<Lit> = learnt
-            .iter()
-            .copied()
-            .filter(|&l| !self.literal_redundant(l))
-            .collect();
-        for &l in &learnt {
+        for &l in &lower {
             self.seen[l.var().index()] = false;
         }
-        let mut learnt = minimised;
-        self.stats.learnt_literals += learnt.len() as u64 + 1;
+        self.lower_buf = lower;
+        self.stats.learnt_literals += out.len() as u64;
 
-        // Backtrack level = highest level among the non-asserting literals.
-        let bt_level = learnt
-            .iter()
-            .map(|l| self.levels[l.var().index()])
-            .max()
-            .unwrap_or(0);
-        // Move a literal of bt_level to slot 1 (second watch invariant).
-        let mut out = Vec::with_capacity(learnt.len() + 1);
-        out.push(asserting);
-        if let Some(pos) = learnt
-            .iter()
-            .position(|l| self.levels[l.var().index()] == bt_level)
-        {
-            learnt.swap(0, pos);
+        // Backtrack level = highest level among the non-asserting literals;
+        // the first literal of that level moves to slot 1 (second watch
+        // invariant).
+        let mut bt_level = 0;
+        if out.len() > 1 {
+            let mut at = 1;
+            bt_level = self.levels[out[1].var().index()];
+            for (k, l) in out.iter().enumerate().skip(2) {
+                let level = self.levels[l.var().index()];
+                if level > bt_level {
+                    (at, bt_level) = (k, level);
+                }
+            }
+            out.swap(1, at);
         }
-        out.extend(learnt);
 
-        // LBD = number of distinct decision levels in the clause.
-        let mut lvls: Vec<u32> = out.iter().map(|l| self.levels[l.var().index()]).collect();
-        lvls.sort_unstable();
-        lvls.dedup();
-        let lbd = lvls.len() as u32;
+        // LBD = number of distinct decision levels in the clause, counted by
+        // stamping each level once.
+        if self.level_stamp.len() <= current_level as usize {
+            self.level_stamp.resize(current_level as usize + 1, 0);
+        }
+        if self.stamp == u32::MAX {
+            self.level_stamp.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        let mut lbd = 0;
+        for l in &out {
+            let level = self.levels[l.var().index()] as usize;
+            if self.level_stamp[level] != self.stamp {
+                self.level_stamp[level] = self.stamp;
+                lbd += 1;
+            }
+        }
 
         (out, bt_level, lbd)
     }
@@ -904,6 +929,7 @@ impl Solver {
                     self.attach(cref);
                     self.enqueue(asserting, Some(cref));
                 }
+                self.learnt_buf = learnt;
                 self.decay_activities();
                 if conflicts_here & POLL_MASK == 0 && self.interrupt.is_triggered() {
                     return SearchOutcome::Interrupted;
@@ -1129,16 +1155,31 @@ impl Solver {
     }
 }
 
-/// [`Solver::lit_value`] on a borrowed assignment, so propagation can read
-/// values while it holds a clause's literals mutably.
+/// [`truth`] of a true literal.
+const TRUE: u8 = 0;
+/// [`truth`] of a false literal.
+const FALSE: u8 = 1;
+
+/// A literal's value under a borrowed assignment, so propagation can read
+/// values while it holds a clause's literals mutably: [`TRUE`], [`FALSE`],
+/// or 2 or 3 when unassigned. `LBool`'s discriminants (`True` 0, `False` 1,
+/// `Undef` 2) make this one xor with the literal's sign bit.
 #[inline]
-fn value_of(assigns: &[LBool], l: Lit) -> LBool {
-    let v = assigns[l.var().index()];
-    if l.is_positive() {
-        v
-    } else {
-        v.negate()
+fn truth(assigns: &[LBool], l: Lit) -> u8 {
+    assigns[l.var().index()] as u8 ^ (l.code() & 1) as u8
+}
+
+/// Adds `amount` to `v`'s activity and restores its heap position,
+/// rescaling every activity (and `var_inc`) when it grows too large.
+fn bump_activity(activity: &mut [f64], var_inc: &mut f64, heap: &mut VarHeap, v: Var, amount: f64) {
+    activity[v.index()] += amount;
+    if activity[v.index()] > RESCALE_LIMIT {
+        for a in activity.iter_mut() {
+            *a *= 1e-100;
+        }
+        *var_inc *= 1e-100;
     }
+    heap.update(v, activity);
 }
 
 enum SearchOutcome {

@@ -160,15 +160,20 @@ impl fmt::Display for Lit {
 }
 
 /// Tri-state assignment value used inside the solver and in [`crate::Model`].
+///
+/// The discriminants are fixed (`True` 0, `False` 1, `Undef` 2) so that
+/// `value as u8 ^ sign` is 0 for a true literal, 1 for a false one and at
+/// least 2 for an unassigned one, where `sign` is the literal's low bit.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash, Default)]
+#[repr(u8)]
 pub enum LBool {
     /// Assigned true.
-    True,
+    True = 0,
     /// Assigned false.
-    False,
+    False = 1,
     /// Not assigned.
     #[default]
-    Undef,
+    Undef = 2,
 }
 
 impl LBool {
@@ -251,6 +256,15 @@ mod tests {
         assert_eq!(LBool::True.negate(), LBool::False);
         assert_eq!(LBool::False.negate(), LBool::True);
         assert_eq!(LBool::Undef.negate(), LBool::Undef);
+    }
+
+    #[test]
+    fn lbool_discriminants_are_pinned() {
+        // The solver's truth test `value as u8 ^ sign` relies on these.
+        assert_eq!(LBool::True as u8, 0);
+        assert_eq!(LBool::False as u8, 1);
+        assert_eq!(LBool::Undef as u8, 2);
+        assert_eq!(std::mem::size_of::<LBool>(), 1);
     }
 
     #[test]

@@ -78,7 +78,8 @@ use etcs_obs::json;
 use etcs_obs::Obs;
 use etcs_replan::{ReplanConfig, ReplanStats};
 use etcs_serve::wire::{
-    parse_request, response_line, stats_body_json, JobHook, Origin, ShardServer, ShardServerConfig,
+    request_from_value, response_line, stats_body_json, JobHook, Origin, ShardServer,
+    ShardServerConfig,
 };
 use etcs_serve::{JobRequest, ReplanManager, ServeConfig, Service};
 
@@ -288,14 +289,13 @@ fn main() -> ExitCode {
         if line.trim().is_empty() {
             continue;
         }
-        if json::parse(&line).is_ok_and(|v| v.get("record").is_some()) {
-            order.push(Entry::Replan {
-                line,
-                label: format!("line {lineno}"),
-            });
+        let label = format!("line {lineno}");
+        let parsed = json::parse(&line).map_err(|e| format!("{label}: {e}"));
+        if parsed.as_ref().is_ok_and(|v| v.get("record").is_some()) {
+            order.push(Entry::Replan { line, label });
             continue;
         }
-        match parse_request(&line, &format!("line {lineno}"), Origin::Local) {
+        match parsed.and_then(|value| request_from_value(&value, &label, Origin::Local)) {
             Ok(request) => order.push(Entry::Job(Box::new(request))),
             Err(message) => order.push(Entry::Invalid(format!("line-{lineno}"), message)),
         }

@@ -429,9 +429,15 @@ impl Service {
             .unwrap_or_default()
     }
 
-    /// Closes admission, drains the queue, and joins every worker.
-    /// Called automatically on drop; explicit calls are idempotent.
+    /// Closes admission, drains the queue, joins every worker and flushes
+    /// the metrics once. Called automatically on drop; explicit calls are
+    /// idempotent.
     pub fn shutdown(&mut self) {
+        // A service starts with at least one worker and only this drains
+        // them, so no workers means it already shut down and flushed.
+        if self.workers.is_empty() {
+            return;
+        }
         self.queue.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();

@@ -334,7 +334,18 @@ pub fn parse_request_line(
 /// values, and a peer's `file:` spec.
 pub fn parse_request(line: &str, label: &str, origin: Origin) -> Result<JobRequest, String> {
     let value = json::parse(line).map_err(|e| format!("{label}: {e}"))?;
-    request_from_json(&value, label, |spec| load_scenario(spec, origin))
+    request_from_value(&value, label, origin)
+}
+
+/// [`parse_request`] on a line already parsed into `value`, for a caller
+/// that has read other fields of it (the `served` batch reader looks for
+/// `"record"` first).
+///
+/// # Errors
+///
+/// As [`parse_request`], except for malformed JSON.
+pub fn request_from_value(value: &Json, label: &str, origin: Origin) -> Result<JobRequest, String> {
+    request_from_json(value, label, |spec| load_scenario(spec, origin))
 }
 
 /// Parses a local request line that is to be forwarded to a shard, which

@@ -3,7 +3,7 @@
 //! duplicate-heavy batch at 1, 2 and 4 workers, cancellation and
 //! deadlines that never poison a worker, admission-control rejection,
 //! cache-key canonicalisation across reordered inputs, and the
-//! observability vocabulary.
+//! observability vocabulary, with each metric flushed once per service.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -294,4 +294,34 @@ fn service_emits_the_serve_observability_vocabulary() {
     assert_eq!(metrics.counter("serve.jobs"), 2);
     assert_eq!(metrics.counter("serve.cache.hits"), 1);
     assert_eq!(metrics.counter("serve.cache.misses"), 1);
+}
+
+#[test]
+fn shutdown_then_drop_flushes_each_metric_once() {
+    let (obs, sink) = Obs::memory();
+    let mut service = Service::with_obs(
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        obs,
+    );
+    let request = JobRequest::new("once", JobKind::Verify, fixtures::running_example());
+    let responses = service.run_batch(vec![request]);
+    assert!(responses[0].outcome.payload().is_some());
+    service.shutdown();
+    service.shutdown();
+    drop(service);
+
+    let events = sink.events();
+    let rows: Vec<&str> = events
+        .iter()
+        .filter(|e| e.kind == EventKind::Metric)
+        .map(|e| e.name)
+        .collect();
+    assert!(rows.contains(&"serve.jobs"), "no metric rows: {rows:?}");
+    let mut distinct = rows.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(rows.len(), distinct.len(), "a metric row repeats: {rows:?}");
 }
